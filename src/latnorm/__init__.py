@@ -45,6 +45,7 @@ from .fibered import (
     cp_witness_from_utob,
     defect,
     disc_grid,
+    farthest_point_traversal,
     greedy_order,
     heine_borel_net,
     is_utob,
@@ -85,6 +86,7 @@ from .relative import (
     CrossCheckReport,
     EgoroffReport,
     KroneckerReport,
+    OrbitCache,
     SubmoduleBasis,
     ap_closure_properties,
     defect_chain,

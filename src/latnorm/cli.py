@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -48,6 +49,10 @@ def _load_json(path: str):
 
 
 def _emit(report: dict, args) -> None:
+    # the plain-text and CSV renderings are alternatives to the JSON
+    # payload, never part of it
+    csv_text = report.pop("_csv", None)
+    plain_text = report.pop("_text", None)
     payload = {
         "tool": "latnorm",
         "version": __version__,
@@ -59,13 +64,12 @@ def _emit(report: dict, args) -> None:
         },
         **report,
     }
-    if args.format == "json":
-        text = json.dumps(payload, indent=2, default=str)
-    elif args.format == "csv":
-        text = report.get("_csv") or json.dumps(payload, indent=2, default=str)
+    if args.format == "csv" and csv_text:
+        text = csv_text
+    elif args.format == "text" and plain_text:
+        text = plain_text
     else:
-        text = report.get("_text") or json.dumps(payload, indent=2, default=str)
-    payload.pop("_csv", None)
+        text = json.dumps(payload, indent=2, default=str)
     out = getattr(args, "out", None)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
@@ -263,7 +267,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--delta", type=float, action="append", default=None,
         help="mass budgets for the localization criterion",
     )
-    p.add_argument("--cap", type=int, default=10**5, help="group closure cap")
+    p.add_argument(
+        "--cap", type=int, default=10**5,
+        help="largest orbit size allowed (exit 3 beyond it)",
+    )
     _add_common(p)
     p.set_defaults(func=cmd_analyze)
 
@@ -321,11 +328,17 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "eps", None) is None and args.command in _DEFAULT_EPS:
         args.eps = _DEFAULT_EPS[args.command]
-    if getattr(args, "eps", None) is not None and any(e <= 0 for e in args.eps):
-        print("eps values must be positive", file=sys.stderr)
+    # NaN compares false with everything, so test finiteness explicitly
+    for name in ("eps", "delta"):
+        values = getattr(args, name, None)
+        if values is not None and not all(math.isfinite(v) and v > 0 for v in values):
+            print(f"{name} values must be positive and finite", file=sys.stderr)
+            return EXIT_SCHEMA
+    if not math.isfinite(args.tol):
+        print("tol must be finite", file=sys.stderr)
         return EXIT_SCHEMA
-    if getattr(args, "delta", None) is not None and any(d <= 0 for d in args.delta):
-        print("delta values must be positive", file=sys.stderr)
+    if getattr(args, "cap", 1) < 1:
+        print("cap must be >= 1", file=sys.stderr)
         return EXIT_SCHEMA
     try:
         return args.func(args)

@@ -24,7 +24,11 @@ class SizeCapError(LatnormError):
 
 
 class CapExceededError(LatnormError):
-    """Group closure enumeration exceeded the configured cap."""
+    """An enumeration exceeded its configured cap.
+
+    ``enumerate_group`` caps the group order; orbit walks, and with them
+    ``latnorm analyze``, cap the orbit size only.
+    """
 
 
 class UnknownGroupElementError(LatnormError):

@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -301,32 +301,57 @@ def _norm_table(M: FiniteSet) -> np.ndarray:
     ) if len(M) else np.zeros((0, M.space.n_points))
 
 
-def is_utob(M: FiniteSet, eps: float, tol: float = DEFAULT_TOL) -> UtobReport:
+def farthest_point_traversal(M: FiniteSet):
+    """Gonzalez farthest-point traversal of M, one insertion at a time.
+
+    Seeded by the element of largest lattice norm; each step inserts the
+    element farthest (in sup norm of the pointwise distance) from those
+    already placed, ties to the lowest index. Yields ``(index, prefix
+    defect)`` per step, where the prefix defect is the pointwise defect of
+    M against the elements placed so far (the running radius of the
+    traversal). Stop consuming early to stop the traversal.
+    """
+    n = len(M)
+    if n == 0:
+        return
+    placed = np.zeros(n, dtype=bool)
+    nxt = int(np.argmax(np.max(_norm_table(M), axis=1)))
+    mindist = _distances_to_element(M, nxt)  # (n_points, n): reduce on rows
+    for step in range(1, n + 1):
+        placed[nxt] = True
+        yield nxt, mindist.max(axis=1)
+        if step == n:
+            return
+        scores = mindist.max(axis=0)
+        scores[placed] = -1.0
+        nxt = int(scores.argmax())
+        np.minimum(mindist, _distances_to_element(M, nxt), out=mindist)
+
+
+def is_utob(
+    M: FiniteSet,
+    eps: float,
+    tol: float = DEFAULT_TOL,
+    steps: Iterable[tuple[int, np.ndarray]] | None = None,
+) -> UtobReport:
     """Check uniform total order-boundedness of M at level eps.
 
     Any finite M is uniformly totally order-bounded (M itself is a witness
     with defect zero); the value of this routine is the witness it returns:
-    the shortest prefix of a greedy farthest-point ordering of M whose
-    recomputed defect is pointwise below eps.
+    the shortest prefix of the farthest-point traversal of M whose prefix
+    defect is pointwise below eps, with the defect recomputed
+    independently for the verdict. ``steps`` may replay a traversal of M
+    that was already run.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
     if len(M) == 0:
         return UtobReport(True, FiniteSet(M.space, [s[:0] for s in M.stacks], 0), None, eps)
-
-    norms = _norm_table(M)
-    chosen = [int(np.argmax(np.max(norms, axis=1)))]
-    mindist = _distances_to_element(M, chosen[0])
-    while True:
-        if float(np.max(mindist)) <= eps + tol:
+    chosen = []
+    for idx, prefix in farthest_point_traversal(M) if steps is None else steps:
+        chosen.append(idx)
+        if float(np.max(prefix)) <= eps + tol:
             break
-        if len(chosen) == len(M):
-            break
-        scores = np.max(mindist, axis=1)
-        scores[chosen] = -1.0
-        nxt = int(np.argmax(scores))
-        chosen.append(nxt)
-        mindist = np.minimum(mindist, _distances_to_element(M, nxt))
     witness = M.subset(chosen)
     report = defect(M, witness)
     verdict = report.value.le(eps, tol)
@@ -334,32 +359,16 @@ def is_utob(M: FiniteSet, eps: float, tol: float = DEFAULT_TOL) -> UtobReport:
 
 
 def _distances_to_element(M: FiniteSet, idx: int) -> np.ndarray:
-    """(n_elements, n_points) distances from every element of M to M[idx]."""
-    cols = []
-    for s in M.stacks:
-        cols.append(np.linalg.norm(s - s[idx][None, :], axis=1))
-    return np.stack(cols, axis=1)
+    """(n_points, n_elements) distances from every element of M to M[idx]."""
+    out = np.empty((M.space.n_points, len(M)))
+    for w, s in enumerate(M.stacks):
+        out[w] = np.linalg.norm(s - s[idx], axis=1)
+    return out
 
 
 def greedy_order(M: FiniteSet) -> list[int]:
-    """Full farthest-point insertion order of M.
-
-    Seeded by the element of largest lattice norm; each step appends the
-    element farthest (in sup norm of the pointwise distance) from those
-    already placed. Ties go to the lowest index.
-    """
-    if len(M) == 0:
-        return []
-    norms = _norm_table(M)
-    order = [int(np.argmax(np.max(norms, axis=1)))]
-    mindist = _distances_to_element(M, order[0])
-    while len(order) < len(M):
-        scores = np.max(mindist, axis=1)
-        scores[order] = -1.0
-        nxt = int(np.argmax(scores))
-        order.append(nxt)
-        mindist = np.minimum(mindist, _distances_to_element(M, nxt))
-    return order
+    """Full farthest-point insertion order of M."""
+    return [idx for idx, _ in farthest_point_traversal(M)]
 
 
 def truncate_to_ball(F: FiniteSet, r: float, tol: float = DEFAULT_TOL) -> FiniteSet:

@@ -41,6 +41,23 @@ def rotation_extension(n_top: int = 4, n_base: int = 2) -> Extension:
     return Extension(top, [tau], base, [sigma], np.arange(n_top) % n_base)
 
 
+def symmetric_extension(k: int = 5, q: int = 1) -> Extension:
+    """S_k acting on each of q fibers of k points over a static base: a
+    k-cycle and a transposition on every fiber at once, identity below."""
+    n = k * q
+    top = FiniteProbabilitySpace([f"x{i}" for i in range(n)], np.full(n, 1.0 / n))
+    base = FiniteProbabilitySpace([f"y{j}" for j in range(q)], np.full(q, 1.0 / q))
+    offsets = np.repeat(np.arange(q) * k, k)
+    local = np.tile(np.arange(k), q)
+    cycle = MPMap(offsets + (local + 1) % k)
+    swap_local = local.copy()
+    if k > 1:
+        swap_local[local == 0], swap_local[local == 1] = 1, 0
+    swap = MPMap(offsets + swap_local)
+    ident = MPMap(np.arange(q))
+    return Extension(top, [cycle, swap], base, [ident, ident], offsets // k)
+
+
 def broken_extension() -> Extension:
     """Uniform 4-point system over a mismatched (0.6, 0.4) base; invalid."""
     top = FiniteProbabilitySpace([f"x{i}" for i in range(4)], np.full(4, 0.25))

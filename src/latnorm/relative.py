@@ -13,15 +13,18 @@ the independent pipelines agree instead of assuming it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from functools import cached_property
+from typing import Callable, Sequence
 
 import numpy as np
 
+from .errors import CapExceededError
 from .fibered import (
     FiniteSet,
     ModuleVector,
+    UtobReport,
     defect,
-    greedy_order,
+    farthest_point_traversal,
     is_utob,
 )
 from .stone import (
@@ -30,24 +33,66 @@ from .stone import (
     Idempotent,
     StoneElement,
 )
-from .systems import Extension, RelModule, embed_J
+from .systems import Extension, MPMap, RelModule, embed_J
 
 
 # ---------------------------------------------------------------------------
 # orbits
 
 
+def _generator_steps(gens: Sequence[MPMap]) -> list[np.ndarray]:
+    """Index maps of the Koopman steps of each generator g and its inverse.
+
+    Per generator, first ``x[g^-1]`` (the image of x under g), then ``x[g]``
+    (under g^-1): the order in which ``enumerate_group`` extends its closure,
+    so orbits come out in the order of a closure walk.
+    """
+    steps = []
+    for g in gens:
+        steps.append(g.inverse().perm)
+        steps.append(g.perm)
+    return steps
+
+
+def _walk_orbit(
+    x: np.ndarray, steps: Sequence[np.ndarray], key: Callable, cap: int
+) -> list[np.ndarray]:
+    """Breadth-first orbit of x under the index maps ``steps``.
+
+    Known images are expanded in discovery order, each by every step in
+    order; an image whose ``key`` was seen before is dropped, so the first
+    representative found is kept. Raises once the orbit would exceed cap.
+    """
+    images = [x]
+    seen = {key(x)}
+    for y in images:  # the list is the queue: appended images are visited too
+        for s in steps:
+            z = y[s]
+            k = key(z)
+            if k not in seen:
+                if len(images) + 1 > cap:
+                    raise CapExceededError(f"orbit exceeds cap {cap}")
+                seen.add(k)
+                images.append(z)
+    return images
+
+
 def orbit_functions(f, ext: Extension, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Deduplicated images of f under every enumerated group element."""
+    """Deduplicated images of f under the group of the upstairs generators.
+
+    Walked breadth-first from f under the generators and their inverses
+    (Schreier-graph orbit algorithm), so the cost is the orbit size, not the
+    group order; ``ext.cap`` bounds the orbit size. Images whose entries
+    agree after rounding to multiples of tol count as one.
+    """
     f = np.asarray(f, dtype=complex)
-    action = ext.action
-    seen = {}
-    for t in action.closure:
-        g = action.koopman(t, f)
-        key = np.round(g.view(float) / max(tol, 1e-300)).astype(np.int64).tobytes()
-        if key not in seen:
-            seen[key] = g
-    return np.array(list(seen.values()), dtype=complex)
+    scale = max(tol, 1e-300)
+
+    def key(g):
+        return np.round(g.view(float) / scale).astype(np.int64).tobytes()
+
+    images = _walk_orbit(f, _generator_steps(ext.upstairs_gens), key, ext.cap)
+    return np.array(images, dtype=complex)
 
 
 def orbit(
@@ -57,6 +102,58 @@ def orbit(
     rel = rel or RelModule(ext)
     funcs = orbit_functions(f, ext, tol)
     return FiniteSet.from_vectors([rel.encode(g) for g in funcs], rel.space)
+
+
+class OrbitTraversal:
+    """Encoded orbit of one function and its full farthest-point traversal,
+    run on first use, with the UTOB witness of each eps read off it."""
+
+    def __init__(self, orbit: FiniteSet):
+        self.orbit = orbit
+        self._utob: dict[tuple[float, float], UtobReport] = {}
+
+    @cached_property
+    def steps(self) -> list[tuple[int, np.ndarray]]:
+        return list(farthest_point_traversal(self.orbit))
+
+    @cached_property
+    def chain(self) -> list[StoneElement]:
+        base = self.orbit.space.base
+        return [StoneElement(base, d) for _, d in self.steps]
+
+    def utob(self, eps: float, tol: float) -> UtobReport:
+        """``is_utob`` of the orbit at eps, computed once."""
+        key = (eps, tol)
+        if key not in self._utob:
+            self._utob[key] = is_utob(self.orbit, eps, tol, steps=self.steps)
+        return self._utob[key]
+
+
+class OrbitCache:
+    """Orbits of functions on one extension, memoized by the function's bytes.
+
+    ``cache(f)`` returns the ``OrbitTraversal`` of f, so that every
+    pipeline of one check shares one orbit walk and one traversal per
+    function. The routines taking ``orbits=`` read their orbit from it, walked
+    at the cache's tol, instead of walking their own.
+    """
+
+    def __init__(
+        self, ext: Extension, rel: RelModule | None = None, tol: float = DEFAULT_TOL
+    ):
+        self.ext = ext
+        self.rel = rel or RelModule(ext)
+        self.tol = tol
+        self._memo: dict[bytes, OrbitTraversal] = {}
+
+    def __call__(self, f) -> OrbitTraversal:
+        f = np.asarray(f, dtype=complex)
+        key = f.tobytes()
+        hit = self._memo.get(key)
+        if hit is None:
+            hit = OrbitTraversal(orbit(f, self.ext, self.rel, self.tol))
+            self._memo[key] = hit
+        return hit
 
 
 # ---------------------------------------------------------------------------
@@ -92,13 +189,19 @@ def is_conditionally_ap(
     eps_values: Sequence[float],
     rel: RelModule | None = None,
     tol: float = DEFAULT_TOL,
+    orbits: OrbitCache | None = None,
 ) -> APReport:
-    """Probe the orbit of f for uniform total order-boundedness at each eps."""
-    rel = rel or RelModule(ext)
-    orb = orbit(f, ext, rel, tol)
+    """Probe the orbit of f for uniform total order-boundedness at each eps.
+
+    Every eps reads its witness off the one traversal of the orbit.
+    """
+    if orbits is None:
+        orbits = OrbitCache(ext, rel, tol)
+    rel = orbits.rel
+    trav = orbits(f)
     verdicts, witnesses, defects = [], [], []
     for eps in eps_values:
-        rep = is_utob(orb, eps, tol)
+        rep = trav.utob(eps, tol)
         verdicts.append(bool(rep.verdict))
         witnesses.append(rep.witness)
         defects.append(
@@ -108,15 +211,17 @@ def is_conditionally_ap(
 
 
 def defect_chain(M: FiniteSet) -> list[StoneElement]:
-    """Defect values of M against its increasing greedy witness prefixes."""
-    order = greedy_order(M)
-    return [
-        defect(M, M.subset(order[:n])).value for n in range(1, len(order) + 1)
-    ]
+    """Defect values of M against its increasing greedy witness prefixes:
+    the radius sequence of one farthest-point traversal."""
+    return [StoneElement(M.space.base, d) for _, d in farthest_point_traversal(M)]
 
 
 def orbit_tob_verdict(
-    f, ext: Extension, rel: RelModule | None = None, tol: float = DEFAULT_TOL
+    f,
+    ext: Extension,
+    rel: RelModule | None = None,
+    tol: float = DEFAULT_TOL,
+    orbits: OrbitCache | None = None,
 ) -> bool:
     """Pointwise (order) convergence of the orbit's defect chain to zero.
 
@@ -124,8 +229,9 @@ def orbit_tob_verdict(
     defects over increasing witnesses is pointwise decreasing and ends at
     zero, with no uniformity requirement along the way.
     """
-    rel = rel or RelModule(ext)
-    chain = defect_chain(orbit(f, ext, rel, tol))
+    if orbits is None:
+        orbits = OrbitCache(ext, rel, tol)
+    chain = orbits(f).chain
     for u, v in zip(chain, chain[1:]):
         if not v.le(u, tol):
             return False
@@ -169,6 +275,7 @@ def generated_submodule(
     ext: Extension,
     rel: RelModule | None = None,
     tol: float = DEFAULT_TOL,
+    orbits: OrbitCache | None = None,
 ) -> SubmoduleBasis:
     """Fiberwise orthonormalization of the module spanned by the orbit of f.
 
@@ -176,8 +283,10 @@ def generated_submodule(
     values below tol times the fiber dimension are treated as rank defects.
     The result is invariant under the action because the orbit is.
     """
-    rel = rel or RelModule(ext)
-    orb = orbit(f, ext, rel, tol)
+    if orbits is None:
+        orbits = OrbitCache(ext, rel, tol)
+    rel = orbits.rel
+    orb = orbits(f).orbit
     n_pts = rel.space.n_points
     fiber_bases = []
     ranks = np.zeros(n_pts, dtype=int)
@@ -237,14 +346,18 @@ class KroneckerReport:
         return projector(self.basis_phi)
 
 
-def kronecker_subspace(ext: Extension, tol: float = DEFAULT_TOL) -> KroneckerReport:
+def kronecker_subspace(
+    ext: Extension, tol: float = DEFAULT_TOL, orbits: OrbitCache | None = None
+) -> KroneckerReport:
     """Span of the invariant modules generated by every point indicator.
 
     Each generated module is expanded into plain functions by cutting its
     decoded basis down to single fibers, and the union is orthonormalized
     in the weighted inner product upstairs.
     """
-    rel = RelModule(ext)
+    if orbits is None:
+        orbits = OrbitCache(ext, tol=tol)
+    rel = orbits.rel
     n_x = ext.upstairs.size
     n_y = ext.downstairs.size
     vectors = []
@@ -252,7 +365,7 @@ def kronecker_subspace(ext: Extension, tol: float = DEFAULT_TOL) -> KroneckerRep
     for x0 in range(n_x):
         f = np.zeros(n_x, dtype=complex)
         f[x0] = 1.0
-        sb = generated_submodule(f, ext, rel, tol)
+        sb = generated_submodule(f, ext, rel, tol, orbits)
         seed_ranks.append(len(sb))
         for j in range(len(sb)):
             h = rel.decode(sb.vectors[j])
@@ -410,12 +523,16 @@ def theorem_cross_check(
     characterizations (discrete spectrum, density of the almost periodic
     part, density of the order-precompact part, localizability) and states
     the finite-scale degeneracy explicitly.
+
+    Each indicator's orbit is walked and traversed once; every pipeline,
+    the localized indicators included, reads from that one traversal.
     """
     rel = RelModule(ext)
+    orbits = OrbitCache(ext, rel)
     n_x = ext.upstairs.size
     w = ext.upstairs.weights
 
-    kron = kronecker_subspace(ext)
+    kron = kronecker_subspace(ext, orbits=orbits)
 
     ap_members, ap_verdicts, ap_sizes = [], [], []
     tob_members = []
@@ -425,14 +542,14 @@ def theorem_cross_check(
     for x0 in range(n_x):
         f = np.zeros(n_x, dtype=complex)
         f[x0] = 1.0
-        rep = is_conditionally_ap(f, ext, eps_values, rel)
+        rep = is_conditionally_ap(f, ext, eps_values, rel, orbits=orbits)
         ap_verdicts.append(rep.all_pass)
         ap_sizes.append([len(w) for w in rep.witnesses])
         if rep.all_pass:
             ap_members.append(f)
-        if orbit_tob_verdict(f, ext, rel):
+        if orbit_tob_verdict(f, ext, rel, orbits=orbits):
             tob_members.append(f)
-        chain = defect_chain(orbit(f, ext, rel))
+        chain = orbits(f).chain
         for delta in delta_values:
             loc = egoroff_localize(
                 chain, ext.downstairs.weights, delta, eps_values=[eps_ref]
@@ -443,7 +560,7 @@ def theorem_cross_check(
             else:
                 thresholds[delta] = max(thresholds[delta], t_here)
             mask = embed_J(loc.kept.mask.astype(complex), ext)
-            rep_loc = is_conditionally_ap(mask * f, ext, eps_values, rel)
+            rep_loc = is_conditionally_ap(mask * f, ext, eps_values, rel, orbits=orbits)
             egoroff_ok = egoroff_ok and rep_loc.all_pass
 
     ap_stack = np.array(ap_members, dtype=complex).reshape(len(ap_members), n_x)
@@ -515,12 +632,11 @@ def ap_closure_properties(
     out["sum"] = defect(sum_orbit, set_sum(wit_f, wit_g)).value.le(2 * eps, 10 * tol)
 
     base_y = rel.space.base
-    coeffs = {}
-    for t in ext.action.closure:
-        vals = ext.koopman_y(t, h)
-        coeffs[vals.tobytes()] = vals
+    coeffs = _walk_orbit(
+        h, _generator_steps(ext.downstairs_gens), np.ndarray.tobytes, ext.cap
+    )
     scaled = []
-    for vals in coeffs.values():
+    for vals in coeffs:
         lam = ComplexCoefficient(base_y, vals)
         for y in wit_f:
             scaled.append(lam * y)

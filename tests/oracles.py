@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from latnorm import disc_grid
+from latnorm import defect, disc_grid
 
 
 def grid_zonotope_distance(x, F, mesh=0.01):
@@ -30,3 +30,46 @@ def grid_zonotope_distance(x, F, mesh=0.01):
             raise NotImplementedError("oracle covers one or two generators")
         out[w] = float(vals.min())
     return out
+
+
+def closure_orbit_functions(f, ext, tol=1e-9):
+    """Orbit of f by walking the whole enumerated group closure: the image
+    under every element in closure order, deduplicated by rounded key (the
+    first image of each key is kept)."""
+    f = np.asarray(f, dtype=complex)
+    action = ext.action
+    seen = {}
+    for t in action.closure:
+        g = action.koopman(t, f)
+        key = np.round(g.view(float) / max(tol, 1e-300)).astype(np.int64).tobytes()
+        if key not in seen:
+            seen[key] = g
+    return np.array(list(seen.values()), dtype=complex)
+
+
+def brute_force_greedy_order(M):
+    """Farthest-point order from full pairwise distance tables: seed at the
+    largest lattice norm, then repeatedly the element whose sup over points
+    of the distance to the placed set is largest (lowest index on ties)."""
+    n = len(M)
+    if n == 0:
+        return []
+    # explicit differences, as in the library's exact distance kernel
+    tables = []
+    for s in M.stacks:
+        diff = s[:, None, :] - s[None, :, :]
+        tables.append(np.sqrt(np.sum(diff.real**2 + diff.imag**2, axis=2)))
+    dist = np.stack(tables, axis=2)  # (n, n, n_points)
+    norms = np.stack([np.linalg.norm(s, axis=1) for s in M.stacks], axis=1)
+    order = [int(np.argmax(np.max(norms, axis=1)))]
+    while len(order) < n:
+        scores = np.max(np.min(dist[:, order, :], axis=1), axis=1)
+        scores[order] = -1.0
+        order.append(int(np.argmax(scores)))
+    return order
+
+
+def brute_force_defect_chain(M, order):
+    """Defect reports of M against every prefix of ``order``, each
+    recomputed from scratch."""
+    return [defect(M, M.subset(order[:n])) for n in range(1, len(order) + 1)]

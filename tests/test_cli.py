@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from latnorm.cli import main
-from latnorm.fixtures import random_fiber_space, random_finite_set, rotation_extension
+from latnorm.fixtures import (
+    random_fiber_space,
+    random_finite_set,
+    rotation_extension,
+    symmetric_extension,
+)
 from latnorm.serialize import (
     extension_to_json,
     finite_set_to_json,
@@ -135,9 +140,57 @@ class TestCommands:
     def test_bad_eps_rejected(self, sets_doc):
         assert main(["tob", sets_doc, "--eps", "-1"]) == 2
 
+    @pytest.mark.parametrize("flag", ["--eps", "--delta", "--tol"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_values_rejected(self, ext_doc, flag, value, capsys):
+        assert main(["analyze", ext_doc, f"{flag}={value}"]) == 2
+        assert "finite" in capsys.readouterr().err
+
+    def test_cap_below_one_rejected(self, ext_doc):
+        assert main(["analyze", ext_doc, "--cap", "0"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "{ext}"],
+            ["tob", "{sets}"],
+            ["zonotope", "{sets}", "--eps", "5.0"],
+            ["cyclic", "{sets}"],
+            ["counterexample", "--n", "6", "--delta", "0.25"],
+        ],
+    )
+    def test_json_reports_hold_no_internal_keys(self, ext_doc, sets_doc, tmp_path, argv):
+        target = tmp_path / "report.json"
+        argv = [a.format(ext=ext_doc, sets=sets_doc) for a in argv]
+        assert main(argv + ["--out", str(target)]) == 0
+
+        def keys(node):
+            if isinstance(node, dict):
+                for k, v in node.items():
+                    yield k
+                    yield from keys(v)
+            elif isinstance(node, list):
+                for v in node:
+                    yield from keys(v)
+
+        leaked = [k for k in keys(json.loads(target.read_text())) if k.startswith("_")]
+        assert leaked == []
+
     def test_group_cap_exit_code(self, ext_doc, capsys):
         assert main(["analyze", ext_doc, "--cap", "2"]) == 3
         assert "cap exceeded" in capsys.readouterr().err
+
+    def test_symmetric_nine_points(self, tmp_path, capsys):
+        # |S_9| = 362880 exceeds the default cap; the orbits have 9 elements
+        path = tmp_path / "s9.json"
+        path.write_text(json.dumps(extension_to_json(symmetric_extension(9, 1))))
+        assert main(["analyze", str(path)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["discrete_spectrum"] is True and out["kronecker_dim"] == 9
+        assert main(["analyze", str(path), "--cap", "9"]) == 0
+        capsys.readouterr()
+        assert main(["analyze", str(path), "--cap", "8"]) == 3
+        assert "orbit exceeds cap 8" in capsys.readouterr().err
 
     def test_solver_limit_exit_code(self, sets_doc, capsys):
         code = main(

@@ -9,24 +9,37 @@ from latnorm import (
     IterationLimitError,
     ModuleVector,
     PointSet,
+    RelModule,
     SizeCapError,
     StoneElement,
     Zonotope,
     cp_check,
     cp_witness_from_utob,
     defect,
+    defect_chain,
     disc_grid,
+    farthest_point_traversal,
     greedy_order,
     heine_borel_net,
     is_utob,
+    orbit,
     set_image,
     set_sum,
     truncate_to_ball,
     zonotope_distance,
     zonotope_net,
 )
-from latnorm.fixtures import random_fiber_space, random_finite_set
-from oracles import grid_zonotope_distance
+from latnorm.fixtures import (
+    random_extension,
+    random_fiber_space,
+    random_finite_set,
+    rotation_extension,
+)
+from oracles import (
+    brute_force_defect_chain,
+    brute_force_greedy_order,
+    grid_zonotope_distance,
+)
 
 TOL = 1e-9
 
@@ -142,6 +155,68 @@ class TestUtob:
         M = random_finite_set(rng, random_fiber_space(rng), 5)
         order = greedy_order(M)
         assert sorted(order) == list(range(5))
+
+
+def _traversal_cases():
+    """Random sets, then sets with many exact distance ties: repeated
+    elements and encoded orbits of point indicators."""
+    rng = np.random.default_rng(40)
+    for n in (1, 2, 7, 30):
+        yield random_finite_set(rng, random_fiber_space(rng), n)
+    M = random_finite_set(rng, random_fiber_space(rng), 4)
+    yield M.subset([0, 1, 0, 2, 3, 1, 3])
+    for ext in (rotation_extension(12, 3), random_extension(rng), random_extension(rng)):
+        rel = RelModule(ext)
+        for x0 in range(min(ext.upstairs.size, 3)):
+            f = np.zeros(ext.upstairs.size, dtype=complex)
+            f[x0] = 1.0
+            yield orbit(f, ext, rel)
+
+
+class TestTraversal:
+    def test_matches_brute_force_oracle(self):
+        for M in _traversal_cases():
+            steps = list(farthest_point_traversal(M))
+            order = [i for i, _ in steps]
+            assert order == brute_force_greedy_order(M) == greedy_order(M)
+            oracle = brute_force_defect_chain(M, order)
+            for (_, prefix), rep in zip(steps, oracle):
+                assert np.max(np.abs(prefix - rep.value.values)) <= 1e-12
+            assert [c.values.tolist() for c in defect_chain(M)] == [
+                p.tolist() for _, p in steps
+            ]
+
+    def test_utob_witness_is_oracle_prefix(self):
+        for M in _traversal_cases():
+            order = brute_force_greedy_order(M)
+            oracle = brute_force_defect_chain(M, order)
+            for eps in (1.5, 0.5, 0.2, 1e-6):
+                n = next(
+                    (k for k, r in enumerate(oracle, 1) if r.value.le(eps, TOL)),
+                    len(order),
+                )
+                rep = is_utob(M, eps)
+                assert len(rep.witness) == n
+                assert np.array_equal(rep.report.argmin, oracle[n - 1].argmin)
+                assert rep.report.value.values.tolist() == oracle[n - 1].value.values.tolist()
+
+    def test_utob_stops_the_traversal_early(self, monkeypatch):
+        import latnorm.fibered as fibered
+
+        calls = []
+        real = fibered._distances_to_element
+        monkeypatch.setattr(
+            fibered, "_distances_to_element",
+            lambda M, idx: calls.append(idx) or real(M, idx),
+        )
+        rng = np.random.default_rng(41)
+        M = random_finite_set(rng, random_fiber_space(rng), 50)
+        big = float(2 * M.norm_sup().sup_norm()) + 1.0
+        assert len(is_utob(M, big).witness) == 1
+        assert len(calls) == 1  # one seed row, no further insertion
+        calls.clear()
+        assert len(greedy_order(M)) == 50 and len(calls) == 50
+        assert list(farthest_point_traversal(M.subset([]))) == []
 
 
 class TestHeineBorel:

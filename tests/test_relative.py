@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+import latnorm.relative as relative
 from latnorm import (
+    CapExceededError,
     Extension,
     FiniteProbabilitySpace,
     MPMap,
@@ -25,10 +27,12 @@ from latnorm.fixtures import (
     random_extension,
     random_function,
     rotation_extension,
+    symmetric_extension,
 )
 from latnorm.relative import span_basis, subspace_distance
 from latnorm.seqmodel import build_counterexample
 from latnorm.systems import embed_J
+from oracles import closure_orbit_functions
 
 TOL = 1e-9
 
@@ -63,6 +67,38 @@ class TestOrbit:
             (0, 0, 1, 0),
             (0, 0, 0, 1),
         }
+
+    def test_walk_matches_closure_oracle(self):
+        # same images in the same order as the walk over the whole closure,
+        # including functions with repeated values (smaller orbits, dedupe)
+        rng = np.random.default_rng(20)
+        exts = [random_extension(rng) for _ in range(8)]
+        exts += [rotation_extension(12, 3), rotation_extension(6, 6)]
+        exts += [symmetric_extension(k, q) for k, q in [(3, 2), (4, 1), (5, 1)]]
+        for ext in exts:
+            n = ext.upstairs.size
+            funcs = [
+                delta(n, 0),
+                delta(n, n - 1),
+                np.ones(n, dtype=complex),
+                random_function(rng, n),
+                np.round(random_function(rng, n, scale=1.5)),
+            ]
+            for f in funcs:
+                walked = orbit_functions(f, ext)
+                oracle = closure_orbit_functions(f, ext)
+                assert walked.shape == oracle.shape
+                assert np.array_equal(walked, oracle)
+
+    def test_cap_bounds_orbit_size_not_group_order(self):
+        ext = symmetric_extension(5, 1)  # group order 120
+        ext.cap = 5
+        assert len(orbit_functions(delta(5, 2), ext)) == 5
+        f = random_function(np.random.default_rng(21), 5)
+        with pytest.raises(CapExceededError):
+            orbit_functions(f, ext)  # 120 distinct images
+        ext.cap = 120
+        assert len(orbit_functions(f, ext)) == 120
 
     def test_equal_l2_norms(self):
         rng = np.random.default_rng(1)
@@ -242,6 +278,47 @@ class TestCrossCheck:
         csv = rep.ap_witness_csv((0.5, 0.25))
         assert csv.startswith("basis_index,verdict")
         assert len(csv.strip().splitlines()) == 5
+
+
+class TestSharedOrbits:
+    def test_analysis_never_enumerates_the_group(self, monkeypatch):
+        def enumerated(self):
+            raise AssertionError("the group closure was enumerated")
+
+        monkeypatch.setattr(Extension, "action", property(enumerated))
+        rng = np.random.default_rng(22)
+        ext = symmetric_extension(4, 2)
+        rep = theorem_cross_check(ext)
+        assert rep.subspaces_coincide and all(rep.corollary.values())
+        f = random_function(rng, 8)
+        g = random_function(rng, 8)
+        h = random_function(rng, 2)
+        assert all(ap_closure_properties(ext, f, g, h, eps=0.5).values())
+
+    def test_one_walk_and_traversal_per_function(self, monkeypatch):
+        walks, traversals = [], []
+
+        def counted(log, fn, key):
+            def inner(x, *args, **kwargs):
+                log.append(key(x))
+                return fn(x, *args, **kwargs)
+
+            return inner
+
+        monkeypatch.setattr(
+            relative, "orbit_functions",
+            counted(walks, relative.orbit_functions, lambda f: np.asarray(f).tobytes()),
+        )
+        monkeypatch.setattr(
+            relative, "farthest_point_traversal",
+            counted(traversals, relative.farthest_point_traversal, id),
+        )
+        ext = random_extension(np.random.default_rng(23))
+        theorem_cross_check(ext, delta_values=(0.5, 0.25, 0.1))
+        n = ext.upstairs.size
+        # the indicators, and at most the zero function from the localization
+        assert len(walks) == len(set(walks)) and n <= len(walks) <= n + 1
+        assert len(traversals) == len(walks)
 
 
 class TestApClosure:
