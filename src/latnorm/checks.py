@@ -215,7 +215,7 @@ def check_defect_truncation(rng, n=50):
         M = fixtures.random_finite_set(rng, space, 3)
         # scale M into the ball of radius r
         cap = M.norm_sup().sup_norm()
-        M = FiniteSet(space, [s * (r / max(cap, r)) for s in M.stacks], len(M))
+        M = (r / max(cap, r)) * M
         F = fixtures.random_finite_set(rng, space, 3, scale=3.0)
         Ft = truncate_to_ball(F, r)
         assert Ft.norm_sup().le(2 * r, TOL), "truncated set leaves the ball"

@@ -11,6 +11,7 @@ embed the tool version and the effective configuration; exit codes are
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -251,6 +252,7 @@ def _add_common(p, *, fmt=True):
         p.add_argument("--out", help="write the report to this file")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="latnorm",

@@ -22,7 +22,9 @@ from .stone import (
     PartitionOfUnity,
     exhaustion,
 )
-from .fibered import FiniteSet, ModuleVector, defect, greedy_order, truncate_to_ball
+from .fibered import (
+    FiniteSet, ModuleVector, _distances_to, defect, greedy_order, truncate_to_ball
+)
 
 
 def eq_idempotent(
@@ -70,14 +72,10 @@ def mix_membership(
     """
     if x.space != M.space:
         raise DimensionMismatchError("vector and set on different fiber spaces")
-    n_pts = x.space.n_points
-    pick = np.full(n_pts, -1, dtype=int)
-    for w in range(n_pts):
-        dists = np.linalg.norm(M.stacks[w] - x.fibers[w][None, :], axis=1)
-        hits = np.nonzero(dists <= tol)[0]
-        if hits.size == 0:
-            return None
-        pick[w] = int(hits[0])
+    hits = _distances_to(M, x.fibers) <= tol  # (n_points, n_elements)
+    if not np.all(hits.any(axis=1)):
+        return None
+    pick = hits.argmax(axis=1)
     used = sorted(set(pick.tolist()))
     parts = [Idempotent(x.space.base, pick == j) for j in used]
     return MixWitness(PartitionOfUnity(parts), tuple(used))
@@ -123,30 +121,24 @@ def cyclic_witness(
         raise ValueError("cyclic witness needs a nonempty set")
     truncated = truncate_to_ball(M, r, tol)
     order = greedy_order(truncated)
-    order_sets = [truncated.subset(order[:n]) for n in range(1, len(order) + 1)]
-
+    # covers[n-1] is where the size-n prefix reaches defect <= eps; mindist
+    # holds that prefix's nearest distances, so the covers only grow
+    mindist = np.full((M.space.n_points, len(M)), np.inf)
     covers = []
-    for F in order_sets:
-        u = defect(M, F).value
-        covers.append(Idempotent(M.space.base, u.values <= eps + tol))
-    total = covers[0]
-    for c in covers[1:]:
-        total = total | c
-    if not total.is_one():
+    for idx in order:
+        row = _distances_to(M, [s[idx] for s in truncated.stacks])
+        np.minimum(mindist, row, out=mindist)
+        covers.append(Idempotent(M.space.base, mindist.max(axis=1) <= eps + tol))
+    if not covers[-1].is_one():
         raise ConstructionError(
             f"no candidate of size <= {len(M)} reaches defect <= {eps} "
             "everywhere; the set is not order-precompact at this level over "
             "the truncation ball"
         )
     partition = exhaustion(covers)
-    parts = []
-    for p, F in zip(partition, order_sets):
-        glued = FiniteSet(
-            F.space,
-            [s * p.mask[w] for w, s in enumerate(F.stacks)],
-            len(F),
-        )
-        parts.append((p, glued))
+    parts = [
+        (p, p * truncated.subset(order[:n])) for n, p in enumerate(partition, 1)
+    ]
     return CyclicWitness(parts, eps)
 
 

@@ -510,7 +510,6 @@ class CrossCheckReport:
 
 def theorem_cross_check(
     ext: Extension,
-    tol: float = 1e-7,
     eps_values: Sequence[float] = (0.5, 0.25),
     delta_values: Sequence[float] = (0.25, 0.1),
 ) -> CrossCheckReport:

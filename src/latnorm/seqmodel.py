@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleTruncationError
-from .fibered import FiberSpace, FiniteSet, defect
+from .fibered import FiberSpace, FiniteSet, _pair_dist, defect
 from .stone import DEFAULT_TOL, Idempotent, PointSet, StoneElement
 
 SQRT2 = math.sqrt(2.0)
@@ -122,13 +122,13 @@ def verify_not_utob(
         d = len(F)
     if d >= n:
         raise ValueError("candidate set must be smaller than the prefix length")
+    basis = np.eye(n, dtype=complex)
     for n0 in range(d + 1, n + 1):
-        cand = F.stacks[n0 - 1]  # (d, n) fiber values at coordinate n0
-        for i in range(1, n0 + 1):
-            e = space.basis_vector(i)
-            dist = float(np.min(np.linalg.norm(cand - e[None, :], axis=1)))
-            if dist >= SQRT2 / 2.0 - tol:
-                return i, n0
+        # distance from each e_i, i <= n0, to its nearest candidate at n0
+        dist = _pair_dist(basis[:n0], F.stacks[n0 - 1]).min(axis=1)
+        far = np.nonzero(dist >= SQRT2 / 2.0 - tol)[0]
+        if far.size:
+            return int(far[0]) + 1, n0
     raise RuntimeError(
         "no pigeonhole witness found; the truncated model is inconsistent"
     )
@@ -189,12 +189,7 @@ def egoroff_demo(n: int, delta: float, tol: float = DEFAULT_TOL) -> EgoroffDemo:
     kept = Idempotent(base, mask)
     removed_mass = float(np.sum(space.weights()[~mask]))
 
-    masked_set = FiniteSet(
-        M.space, [s * mask[w] for w, s in enumerate(M.stacks)], len(M)
-    )
-    net = nets[m - 1] if m >= 1 else _zero_set(space)
-    witness = FiniteSet(
-        net.space, [s * mask[w] for w, s in enumerate(net.stacks)], len(net)
-    )
+    masked_set = kept * M
+    witness = kept * (nets[m - 1] if m >= 1 else _zero_set(space))
     value = defect(masked_set, witness).value
     return EgoroffDemo(m, kept, removed_mass, masked_set, witness, value)

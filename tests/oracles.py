@@ -2,7 +2,16 @@
 
 import numpy as np
 
-from latnorm import defect, disc_grid
+from latnorm import (
+    ConstructionError,
+    FiniteSet,
+    Idempotent,
+    defect,
+    disc_grid,
+    exhaustion,
+    greedy_order,
+    truncate_to_ball,
+)
 
 
 def grid_zonotope_distance(x, F, mesh=0.01):
@@ -54,7 +63,8 @@ def brute_force_greedy_order(M):
     n = len(M)
     if n == 0:
         return []
-    # explicit differences, as in the library's exact distance kernel
+    # explicit differences with the textbook re**2 + im**2 sum, independent
+    # of the library's distance formula
     tables = []
     for s in M.stacks:
         diff = s[:, None, :] - s[None, :, :]
@@ -73,3 +83,27 @@ def brute_force_defect_chain(M, order):
     """Defect reports of M against every prefix of ``order``, each
     recomputed from scratch."""
     return [defect(M, M.subset(order[:n])) for n in range(1, len(order) + 1)]
+
+
+def per_prefix_cyclic_witness(M, eps, r, tol=1e-9):
+    """Parts of a cyclic witness whose candidate covers each come from a
+    full ``defect`` of M against the greedy prefix of the truncated set."""
+    truncated = truncate_to_ball(M, r, tol)
+    order = greedy_order(truncated)
+    order_sets = [truncated.subset(order[:n]) for n in range(1, len(order) + 1)]
+    covers = [
+        Idempotent(M.space.base, defect(M, F).value.values <= eps + tol)
+        for F in order_sets
+    ]
+    total = covers[0]
+    for c in covers[1:]:
+        total = total | c
+    if not total.is_one():
+        raise ConstructionError("no candidate covers every point")
+    parts = []
+    for p, F in zip(exhaustion(covers), order_sets):
+        glued = FiniteSet(
+            F.space, [s * p.mask[w] for w, s in enumerate(F.stacks)], len(F)
+        )
+        parts.append((p, glued))
+    return parts

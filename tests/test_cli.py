@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from latnorm.cli import main
+from latnorm.cli import build_parser, main
 from latnorm.fixtures import (
     random_fiber_space,
     random_finite_set,
@@ -226,6 +226,22 @@ class TestCommands:
         table1 = capsys.readouterr().out
         assert main(["counterexample", "--n", "6", "--format", "csv"]) == 0
         assert capsys.readouterr().out == table1
+
+    def test_consecutive_calls_do_not_share_values(self, ext_doc, sets_doc, capsys):
+        def config(argv):
+            assert main(argv) == 0
+            return json.loads(capsys.readouterr().out)["config"]
+
+        first = config(["tob", sets_doc, "--eps", "0.3", "--eps", "0.7"])
+        assert first["eps"] == [0.3, 0.7]
+        analyze = config(["analyze", ext_doc, "--eps", "0.4", "--delta", "0.2"])
+        assert analyze["eps"] == [0.4] and analyze["delta"] == [0.2]
+        cyclic = config(["cyclic", sets_doc])
+        assert cyclic["eps"] == [0.5, 0.1]
+        assert "delta" not in cyclic and "cap" not in cyclic
+        assert config(["tob", sets_doc]) == {**first, "eps": [0.5, 0.1]}
+        assert config(["tob", sets_doc, "--eps", "0.3", "--eps", "0.7"]) == first
+        assert build_parser() is build_parser()
 
     def test_out_file(self, ext_doc, tmp_path):
         target = tmp_path / "report.json"

@@ -3,9 +3,11 @@ import pytest
 
 from latnorm import (
     ComplexCoefficient,
+    DimensionMismatchError,
     FiberSpace,
     FiberwiseMap,
     FiniteSet,
+    Idempotent,
     IterationLimitError,
     ModuleVector,
     PointSet,
@@ -28,6 +30,7 @@ from latnorm import (
     truncate_to_ball,
     zonotope_distance,
     zonotope_net,
+    zonotope_report,
 )
 from latnorm.fixtures import (
     random_extension,
@@ -181,7 +184,7 @@ class TestTraversal:
             assert order == brute_force_greedy_order(M) == greedy_order(M)
             oracle = brute_force_defect_chain(M, order)
             for (_, prefix), rep in zip(steps, oracle):
-                assert np.max(np.abs(prefix - rep.value.values)) <= 1e-12
+                assert prefix.tolist() == rep.value.values.tolist()
             assert [c.values.tolist() for c in defect_chain(M)] == [
                 p.tolist() for _, p in steps
             ]
@@ -204,10 +207,10 @@ class TestTraversal:
         import latnorm.fibered as fibered
 
         calls = []
-        real = fibered._distances_to_element
+        real = fibered._distances_to
         monkeypatch.setattr(
-            fibered, "_distances_to_element",
-            lambda M, idx: calls.append(idx) or real(M, idx),
+            fibered, "_distances_to",
+            lambda M, x: calls.append(x) or real(M, x),
         )
         rng = np.random.default_rng(41)
         M = random_finite_set(rng, random_fiber_space(rng), 50)
@@ -217,6 +220,47 @@ class TestTraversal:
         calls.clear()
         assert len(greedy_order(M)) == 50 and len(calls) == 50
         assert list(farthest_point_traversal(M.subset([]))) == []
+
+
+def _uneven_sets():
+    """Random sets on uneven fibers: 1..8 points, dims 1..24, 1..60 elements."""
+    for seed in range(60):
+        rng = np.random.default_rng(seed)
+        space = random_fiber_space(rng, max_points=8, max_dim=24)
+        yield random_finite_set(rng, space, int(rng.integers(1, 61)))
+
+
+class TestDistanceFormula:
+    def test_traversal_prefix_equals_recheck(self):
+        for M in _uneven_sets():
+            order = []
+            for idx, prefix in farthest_point_traversal(M):
+                order.append(idx)
+                recheck = defect(M, M.subset(order)).value.values
+                assert prefix.tolist() == recheck.tolist()
+
+    def test_rows_equal_pair_columns(self):
+        import latnorm.fibered as fibered
+
+        for M in _uneven_sets():
+            tables = [fibered._pair_dist(s, s) for s in M.stacks]
+            for j in range(len(M)):
+                rows = fibered._distances_to(M, [s[j] for s in M.stacks])
+                for row, table in zip(rows, tables):
+                    assert row.tolist() == table[:, j].tolist()
+
+    def test_matches_independent_oracle(self):
+        import latnorm.fibered as fibered
+
+        for M in _uneven_sets():
+            R = M.subset(list(range(len(M))) + [0])  # last row repeats row 0
+            for s in R.stacks:
+                got = fibered._pair_dist(s, s)
+                diff = s[:, None, :] - s[None, :, :]
+                ref = np.sqrt(np.sum(diff.real**2 + diff.imag**2, axis=2))
+                assert np.all(np.abs(got - ref) <= 4 * np.spacing(ref))
+                assert np.all(np.diag(got) == 0.0)
+                assert got[0, -1] == got[-1, 0] == 0.0
 
 
 class TestHeineBorel:
@@ -310,6 +354,24 @@ class TestZonotope:
             d = zonotope_distance(x, Zonotope(F), tol=1e-7, max_iter=50_000)
             oracle = grid_zonotope_distance(x, F, mesh=0.01)
             assert np.max(np.abs(d.values - oracle)) <= 0.02
+
+    def test_stopped_problems_are_certified(self):
+        # inside targets: the distance is 0, so a certified stop reads <= tol
+        rng = np.random.default_rng(1132)
+        dims = tuple(int(d) for d in rng.integers(1, 5, size=6))
+        m, nt = int(rng.integers(1, 7)), int(rng.integers(8, 33))
+        space = FiberSpace(PointSet.of_size(6), dims)
+
+        def cnormal(shape):
+            return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+
+        F = FiniteSet(space, [cnormal((m, d)) for d in dims], m)
+        lam = cnormal((nt, 6, m))
+        lam = lam / np.maximum(np.abs(lam), 1.0)
+        M = FiniteSet(space, [lam[:, w] @ s for w, s in enumerate(F.stacks)], nt)
+        dists, diag = zonotope_report(M, Zonotope(F), tol=1e-7, max_iter=100_000)
+        assert diag["stopped"] == diag["problems"] == nt * 6
+        assert max(d.sup_norm() for d in dists) <= 1e-7
 
     def test_iteration_limit_carries_best(self):
         rng = np.random.default_rng(16)
@@ -439,6 +501,19 @@ class TestSetOps:
         lhs = defect(set_image(T, M), set_image(T, F)).value
         rhs = StoneElement(space.base, np.abs(lam)) * defect(M, F).value
         assert lhs.le(rhs, 1e-7)
+
+    def test_idempotent_and_scalar_act_elementwise(self):
+        rng = np.random.default_rng(26)
+        space = random_fiber_space(rng)
+        M = random_finite_set(rng, space, 4)
+        p = Idempotent(space.base, rng.random(space.n_points) < 0.5)
+        for c, Mc in ((p, p * M), (2.5j, 2.5j * M)):
+            assert len(Mc) == len(M)
+            for x, y in zip(M, Mc):
+                assert all(np.array_equal(a, b) for a, b in zip((c * x).fibers, y.fibers))
+        other = Idempotent(PointSet.of_size(space.n_points + 1), [True] * (space.n_points + 1))
+        with pytest.raises(DimensionMismatchError):
+            other * M
 
 
 def test_zonotope_net_certifies_cp_to_utob():

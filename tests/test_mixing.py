@@ -18,6 +18,7 @@ from latnorm import (
     verify_cyclic,
 )
 from latnorm.fixtures import random_fiber_space, random_finite_set
+from oracles import per_prefix_cyclic_witness
 
 TOL = 1e-9
 
@@ -182,6 +183,33 @@ class TestCyclic:
             if q.is_zero():
                 continue
             assert (defect(M, Fn).value * q).le(eps, TOL)
+
+
+def test_cyclic_witness_matches_per_prefix_oracle():
+    rng = np.random.default_rng(12)
+    built = {True: 0, False: 0}
+    for _ in range(40):
+        space = random_fiber_space(rng, max_points=6, max_dim=6)
+        M = random_finite_set(rng, space, int(rng.integers(1, 26)))
+        sup = M.norm_sup().sup_norm()
+        for truncating, r in ((False, sup + 0.1), (True, 0.3 * sup)):
+            assert truncating == bool(np.any(M.norm_sup().values > 2 * r))
+            for eps in (0.2 * sup, 0.6 * sup, 1.2 * sup):
+                try:
+                    expected = per_prefix_cyclic_witness(M, eps, r)
+                except ConstructionError:
+                    with pytest.raises(ConstructionError):
+                        cyclic_witness(M, eps, r)
+                    continue
+                got = cyclic_witness(M, eps, r).parts
+                assert len(got) == len(expected)
+                for (q, F), (q_ref, F_ref) in zip(got, expected):
+                    assert np.array_equal(q.mask, q_ref.mask)
+                    assert len(F) == len(F_ref)
+                    for s, s_ref in zip(F.stacks, F_ref.stacks):
+                        assert s.tobytes() == s_ref.tobytes()
+                built[truncating] += 1
+    assert built[True] > 0 and built[False] > 0
 
 
 def test_defect_is_mix_invariant():
