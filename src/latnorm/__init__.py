@@ -49,6 +49,7 @@ from .fibered import (
     greedy_order,
     heine_borel_net,
     is_utob,
+    prefix_defects,
     set_image,
     set_sum,
     truncate_to_ball,
@@ -73,7 +74,6 @@ from .systems import (
     MPMap,
     RelModule,
     ValidationReport,
-    as_rel_module,
     cond_expectation,
     embed_J,
     enumerate_group,

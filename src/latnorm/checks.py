@@ -614,7 +614,6 @@ def check_orbit_in_submodule_net(rng, n=5):
 
 def check_egoroff_localize(rng):
     _, M, nets = build_counterexample(8)
-    space = M.space
     chain = [defect(M, F).value for F in nets]
     weights = np.array([2.0**-k for k in range(1, 9)] + [2.0**-8])
     rep = egoroff_localize(chain, weights, delta=0.25)
@@ -623,7 +622,6 @@ def check_egoroff_localize(rng):
     assert rep.removed_mass <= 0.25 + 1e-12
     # thresholds: on the kept set the chain hits zero at index 2
     assert rep.thresholds[0.05] == 2
-    _ = space
 
 
 def check_cross_check(rng, n=4):

@@ -4,8 +4,8 @@ Subcommands: ``analyze`` (extension documents), ``tob`` / ``zonotope`` /
 ``cyclic`` (finite-set documents), ``counterexample`` (the built-in
 sequence model), and ``selftest`` (the named invariant suite). Reports
 embed the tool version and the effective configuration; exit codes are
-0 ok, 1 suite or verdict failure, 2 schema violation, 3 cap exceeded,
-4 solver iteration limit.
+0 ok, 1 suite or verdict failure (or no cyclic witness), 2 schema violation
+or invalid option value, 3 cap exceeded, 4 solver iteration limit.
 """
 
 from __future__ import annotations
@@ -21,11 +21,13 @@ import numpy as np
 from . import __version__, checks
 from .errors import (
     CapExceededError,
+    ConstructionError,
+    InfeasibleTruncationError,
     IterationLimitError,
     SchemaError,
     SizeCapError,
 )
-from .fibered import Zonotope, defect, is_utob, zonotope_report
+from .fibered import Zonotope, defect, is_utob, prefix_defects, zonotope_report
 from .mixing import cyclic_witness, verify_cyclic
 from .relative import theorem_cross_check
 from .seqmodel import build_counterexample, egoroff_demo
@@ -204,7 +206,8 @@ def cmd_cyclic(args) -> int:
 def cmd_counterexample(args) -> int:
     n = args.n
     _, M, nets = build_counterexample(n)
-    table = np.stack([defect(M, F).value.values for F in nets], axis=1)
+    # F_m is the first m + 1 elements of F_n, so column m - 1 is row m
+    table = prefix_defects(M, nets[-1])[1:].T
     labels = [str(k) for k in range(1, n + 1)] + ["tail"]
     lines = ["coordinate," + ",".join(f"net_{m}" for m in range(1, n + 1))]
     for w, lab in enumerate(labels):
@@ -243,13 +246,34 @@ def cmd_selftest(args) -> int:
     return EXIT_OK if not failed else EXIT_SUITE
 
 
-def _add_common(p, *, fmt=True):
-    p.add_argument("--tol", type=float, default=1e-9, help="comparison tolerance")
-    if fmt:
-        p.add_argument(
-            "--format", choices=("json", "csv", "text"), default="json"
-        )
-        p.add_argument("--out", help="write the report to this file")
+def _checked(convert, ok, what):
+    """argparse ``type``: ``convert`` the text, then reject it unless ``ok``."""
+
+    def parse(text):
+        try:
+            value = convert(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"{text!r} is not {what}")
+
+    return parse
+
+
+_POSITIVE = _checked(float, lambda v: math.isfinite(v) and v > 0, "positive and finite")
+_FINITE = _checked(float, math.isfinite, "finite")
+
+
+def _int_at_least(low):
+    return _checked(int, lambda v: v >= low, f"an integer >= {low}")
+
+
+def _add_common(p, *, tol=True):
+    if tol:
+        p.add_argument("--tol", type=_FINITE, default=1e-9, help="comparison tolerance")
+    p.add_argument("--format", choices=("json", "csv", "text"), default="json")
+    p.add_argument("--out", help="write the report to this file")
 
 
 @functools.cache
@@ -264,13 +288,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="validate and analyze an extension")
     p.add_argument("input", help="extension JSON document")
-    p.add_argument("--eps", type=float, action="append", default=None)
+    p.add_argument("--eps", type=_POSITIVE, action="append", default=None)
     p.add_argument(
-        "--delta", type=float, action="append", default=None,
+        "--delta", type=_POSITIVE, action="append", default=None,
         help="mass budgets for the localization criterion",
     )
     p.add_argument(
-        "--cap", type=int, default=10**5,
+        "--cap", type=_int_at_least(1), default=10**5,
         help="largest orbit size allowed (exit 3 beyond it)",
     )
     _add_common(p)
@@ -278,31 +302,31 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tob", help="defect table and order-boundedness witnesses")
     p.add_argument("input", help="finite-set JSON document")
-    p.add_argument("--eps", type=float, action="append", default=None)
+    p.add_argument("--eps", type=_POSITIVE, action="append", default=None)
     _add_common(p)
     p.set_defaults(func=cmd_tob)
 
     p = sub.add_parser("zonotope", help="zonotope distances and containment")
     p.add_argument("input", help="finite-set JSON document with M and F")
-    p.add_argument("--eps", type=float, action="append", default=None)
-    p.add_argument("--solver-tol", type=float, default=1e-7)
-    p.add_argument("--max-iter", type=int, default=10_000)
-    _add_common(p)
+    p.add_argument("--eps", type=_POSITIVE, action="append", default=None)
+    p.add_argument("--solver-tol", type=_POSITIVE, default=1e-7)
+    p.add_argument("--max-iter", type=_int_at_least(1), default=10_000)
+    _add_common(p, tol=False)
     p.set_defaults(func=cmd_zonotope)
 
     p = sub.add_parser("cyclic", help="cyclic-compactness witness and check")
     p.add_argument("input", help="finite-set JSON document with M")
-    p.add_argument("--eps", type=float, action="append", default=None)
-    p.add_argument("--radius", type=float, default=None)
+    p.add_argument("--eps", type=_POSITIVE, action="append", default=None)
+    p.add_argument("--radius", type=_POSITIVE, default=None)
     _add_common(p)
     p.set_defaults(func=cmd_cyclic)
 
     p = sub.add_parser(
         "counterexample", help="defect table of the truncated sequence model"
     )
-    p.add_argument("--n", type=int, required=True, help="prefix length")
+    p.add_argument("--n", type=_int_at_least(2), required=True, help="prefix length")
     p.add_argument(
-        "--delta", type=float, action="append", default=None,
+        "--delta", type=_POSITIVE, action="append", default=None,
         help="also run the mass-budget localization at this delta",
     )
     _add_common(p)
@@ -311,8 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("selftest", help="run the named invariant suite")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--fixture", help="extension JSON to include in the suite")
-    p.add_argument("--cap", type=int, default=10**5)
-    _add_common(p, fmt=False)
+    p.add_argument("--cap", type=_int_at_least(1), default=10**5)
     p.set_defaults(func=cmd_selftest)
     return parser
 
@@ -326,28 +349,25 @@ _DEFAULT_EPS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        # a bad option value exits 2 with argparse's message, --help exits 0
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return exc.code
     if getattr(args, "eps", None) is None and args.command in _DEFAULT_EPS:
         args.eps = _DEFAULT_EPS[args.command]
-    # NaN compares false with everything, so test finiteness explicitly
-    for name in ("eps", "delta"):
-        values = getattr(args, name, None)
-        if values is not None and not all(math.isfinite(v) and v > 0 for v in values):
-            print(f"{name} values must be positive and finite", file=sys.stderr)
-            return EXIT_SCHEMA
-    if not math.isfinite(args.tol):
-        print("tol must be finite", file=sys.stderr)
-        return EXIT_SCHEMA
-    if getattr(args, "cap", 1) < 1:
-        print("cap must be >= 1", file=sys.stderr)
-        return EXIT_SCHEMA
     try:
         return args.func(args)
     except SchemaError as exc:
         for d in exc.diagnostics:
             print(f"schema: {d}", file=sys.stderr)
         return EXIT_SCHEMA
+    except InfeasibleTruncationError as exc:
+        print(f"counterexample: {exc}", file=sys.stderr)
+        return EXIT_SCHEMA
+    except ConstructionError as exc:
+        print(f"cyclic: {exc}", file=sys.stderr)
+        return EXIT_SUITE
     except (CapExceededError, SizeCapError) as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return EXIT_CAP

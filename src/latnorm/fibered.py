@@ -15,7 +15,6 @@ uniform total order-boundedness witnesses.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -304,6 +303,21 @@ def defect(M: FiniteSet, F: FiniteSet) -> DefectReport:
     return DefectReport(StoneElement(M.space.base, value), F, argmin)
 
 
+def prefix_defects(M: FiniteSet, F: FiniteSet) -> np.ndarray:
+    """``(len(F), n_points)`` array whose row k is the defect of M against
+    the first k + 1 elements of F: per point, the running minimum of one
+    ``defect`` table along F, then the max over M, so each row equals
+    ``defect(M, F.subset(range(k + 1))).value.values`` bit for bit."""
+    _check_space(M, F)
+    if len(M) == 0 or len(F) == 0:
+        raise ValueError("defect requires nonempty M and F")
+    out = np.empty((len(F), M.space.n_points))
+    for w in range(M.space.n_points):
+        dist = _pair_dist(M.stacks[w], F.stacks[w])
+        out[:, w] = np.minimum.accumulate(dist, axis=1).max(axis=0)
+    return out
+
+
 @dataclass
 class UtobReport:
     """Outcome of a uniform total order-boundedness check."""
@@ -494,6 +508,20 @@ def check_suborthonormal(basis: FiniteSet, tol: float = 1e-7) -> None:
             raise ValueError(f"basis norms not idempotent-valued at point {w}")
 
 
+def _grid_image(F: FiniteSet, grid: np.ndarray, cap: int) -> FiniteSet:
+    """Images ``sum_j lam_j F[j]`` of every tuple ``lam`` of grid points, in
+    ``itertools.product`` order (the last coefficient varies fastest)."""
+    m = len(F)
+    total = m * len(grid) ** m
+    if total > cap:
+        raise SizeCapError(
+            f"net would need {m}*{len(grid)}^{m} = {total} > cap {cap}; "
+            "raise the cap or loosen the mesh"
+        )
+    combos = np.stack(np.meshgrid(*[grid] * m, indexing="ij"), -1).reshape(-1, m)
+    return FiniteSet(F.space, [combos @ s for s in F.stacks], combos.shape[0])
+
+
 def heine_borel_net(
     basis: FiniteSet,
     c: float,
@@ -516,17 +544,7 @@ def heine_borel_net(
     space = basis.space
     if c == 0 or len(basis) == 0:
         return FiniteSet.from_vectors([ModuleVector.zeros(space)], space)
-    d = len(basis)
-    grid = disc_grid(c, eps / math.sqrt(d))
-    total = d * len(grid) ** d
-    if total > cap:
-        raise SizeCapError(
-            f"net would need d*grid^d = {total} > cap {cap}; "
-            "raise the cap or loosen eps"
-        )
-    combos = np.array(list(itertools.product(grid, repeat=d)), dtype=complex)
-    stacks = [combos @ s for s in basis.stacks]
-    return FiniteSet(space, stacks, combos.shape[0])
+    return _grid_image(basis, disc_grid(c, eps / math.sqrt(len(basis))), cap)
 
 
 def zonotope_net(Z: Zonotope, mesh: float, cap: int = 10**6):
@@ -540,16 +558,9 @@ def zonotope_net(Z: Zonotope, mesh: float, cap: int = 10**6):
     if len(F) == 0:
         net = FiniteSet.from_vectors([ModuleVector.zeros(space)], space)
         return net, StoneElement.zeros(space.base)
-    grid = disc_grid(1.0, mesh)
-    m = len(F)
-    total = m * len(grid) ** m
-    if total > cap:
-        raise SizeCapError(f"zonotope net would need {total} > cap {cap}")
-    combos = np.array(list(itertools.product(grid, repeat=m)), dtype=complex)
-    stacks = [combos @ s for s in F.stacks]
     norm_sum = np.sum(_norm_table(F), axis=0)
     slack = StoneElement(space.base, mesh * norm_sum)
-    return FiniteSet(space, stacks, combos.shape[0]), slack
+    return _grid_image(F, disc_grid(1.0, mesh), cap), slack
 
 
 # ---------------------------------------------------------------------------

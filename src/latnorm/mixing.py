@@ -16,14 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConstructionError, DimensionMismatchError
-from .stone import (
-    DEFAULT_TOL,
-    Idempotent,
-    PartitionOfUnity,
-    exhaustion,
-)
+from .stone import DEFAULT_TOL, Idempotent, PartitionOfUnity
 from .fibered import (
-    FiniteSet, ModuleVector, _distances_to, defect, greedy_order, truncate_to_ball
+    FiniteSet, ModuleVector, _distances_to, defect, greedy_order, prefix_defects,
+    truncate_to_ball,
 )
 
 
@@ -113,7 +109,8 @@ def cyclic_witness(
     truncation to the ball of radius 2r, taken at every size 1..|M|; the
     exhaustion principle (first fit, ascending cardinality) assigns each
     point to the smallest candidate already eps-covering it there, and the
-    per-cardinality generators are glued along that partition.
+    candidates are glued along that partition, one part per candidate size
+    that some point uses.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -121,24 +118,20 @@ def cyclic_witness(
         raise ValueError("cyclic witness needs a nonempty set")
     truncated = truncate_to_ball(M, r, tol)
     order = greedy_order(truncated)
-    # covers[n-1] is where the size-n prefix reaches defect <= eps; mindist
-    # holds that prefix's nearest distances, so the covers only grow
-    mindist = np.full((M.space.n_points, len(M)), np.inf)
-    covers = []
-    for idx in order:
-        row = _distances_to(M, [s[idx] for s in truncated.stacks])
-        np.minimum(mindist, row, out=mindist)
-        covers.append(Idempotent(M.space.base, mindist.max(axis=1) <= eps + tol))
-    if not covers[-1].is_one():
+    # covered[n-1] is where the size-n prefix reaches defect <= eps; the
+    # covers only grow with n, so a point's first cover is its first true row
+    covered = prefix_defects(M, truncated.subset(order)) <= eps + tol
+    if not covered[-1].all():
         raise ConstructionError(
             f"no candidate of size <= {len(M)} reaches defect <= {eps} "
             "everywhere; the set is not order-precompact at this level over "
             "the truncation ball"
         )
-    partition = exhaustion(covers)
-    parts = [
-        (p, p * truncated.subset(order[:n])) for n, p in enumerate(partition, 1)
-    ]
+    first = covered.argmax(axis=0) + 1
+    parts = []
+    for n in np.unique(first).tolist():
+        q = Idempotent(M.space.base, first == n)
+        parts.append((q, q * truncated.subset(order[:n])))
     return CyclicWitness(parts, eps)
 
 

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import CapExceededError
+from .errors import CapExceededError, DimensionMismatchError
 from .fibered import (
     FiniteSet,
     ModuleVector,
@@ -231,11 +231,8 @@ def orbit_tob_verdict(
     """
     if orbits is None:
         orbits = OrbitCache(ext, rel, tol)
-    chain = orbits(f).chain
-    for u, v in zip(chain, chain[1:]):
-        if not v.le(u, tol):
-            return False
-    return chain[-1].le(0.0, tol)
+    U = np.array([u.values for u in orbits(f).chain])
+    return bool(np.all(U[1:] <= U[:-1] + tol) and np.all(U[-1] <= tol))
 
 
 # ---------------------------------------------------------------------------
@@ -256,9 +253,6 @@ class SubmoduleBasis:
 
     def __len__(self):
         return len(self.vectors)
-
-    def rank_support(self, j: int) -> Idempotent:
-        return Idempotent(self.module.space.base, self.ranks > j)
 
     def project(self, x: ModuleVector) -> ModuleVector:
         """Fiberwise orthogonal projection onto the generated module."""
@@ -425,20 +419,19 @@ def egoroff_localize(
     if not u_seq:
         raise ValueError("need at least one chain element")
     base = u_seq[0].base
+    if any(u.base != base for u in u_seq):
+        raise DimensionMismatchError("chain elements on different point sets")
     weights = np.asarray(weights, dtype=float)
     if weights.shape != (base.size,):
         raise ValueError("one weight per point required")
-    for u, v in zip(u_seq, u_seq[1:]):
-        if not v.le(u, tol):
-            raise ValueError("chain is not pointwise decreasing")
     U = np.array([u.values for u in u_seq])  # (K, n)
+    if not np.all(U[1:] <= U[:-1] + tol):
+        raise ValueError("chain is not pointwise decreasing")
     slow_order = np.lexsort(tuple(U))[::-1]  # last chain element is primary
+    slow_order = slow_order[~np.all(U[:, slow_order] <= tol, axis=0)]
     removed = []
     removed_mass = 0.0
-    for idx in slow_order:
-        idx = int(idx)
-        if np.all(U[:, idx] <= tol):
-            continue
+    for idx in slow_order.tolist():
         if removed_mass + weights[idx] <= delta + 1e-15:
             removed.append(idx)
             removed_mass += float(weights[idx])
@@ -446,11 +439,8 @@ def egoroff_localize(
     kept_mask[removed] = False
     thresholds: dict[float, int | None] = {}
     for eps in eps_values:
-        thresholds[eps] = None
-        for n, u in enumerate(u_seq, start=1):
-            if np.all(u.values[kept_mask] <= eps + tol):
-                thresholds[eps] = n
-                break
+        below = np.all(U[:, kept_mask] <= eps + tol, axis=1)
+        thresholds[eps] = int(below.argmax()) + 1 if below.any() else None
     return EgoroffReport(
         Idempotent(base, kept_mask), sorted(removed), removed_mass, thresholds
     )

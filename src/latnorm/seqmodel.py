@@ -73,18 +73,11 @@ def build_counterexample(n: int) -> tuple[TruncatedSeqSpace, FiniteSet, list[Fin
         m_stacks.append(s)
     M = FiniteSet(fs, m_stacks, len(m_rows))
 
-    nets = []
-    for m in range(1, n + 1):
-        rows = m + 1  # zero element plus the first m constants
-        stacks = []
-        for w in range(n_pts):
-            s = np.zeros((rows, n), dtype=complex)
-            if w < n:  # constants vanish on the tail coordinate
-                for l in range(1, m + 1):
-                    s[l, l - 1] = 1.0
-            stacks.append(s)
-        nets.append(FiniteSet(fs, stacks, rows))
-    return space, M, nets
+    # F_n: the zero element, then 1 (x) e_l for l = 1..n, vanishing on the
+    # tail; F_m is its first m + 1 elements
+    stacks = [np.eye(n + 1, n, k=-1, dtype=complex)] * n
+    F_n = FiniteSet(fs, stacks + [np.zeros((n + 1, n), dtype=complex)], n + 1)
+    return space, M, [F_n.subset(range(m + 1)) for m in range(1, n + 1)]
 
 
 def verify_tob_bound(

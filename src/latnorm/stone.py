@@ -208,9 +208,6 @@ class Idempotent:
     def zero(base: PointSet) -> "Idempotent":
         return Idempotent(base, np.zeros(base.size, dtype=bool))
 
-    def as_stone(self) -> StoneElement:
-        return StoneElement(self.base, self.mask.astype(float))
-
     def complement(self) -> "Idempotent":
         return Idempotent(self.base, ~self.mask)
 

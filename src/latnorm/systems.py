@@ -360,7 +360,3 @@ class RelModule:
         for pts, sw, fib in zip(self.fiber_points, self.sqrt_weights, v.fibers):
             out[pts] = fib / sw
         return out
-
-
-def as_rel_module(ext: Extension) -> RelModule:
-    return RelModule(ext)

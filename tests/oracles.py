@@ -1,5 +1,7 @@
 """Independent oracles shared by the unit and acceptance tests."""
 
+import itertools
+
 import numpy as np
 
 from latnorm import (
@@ -107,3 +109,46 @@ def per_prefix_cyclic_witness(M, eps, r, tol=1e-9):
         )
         parts.append((p, glued))
     return parts
+
+
+def product_grid_image(F, grid):
+    """Images of every tuple of grid points under F, the tuples enumerated by
+    ``itertools.product`` (last coefficient fastest)."""
+    combos = np.array(list(itertools.product(grid, repeat=len(F))), dtype=complex)
+    return FiniteSet(F.space, [combos @ s for s in F.stacks], combos.shape[0])
+
+
+def per_link_orbit_tob_verdict(chain, tol=1e-9):
+    """Pointwise decrease and final zero of a chain, one ``le`` per link."""
+    for u, v in zip(chain, chain[1:]):
+        if not v.le(u, tol):
+            return False
+    return chain[-1].le(0.0, tol)
+
+
+def per_link_egoroff_localize(u_seq, weights, delta, eps_values, tol=1e-9):
+    """Egoroff localization with the decrease checked one ``le`` per link and
+    each threshold found by scanning the chain: ``(kept mask, removed,
+    removed mass, thresholds)``."""
+    for u, v in zip(u_seq, u_seq[1:]):
+        if not v.le(u, tol):
+            raise ValueError("chain is not pointwise decreasing")
+    U = np.array([u.values for u in u_seq])
+    removed, removed_mass = [], 0.0
+    for idx in np.lexsort(tuple(U))[::-1]:
+        idx = int(idx)
+        if np.all(U[:, idx] <= tol):
+            continue
+        if removed_mass + weights[idx] <= delta + 1e-15:
+            removed.append(idx)
+            removed_mass += float(weights[idx])
+    kept = np.ones(U.shape[1], dtype=bool)
+    kept[removed] = False
+    thresholds = {}
+    for eps in eps_values:
+        thresholds[eps] = None
+        for n, u in enumerate(u_seq, start=1):
+            if np.all(u.values[kept] <= eps + tol):
+                thresholds[eps] = n
+                break
+    return kept, sorted(removed), removed_mass, thresholds

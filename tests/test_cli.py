@@ -17,6 +17,8 @@ from latnorm.serialize import (
     parse_finite_set_doc,
 )
 from latnorm.errors import SchemaError
+from latnorm.fibered import defect
+from latnorm.seqmodel import build_counterexample
 
 
 @pytest.fixture
@@ -148,6 +150,48 @@ class TestCommands:
 
     def test_cap_below_one_rejected(self, ext_doc):
         assert main(["analyze", ext_doc, "--cap", "0"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["counterexample", "--n", "1"], "argument --n: '1' is not an integer >= 2"),
+            (["cyclic", "{sets}", "--radius", "-1"], "argument --radius: '-1' is not positive"),
+            (["cyclic", "{sets}", "--radius", "nan"], "argument --radius: 'nan' is not positive"),
+            (["zonotope", "{sets}", "--solver-tol", "0"], "argument --solver-tol: '0' is not positive"),
+            (["zonotope", "{sets}", "--max-iter", "0"], "argument --max-iter: '0' is not an integer >= 1"),
+            (["zonotope", "{sets}", "--tol", "1e-9"], "unrecognized arguments: --tol"),
+            (["selftest", "--tol", "1e-9"], "unrecognized arguments: --tol"),
+        ],
+    )
+    def test_bad_option_values_exit_2(self, sets_doc, argv, message, capsys):
+        argv = [a.format(sets=sets_doc) for a in argv]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
+    def test_help_exits_0(self, capsys):
+        assert main(["--help"]) == 0
+        assert "counterexample" in capsys.readouterr().out
+
+    def test_budget_below_tail_mass_exits_2(self, capsys):
+        assert main(["counterexample", "--n", "4", "--delta", "0.001"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("counterexample: budget 0.001 is below the tail mass")
+        assert "Traceback" not in err
+
+    def test_unreachable_cyclic_radius_exits_1(self, sets_doc, capsys):
+        assert main(["cyclic", sets_doc, "--radius", "0.1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("cyclic: no candidate of size <= 3 reaches defect")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_counterexample_table_equals_defect_per_net(self, capsys):
+        for n in range(2, 17):
+            assert main(["counterexample", "--n", str(n)]) == 0
+            table = json.loads(capsys.readouterr().out)["defect_table"]
+            _, M, nets = build_counterexample(n)
+            expected = np.stack([defect(M, F).value.values for F in nets], axis=1)
+            assert table == expected.tolist()
 
     @pytest.mark.parametrize(
         "argv",

@@ -25,6 +25,7 @@ from latnorm import (
     heine_borel_net,
     is_utob,
     orbit,
+    prefix_defects,
     set_image,
     set_sum,
     truncate_to_ball,
@@ -42,6 +43,7 @@ from oracles import (
     brute_force_defect_chain,
     brute_force_greedy_order,
     grid_zonotope_distance,
+    product_grid_image,
 )
 
 TOL = 1e-9
@@ -263,6 +265,30 @@ class TestDistanceFormula:
                 assert got[0, -1] == got[-1, 0] == 0.0
 
 
+class TestPrefixDefects:
+    def test_rows_equal_defect_of_each_prefix(self):
+        for seed, M in enumerate(_uneven_sets()):
+            rng = np.random.default_rng(1000 + seed)
+            F = random_finite_set(rng, M.space, int(rng.integers(1, 61)))
+            table = prefix_defects(M, F)
+            assert table.shape == (len(F), M.space.n_points)
+            for k in range(len(F)):
+                recheck = defect(M, F.subset(range(k + 1))).value.values
+                assert table[k].tolist() == recheck.tolist()
+
+    def test_greedy_prefixes_equal_traversal_chain(self):
+        for M in _uneven_sets():
+            chain = [p.tolist() for _, p in farthest_point_traversal(M)]
+            assert prefix_defects(M, M.subset(greedy_order(M))).tolist() == chain
+
+    def test_empty_sets_rejected(self):
+        M = scalars(single_fiber_space(), 1.0, 2.0)
+        with pytest.raises(ValueError):
+            prefix_defects(M.subset([]), M)
+        with pytest.raises(ValueError):
+            prefix_defects(M, M.subset([]))
+
+
 class TestHeineBorel:
     def test_zero_radius(self):
         space = single_fiber_space(2)
@@ -311,6 +337,26 @@ class TestHeineBorel:
         basis = FiniteSet(space, [np.eye(2, dtype=complex)], 2)
         with pytest.raises(SizeCapError):
             heine_borel_net(basis, c=1.0, eps=0.01, cap=100)
+        with pytest.raises(SizeCapError):
+            zonotope_net(Zonotope(basis), mesh=0.01, cap=100)
+
+    def test_nets_equal_product_oracle(self):
+        # grids of 81, 127 and 257 points, as the benchmark's nets use
+        space = FiberSpace(PointSet.of_size(2), (2, 3))
+        stacks = [np.eye(2, dtype=complex), np.eye(2, 3, dtype=complex)]
+        basis = FiniteSet(space, stacks, 2)
+        for eps, size in ((0.5, 81), (0.35, 127), (0.25, 257)):
+            grid = disc_grid(1.0, eps / np.sqrt(2))
+            assert len(grid) == size
+            net = heine_borel_net(basis, 1.0, eps)
+            ref = product_grid_image(basis, grid)
+            assert [s.tobytes() for s in net.stacks] == [s.tobytes() for s in ref.stacks]
+        rng = np.random.default_rng(14)
+        for m, mesh in ((1, 0.2), (2, 0.5), (3, 1.0)):
+            F = random_finite_set(rng, random_fiber_space(rng), m)
+            net, _ = zonotope_net(Zonotope(F), mesh)
+            ref = product_grid_image(F, disc_grid(1.0, mesh))
+            assert [s.tobytes() for s in net.stacks] == [s.tobytes() for s in ref.stacks]
 
 
 def test_disc_grid_is_a_net():

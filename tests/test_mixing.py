@@ -202,6 +202,8 @@ def test_cyclic_witness_matches_per_prefix_oracle():
                         cyclic_witness(M, eps, r)
                     continue
                 got = cyclic_witness(M, eps, r).parts
+                # the witness keeps only the parts that some point uses
+                expected = [(q, F) for q, F in expected if not q.is_zero()]
                 assert len(got) == len(expected)
                 for (q, F), (q_ref, F_ref) in zip(got, expected):
                     assert np.array_equal(q.mask, q_ref.mask)
@@ -210,6 +212,21 @@ def test_cyclic_witness_matches_per_prefix_oracle():
                         assert s.tobytes() == s_ref.tobytes()
                 built[truncating] += 1
     assert built[True] > 0 and built[False] > 0
+
+
+def test_cyclic_parts_are_nonempty_and_partition_the_points():
+    rng = np.random.default_rng(13)
+    for _ in range(40):
+        space = random_fiber_space(rng, max_points=6, max_dim=6)
+        M = random_finite_set(rng, space, int(rng.integers(1, 26)))
+        sup = M.norm_sup().sup_norm()
+        for eps in (0.2 * sup, 0.6 * sup, 1.2 * sup):
+            w = cyclic_witness(M, eps, sup + 0.1)
+            masks = np.array([q.mask for q, _ in w.parts])
+            assert masks.any(axis=1).all()
+            assert np.array_equal(masks.sum(axis=0), np.ones(space.n_points))
+            sizes = [len(F) for _, F in w.parts]
+            assert sizes == sorted(set(sizes))  # one part per candidate size
 
 
 def test_defect_is_mix_invariant():

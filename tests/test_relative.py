@@ -1,13 +1,18 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 import latnorm.relative as relative
 from latnorm import (
     CapExceededError,
+    DimensionMismatchError,
     Extension,
     FiniteProbabilitySpace,
     MPMap,
+    PointSet,
     RelModule,
+    StoneElement,
     ap_closure_properties,
     defect,
     defect_chain,
@@ -32,7 +37,11 @@ from latnorm.fixtures import (
 from latnorm.relative import span_basis, subspace_distance
 from latnorm.seqmodel import build_counterexample
 from latnorm.systems import embed_J
-from oracles import closure_orbit_functions
+from oracles import (
+    closure_orbit_functions,
+    per_link_egoroff_localize,
+    per_link_orbit_tob_verdict,
+)
 
 TOL = 1e-9
 
@@ -240,6 +249,75 @@ class TestEgoroffLocalize:
         rep = egoroff_localize(chain, ext.downstairs.weights, delta=0.25)
         mask = embed_J(rep.kept.mask.astype(complex), ext)
         assert is_conditionally_ap(mask * f, ext, [0.5, 0.1], rel).all_pass
+
+
+def random_chains(seed, count=300, tol=TOL):
+    """Random chains on 1..7 points: mostly decreasing, with links at exactly
+    ``u + tol``, links just above it, converged points and zero tails."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        k, n = int(rng.integers(1, 9)), int(rng.integers(1, 8))
+        rows = [rng.random(n) * rng.choice([1e-10, 1.0, 2.0])]
+        for _ in range(k - 1):
+            prev = rows[-1]
+            step = rng.choice(["decay", "at_tol", "above_tol", "zero"], p=[0.6, 0.2, 0.1, 0.1])
+            if step == "decay":
+                rows.append(prev * rng.random(n))
+            elif step == "at_tol":
+                rows.append(prev + tol)
+            elif step == "above_tol":
+                rows.append(np.where(rng.random(n) < 0.5, prev + 2 * tol, prev))
+            else:
+                rows.append(np.zeros(n))
+        weights = rng.random(n) + 0.01
+        weights /= weights.sum()
+        delta = float(rng.choice([0.05, 0.3, 0.7, 1.5]))
+        yield [StoneElement(PointSet.of_size(n), r) for r in rows], weights, delta
+
+
+def test_egoroff_localize_equals_per_link_oracle():
+    eps_values = (1.0, 0.5, 0.1, 1e-3, 1e-12)
+    outcomes = {"rejected": 0, "all_removed": 0, "none_threshold": 0}
+    for chain, weights, delta in random_chains(31):
+        try:
+            kept, removed, mass, thresholds = per_link_egoroff_localize(
+                chain, weights, delta, eps_values
+            )
+        except ValueError:
+            with pytest.raises(ValueError):
+                egoroff_localize(chain, weights, delta, eps_values)
+            outcomes["rejected"] += 1
+            continue
+        rep = egoroff_localize(chain, weights, delta, eps_values)
+        assert np.array_equal(rep.kept.mask, kept)
+        assert rep.removed == removed and rep.removed_mass == mass
+        assert rep.thresholds == thresholds
+        outcomes["all_removed"] += not kept.any()
+        outcomes["none_threshold"] += None in thresholds.values()
+    assert all(outcomes.values()), outcomes
+
+
+def test_orbit_tob_verdict_equals_per_link_oracle():
+    verdicts = set()
+    for chain, _, _ in random_chains(32):
+        fake = SimpleNamespace(chain=chain)
+        got = orbit_tob_verdict(None, None, orbits=lambda f: fake)
+        assert got == per_link_orbit_tob_verdict(chain)
+        verdicts.add(got)
+    assert verdicts == {True, False}
+    ext = random_extension(np.random.default_rng(33))
+    orbits = relative.OrbitCache(ext)
+    for x0 in range(ext.upstairs.size):
+        f = delta(ext.upstairs.size, x0)
+        expected = per_link_orbit_tob_verdict(orbits(f).chain)
+        assert orbit_tob_verdict(f, ext, orbits=orbits) == expected
+
+
+def test_egoroff_rejects_chains_on_mixed_point_sets():
+    a = StoneElement(PointSet.of_size(2), [1.0, 1.0])
+    b = StoneElement(PointSet(("p", "q")), [0.5, 0.5])
+    with pytest.raises(DimensionMismatchError):
+        egoroff_localize([a, b], np.array([0.5, 0.5]), 0.1)
 
 
 class TestCrossCheck:
