@@ -39,6 +39,7 @@ from .fibered import (
     FiberwiseMap,
     FiniteSet,
     ModuleVector,
+    Traversal,
     UtobReport,
     Zonotope,
     cp_check,

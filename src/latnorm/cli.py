@@ -27,7 +27,14 @@ from .errors import (
     SchemaError,
     SizeCapError,
 )
-from .fibered import Zonotope, defect, is_utob, prefix_defects, zonotope_report
+from .fibered import (
+    Traversal,
+    Zonotope,
+    defect,
+    is_utob,
+    prefix_defects,
+    zonotope_report,
+)
 from .mixing import cyclic_witness, verify_cyclic
 from .relative import theorem_cross_check
 from .seqmodel import build_counterexample, egoroff_demo
@@ -72,7 +79,8 @@ def _emit(report: dict, args) -> None:
     elif args.format == "text" and plain_text:
         text = plain_text
     else:
-        text = json.dumps(payload, indent=2, default=str)
+        # no indent: only then does the json module use its C encoder
+        text = json.dumps(payload, default=str)
     out = getattr(args, "out", None)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
@@ -132,9 +140,11 @@ def cmd_tob(args) -> int:
         rep = defect(M, F)
         report["defect"] = rep.to_json_dict()
         report["_csv"] = rep.to_csv()
+    # one traversal and one recheck per distinct witness serve every eps
+    traversal = Traversal(M)
     utob = {}
     for eps in args.eps:
-        r = is_utob(M, eps, args.tol)
+        r = is_utob(M, eps, args.tol, traversal=traversal)
         utob[str(eps)] = r.to_json_dict()
     report["utob"] = utob
     report["_text"] = "\n".join(

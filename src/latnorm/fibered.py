@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
@@ -370,11 +371,58 @@ def farthest_point_traversal(M: FiniteSet):
         np.minimum(mindist, _distances_to(M, [s[nxt] for s in M.stacks]), out=mindist)
 
 
+class Traversal:
+    """One farthest-point traversal of M, shared by every reader.
+
+    The traversal runs only as far as any reader has gone, and its steps
+    are kept, so iterating starts from the first step again without redoing
+    one. ``recheck(k)`` is the independent ``defect`` of M against the first
+    k placed elements, computed once per k; ``chain`` is the full radius
+    sequence. ``utob(eps, tol)`` is ``is_utob`` through this traversal,
+    computed once per (eps, tol).
+    """
+
+    def __init__(self, M: FiniteSet):
+        self.M = M
+        self._run = farthest_point_traversal(M)
+        self._steps: list[tuple[int, np.ndarray]] = []
+        self._rechecks: dict[int, DefectReport] = {}
+        self._utob: dict[tuple[float, float], UtobReport] = {}
+
+    def __iter__(self):
+        k = 0
+        while True:
+            if k == len(self._steps):
+                step = next(self._run, None)
+                if step is None:
+                    return
+                self._steps.append(step)
+            yield self._steps[k]
+            k += 1
+
+    @cached_property
+    def chain(self) -> list[StoneElement]:
+        base = self.M.space.base
+        return [StoneElement(base, d) for _, d in self]
+
+    def recheck(self, k: int) -> DefectReport:
+        if k not in self._rechecks:
+            order = [idx for idx, _ in self._steps[:k]]
+            self._rechecks[k] = defect(self.M, self.M.subset(order))
+        return self._rechecks[k]
+
+    def utob(self, eps: float, tol: float) -> UtobReport:
+        key = (eps, tol)
+        if key not in self._utob:
+            self._utob[key] = is_utob(self.M, eps, tol, traversal=self)
+        return self._utob[key]
+
+
 def is_utob(
     M: FiniteSet,
     eps: float,
     tol: float = DEFAULT_TOL,
-    steps: Iterable[tuple[int, np.ndarray]] | None = None,
+    traversal: Traversal | None = None,
 ) -> UtobReport:
     """Check uniform total order-boundedness of M at level eps.
 
@@ -382,22 +430,25 @@ def is_utob(
     with defect zero); the value of this routine is the witness it returns:
     the shortest prefix of the farthest-point traversal of M whose prefix
     defect is pointwise below eps, with the defect recomputed
-    independently for the verdict. ``steps`` may replay a traversal of M
-    that was already run.
+    independently for the verdict. ``traversal``, a ``Traversal`` of M,
+    lets several eps share one traversal, and one recheck per distinct
+    witness.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
+    if traversal is None:
+        traversal = Traversal(M)
+    elif traversal.M is not M:
+        raise ValueError("the traversal belongs to another set")
     if len(M) == 0:
         return UtobReport(True, FiniteSet(M.space, [s[:0] for s in M.stacks], 0), None, eps)
-    chosen = []
-    for idx, prefix in farthest_point_traversal(M) if steps is None else steps:
-        chosen.append(idx)
+    k = 0
+    for k, (_, prefix) in enumerate(traversal, 1):
         if float(np.max(prefix)) <= eps + tol:
             break
-    witness = M.subset(chosen)
-    report = defect(M, witness)
+    report = traversal.recheck(k)
     verdict = report.value.le(eps, tol)
-    return UtobReport(verdict, witness, report, eps)
+    return UtobReport(verdict, report.witness, report, eps)
 
 
 def greedy_order(M: FiniteSet) -> list[int]:

@@ -13,7 +13,6 @@ the independent pipelines agree instead of assuming it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -22,7 +21,7 @@ from .errors import CapExceededError, DimensionMismatchError
 from .fibered import (
     FiniteSet,
     ModuleVector,
-    UtobReport,
+    Traversal,
     defect,
     farthest_point_traversal,
     is_utob,
@@ -104,35 +103,10 @@ def orbit(
     return FiniteSet.from_vectors([rel.encode(g) for g in funcs], rel.space)
 
 
-class OrbitTraversal:
-    """Encoded orbit of one function and its full farthest-point traversal,
-    run on first use, with the UTOB witness of each eps read off it."""
-
-    def __init__(self, orbit: FiniteSet):
-        self.orbit = orbit
-        self._utob: dict[tuple[float, float], UtobReport] = {}
-
-    @cached_property
-    def steps(self) -> list[tuple[int, np.ndarray]]:
-        return list(farthest_point_traversal(self.orbit))
-
-    @cached_property
-    def chain(self) -> list[StoneElement]:
-        base = self.orbit.space.base
-        return [StoneElement(base, d) for _, d in self.steps]
-
-    def utob(self, eps: float, tol: float) -> UtobReport:
-        """``is_utob`` of the orbit at eps, computed once."""
-        key = (eps, tol)
-        if key not in self._utob:
-            self._utob[key] = is_utob(self.orbit, eps, tol, steps=self.steps)
-        return self._utob[key]
-
-
 class OrbitCache:
     """Orbits of functions on one extension, memoized by the function's bytes.
 
-    ``cache(f)`` returns the ``OrbitTraversal`` of f, so that every
+    ``cache(f)`` returns the ``Traversal`` of f's encoded orbit, so that every
     pipeline of one check shares one orbit walk and one traversal per
     function. The routines taking ``orbits=`` read their orbit from it, walked
     at the cache's tol, instead of walking their own.
@@ -144,14 +118,14 @@ class OrbitCache:
         self.ext = ext
         self.rel = rel or RelModule(ext)
         self.tol = tol
-        self._memo: dict[bytes, OrbitTraversal] = {}
+        self._memo: dict[bytes, Traversal] = {}
 
-    def __call__(self, f) -> OrbitTraversal:
+    def __call__(self, f) -> Traversal:
         f = np.asarray(f, dtype=complex)
         key = f.tobytes()
         hit = self._memo.get(key)
         if hit is None:
-            hit = OrbitTraversal(orbit(f, self.ext, self.rel, self.tol))
+            hit = Traversal(orbit(f, self.ext, self.rel, self.tol))
             self._memo[key] = hit
         return hit
 
@@ -280,7 +254,7 @@ def generated_submodule(
     if orbits is None:
         orbits = OrbitCache(ext, rel, tol)
     rel = orbits.rel
-    orb = orbits(f).orbit
+    orb = orbits(f).M
     n_pts = rel.space.n_points
     fiber_bases = []
     ranks = np.zeros(n_pts, dtype=int)

@@ -9,6 +9,8 @@ diagnostics at once.
 
 from __future__ import annotations
 
+import cmath
+import math
 from typing import Any
 
 import numpy as np
@@ -19,7 +21,39 @@ from .stone import PointSet
 from .systems import Extension, FiniteProbabilitySpace, MPMap
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_finite(v) -> bool:
+    """A JSON number, not a bool, that converts to a finite float."""
+    if not isinstance(v, (int, float)) or isinstance(v, bool):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+_ITEM_KINDS = {
+    "list": (lambda v: isinstance(v, list), "a list"),
+    "int": (_is_int, "an integer"),
+    "number": (_is_finite, "a finite number"),
+}
+
+
+def _describe(v) -> str:
+    """How a diagnostic names a rejected item."""
+    if isinstance(v, float):
+        return repr(v)  # nan, inf, 1.5
+    if _is_int(v) and not _is_finite(v):
+        return "an integer beyond the float range"
+    return type(v).__name__
+
+
 def _want_list(doc, key, path, diags, of=None):
+    """``doc[key]`` when it is a list whose items are all of kind ``of``
+    (a key of ``_ITEM_KINDS``); else None, with a diagnostic."""
     if not isinstance(doc, dict) or key not in doc:
         diags.append(f"{path}: missing required key '{key}'")
         return None
@@ -28,11 +62,12 @@ def _want_list(doc, key, path, diags, of=None):
         diags.append(f"{path}.{key}: expected a list, got {type(val).__name__}")
         return None
     if of is not None:
+        ok, what = _ITEM_KINDS[of]
         for i, item in enumerate(val):
-            if not isinstance(item, of):
+            if not ok(item):
                 diags.append(
-                    f"{path}.{key}[{i}]: expected {of.__name__}, "
-                    f"got {type(item).__name__}"
+                    f"{path}.{key}[{i}]: expected {what}, "
+                    f"got {_describe(item)}"
                 )
                 return None
     return val
@@ -40,20 +75,29 @@ def _want_list(doc, key, path, diags, of=None):
 
 def _parse_scalar(v, path: str, diags: list[str]) -> complex:
     if isinstance(v, (int, float)):
-        return complex(v)
-    if (
+        parts = (v,)
+    elif (
         isinstance(v, list)
         and len(v) == 2
         and all(isinstance(c, (int, float)) for c in v)
     ):
-        return complex(v[0], v[1])
-    diags.append(f"{path}: expected a number or [re, im] pair")
-    return 0j
+        parts = v
+    else:
+        diags.append(f"{path}: expected a number or [re, im] pair")
+        return 0j
+    try:
+        z = complex(*parts)
+    except OverflowError:  # an int beyond the float range
+        z = complex(math.inf)
+    if not cmath.isfinite(z):
+        diags.append(f"{path}: expected finite numbers")
+        return 0j
+    return z
 
 
 def parse_fiber_space(doc: Any, path: str, diags: list[str]) -> FiberSpace | None:
     points = _want_list(doc, "points", path, diags)
-    dims = _want_list(doc, "dims", path, diags)
+    dims = _want_list(doc, "dims", path, diags, of="int")
     if points is None or dims is None:
         return None
     if len(points) != len(dims):
@@ -64,6 +108,57 @@ def parse_fiber_space(doc: Any, path: str, diags: list[str]) -> FiberSpace | Non
     except (ValueError, TypeError) as exc:
         diags.append(f"{path}: {exc}")
         return None
+
+
+def _array_stacks(elements: list, space: FiberSpace) -> list[np.ndarray] | None:
+    """One ``(n, d)`` complex stack per fiber, each converted as one array,
+    when every fiber of the set holds only plain numbers or only ``[re, im]``
+    pairs, all finite; None when anything else occurs, so that the caller
+    parses the set entry by entry. The values are bit-equal to ``complex(v)``
+    and ``complex(re, im)``."""
+    n = len(elements)
+    if not all(isinstance(e, list) and len(e) == space.n_points for e in elements):
+        return None
+    stacks = []
+    for w, d in enumerate(space.dims):
+        try:
+            a = np.array([e[w] for e in elements])
+        except (ValueError, TypeError, OverflowError):  # ragged, or huge ints
+            return None
+        if a.dtype.kind not in "biuf":
+            return None
+        if a.shape == (n, d):
+            s = a.astype(complex)
+        elif a.shape == (n, d, 2):
+            s = a.astype(float).view(complex).reshape(n, d)
+        else:
+            return None
+        if not np.isfinite(s).all():
+            return None
+        stacks.append(s)
+    return stacks
+
+
+def _scalar_stacks(
+    elements: list, space: FiberSpace, path: str, diags: list[str]
+) -> list[np.ndarray]:
+    """The stacks of one set, parsed entry by entry with a diagnostic per
+    malformed element, fiber or entry."""
+    stacks = [np.zeros((len(elements), d), dtype=complex) for d in space.dims]
+    for i, elem in enumerate(elements):
+        if not isinstance(elem, list) or len(elem) != space.n_points:
+            diags.append(
+                f"{path}[{i}]: expected one fiber per point "
+                f"({space.n_points} fibers)"
+            )
+            continue
+        for w, fib in enumerate(elem):
+            if not isinstance(fib, list) or len(fib) != space.dims[w]:
+                diags.append(f"{path}[{i}][{w}]: expected {space.dims[w]} entries")
+                continue
+            for k, v in enumerate(fib):
+                stacks[w][i, k] = _parse_scalar(v, f"{path}[{i}][{w}][{k}]", diags)
+    return stacks
 
 
 def parse_finite_set_doc(doc: Any) -> tuple[FiberSpace, dict[str, FiniteSet]]:
@@ -89,26 +184,9 @@ def parse_finite_set_doc(doc: Any) -> tuple[FiberSpace, dict[str, FiniteSet]]:
         if not isinstance(elements, list):
             diags.append(f"{path}: expected a list of elements")
             continue
-        stacks = [
-            np.zeros((len(elements), d), dtype=complex) for d in space.dims
-        ]
-        for i, elem in enumerate(elements):
-            if not isinstance(elem, list) or len(elem) != space.n_points:
-                diags.append(
-                    f"{path}[{i}]: expected one fiber per point "
-                    f"({space.n_points} fibers)"
-                )
-                continue
-            for w, fib in enumerate(elem):
-                if not isinstance(fib, list) or len(fib) != space.dims[w]:
-                    diags.append(
-                        f"{path}[{i}][{w}]: expected {space.dims[w]} entries"
-                    )
-                    continue
-                for k, v in enumerate(fib):
-                    stacks[w][i, k] = _parse_scalar(
-                        v, f"{path}[{i}][{w}][{k}]", diags
-                    )
+        stacks = _array_stacks(elements, space)
+        if stacks is None:
+            stacks = _scalar_stacks(elements, space, path, diags)
         out[name] = FiniteSet(space, stacks, len(elements))
     if diags:
         raise SchemaError(diags)
@@ -133,7 +211,7 @@ def finite_set_to_json(F: FiniteSet) -> dict:
 
 def _parse_space(doc: Any, path: str, diags: list[str]) -> FiniteProbabilitySpace | None:
     points = _want_list(doc, "points", path, diags)
-    weights = _want_list(doc, "weights", path, diags, of=(int, float))
+    weights = _want_list(doc, "weights", path, diags, of="number")
     if points is None or weights is None:
         return None
     try:
@@ -144,7 +222,7 @@ def _parse_space(doc: Any, path: str, diags: list[str]) -> FiniteProbabilitySpac
 
 
 def _parse_generators(doc, key, size, path, diags) -> list[MPMap] | None:
-    gens_doc = _want_list(doc, key, path, diags, of=list)
+    gens_doc = _want_list(doc, key, path, diags, of="list")
     if gens_doc is None:
         return None
     gens = []
@@ -153,8 +231,11 @@ def _parse_generators(doc, key, size, path, diags) -> list[MPMap] | None:
         if size is not None and len(arr) != size:
             diags.append(f"{gpath}: expected {size} entries, got {len(arr)}")
             return None
-        if not all(isinstance(v, int) for v in arr):
+        if not all(_is_int(v) for v in arr):
             diags.append(f"{gpath}: permutation entries must be integers")
+            return None
+        if not all(0 <= v < len(arr) for v in arr):
+            diags.append(f"{gpath}: entries must lie in 0..{len(arr) - 1}")
             return None
         try:
             gens.append(MPMap(arr))
@@ -195,7 +276,7 @@ def parse_extension_doc(doc: Any, cap: int = 10**5) -> Extension:
         "$.factor",
         diags,
     )
-    fmap = _want_list(factor_doc, "map", "$.factor", diags, of=int)
+    fmap = _want_list(factor_doc, "map", "$.factor", diags, of="int")
     if diags or top is None or base is None or gens is None or base_gens is None:
         raise SchemaError(diags or ["$: malformed extension document"])
     if len(fmap) != top.size:

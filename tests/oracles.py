@@ -1,6 +1,7 @@
 """Independent oracles shared by the unit and acceptance tests."""
 
 import itertools
+import math
 
 import numpy as np
 
@@ -152,3 +153,49 @@ def per_link_egoroff_localize(u_seq, weights, delta, eps_values, tol=1e-9):
                 thresholds[eps] = n
                 break
     return kept, sorted(removed), removed_mass, thresholds
+
+
+def per_scalar_sets(sets_doc, dims):
+    """The named sets of a finite-set document on fibers of the given dims,
+    converted one scalar at a time: ``(stacks per set name, diagnostics)``,
+    a diagnostic for each malformed set, element, fiber or entry, in document
+    order. An entry is a number or an [re, im] pair of numbers (bools count
+    as numbers) whose value is finite."""
+    diags, out = [], {}
+    for name, elements in sets_doc.items():
+        path = f"$.sets.{name}"
+        if not isinstance(elements, list):
+            diags.append(f"{path}: expected a list of elements")
+            continue
+        stacks = [np.zeros((len(elements), d), dtype=complex) for d in dims]
+        for i, elem in enumerate(elements):
+            if not isinstance(elem, list) or len(elem) != len(dims):
+                diags.append(
+                    f"{path}[{i}]: expected one fiber per point ({len(dims)} fibers)"
+                )
+                continue
+            for w, fib in enumerate(elem):
+                if not isinstance(fib, list) or len(fib) != dims[w]:
+                    diags.append(f"{path}[{i}][{w}]: expected {dims[w]} entries")
+                    continue
+                for k, v in enumerate(fib):
+                    where = f"{path}[{i}][{w}][{k}]"
+                    number = isinstance(v, (int, float))
+                    pair = (
+                        isinstance(v, list)
+                        and len(v) == 2
+                        and all(isinstance(c, (int, float)) for c in v)
+                    )
+                    if not (number or pair):
+                        diags.append(f"{where}: expected a number or [re, im] pair")
+                        continue
+                    try:
+                        z = complex(v) if number else complex(v[0], v[1])
+                    except OverflowError:
+                        z = None
+                    if z is None or not (math.isfinite(z.real) and math.isfinite(z.imag)):
+                        diags.append(f"{where}: expected finite numbers")
+                        continue
+                    stacks[w][i, k] = z
+        out[name] = stacks
+    return out, diags

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from latnorm.serialize import (
 from latnorm.errors import SchemaError
 from latnorm.fibered import defect
 from latnorm.seqmodel import build_counterexample
+from oracles import per_scalar_sets
 
 
 @pytest.fixture
@@ -307,3 +309,228 @@ class TestSelftest:
         assert main(["selftest", "--fixture", str(path)]) == 1
         out = capsys.readouterr().out
         assert "FAIL fixture.extension-valid" in out
+
+
+def _write(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    return str(path)
+
+
+def _sets_text(entry):
+    """A one-point, one-dimensional finite-set document whose only entry is
+    the JSON text ``entry``."""
+    return '{"space": {"points": ["a"], "dims": [1]}, "sets": {"M": [[[%s]]]}}' % entry
+
+
+class TestDocumentNumbers:
+    @pytest.mark.parametrize("command", ["tob", "cyclic", "zonotope"])
+    @pytest.mark.parametrize(
+        "entry", ["NaN", "Infinity", "-Infinity", "[1e400, 0]", "[0, NaN]", str(10**400)]
+    )
+    def test_non_finite_entries_exit_2(self, tmp_path, command, entry, capsys):
+        path = _write(tmp_path, "doc.json", _sets_text(entry))
+        assert main([command, path]) == 2
+        err = capsys.readouterr().err
+        assert err == "schema: $.sets.M[0][0][0]: expected finite numbers\n"
+
+    @pytest.mark.parametrize(
+        "dims, message",
+        [
+            ([1.5], "expected an integer, got 1.5"),
+            ([True], "expected an integer, got bool"),
+            (["1"], "expected an integer, got str"),
+        ],
+    )
+    def test_dims_take_integers_only(self, tmp_path, dims, message, capsys):
+        doc = {"space": {"points": ["a"], "dims": dims}, "sets": {"M": [[[1.0]]]}}
+        path = _write(tmp_path, "doc.json", json.dumps(doc))
+        assert main(["tob", path]) == 2
+        assert capsys.readouterr().err == f"schema: $.space.dims[0]: {message}\n"
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda d: d["space"]["weights"].__setitem__(0, math.nan),
+             "$.space.weights[0]: expected a finite number, got nan"),
+            (lambda d: d["space"]["weights"].__setitem__(1, 10**400),
+             "$.space.weights[1]: expected a finite number, got an integer beyond the float range"),
+            (lambda d: d["generators"].__setitem__(0, 5),
+             "$.generators[0]: expected a list, got int"),
+            (lambda d: d["space"]["weights"].__setitem__(2, "0.25"),
+             "$.space.weights[2]: expected a finite number, got str"),
+            (lambda d: d["generators"][0].__setitem__(3, 10**30),
+             "$.generators[0]: entries must lie in 0..3"),
+            (lambda d: d["generators"][0].__setitem__(0, True),
+             "$.generators[0]: permutation entries must be integers"),
+            (lambda d: d["factor"]["base_generators"][0].__setitem__(0, False),
+             "$.factor.base_generators[0]: permutation entries must be integers"),
+            (lambda d: d["factor"]["map"].__setitem__(1, True),
+             "$.factor.map[1]: expected an integer, got bool"),
+        ],
+    )
+    def test_extension_fields_checked(self, tmp_path, edit, message, capsys):
+        doc = extension_to_json(rotation_extension(4, 2))
+        edit(doc)
+        path = _write(tmp_path, "ext.json", json.dumps(doc))
+        assert main(["analyze", path]) == 2
+        assert capsys.readouterr().err == f"schema: {message}\n"
+
+
+def _random_entry(rng, kind, huge):
+    """One document entry: a number (float, int, bool or -0.0) or a pair.
+    Ints reach past int64; with ``huge``, past uint64 too."""
+    big = [2**53 + 1, 2**63 - 1, -(2**63), 2**63 + 1] + [10**30] * huge
+
+    def number():
+        pick = rng.integers(6)
+        if pick == 0:
+            return bool(rng.integers(2))
+        if pick == 1:
+            return int(rng.integers(-50, 50))
+        if pick == 2:
+            return -0.0
+        if pick == 3:
+            return big[int(rng.integers(len(big)))]
+        return float(rng.standard_normal() * 10.0 ** rng.integers(-5, 5))
+
+    if kind == "mixed":
+        kind = "number" if rng.integers(2) else "pair"
+    return number() if kind == "number" else [number(), number()]
+
+
+def _random_sets(rng, dims, uniform):
+    """Named sets on the given dims. With ``uniform``, every entry of one
+    fiber across a set is of one kind (all numbers or all pairs) and every
+    int converts to a float array; otherwise the kinds vary from entry to
+    entry in some fibers, and some ints do not fit in 64 bits."""
+    sets = {}
+    for name in ("M", "F", "G")[: rng.integers(1, 4)]:
+        n = int(rng.integers(0, 7))
+        kinds = [
+            "mixed" if not uniform and rng.integers(2) else str(rng.choice(["number", "pair"]))
+            for _ in dims
+        ]
+        sets[name] = [
+            [[_random_entry(rng, kinds[w], not uniform) for _ in range(d)] for w, d in enumerate(dims)]
+            for _ in range(n)
+        ]
+    return sets
+
+
+_BAD_ENTRIES = [math.nan, math.inf, -math.inf, 10**400, [1e308, math.inf], "1", None,
+                [1], [1, 2, 3], [1, "2"], {"re": 1}, [[1, 2]]]
+
+
+def _corrupt(rng, sets):
+    """Break one random place of a set: the whole set, an element, a fiber
+    or an entry (a place broken before is broken again as a whole)."""
+    name = str(rng.choice(list(sets)))
+    elements = sets[name]
+    pick = int(rng.integers(4))
+    if pick == 0 or not isinstance(elements, list) or not elements:
+        sets[name] = [{"not": "a list"}, 7][int(rng.integers(2))]
+        return
+    i = int(rng.integers(len(elements)))
+    elem = elements[i]
+    if pick == 1 or not isinstance(elem, list) or not elem:
+        elements[i] = [[], "element"][int(rng.integers(2))]
+        return
+    w = int(rng.integers(len(elem)))
+    if pick == 2 or not isinstance(elem[w], list) or not elem[w]:
+        elem[w] = [elem[w] + [0.0] if isinstance(elem[w], list) else [], 3.0][int(rng.integers(2))]
+        return
+    k = int(rng.integers(len(elem[w])))
+    elem[w][k] = _BAD_ENTRIES[int(rng.integers(len(_BAD_ENTRIES)))]
+
+
+class TestArrayParsing:
+    def _check(self, doc, dims, monkeypatch=None):
+        stacks, diags = per_scalar_sets(doc["sets"], dims)
+        if diags:
+            with pytest.raises(SchemaError) as exc:
+                parse_finite_set_doc(doc)
+            assert exc.value.diagnostics == diags
+            return
+        _, sets = parse_finite_set_doc(doc)
+        assert list(sets) == list(stacks)
+        for name, ref in stacks.items():
+            assert [s.tobytes() for s in sets[name].stacks] == [s.tobytes() for s in ref]
+
+    def test_equals_per_scalar_oracle(self, monkeypatch):
+        import latnorm.serialize as serialize
+
+        rng = np.random.default_rng(60)
+        for _ in range(300):
+            dims = [int(d) for d in rng.integers(1, 5, size=rng.integers(1, 5))]
+            doc = {
+                "space": {"points": [f"w{i}" for i in range(len(dims))], "dims": dims},
+                "sets": _random_sets(rng, dims, uniform=True),
+            }
+            # uniform fibers of finite numbers never reach the per-scalar loop
+            with monkeypatch.context() as m:
+                m.setattr(serialize, "_parse_scalar", None)
+                self._check(doc, dims)
+            doc["sets"] = _random_sets(rng, dims, uniform=False)
+            self._check(doc, dims)
+
+    def test_malformed_documents_give_the_oracle_diagnostics(self):
+        rng = np.random.default_rng(61)
+        failed = 0
+        for _ in range(300):
+            dims = [int(d) for d in rng.integers(1, 4, size=rng.integers(1, 4))]
+            sets = _random_sets(rng, dims, uniform=bool(rng.integers(2)))
+            for _ in range(rng.integers(1, 4)):
+                _corrupt(rng, sets)
+            doc = {"space": {"points": [f"w{i}" for i in range(len(dims))], "dims": dims}, "sets": sets}
+            failed += bool(per_scalar_sets(sets, dims)[1])
+            self._check(doc, dims)
+        assert failed >= 250
+
+
+class TestCompactReports:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "{ext}"],
+            ["tob", "{sets}"],
+            ["zonotope", "{sets}", "--eps", "5.0"],
+            ["cyclic", "{sets}"],
+            ["counterexample", "--n", "6", "--delta", "0.25"],
+        ],
+    )
+    def test_one_line_with_the_indented_value(self, ext_doc, sets_doc, argv, monkeypatch, capsys):
+        payloads = []
+        real = json.dumps
+
+        def recording(obj, **kwargs):
+            payloads.append(obj)
+            return real(obj, **kwargs)
+
+        monkeypatch.setattr(json, "dumps", recording)
+        assert main([a.format(ext=ext_doc, sets=sets_doc) for a in argv]) == 0
+        out = capsys.readouterr().out
+        assert out.count("\n") == 1 and out.endswith("\n")
+        indented = real(payloads[-1], indent=2, default=str)
+        assert json.loads(out) == json.loads(indented)
+
+
+class TestSharedTobTraversal:
+    def test_one_traversal_and_one_recheck_per_witness(self, tmp_path, monkeypatch, capsys):
+        import latnorm.fibered as fibered
+
+        rng = np.random.default_rng(62)
+        space = random_fiber_space(rng, 3, 3)
+        M = finite_set_to_json(random_finite_set(rng, space, 30))
+        path = _write(tmp_path, "m.json", json.dumps({"space": M["space"], "sets": {"M": M["elements"]}}))
+        rows, defects = [], []
+        real_rows, real_defect = fibered._distances_to, fibered.defect
+        monkeypatch.setattr(fibered, "_distances_to", lambda M, x: rows.append(1) or real_rows(M, x))
+        monkeypatch.setattr(fibered, "defect", lambda M, F: defects.append(len(F)) or real_defect(M, F))
+        eps_values = ["0.5", "4.0", "0.5", "1.5", "0.9"]
+        argv = ["tob", path] + [a for e in eps_values for a in ("--eps", e)]
+        assert main(argv) == 0
+        sizes = [v["witness_size"] for v in json.loads(capsys.readouterr().out)["utob"].values()]
+        assert len(set(sizes)) >= 3 and 1 < max(sizes) < 30
+        assert len(rows) == max(sizes)
+        assert sorted(defects) == sorted(set(sizes))

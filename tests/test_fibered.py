@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from latnorm import (
     RelModule,
     SizeCapError,
     StoneElement,
+    Traversal,
     Zonotope,
     cp_check,
     cp_witness_from_utob,
@@ -222,6 +225,40 @@ class TestTraversal:
         calls.clear()
         assert len(greedy_order(M)) == 50 and len(calls) == 50
         assert list(farthest_point_traversal(M.subset([]))) == []
+
+
+    def test_shared_traversal_equals_fresh_utob(self):
+        for M in itertools.chain(_traversal_cases(), _uneven_sets()):
+            scale = max(float(M.norm_sup().sup_norm()), 1.0)
+            eps_values = [scale * f for f in (2.0, 0.5, 0.2, 0.05)] + [1e-6]
+            for eps_order in (
+                sorted(eps_values),
+                sorted(eps_values, reverse=True),
+                eps_values + eps_values[::-1],
+            ):
+                shared = Traversal(M)
+                for eps in eps_order:
+                    got = is_utob(M, eps, TOL, traversal=shared)
+                    ref = is_utob(M, eps, TOL)
+                    assert got.verdict == ref.verdict
+                    assert [s.tobytes() for s in got.witness.stacks] == [
+                        s.tobytes() for s in ref.witness.stacks
+                    ]
+                    assert np.array_equal(got.report.argmin, ref.report.argmin)
+                    assert got.report.value.values.tobytes() == ref.report.value.values.tobytes()
+                assert list(shared) == list(shared)  # a second pass replays the steps
+
+    def test_traversal_replays_and_memoizes(self):
+        rng = np.random.default_rng(42)
+        M = random_finite_set(rng, random_fiber_space(rng), 12)
+        trav = Traversal(M)
+        steps = [(i, p.tolist()) for i, p in farthest_point_traversal(M)]
+        assert [(i, p.tolist()) for i, p in trav] == steps
+        assert [c.values.tolist() for c in trav.chain] == [p for _, p in steps]
+        assert trav.recheck(3) is trav.recheck(3)
+        assert trav.utob(0.5, TOL) is trav.utob(0.5, TOL)
+        with pytest.raises(ValueError):
+            is_utob(M.subset(range(12)), 0.5, traversal=trav)
 
 
 def _uneven_sets():

@@ -388,8 +388,7 @@ class TestSharedOrbits:
             counted(walks, relative.orbit_functions, lambda f: np.asarray(f).tobytes()),
         )
         monkeypatch.setattr(
-            relative, "farthest_point_traversal",
-            counted(traversals, relative.farthest_point_traversal, id),
+            relative, "Traversal", counted(traversals, relative.Traversal, id),
         )
         ext = random_extension(np.random.default_rng(23))
         theorem_cross_check(ext, delta_values=(0.5, 0.25, 0.1))
