@@ -46,7 +46,6 @@ from .fibered import (
     cp_witness_from_utob,
     defect,
     disc_grid,
-    farthest_point_traversal,
     greedy_order,
     heine_borel_net,
     is_utob,

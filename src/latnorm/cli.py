@@ -39,6 +39,7 @@ from .mixing import cyclic_witness, verify_cyclic
 from .relative import theorem_cross_check
 from .seqmodel import build_counterexample, egoroff_demo
 from .serialize import parse_extension_doc, parse_finite_set_doc
+from .stone import DEFAULT_TOL
 from .systems import cond_expectation, validate_extension
 
 EXIT_OK = 0
@@ -92,7 +93,9 @@ def _emit(report: dict, args) -> None:
 def cmd_analyze(args) -> int:
     doc = _load_json(args.input)
     ext = parse_extension_doc(doc, cap=args.cap)
-    validation = validate_extension(ext, args.tol)
+    # the analysis encodes through RelModule, which admits only extensions
+    # valid at the default tolerance, so a larger --tol cannot loosen this
+    validation = validate_extension(ext, min(args.tol, DEFAULT_TOL))
     if not validation.valid:
         for v in validation.violations:
             print(f"invalid extension: {v}", file=sys.stderr)
@@ -272,7 +275,7 @@ def _checked(convert, ok, what):
 
 
 _POSITIVE = _checked(float, lambda v: math.isfinite(v) and v > 0, "positive and finite")
-_FINITE = _checked(float, math.isfinite, "finite")
+_NONNEGATIVE = _checked(float, lambda v: math.isfinite(v) and v >= 0, "nonnegative and finite")
 
 
 def _int_at_least(low):
@@ -281,7 +284,7 @@ def _int_at_least(low):
 
 def _add_common(p, *, tol=True):
     if tol:
-        p.add_argument("--tol", type=_FINITE, default=1e-9, help="comparison tolerance")
+        p.add_argument("--tol", type=_NONNEGATIVE, default=1e-9, help="comparison tolerance")
     p.add_argument("--format", choices=("json", "csv", "text"), default="json")
     p.add_argument("--out", help="write the report to this file")
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -344,71 +343,51 @@ def _norm_table(M: FiniteSet) -> np.ndarray:
     ) if len(M) else np.zeros((0, M.space.n_points))
 
 
-def farthest_point_traversal(M: FiniteSet):
-    """Gonzalez farthest-point traversal of M, one insertion at a time.
-
-    Seeded by the element of largest lattice norm; each step inserts the
-    element farthest (in sup norm of the pointwise distance) from those
-    already placed, ties to the lowest index. Yields ``(index, prefix
-    defect)`` per step, where the prefix defect is the pointwise defect of
-    M against the elements placed so far (the running radius of the
-    traversal). Stop consuming early to stop the traversal.
-    """
-    n = len(M)
-    if n == 0:
-        return
-    placed = np.zeros(n, dtype=bool)
-    nxt = int(np.argmax(np.max(_norm_table(M), axis=1)))
-    mindist = _distances_to(M, [s[nxt] for s in M.stacks])  # reduce on rows
-    for step in range(1, n + 1):
-        placed[nxt] = True
-        yield nxt, mindist.max(axis=1)
-        if step == n:
-            return
-        scores = mindist.max(axis=0)
-        scores[placed] = -1.0
-        nxt = int(scores.argmax())
-        np.minimum(mindist, _distances_to(M, [s[nxt] for s in M.stacks]), out=mindist)
-
-
 class Traversal:
-    """One farthest-point traversal of M, shared by every reader.
+    """Gonzalez farthest-point traversal of M, shared by every reader.
 
-    The traversal runs only as far as any reader has gone, and its steps
-    are kept, so iterating starts from the first step again without redoing
-    one. ``recheck(k)`` is the independent ``defect`` of M against the first
-    k placed elements, computed once per k; ``chain`` is the full radius
-    sequence. ``utob(eps, tol)`` is ``is_utob`` through this traversal,
-    computed once per (eps, tol).
+    Seeded by the element of largest lattice norm; each step places the
+    element farthest (in sup norm of the pointwise distance) from those
+    already placed, ties to the lowest index. ``grow(k)`` places elements
+    only until k are placed, one distance row per placed element. ``order``
+    lists the placed indices, and row j of ``radii`` is the running radius
+    after j + 1 placements: the pointwise defect of M against
+    ``order[:j + 1]``. ``recheck(k)`` is the independent ``defect`` of M
+    against the first k placed elements, computed once per k;
+    ``utob(eps, tol)`` is ``is_utob`` through this traversal, computed once
+    per (eps, tol).
     """
 
     def __init__(self, M: FiniteSet):
         self.M = M
-        self._run = farthest_point_traversal(M)
-        self._steps: list[tuple[int, np.ndarray]] = []
+        self.order: list[int] = []
+        self.radii = np.empty((len(M), M.space.n_points))
+        self._placed = np.zeros(len(M), dtype=bool)
+        self._mindist = np.full((M.space.n_points, len(M)), np.inf)
         self._rechecks: dict[int, DefectReport] = {}
         self._utob: dict[tuple[float, float], UtobReport] = {}
 
-    def __iter__(self):
-        k = 0
-        while True:
-            if k == len(self._steps):
-                step = next(self._run, None)
-                if step is None:
-                    return
-                self._steps.append(step)
-            yield self._steps[k]
-            k += 1
-
-    @cached_property
-    def chain(self) -> list[StoneElement]:
-        base = self.M.space.base
-        return [StoneElement(base, d) for _, d in self]
+    def grow(self, k: int) -> np.ndarray:
+        """Place the first k elements (all of M when k exceeds it) and
+        return their rows of ``radii``."""
+        M = self.M
+        while len(self.order) < min(k, len(M)):
+            if self.order:
+                scores = self._mindist.max(axis=0)
+                scores[self._placed] = -1.0
+                nxt = int(scores.argmax())
+            else:
+                nxt = int(np.argmax(np.max(_norm_table(M), axis=1)))
+            row = _distances_to(M, [s[nxt] for s in M.stacks])
+            np.minimum(self._mindist, row, out=self._mindist)
+            self._placed[nxt] = True
+            self.radii[len(self.order)] = self._mindist.max(axis=1)
+            self.order.append(nxt)
+        return self.radii[:k]
 
     def recheck(self, k: int) -> DefectReport:
         if k not in self._rechecks:
-            order = [idx for idx, _ in self._steps[:k]]
-            self._rechecks[k] = defect(self.M, self.M.subset(order))
+            self._rechecks[k] = defect(self.M, self.M.subset(self.order[:k]))
         return self._rechecks[k]
 
     def utob(self, eps: float, tol: float) -> UtobReport:
@@ -442,9 +421,8 @@ def is_utob(
         raise ValueError("the traversal belongs to another set")
     if len(M) == 0:
         return UtobReport(True, FiniteSet(M.space, [s[:0] for s in M.stacks], 0), None, eps)
-    k = 0
-    for k, (_, prefix) in enumerate(traversal, 1):
-        if float(np.max(prefix)) <= eps + tol:
+    for k in range(1, len(M) + 1):
+        if float(np.max(traversal.grow(k)[-1])) <= eps + tol:
             break
     report = traversal.recheck(k)
     verdict = report.value.le(eps, tol)
@@ -453,7 +431,9 @@ def is_utob(
 
 def greedy_order(M: FiniteSet) -> list[int]:
     """Full farthest-point insertion order of M."""
-    return [idx for idx, _ in farthest_point_traversal(M)]
+    traversal = Traversal(M)
+    traversal.grow(len(M))
+    return traversal.order
 
 
 def truncate_to_ball(F: FiniteSet, r: float, tol: float = DEFAULT_TOL) -> FiniteSet:

@@ -91,9 +91,7 @@ class CyclicWitness:
                 {
                     "mask": q.mask.astype(int).tolist(),
                     "set_size": len(F),
-                    "set": [
-                        [f.tolist() for f in F[i].fibers] for i in range(len(F))
-                    ],
+                    "set": [list(e) for e in zip(*(s.tolist() for s in F.stacks))],
                 }
                 for q, F in self.parts
             ],

@@ -13,17 +13,16 @@ the independent pipelines agree instead of assuming it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import CapExceededError, DimensionMismatchError
+from .errors import DimensionMismatchError
 from .fibered import (
     FiniteSet,
     ModuleVector,
     Traversal,
     defect,
-    farthest_point_traversal,
     is_utob,
 )
 from .stone import (
@@ -32,48 +31,11 @@ from .stone import (
     Idempotent,
     StoneElement,
 )
-from .systems import Extension, MPMap, RelModule, embed_J
+from .systems import Extension, RelModule, _generator_steps, _walk_orbit, embed_J
 
 
 # ---------------------------------------------------------------------------
 # orbits
-
-
-def _generator_steps(gens: Sequence[MPMap]) -> list[np.ndarray]:
-    """Index maps of the Koopman steps of each generator g and its inverse.
-
-    Per generator, first ``x[g^-1]`` (the image of x under g), then ``x[g]``
-    (under g^-1): the order in which ``enumerate_group`` extends its closure,
-    so orbits come out in the order of a closure walk.
-    """
-    steps = []
-    for g in gens:
-        steps.append(g.inverse().perm)
-        steps.append(g.perm)
-    return steps
-
-
-def _walk_orbit(
-    x: np.ndarray, steps: Sequence[np.ndarray], key: Callable, cap: int
-) -> list[np.ndarray]:
-    """Breadth-first orbit of x under the index maps ``steps``.
-
-    Known images are expanded in discovery order, each by every step in
-    order; an image whose ``key`` was seen before is dropped, so the first
-    representative found is kept. Raises once the orbit would exceed cap.
-    """
-    images = [x]
-    seen = {key(x)}
-    for y in images:  # the list is the queue: appended images are visited too
-        for s in steps:
-            z = y[s]
-            k = key(z)
-            if k not in seen:
-                if len(images) + 1 > cap:
-                    raise CapExceededError(f"orbit exceeds cap {cap}")
-                seen.add(k)
-                images.append(z)
-    return images
 
 
 def orbit_functions(f, ext: Extension, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -187,7 +149,7 @@ def is_conditionally_ap(
 def defect_chain(M: FiniteSet) -> list[StoneElement]:
     """Defect values of M against its increasing greedy witness prefixes:
     the radius sequence of one farthest-point traversal."""
-    return [StoneElement(M.space.base, d) for _, d in farthest_point_traversal(M)]
+    return [StoneElement(M.space.base, d) for d in Traversal(M).grow(len(M))]
 
 
 def orbit_tob_verdict(
@@ -205,7 +167,8 @@ def orbit_tob_verdict(
     """
     if orbits is None:
         orbits = OrbitCache(ext, rel, tol)
-    U = np.array([u.values for u in orbits(f).chain])
+    trav = orbits(f)
+    U = trav.grow(len(trav.M))
     return bool(np.all(U[1:] <= U[:-1] + tol) and np.all(U[-1] <= tol))
 
 
@@ -512,7 +475,8 @@ def theorem_cross_check(
             ap_members.append(f)
         if orbit_tob_verdict(f, ext, rel, orbits=orbits):
             tob_members.append(f)
-        chain = orbits(f).chain
+        trav = orbits(f)
+        chain = [StoneElement(rel.space.base, u) for u in trav.grow(len(trav.M))]
         for delta in delta_values:
             loc = egoroff_localize(
                 chain, ext.downstairs.weights, delta, eps_values=[eps_ref]

@@ -10,7 +10,7 @@ fiberwise module over the downstairs algebra via ``RelModule.encode``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -92,10 +92,6 @@ class MPMap:
         inv[self.perm] = np.arange(len(self.perm))
         return MPMap(inv)
 
-    def compose(self, other: "MPMap") -> "MPMap":
-        """self after other: (self . other)(i) = self(other(i))."""
-        return MPMap(self.perm[other.perm])
-
     def preserves(self, space: FiniteProbabilitySpace, tol: float = DEFAULT_TOL) -> bool:
         if len(self.perm) != space.size:
             return False
@@ -105,46 +101,66 @@ class MPMap:
         return tuple(int(i) for i in self.perm)
 
 
+def _generator_steps(gens: Sequence[MPMap]) -> list[np.ndarray]:
+    """Index maps of the Koopman steps of each generator g and its inverse.
+
+    Per generator, first ``x[g^-1]`` (the image of x under g), then ``x[g]``
+    (under g^-1), so that the inverses of the identity's orbit come out as
+    the closure of ``enumerate_group``: left products by g, then by g^-1.
+    """
+    steps = []
+    for g in gens:
+        steps.append(g.inverse().perm)
+        steps.append(g.perm)
+    return steps
+
+
+def _walk_orbit(
+    x: np.ndarray, steps: Sequence[np.ndarray], key: Callable, cap: int
+) -> list[np.ndarray]:
+    """Breadth-first orbit of x under the index maps ``steps``.
+
+    Known images are expanded in discovery order, each by every step in
+    order; an image whose ``key`` was seen before is dropped, so the first
+    representative found is kept. Raises once the orbit would exceed cap.
+    """
+    images = [x]
+    seen = {key(x)}
+    for y in images:  # the list is the queue: appended images are visited too
+        for s in steps:
+            z = y[s]
+            k = key(z)
+            if k not in seen:
+                if len(images) + 1 > cap:
+                    raise CapExceededError(f"orbit exceeds cap {cap}")
+                seen.add(k)
+                images.append(z)
+    return images
+
+
 def enumerate_group(
     gens: Sequence[MPMap], cap: int = 10**5
 ) -> tuple[tuple[int, ...], ...]:
     """Closure of the generators under composition and inversion.
 
-    Breadth-first from the identity, scanning known elements and generators
-    in order, so the enumeration is deterministic. Raises once the closure
-    would exceed ``cap``.
+    The closure is the orbit of the identity: walked breadth-first, an
+    element y steps to y.g^-1 and y.g, whose inverses are the left products
+    g.y^-1 and g^-1.y^-1. The inverses of the walked elements therefore list
+    the closure breadth-first from the identity, each element extended by
+    every generator and then its inverse, in order, so the enumeration is
+    deterministic. Raises once the closure would exceed ``cap``.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
     if not gens:
         raise ValueError("need at least one generator")
     n = len(gens[0])
-    steps = []
-    for g in gens:
-        if len(g) != n:
-            raise DimensionMismatchError("generators act on different point counts")
-        steps.append(g)
-        steps.append(g.inverse())
-    identity = MPMap(np.arange(n))
-    closure = [identity.as_tuple()]
-    seen = {closure[0]}
-    frontier = [identity]
-    while frontier:
-        new_frontier = []
-        for el in frontier:
-            for s in steps:
-                nxt = s.compose(el)
-                key = nxt.as_tuple()
-                if key not in seen:
-                    if len(seen) + 1 > cap:
-                        raise CapExceededError(
-                            f"group closure exceeds cap {cap}"
-                        )
-                    seen.add(key)
-                    closure.append(key)
-                    new_frontier.append(nxt)
-        frontier = new_frontier
-    return tuple(closure)
+    if any(len(g) != n for g in gens):
+        raise DimensionMismatchError("generators act on different point counts")
+    walked = np.array(
+        _walk_orbit(np.arange(n), _generator_steps(gens), np.ndarray.tobytes, cap)
+    )
+    return tuple(map(tuple, np.argsort(walked, axis=1).tolist()))
 
 
 class GroupAction:

@@ -6,6 +6,7 @@ import math
 import numpy as np
 
 from latnorm import (
+    CapExceededError,
     ConstructionError,
     FiniteSet,
     Idempotent,
@@ -44,15 +45,46 @@ def grid_zonotope_distance(x, F, mesh=0.01):
     return out
 
 
+def frontier_group_closure(gens, cap=10**5):
+    """Closure of the generators (``MPMap``s) under composition and
+    inversion, breadth-first one frontier at a time: each element of a
+    frontier, in order, is left-multiplied by every generator and then its
+    inverse. Raises ``CapExceededError`` once the closure would exceed cap."""
+    n = len(gens[0])
+    steps = []
+    for g in gens:
+        inv = np.empty(n, dtype=int)
+        inv[g.perm] = np.arange(n)
+        steps += [g.perm, inv]
+    identity = np.arange(n)
+    closure = [tuple(identity.tolist())]
+    seen = set(closure)
+    frontier = [identity]
+    while frontier:
+        new_frontier = []
+        for el in frontier:
+            for s in steps:
+                nxt = s[el]  # s after el
+                key = tuple(nxt.tolist())
+                if key not in seen:
+                    if len(seen) + 1 > cap:
+                        raise CapExceededError(f"group closure exceeds cap {cap}")
+                    seen.add(key)
+                    closure.append(key)
+                    new_frontier.append(nxt)
+        frontier = new_frontier
+    return tuple(closure)
+
+
 def closure_orbit_functions(f, ext, tol=1e-9):
-    """Orbit of f by walking the whole enumerated group closure: the image
-    under every element in closure order, deduplicated by rounded key (the
-    first image of each key is kept)."""
+    """Orbit of f by walking the whole group closure of the frontier oracle:
+    the Koopman image ``g[t] = f`` under every element t in closure order,
+    deduplicated by rounded key (the first image of each key is kept)."""
     f = np.asarray(f, dtype=complex)
-    action = ext.action
     seen = {}
-    for t in action.closure:
-        g = action.koopman(t, f)
+    for t in frontier_group_closure(ext.upstairs_gens, ext.cap):
+        g = np.empty_like(f)
+        g[list(t)] = f
         key = np.round(g.view(float) / max(tol, 1e-300)).astype(np.int64).tobytes()
         if key not in seen:
             seen[key] = g

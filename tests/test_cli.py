@@ -98,6 +98,25 @@ class TestCommands:
         assert main(["analyze", str(path)]) == 2
         assert "intertwine" in capsys.readouterr().err
 
+    def test_analyze_loose_tol_still_needs_a_valid_encoding(self, tmp_path, capsys):
+        # valid at --tol 1e-3, but the module encoding requires 1e-9
+        doc = {
+            "space": {"points": ["x0", "x1"], "weights": [0.500001, 0.499999]},
+            "generators": [[1, 0]],
+            "factor": {
+                "base_space": {"points": ["y0"], "weights": [1.0]},
+                "map": [0, 0],
+                "base_generators": [[0]],
+            },
+        }
+        path = tmp_path / "loose.json"
+        path.write_text(json.dumps(doc))
+        assert main(["analyze", str(path), "--tol", "1e-3"]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            "invalid extension: upstairs generator 0 does not preserve the measure"
+        ]
+
     def test_tob_defect_and_witness(self, sets_doc, capsys):
         assert main(["tob", sets_doc, "--eps", "0.5"]) == 0
         out = json.loads(capsys.readouterr().out)
@@ -163,10 +182,14 @@ class TestCommands:
             (["zonotope", "{sets}", "--max-iter", "0"], "argument --max-iter: '0' is not an integer >= 1"),
             (["zonotope", "{sets}", "--tol", "1e-9"], "unrecognized arguments: --tol"),
             (["selftest", "--tol", "1e-9"], "unrecognized arguments: --tol"),
+            (["analyze", "{ext}", "--tol", "-1"], "argument --tol: '-1' is not nonnegative"),
+            (["tob", "{sets}", "--tol", "-1"], "argument --tol: '-1' is not nonnegative"),
+            (["cyclic", "{sets}", "--tol", "-1"], "argument --tol: '-1' is not nonnegative"),
+            (["counterexample", "--n", "4", "--tol", "-0.5"], "argument --tol: '-0.5' is not nonnegative"),
         ],
     )
-    def test_bad_option_values_exit_2(self, sets_doc, argv, message, capsys):
-        argv = [a.format(sets=sets_doc) for a in argv]
+    def test_bad_option_values_exit_2(self, ext_doc, sets_doc, argv, message, capsys):
+        argv = [a.format(ext=ext_doc, sets=sets_doc) for a in argv]
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err

@@ -23,7 +23,6 @@ from latnorm import (
     defect,
     defect_chain,
     disc_grid,
-    farthest_point_traversal,
     greedy_order,
     heine_borel_net,
     is_utob,
@@ -184,15 +183,15 @@ def _traversal_cases():
 class TestTraversal:
     def test_matches_brute_force_oracle(self):
         for M in _traversal_cases():
-            steps = list(farthest_point_traversal(M))
-            order = [i for i, _ in steps]
+            trav = Traversal(M)
+            radii = trav.grow(len(M))
+            order = trav.order
             assert order == brute_force_greedy_order(M) == greedy_order(M)
             oracle = brute_force_defect_chain(M, order)
-            for (_, prefix), rep in zip(steps, oracle):
+            assert len(radii) == len(oracle)
+            for prefix, rep in zip(radii, oracle):
                 assert prefix.tolist() == rep.value.values.tolist()
-            assert [c.values.tolist() for c in defect_chain(M)] == [
-                p.tolist() for _, p in steps
-            ]
+            assert [c.values.tolist() for c in defect_chain(M)] == radii.tolist()
 
     def test_utob_witness_is_oracle_prefix(self):
         for M in _traversal_cases():
@@ -224,7 +223,8 @@ class TestTraversal:
         assert len(calls) == 1  # one seed row, no further insertion
         calls.clear()
         assert len(greedy_order(M)) == 50 and len(calls) == 50
-        assert list(farthest_point_traversal(M.subset([]))) == []
+        empty = Traversal(M.subset([]))
+        assert empty.grow(5).shape == (0, M.space.n_points) and empty.order == []
 
 
     def test_shared_traversal_equals_fresh_utob(self):
@@ -246,15 +246,21 @@ class TestTraversal:
                     ]
                     assert np.array_equal(got.report.argmin, ref.report.argmin)
                     assert got.report.value.values.tobytes() == ref.report.value.values.tobytes()
-                assert list(shared) == list(shared)  # a second pass replays the steps
+                placed = len(shared.order)
+                assert shared.order == greedy_order(M)[:placed]
+                assert shared.radii[:placed].tolist() == Traversal(M).grow(placed).tolist()
 
     def test_traversal_replays_and_memoizes(self):
         rng = np.random.default_rng(42)
         M = random_finite_set(rng, random_fiber_space(rng), 12)
+        full = Traversal(M)
+        radii = full.grow(12).tolist()
         trav = Traversal(M)
-        steps = [(i, p.tolist()) for i, p in farthest_point_traversal(M)]
-        assert [(i, p.tolist()) for i, p in trav] == steps
-        assert [c.values.tolist() for c in trav.chain] == [p for _, p in steps]
+        assert trav.grow(3).tolist() == radii[:3] and len(trav.order) == 3
+        assert trav.grow(2).tolist() == radii[:2] and len(trav.order) == 3
+        assert trav.grow(99).tolist() == radii
+        assert trav.order == full.order == greedy_order(M)
+        assert [c.values.tolist() for c in defect_chain(M)] == radii
         assert trav.recheck(3) is trav.recheck(3)
         assert trav.utob(0.5, TOL) is trav.utob(0.5, TOL)
         with pytest.raises(ValueError):
@@ -272,10 +278,9 @@ def _uneven_sets():
 class TestDistanceFormula:
     def test_traversal_prefix_equals_recheck(self):
         for M in _uneven_sets():
-            order = []
-            for idx, prefix in farthest_point_traversal(M):
-                order.append(idx)
-                recheck = defect(M, M.subset(order)).value.values
+            trav = Traversal(M)
+            for k, prefix in enumerate(trav.grow(len(M)), 1):
+                recheck = defect(M, M.subset(trav.order[:k])).value.values
                 assert prefix.tolist() == recheck.tolist()
 
     def test_rows_equal_pair_columns(self):
@@ -315,7 +320,7 @@ class TestPrefixDefects:
 
     def test_greedy_prefixes_equal_traversal_chain(self):
         for M in _uneven_sets():
-            chain = [p.tolist() for _, p in farthest_point_traversal(M)]
+            chain = Traversal(M).grow(len(M)).tolist()
             assert prefix_defects(M, M.subset(greedy_order(M))).tolist() == chain
 
     def test_empty_sets_rejected(self):

@@ -300,7 +300,8 @@ def test_egoroff_localize_equals_per_link_oracle():
 def test_orbit_tob_verdict_equals_per_link_oracle():
     verdicts = set()
     for chain, _, _ in random_chains(32):
-        fake = SimpleNamespace(chain=chain)
+        U = np.array([u.values for u in chain])
+        fake = SimpleNamespace(M=chain, grow=lambda k: U[:k])
         got = orbit_tob_verdict(None, None, orbits=lambda f: fake)
         assert got == per_link_orbit_tob_verdict(chain)
         verdicts.add(got)
@@ -309,7 +310,7 @@ def test_orbit_tob_verdict_equals_per_link_oracle():
     orbits = relative.OrbitCache(ext)
     for x0 in range(ext.upstairs.size):
         f = delta(ext.upstairs.size, x0)
-        expected = per_link_orbit_tob_verdict(orbits(f).chain)
+        expected = per_link_orbit_tob_verdict(defect_chain(orbits(f).M))
         assert orbit_tob_verdict(f, ext, orbits=orbits) == expected
 
 

@@ -22,8 +22,10 @@ from latnorm.fixtures import (
     random_extension,
     random_function,
     rotation_extension,
+    symmetric_extension,
 )
 from latnorm.stone import ComplexCoefficient
+from oracles import frontier_group_closure
 
 TOL = 1e-9
 
@@ -152,6 +154,29 @@ class TestEnumerateGroup:
     def test_cap_enforced(self):
         with pytest.raises(CapExceededError):
             enumerate_group([MPMap([1, 2, 3, 4, 0]), MPMap([1, 0, 2, 3, 4])], cap=10)
+
+    def test_equals_frontier_oracle_in_order_and_cap(self):
+        rng = np.random.default_rng(5)
+        cases = []
+        for _ in range(200):
+            n = int(rng.integers(1, 8))
+            gens = [MPMap(rng.permutation(n)) for _ in range(rng.integers(1, 4))]
+            cases.append((gens, int(10 ** rng.uniform(np.log10(5), 5))))
+        for k, order in ((4, 24), (5, 120)):
+            for q in (1, 2):
+                gens = symmetric_extension(k, q).upstairs_gens
+                cases += [(gens, cap) for cap in (order - 1, order, 10**5)]
+        capped = 0
+        for gens, cap in cases:
+            try:
+                ref = frontier_group_closure(gens, cap)
+            except CapExceededError:
+                capped += 1
+                with pytest.raises(CapExceededError):
+                    enumerate_group(gens, cap)
+                continue
+            assert enumerate_group(gens, cap) == ref
+        assert 10 <= capped < len(cases) - 10
 
     def test_measure_preservation_check(self):
         space = FiniteProbabilitySpace(["a", "b", "c"], [0.5, 0.25, 0.25])
