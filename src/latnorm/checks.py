@@ -54,7 +54,6 @@ from .stone import (
     exhaustion,
 )
 from .systems import (
-    RelModule,
     cond_expectation,
     embed_J,
     enumerate_group,
@@ -501,17 +500,14 @@ def check_adjoint_tower_isometry(rng, n=25):
 def check_encode_decode(rng, n=25):
     for _ in range(n):
         ext = fixtures.random_extension(rng)
-        rel = RelModule(ext)
+        rel = ext.rel
         f = fixtures.random_function(rng, ext.upstairs.size)
         g = fixtures.random_function(rng, ext.downstairs.size)
-        v = rel.encode(f)
-        assert np.allclose(rel.decode(v), f), "decode round trip"
-        assert v.lattice_norm().eq(rel_norm(f, ext), TOL), "encode isometry"
-        coeff = ComplexCoefficient(rel.space.base, g)
-        lhs = rel.encode(embed_J(g, ext) * f)
-        rhs = coeff * v
+        V = rel.encode(np.array([f, embed_J(g, ext) * f]))
+        assert np.allclose(rel.decode(V)[0], f), "decode round trip"
+        assert V.subset([0]).norm_sup().eq(rel_norm(f, ext), TOL), "encode isometry"
         assert all(
-            np.allclose(a, b) for a, b in zip(lhs.fibers, rhs.fibers)
+            np.allclose(s[1], g_w * s[0]) for g_w, s in zip(g, V.stacks)
         ), "module action through encode"
         total = ext.downstairs.integral(np.real(rel_inner(f, f, ext)))
         assert abs(total - ext.upstairs.norm2(f) ** 2) <= TOL
@@ -546,8 +542,7 @@ def check_conditional_ap(rng, n=10):
         eps = float(rng.uniform(0.2, 1.0))
         rep = is_conditionally_ap(f, ext, [eps])
         assert rep.verdicts[0]
-        rel = RelModule(ext)
-        assert defect(orbit(f, ext, rel), rep.witnesses[0]).value.le(eps, TOL)
+        assert defect(orbit(f, ext), rep.witnesses[0]).value.le(eps, TOL)
 
 
 def check_generated_submodule(rng, n=8):
@@ -558,15 +553,17 @@ def check_generated_submodule(rng, n=8):
     assert list(sb.ranks) == [2, 2], "rotation fibers have rank 2"
     for _ in range(n):
         ext = fixtures.random_extension(rng)
-        rel = RelModule(ext)
         f = fixtures.random_function(rng, ext.upstairs.size)
-        sb = generated_submodule(f, ext, rel)
+        sb = generated_submodule(f, ext)
+        basis = ext.rel.decode(sb.vectors)
         for t in ext.action.closure[: min(len(ext.action.closure), 8)]:
-            for j in range(len(sb)):
-                moved = rel.encode(ext.action.koopman(t, rel.decode(sb.vectors[j])))
-                proj = sb.project(moved)
-                gap = (moved - proj).lattice_norm().sup_norm()
-                assert gap <= 1e-8, "generated module not invariant"
+            moved = ext.rel.encode([ext.action.koopman(t, h) for h in basis])
+            proj = sb.project(moved)
+            gap = max(
+                np.max(np.linalg.norm(a - b, axis=1))
+                for a, b in zip(moved.stacks, proj.stacks)
+            )
+            assert gap <= 1e-8, "generated module not invariant"
 
 
 def check_kronecker(rng):
@@ -603,13 +600,12 @@ def check_ap_module_closure(rng, n=6):
 def check_orbit_in_submodule_net(rng, n=5):
     for _ in range(n):
         ext = fixtures.random_extension(rng, max_base=3, max_fiber=2)
-        rel = RelModule(ext)
         f = fixtures.random_function(rng, ext.upstairs.size)
-        sb = generated_submodule(f, ext, rel)
+        sb = generated_submodule(f, ext)
         c = rel_norm(f, ext).sup_norm()
         eps = 0.5
         net = heine_borel_net(sb.vectors, c + 1e-9, eps, cap=10**7)
-        assert defect(orbit(f, ext, rel), net).value.le(eps, TOL), "orbit escapes net"
+        assert defect(orbit(f, ext), net).value.le(eps, TOL), "orbit escapes net"
 
 
 def check_egoroff_localize(rng):

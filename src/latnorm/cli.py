@@ -106,8 +106,9 @@ def cmd_analyze(args) -> int:
         e = np.zeros(n_x)
         e[x] = 1.0
         table[:, x] = np.real(cond_expectation(e, ext))
-    deltas = tuple(args.delta) if args.delta else (0.25, 0.1)
-    cross = theorem_cross_check(ext, eps_values=tuple(args.eps), delta_values=deltas)
+    cross = theorem_cross_check(
+        ext, eps_values=tuple(args.eps), delta_values=tuple(args.delta)
+    )
     report = {
         "validation": validation.to_json_dict(),
         "cond_expectation": table.tolist(),
@@ -353,11 +354,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_DEFAULT_EPS = {
-    "analyze": [0.5, 0.25],
-    "tob": [0.5, 0.1],
-    "zonotope": [0.5],
-    "cyclic": [0.5, 0.1],
+# list-valued defaults, filled in after parsing: with ``action="append"`` an
+# argparse default would be extended by the given values, not replaced
+_DEFAULTS = {
+    "analyze": {"eps": [0.5, 0.25], "delta": [0.25, 0.1]},
+    "tob": {"eps": [0.5, 0.1]},
+    "zonotope": {"eps": [0.5]},
+    "cyclic": {"eps": [0.5, 0.1]},
 }
 
 
@@ -367,8 +370,9 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code
-    if getattr(args, "eps", None) is None and args.command in _DEFAULT_EPS:
-        args.eps = _DEFAULT_EPS[args.command]
+    for name, value in _DEFAULTS.get(args.command, {}).items():
+        if getattr(args, name) is None:
+            setattr(args, name, value)
     try:
         return args.func(args)
     except SchemaError as exc:

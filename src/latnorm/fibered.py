@@ -158,7 +158,8 @@ class FiniteSet:
 
     def __init__(self, space: FiberSpace, stacks: Sequence[np.ndarray], n: int):
         self.space = space
-        self.stacks = [np.asarray(s, dtype=complex) for s in stacks]
+        # C order: ``_dist`` views each row as floats along the last axis
+        self.stacks = [np.ascontiguousarray(s, dtype=complex) for s in stacks]
         self._n = int(n)
         for s, d in zip(self.stacks, space.dims):
             if s.shape != (self._n, d):
@@ -441,10 +442,10 @@ def truncate_to_ball(F: FiniteSet, r: float, tol: float = DEFAULT_TOL) -> Finite
 
     Each y is replaced by p*y where p is the idempotent of {|y| <= 2r}. For
     any probe set inside the ball of radius r this never increases pointwise
-    nearest distances.
+    nearest distances. r = 0 is allowed: the ball is then the zero set.
     """
-    if r <= 0:
-        raise ValueError("r must be positive")
+    if r < 0:
+        raise ValueError("r must be nonnegative")
     stacks = []
     norms = _norm_table(F)
     keep = norms <= 2.0 * r + tol

@@ -18,19 +18,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .fibered import (
-    FiniteSet,
-    ModuleVector,
-    Traversal,
-    defect,
-    is_utob,
-)
-from .stone import (
-    DEFAULT_TOL,
-    ComplexCoefficient,
-    Idempotent,
-    StoneElement,
-)
+from .fibered import FiniteSet, Traversal, defect, is_utob, set_sum
+from .stone import DEFAULT_TOL, Idempotent, StoneElement
 from .systems import Extension, RelModule, _generator_steps, _walk_orbit, embed_J
 
 
@@ -56,13 +45,9 @@ def orbit_functions(f, ext: Extension, tol: float = DEFAULT_TOL) -> np.ndarray:
     return np.array(images, dtype=complex)
 
 
-def orbit(
-    f, ext: Extension, rel: RelModule | None = None, tol: float = DEFAULT_TOL
-) -> FiniteSet:
+def orbit(f, ext: Extension, tol: float = DEFAULT_TOL) -> FiniteSet:
     """Orbit of f encoded into the fiberwise module of the extension."""
-    rel = rel or RelModule(ext)
-    funcs = orbit_functions(f, ext, tol)
-    return FiniteSet.from_vectors([rel.encode(g) for g in funcs], rel.space)
+    return ext.rel.encode(orbit_functions(f, ext, tol))
 
 
 class OrbitCache:
@@ -74,11 +59,8 @@ class OrbitCache:
     at the cache's tol, instead of walking their own.
     """
 
-    def __init__(
-        self, ext: Extension, rel: RelModule | None = None, tol: float = DEFAULT_TOL
-    ):
+    def __init__(self, ext: Extension, tol: float = DEFAULT_TOL):
         self.ext = ext
-        self.rel = rel or RelModule(ext)
         self.tol = tol
         self._memo: dict[bytes, Traversal] = {}
 
@@ -87,7 +69,7 @@ class OrbitCache:
         key = f.tobytes()
         hit = self._memo.get(key)
         if hit is None:
-            hit = Traversal(orbit(f, self.ext, self.rel, self.tol))
+            hit = Traversal(orbit(f, self.ext, self.tol))
             self._memo[key] = hit
         return hit
 
@@ -123,7 +105,6 @@ def is_conditionally_ap(
     f,
     ext: Extension,
     eps_values: Sequence[float],
-    rel: RelModule | None = None,
     tol: float = DEFAULT_TOL,
     orbits: OrbitCache | None = None,
 ) -> APReport:
@@ -132,8 +113,7 @@ def is_conditionally_ap(
     Every eps reads its witness off the one traversal of the orbit.
     """
     if orbits is None:
-        orbits = OrbitCache(ext, rel, tol)
-    rel = orbits.rel
+        orbits = OrbitCache(ext, tol)
     trav = orbits(f)
     verdicts, witnesses, defects = [], [], []
     for eps in eps_values:
@@ -141,7 +121,9 @@ def is_conditionally_ap(
         verdicts.append(bool(rep.verdict))
         witnesses.append(rep.witness)
         defects.append(
-            rep.report.value if rep.report is not None else StoneElement.zeros(rel.space.base)
+            rep.report.value
+            if rep.report is not None
+            else StoneElement.zeros(trav.M.space.base)
         )
     return APReport(np.asarray(f, dtype=complex), tuple(eps_values), verdicts, witnesses, defects)
 
@@ -155,7 +137,6 @@ def defect_chain(M: FiniteSet) -> list[StoneElement]:
 def orbit_tob_verdict(
     f,
     ext: Extension,
-    rel: RelModule | None = None,
     tol: float = DEFAULT_TOL,
     orbits: OrbitCache | None = None,
 ) -> bool:
@@ -166,7 +147,7 @@ def orbit_tob_verdict(
     zero, with no uniformity requirement along the way.
     """
     if orbits is None:
-        orbits = OrbitCache(ext, rel, tol)
+        orbits = OrbitCache(ext, tol)
     trav = orbits(f)
     U = trav.grow(len(trav.M))
     return bool(np.all(U[1:] <= U[:-1] + tol) and np.all(U[-1] <= tol))
@@ -191,20 +172,18 @@ class SubmoduleBasis:
     def __len__(self):
         return len(self.vectors)
 
-    def project(self, x: ModuleVector) -> ModuleVector:
-        """Fiberwise orthogonal projection onto the generated module."""
-        fibers = []
-        for w in range(self.module.space.n_points):
-            B = self.vectors.stacks[w]  # (n_basis, d_w)
-            coeffs = np.conj(B) @ x.fibers[w]
-            fibers.append(coeffs @ B)
-        return ModuleVector(self.module.space, fibers)
+    def project(self, X: FiniteSet) -> FiniteSet:
+        """Fiberwise orthogonal projection of every element of X onto the
+        generated module."""
+        stacks = [
+            (s @ np.conj(B).T) @ B for s, B in zip(X.stacks, self.vectors.stacks)
+        ]
+        return FiniteSet(self.module.space, stacks, len(X))
 
 
 def generated_submodule(
     f,
     ext: Extension,
-    rel: RelModule | None = None,
     tol: float = DEFAULT_TOL,
     orbits: OrbitCache | None = None,
 ) -> SubmoduleBasis:
@@ -215,26 +194,20 @@ def generated_submodule(
     The result is invariant under the action because the orbit is.
     """
     if orbits is None:
-        orbits = OrbitCache(ext, rel, tol)
-    rel = orbits.rel
+        orbits = OrbitCache(ext, tol)
     orb = orbits(f).M
-    n_pts = rel.space.n_points
     fiber_bases = []
-    ranks = np.zeros(n_pts, dtype=int)
-    for w in range(n_pts):
-        stack = orb.stacks[w]
+    for stack, d in zip(orb.stacks, orb.space.dims):
         _, sv, vh = np.linalg.svd(stack, full_matrices=False)
-        r = int(np.sum(sv > tol * rel.space.dims[w]))
-        fiber_bases.append(vh[:r])
-        ranks[w] = r
-    n_basis = int(np.max(ranks)) if n_pts else 0
+        fiber_bases.append(vh[: int(np.sum(sv > tol * d))])
+    ranks = np.array([len(b) for b in fiber_bases], dtype=int)
+    n_basis = int(ranks.max())
     stacks = []
-    for w in range(n_pts):
-        d = rel.space.dims[w]
+    for b, d in zip(fiber_bases, orb.space.dims):
         s = np.zeros((n_basis, d), dtype=complex)
-        s[: ranks[w], :] = fiber_bases[w]
+        s[: len(b)] = b
         stacks.append(s)
-    return SubmoduleBasis(rel, FiniteSet(rel.space, stacks, n_basis), ranks)
+    return SubmoduleBasis(ext.rel, FiniteSet(orb.space, stacks, n_basis), ranks)
 
 
 def _phi(vectors: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -283,28 +256,24 @@ def kronecker_subspace(
     """Span of the invariant modules generated by every point indicator.
 
     Each generated module is expanded into plain functions by cutting its
-    decoded basis down to single fibers, and the union is orthonormalized
-    in the weighted inner product upstairs.
+    decoded basis down to single fibers (rows ordered by seed point, basis
+    vector, then fiber; all-zero cuts dropped), and the union is
+    orthonormalized in the weighted inner product upstairs.
     """
     if orbits is None:
-        orbits = OrbitCache(ext, tol=tol)
-    rel = orbits.rel
+        orbits = OrbitCache(ext, tol)
     n_x = ext.upstairs.size
-    n_y = ext.downstairs.size
+    on_fiber = ext.factor == np.arange(ext.downstairs.size)[:, None]  # (n_y, n_x)
     vectors = []
     seed_ranks = []
     for x0 in range(n_x):
         f = np.zeros(n_x, dtype=complex)
         f[x0] = 1.0
-        sb = generated_submodule(f, ext, rel, tol, orbits)
+        sb = generated_submodule(f, ext, tol, orbits)
         seed_ranks.append(len(sb))
-        for j in range(len(sb)):
-            h = rel.decode(sb.vectors[j])
-            for y in range(n_y):
-                cut = h * (ext.factor == y)
-                if np.any(np.abs(cut) > 0):
-                    vectors.append(cut)
-    stack = np.array(vectors, dtype=complex)
+        cuts = (ext.rel.decode(sb.vectors)[:, None, :] * on_fiber).reshape(-1, n_x)
+        vectors.append(cuts[np.any(np.abs(cuts) > 0, axis=1)])
+    stack = np.concatenate(vectors)
     basis = span_basis(_phi(stack, ext.upstairs.weights))
     return KroneckerReport(basis.shape[0], basis, seed_ranks)
 
@@ -453,8 +422,7 @@ def theorem_cross_check(
     Each indicator's orbit is walked and traversed once; every pipeline,
     the localized indicators included, reads from that one traversal.
     """
-    rel = RelModule(ext)
-    orbits = OrbitCache(ext, rel)
+    orbits = OrbitCache(ext)
     n_x = ext.upstairs.size
     w = ext.upstairs.weights
 
@@ -468,15 +436,15 @@ def theorem_cross_check(
     for x0 in range(n_x):
         f = np.zeros(n_x, dtype=complex)
         f[x0] = 1.0
-        rep = is_conditionally_ap(f, ext, eps_values, rel, orbits=orbits)
+        rep = is_conditionally_ap(f, ext, eps_values, orbits=orbits)
         ap_verdicts.append(rep.all_pass)
         ap_sizes.append([len(w) for w in rep.witnesses])
         if rep.all_pass:
             ap_members.append(f)
-        if orbit_tob_verdict(f, ext, rel, orbits=orbits):
+        if orbit_tob_verdict(f, ext, orbits=orbits):
             tob_members.append(f)
         trav = orbits(f)
-        chain = [StoneElement(rel.space.base, u) for u in trav.grow(len(trav.M))]
+        chain = [StoneElement(trav.M.space.base, u) for u in trav.grow(len(trav.M))]
         for delta in delta_values:
             loc = egoroff_localize(
                 chain, ext.downstairs.weights, delta, eps_values=[eps_ref]
@@ -487,7 +455,7 @@ def theorem_cross_check(
             else:
                 thresholds[delta] = max(thresholds[delta], t_here)
             mask = embed_J(loc.kept.mask.astype(complex), ext)
-            rep_loc = is_conditionally_ap(mask * f, ext, eps_values, rel, orbits=orbits)
+            rep_loc = is_conditionally_ap(mask * f, ext, eps_values, orbits=orbits)
             egoroff_ok = egoroff_ok and rep_loc.all_pass
 
     ap_stack = np.array(ap_members, dtype=complex).reshape(len(ap_members), n_x)
@@ -545,42 +513,40 @@ def ap_closure_properties(
     product (lifted h times f) by coefficient multiples of f's witness at
     eps * max|h|, and conjugate/modulus by the transformed witness at eps.
     """
-    from .fibered import set_sum  # local import keeps module load light
-
-    rel = RelModule(ext)
     f = np.asarray(f, dtype=complex)
     g = np.asarray(g, dtype=complex)
     h = np.asarray(h, dtype=complex)
-    wit_f = is_utob(orbit(f, ext, rel), eps, tol).witness
-    wit_g = is_utob(orbit(g, ext, rel), eps, tol).witness
+    wit_f = is_utob(orbit(f, ext), eps, tol).witness
+    wit_g = is_utob(orbit(g, ext), eps, tol).witness
+    space = wit_f.space
 
     out = {}
-    sum_orbit = orbit(f + g, ext, rel)
+    sum_orbit = orbit(f + g, ext)
     out["sum"] = defect(sum_orbit, set_sum(wit_f, wit_g)).value.le(2 * eps, 10 * tol)
 
-    base_y = rel.space.base
-    coeffs = _walk_orbit(
-        h, _generator_steps(ext.downstairs_gens), np.ndarray.tobytes, ext.cap
+    # every coefficient of h's orbit times every element of f's witness,
+    # coefficient-major
+    steps_y = _generator_steps(ext.downstairs_gens)
+    coeffs = np.array(_walk_orbit(h, steps_y, np.ndarray.tobytes, ext.cap))
+    wit_mod = FiniteSet(
+        space,
+        [
+            (coeffs[:, w, None, None] * s).reshape(-1, s.shape[1])
+            for w, s in enumerate(wit_f.stacks)
+        ],
+        len(coeffs) * len(wit_f),
     )
-    scaled = []
-    for vals in coeffs:
-        lam = ComplexCoefficient(base_y, vals)
-        for y in wit_f:
-            scaled.append(lam * y)
-    wit_mod = FiniteSet.from_vectors(scaled, rel.space)
-    mod_orbit = orbit(embed_J(h, ext) * f, ext, rel)
+    mod_orbit = orbit(embed_J(h, ext) * f, ext)
     bound = eps * float(np.max(np.abs(h)))
     out["module_action"] = defect(mod_orbit, wit_mod).value.le(bound, 10 * tol)
 
-    conj_orbit = orbit(np.conj(f), ext, rel)
-    wit_conj = FiniteSet(
-        rel.space, [np.conj(s) for s in wit_f.stacks], len(wit_f)
-    )
+    conj_orbit = orbit(np.conj(f), ext)
+    wit_conj = FiniteSet(space, [np.conj(s) for s in wit_f.stacks], len(wit_f))
     out["conjugation"] = defect(conj_orbit, wit_conj).value.le(eps, 10 * tol)
 
-    abs_orbit = orbit(np.abs(f).astype(complex), ext, rel)
+    abs_orbit = orbit(np.abs(f).astype(complex), ext)
     wit_abs = FiniteSet(
-        rel.space, [np.abs(s).astype(complex) for s in wit_f.stacks], len(wit_f)
+        space, [np.abs(s).astype(complex) for s in wit_f.stacks], len(wit_f)
     )
     out["modulus"] = defect(abs_orbit, wit_abs).value.le(eps, 10 * tol)
     return out

@@ -4,7 +4,10 @@ Dynamics are measure-preserving point permutations acting by composition
 (Koopman operators); an extension is a factor map intertwining two such
 systems. The conditional expectation averages over factor fibers, and the
 relative inner product/norm turn the upstairs function space into a
-fiberwise module over the downstairs algebra via ``RelModule.encode``.
+fiberwise module over the downstairs algebra. ``Extension.rel`` is that
+module (a ``RelModule``, built once per extension); it encodes a whole
+stack of functions into a ``FiniteSet`` and decodes one back, one fancy
+index per fiber.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from .errors import (
     DimensionMismatchError,
     UnknownGroupElementError,
 )
-from .fibered import FiberSpace, ModuleVector
+from .fibered import FiberSpace, FiniteSet
 from .stone import DEFAULT_TOL, PointSet, StoneElement
 
 
@@ -244,12 +247,20 @@ class Extension:
             raise ValueError("factor map image out of range")
         self.cap = cap
         self._action = None
+        self._rel = None
 
     @property
     def action(self) -> GroupAction:
         if self._action is None:
             self._action = GroupAction(self.upstairs, self.upstairs_gens, self.cap)
         return self._action
+
+    @property
+    def rel(self) -> "RelModule":
+        """The fiberwise module of the extension, built on first use."""
+        if self._rel is None:
+            self._rel = RelModule(self)
+        return self._rel
 
     def downstairs_perm(self, t) -> np.ndarray:
         """Downstairs image of an upstairs closure element."""
@@ -345,8 +356,9 @@ class RelModule:
 
     The fiber over a downstairs point lists its preimage points in order;
     ``encode`` rescales by the square root of the conditional weights so
-    the Euclidean fiber norm of the encoded vector equals the relative
-    norm of the function.
+    the Euclidean fiber norm of an encoded function equals its relative
+    norm. Functions travel as ``(k, n_x)`` arrays, one per row, and module
+    elements as ``FiniteSet`` stacks.
     """
 
     def __init__(self, ext: Extension):
@@ -364,15 +376,22 @@ class RelModule:
             for y, pts in enumerate(self.fiber_points)
         ]
 
-    def encode(self, f: np.ndarray) -> ModuleVector:
-        f = np.asarray(f, dtype=complex)
-        fibers = [
-            f[pts] * sw for pts, sw in zip(self.fiber_points, self.sqrt_weights)
+    def encode(self, fs: np.ndarray) -> FiniteSet:
+        """The rows of a ``(k, n_x)`` array of functions as k module elements."""
+        fs = np.asarray(fs, dtype=complex)
+        n_x = self.ext.upstairs.size
+        if fs.ndim != 2 or fs.shape[1] != n_x:
+            raise DimensionMismatchError(
+                f"expected a (k, {n_x}) array of functions, got shape {fs.shape}"
+            )
+        stacks = [
+            fs[:, pts] * sw for pts, sw in zip(self.fiber_points, self.sqrt_weights)
         ]
-        return ModuleVector(self.space, fibers)
+        return FiniteSet(self.space, stacks, len(fs))
 
-    def decode(self, v: ModuleVector) -> np.ndarray:
-        out = np.zeros(self.ext.upstairs.size, dtype=complex)
-        for pts, sw, fib in zip(self.fiber_points, self.sqrt_weights, v.fibers):
-            out[pts] = fib / sw
+    def decode(self, F: FiniteSet) -> np.ndarray:
+        """The ``(len(F), n_x)`` array of functions that ``encode`` maps to F."""
+        out = np.zeros((len(F), self.ext.upstairs.size), dtype=complex)
+        for pts, sw, s in zip(self.fiber_points, self.sqrt_weights, F.stacks):
+            out[:, pts] = s / sw
         return out

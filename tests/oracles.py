@@ -8,14 +8,22 @@ import numpy as np
 from latnorm import (
     CapExceededError,
     ConstructionError,
+    FiberSpace,
     FiniteSet,
     Idempotent,
+    KroneckerReport,
+    ModuleVector,
+    OrbitCache,
     defect,
     disc_grid,
     exhaustion,
+    generated_submodule,
     greedy_order,
     truncate_to_ball,
 )
+from latnorm.fixtures import random_extension, rotation_extension, symmetric_extension
+from latnorm.relative import _phi, span_basis
+from latnorm.systems import Extension, FiniteProbabilitySpace, MPMap
 
 
 def grid_zonotope_distance(x, F, mesh=0.01):
@@ -89,6 +97,88 @@ def closure_orbit_functions(f, ext, tol=1e-9):
         if key not in seen:
             seen[key] = g
     return np.array(list(seen.values()), dtype=complex)
+
+
+def _fiber_encoding(ext):
+    """Fiber point lists, fiber space and square-root conditional weights
+    of the module encoding, from the extension alone."""
+    points = ext.fibers()
+    space = FiberSpace(ext.downstairs.point_set(), tuple(len(p) for p in points))
+    sqrt_w = [
+        np.sqrt(ext.upstairs.weights[p] / ext.downstairs.weights[y])
+        for y, p in enumerate(points)
+    ]
+    return points, space, sqrt_w
+
+
+def uneven_extension():
+    """Static base under fibers of 2, 4 and 1 points that interleave upstairs,
+    with unequal weights across fibers: a swap on one fiber, a 4-cycle on
+    another."""
+    up = FiniteProbabilitySpace(
+        [f"x{i}" for i in range(7)], [0.1, 0.2, 0.1, 0.1, 0.2, 0.2, 0.1]
+    )
+    down = FiniteProbabilitySpace(["y0", "y1", "y2"], [0.4, 0.4, 0.2])
+    swap = MPMap([0, 5, 2, 3, 4, 1, 6])
+    cycle = MPMap([2, 1, 3, 6, 4, 5, 0])
+    ident = MPMap([0, 1, 2])
+    return Extension(up, [swap, cycle], down, [ident, ident], [1, 0, 1, 1, 2, 0, 1])
+
+
+def encoding_cases():
+    """Extensions for the encoding oracles: uneven interleaved fibers,
+    rotation and symmetric-group extensions, then random ones."""
+    rng = np.random.default_rng(41)
+    yield uneven_extension()
+    yield rotation_extension(6, 3)
+    yield symmetric_extension(4, 2)
+    for _ in range(8):
+        yield random_extension(rng)
+
+
+def per_function_encode(fs, ext):
+    """Encode one function at a time as a ``ModuleVector`` and restack the
+    vectors with ``FiniteSet.from_vectors``."""
+    points, space, sqrt_w = _fiber_encoding(ext)
+    vectors = [
+        ModuleVector(space, [f[p] * sw for p, sw in zip(points, sqrt_w)])
+        for f in np.asarray(fs, dtype=complex)
+    ]
+    return FiniteSet.from_vectors(vectors, space)
+
+
+def per_function_decode(F, ext):
+    """Decode one element (``F[j]``) at a time: the ``(len(F), n_x)`` array."""
+    points, _, sqrt_w = _fiber_encoding(ext)
+    rows = []
+    for v in F:
+        out = np.zeros(ext.upstairs.size, dtype=complex)
+        for p, sw, fib in zip(points, sqrt_w, v.fibers):
+            out[p] = fib / sw
+        rows.append(out)
+    return np.array(rows, dtype=complex).reshape(len(F), ext.upstairs.size)
+
+
+def per_cut_kronecker_subspace(ext, tol=1e-9):
+    """Kronecker subspace from generated bases decoded one element at a time
+    and cut to one fiber at a time, all-zero cuts dropped."""
+    orbits = OrbitCache(ext, tol)
+    n_x = ext.upstairs.size
+    vectors, seed_ranks = [], []
+    for x0 in range(n_x):
+        f = np.zeros(n_x, dtype=complex)
+        f[x0] = 1.0
+        sb = generated_submodule(f, ext, tol, orbits)
+        seed_ranks.append(len(sb))
+        for j in range(len(sb)):
+            h = per_function_decode(sb.vectors.subset([j]), ext)[0]
+            for y in range(ext.downstairs.size):
+                cut = h * (ext.factor == y)
+                if np.any(np.abs(cut) > 0):
+                    vectors.append(cut)
+    stack = np.array(vectors, dtype=complex)
+    basis = span_basis(_phi(stack, ext.upstairs.weights))
+    return KroneckerReport(basis.shape[0], basis, seed_ranks)
 
 
 def brute_force_greedy_order(M):

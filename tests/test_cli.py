@@ -144,6 +144,24 @@ class TestCommands:
         out = json.loads(capsys.readouterr().out)
         assert out["results"]["0.5"]["verified"] is True
 
+    def test_cyclic_zero_set_at_zero_tol_has_radius_zero(self, tmp_path, capsys):
+        path = tmp_path / "zero.json"
+        path.write_text(
+            json.dumps({"space": {"points": ["a"], "dims": [1]}, "sets": {"M": [[[0.0]]]}})
+        )
+        assert main(["cyclic", str(path), "--tol", "0"]) == 0
+        captured = capsys.readouterr()
+        out = json.loads(captured.out)
+        assert out["radius"] == 0.0 and captured.err == ""
+        assert all(r["verified"] is True for r in out["results"].values())
+
+    def test_analyze_config_holds_the_effective_delta(self, ext_doc, capsys):
+        assert main(["analyze", ext_doc]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["config"]["delta"] == [0.25, 0.1]
+        thresholds = out["cross_check"]["egoroff_thresholds"]
+        assert [str(d) for d in out["config"]["delta"]] == list(thresholds)
+
     def test_counterexample_csv(self, capsys):
         assert main(["counterexample", "--n", "8", "--format", "csv"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()

@@ -13,7 +13,6 @@ from latnorm import (
     IterationLimitError,
     ModuleVector,
     PointSet,
-    RelModule,
     SizeCapError,
     StoneElement,
     Traversal,
@@ -173,11 +172,10 @@ def _traversal_cases():
     M = random_finite_set(rng, random_fiber_space(rng), 4)
     yield M.subset([0, 1, 0, 2, 3, 1, 3])
     for ext in (rotation_extension(12, 3), random_extension(rng), random_extension(rng)):
-        rel = RelModule(ext)
         for x0 in range(min(ext.upstairs.size, 3)):
             f = np.zeros(ext.upstairs.size, dtype=complex)
             f[x0] = 1.0
-            yield orbit(f, ext, rel)
+            yield orbit(f, ext)
 
 
 class TestTraversal:
@@ -305,6 +303,35 @@ class TestDistanceFormula:
                 assert np.all(np.abs(got - ref) <= 4 * np.spacing(ref))
                 assert np.all(np.diag(got) == 0.0)
                 assert got[0, -1] == got[-1, 0] == 0.0
+
+
+class TestStackLayout:
+    def test_strided_stacks_give_the_c_ordered_results(self):
+        # Fortran-ordered and column-reversed stacks are stored C-ordered,
+        # so every kernel reads them exactly as it reads C-ordered copies
+        def results(M, F):
+            rep, trav = defect(M, F), Traversal(M)
+            radii = trav.grow(len(M))
+            return [
+                rep.value.values.tobytes(),
+                rep.argmin.tobytes(),
+                prefix_defects(M, F).tobytes(),
+                radii.tobytes(),
+                trav.order,
+            ]
+
+        def rebuilt(X, layout):
+            return FiniteSet(X.space, [layout(s) for s in X.stacks], len(X))
+
+        for seed, M in enumerate(_uneven_sets()):
+            if seed % 6:
+                continue
+            F = random_finite_set(np.random.default_rng(2000 + seed), M.space, 5)
+            for layout in (np.asfortranarray, lambda s: s[:, ::-1]):
+                copy = lambda s: np.array(layout(s), order="C")
+                assert results(rebuilt(M, layout), rebuilt(F, layout)) == results(
+                    rebuilt(M, copy), rebuilt(F, copy)
+                )
 
 
 class TestPrefixDefects:
@@ -539,6 +566,13 @@ class TestTruncate:
         out = truncate_to_ball(F, r=10.0)
         for a, b in zip(out.stacks, F.stacks):
             assert np.allclose(a, b)
+
+    def test_zero_radius_keeps_only_zero_fibers(self):
+        space = single_fiber_space()
+        out = truncate_to_ball(scalars(space, 0.0, 5.0), r=0.0, tol=0.0)
+        assert out.stacks[0].tolist() == [[0j], [0j]]
+        with pytest.raises(ValueError):
+            truncate_to_ball(scalars(space, 1.0), r=-1.0)
 
     def test_oversized_scalar_zeroed(self):
         space = single_fiber_space()

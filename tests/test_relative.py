@@ -39,6 +39,8 @@ from latnorm.seqmodel import build_counterexample
 from latnorm.systems import embed_J
 from oracles import (
     closure_orbit_functions,
+    encoding_cases,
+    per_cut_kronecker_subspace,
     per_link_egoroff_localize,
     per_link_orbit_tob_verdict,
 )
@@ -135,11 +137,10 @@ class TestConditionallyAP:
     def test_witness_recheck(self):
         rng = np.random.default_rng(4)
         ext = random_extension(rng)
-        rel = RelModule(ext)
         f = random_function(rng, ext.upstairs.size)
         eps = 0.3
-        rep = is_conditionally_ap(f, ext, [eps], rel)
-        assert defect(orbit(f, ext, rel), rep.witnesses[0]).value.le(eps, TOL)
+        rep = is_conditionally_ap(f, ext, [eps])
+        assert defect(orbit(f, ext), rep.witnesses[0]).value.le(eps, TOL)
 
 
 class TestGeneratedSubmodule:
@@ -157,16 +158,14 @@ class TestGeneratedSubmodule:
         rng = np.random.default_rng(5)
         for _ in range(5):
             ext = random_extension(rng)
-            rel = RelModule(ext)
             f = random_function(rng, ext.upstairs.size)
-            sb = generated_submodule(f, ext, rel)
+            sb = generated_submodule(f, ext)
+            basis = ext.rel.decode(sb.vectors)
             for t in ext.action.closure[:6]:
-                for j in range(len(sb)):
-                    moved = rel.encode(
-                        ext.action.koopman(t, rel.decode(sb.vectors[j]))
-                    )
-                    gap = (moved - sb.project(moved)).lattice_norm().sup_norm()
-                    assert gap <= 1e-8
+                moved = ext.rel.encode([ext.action.koopman(t, h) for h in basis])
+                proj = sb.project(moved)
+                for a, b in zip(moved.stacks, proj.stacks):
+                    assert np.max(np.linalg.norm(a - b, axis=1)) <= 1e-8
 
     def test_suborthonormal_output(self):
         ext = rotation_extension(6, 2)
@@ -181,6 +180,12 @@ class TestGeneratedSubmodule:
 
 
 class TestKronecker:
+    def test_bit_equal_to_per_cut_oracle(self):
+        for ext in encoding_cases():
+            kr, oracle = kronecker_subspace(ext), per_cut_kronecker_subspace(ext)
+            assert kr.dim == oracle.dim and kr.seed_ranks == oracle.seed_ranks
+            assert kr.basis_phi.tobytes() == oracle.basis_phi.tobytes()
+
     def test_identity_action_full(self):
         ext = still_extension(5)
         assert kronecker_subspace(ext).dim == 5
@@ -243,12 +248,11 @@ class TestEgoroffLocalize:
     def test_localized_function_stays_ap(self):
         rng = np.random.default_rng(8)
         ext = random_extension(rng)
-        rel = RelModule(ext)
         f = random_function(rng, ext.upstairs.size)
-        chain = defect_chain(orbit(f, ext, rel))
+        chain = defect_chain(orbit(f, ext))
         rep = egoroff_localize(chain, ext.downstairs.weights, delta=0.25)
         mask = embed_J(rep.kept.mask.astype(complex), ext)
-        assert is_conditionally_ap(mask * f, ext, [0.5, 0.1], rel).all_pass
+        assert is_conditionally_ap(mask * f, ext, [0.5, 0.1]).all_pass
 
 
 def random_chains(seed, count=300, tol=TOL):
@@ -322,6 +326,16 @@ def test_egoroff_rejects_chains_on_mixed_point_sets():
 
 
 class TestCrossCheck:
+    def test_builds_one_rel_module(self, monkeypatch):
+        ext = random_extension(np.random.default_rng(34))
+        built = []
+        init = RelModule.__init__
+        monkeypatch.setattr(
+            RelModule, "__init__", lambda self, e: built.append(e) or init(self, e)
+        )
+        theorem_cross_check(ext)
+        assert built == [ext]
+
     def test_identity_everything_coincides(self):
         rep = theorem_cross_check(still_extension(4))
         assert rep.kronecker_dim == 4
@@ -431,12 +445,11 @@ def test_orbit_inside_generated_net():
     # the orbit sits inside its generated module and the module net covers it
     rng = np.random.default_rng(13)
     ext = rotation_extension(6, 3)
-    rel = RelModule(ext)
     f = random_function(rng, 6)
-    sb = generated_submodule(f, ext, rel)
+    sb = generated_submodule(f, ext)
     c = rel_norm(f, ext).sup_norm()
     net = heine_borel_net(sb.vectors, c + 1e-9, eps=0.5, cap=10**7)
-    assert defect(orbit(f, ext, rel), net).value.le(0.5, TOL)
+    assert defect(orbit(f, ext), net).value.le(0.5, TOL)
 
 
 def test_span_utilities():

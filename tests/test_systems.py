@@ -3,6 +3,7 @@ import pytest
 
 from latnorm import (
     CapExceededError,
+    DimensionMismatchError,
     Extension,
     FiniteProbabilitySpace,
     GroupAction,
@@ -24,8 +25,12 @@ from latnorm.fixtures import (
     rotation_extension,
     symmetric_extension,
 )
-from latnorm.stone import ComplexCoefficient
-from oracles import frontier_group_closure
+from oracles import (
+    encoding_cases,
+    frontier_group_closure,
+    per_function_decode,
+    per_function_encode,
+)
 
 TOL = 1e-9
 
@@ -252,40 +257,69 @@ class TestEmbed:
 
 class TestRelModule:
     def test_unit_has_unit_fibers(self):
-        rel = RelModule(uniform_4_over_2())
-        v = rel.encode(np.ones(4, dtype=complex))
-        assert np.allclose(v.lattice_norm().values, 1.0)
+        rel = uniform_4_over_2().rel
+        V = rel.encode(np.ones((1, 4), dtype=complex))
+        assert np.allclose(V.norm_sup().values, 1.0)
 
     def test_round_trip(self):
         rng = np.random.default_rng(9)
         for _ in range(10):
             ext = random_extension(rng)
-            rel = RelModule(ext)
-            f = random_function(rng, ext.upstairs.size)
-            assert np.allclose(rel.decode(rel.encode(f)), f)
+            fs = np.array([random_function(rng, ext.upstairs.size) for _ in range(3)])
+            assert np.allclose(ext.rel.decode(ext.rel.encode(fs)), fs)
 
     def test_encode_is_isometric(self):
         rng = np.random.default_rng(10)
         for _ in range(10):
             ext = random_extension(rng)
-            rel = RelModule(ext)
             f = random_function(rng, ext.upstairs.size)
-            assert rel.encode(f).lattice_norm().eq(rel_norm(f, ext), TOL)
+            assert ext.rel.encode(f[None]).norm_sup().eq(rel_norm(f, ext), TOL)
 
     def test_encode_is_module_map(self):
         rng = np.random.default_rng(11)
         ext = rotation_extension(6, 3)
-        rel = RelModule(ext)
         f = random_function(rng, 6)
         g = random_function(rng, 3)
-        lhs = rel.encode(embed_J(g, ext) * f)
-        rhs = ComplexCoefficient(rel.space.base, g) * rel.encode(f)
-        for a, b in zip(lhs.fibers, rhs.fibers):
-            assert np.allclose(a, b)
+        V = ext.rel.encode(np.array([embed_J(g, ext) * f, f]))
+        for g_w, s in zip(g, V.stacks):
+            assert np.allclose(s[0], g_w * s[1])
 
     def test_invalid_extension_rejected(self):
         with pytest.raises(ValueError):
             RelModule(broken_extension())
+        with pytest.raises(ValueError):
+            broken_extension().rel
+
+    def test_rejects_arrays_that_are_not_function_stacks(self):
+        rel = uniform_4_over_2().rel
+        for bad in (np.ones(4), np.ones((2, 3)), np.ones((1, 2, 4))):
+            with pytest.raises(DimensionMismatchError):
+                rel.encode(bad)
+
+    def test_built_once_per_extension(self):
+        ext = uniform_4_over_2()
+        assert ext.rel is ext.rel and ext.rel.ext is ext
+
+
+class TestStackEncoding:
+    """The stack ``encode``/``decode`` against the per-function oracles."""
+
+    def test_bit_equal_to_per_function_oracles(self):
+        rng = np.random.default_rng(42)
+        uneven = 0
+        for ext in encoding_cases():
+            uneven += len(set(ext.rel.space.dims)) > 1
+            for k in (1, 5):
+                fs = np.array([random_function(rng, ext.upstairs.size) for _ in range(k)])
+                F, oracle = ext.rel.encode(fs), per_function_encode(fs, ext)
+                assert F.space == oracle.space and len(F) == len(oracle) == k
+                for a, b in zip(F.stacks, oracle.stacks):
+                    assert a.shape == b.shape and a.tobytes() == b.tobytes()
+                    assert a.flags["C_CONTIGUOUS"]
+                back = ext.rel.decode(F)
+                assert back.tobytes() == per_function_decode(F, ext).tobytes()
+                assert back.shape == (k, ext.upstairs.size)
+        assert uneven >= 2
 
 
 def test_relative_isometry_paired_actions():
