@@ -38,6 +38,7 @@ from .fibered import (
     FiberSpace,
     FiberwiseMap,
     FiniteSet,
+    GridNet,
     ModuleVector,
     Traversal,
     UtobReport,

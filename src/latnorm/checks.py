@@ -17,6 +17,7 @@ import numpy as np
 from . import fixtures
 from .errors import IncompleteCoverError
 from .fibered import (
+    FiberSpace,
     FiberwiseMap,
     FiniteSet,
     ModuleVector,
@@ -275,6 +276,26 @@ def check_heine_borel(rng, n_samples=200, eps=0.5, c=1.0):
         samples.append(ModuleVector(space, fibers))
     M = FiniteSet.from_vectors(samples, space)
     assert defect(M, net).value.le(eps, TOL), "net misses a bounded element"
+
+
+def check_heine_borel_structured(rng, n_samples=50, eps=0.5):
+    """defect against a Heine-Borel net equals the dense defect bit for bit,
+    on a basis whose second row vanishes at one point, for samples at grid
+    midpoints (ties between net rows) and samples off the module."""
+    space = FiberSpace(PointSet.of_size(2), (2, 3))
+    stacks = []
+    for w, dim in enumerate(space.dims):
+        q, _ = np.linalg.qr(rng.standard_normal((dim, 2)) + 1j * rng.standard_normal((dim, 2)))
+        stacks.append(q.T * [[1.0], [float(w == 0)]])
+    net = heine_borel_net(FiniteSet(space, stacks, 2), 1.0, eps)
+    i, k = rng.integers(0, len(net.grid), (2, n_samples, 2))
+    ties = [0.5 * (net.grid[i] + net.grid[k]) @ s for s in stacks]
+    off = fixtures.random_finite_set(rng, space, n_samples, scale=0.5)
+    M = FiniteSet(space, [np.vstack(p) for p in zip(ties, off.stacks)], 2 * n_samples)
+    rep = defect(M, net)
+    ref = defect(M, net.subset(range(len(net))))
+    assert rep.value.values.tobytes() == ref.value.values.tobytes(), "value differs"
+    assert np.array_equal(rep.argmin, ref.argmin), "argmin differs"
 
 
 def check_utob_witness(rng, n=20):
@@ -557,7 +578,7 @@ def check_generated_submodule(rng, n=8):
         sb = generated_submodule(f, ext)
         basis = ext.rel.decode(sb.vectors)
         for t in ext.action.closure[: min(len(ext.action.closure), 8)]:
-            moved = ext.rel.encode([ext.action.koopman(t, h) for h in basis])
+            moved = ext.rel.encode(ext.action.koopman(t, basis))
             proj = sb.project(moved)
             gap = max(
                 np.max(np.linalg.norm(a - b, axis=1))
@@ -685,6 +706,7 @@ REGISTRY: list[tuple[str, Callable]] = [
     ("fibered.defect-truncation", check_defect_truncation),
     ("fibered.lipschitz-surrogate", check_lipschitz_surrogate),
     ("fibered.heine-borel", check_heine_borel),
+    ("fibered.heine-borel-structured", check_heine_borel_structured),
     ("fibered.utob-witness", check_utob_witness),
     ("fibered.zonotope-membership", check_zonotope_membership),
     ("fibered.zonotope-equivalence", check_zonotope_equivalence),

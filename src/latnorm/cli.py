@@ -100,12 +100,8 @@ def cmd_analyze(args) -> int:
         for v in validation.violations:
             print(f"invalid extension: {v}", file=sys.stderr)
         return EXIT_SCHEMA
-    n_x, n_y = ext.upstairs.size, ext.downstairs.size
-    table = np.zeros((n_y, n_x))
-    for x in range(n_x):
-        e = np.zeros(n_x)
-        e[x] = 1.0
-        table[:, x] = np.real(cond_expectation(e, ext))
+    # column x is the conditional expectation of the indicator of x
+    table = np.real(cond_expectation(np.eye(ext.upstairs.size), ext)).T
     cross = theorem_cross_check(
         ext, eps_values=tuple(args.eps), delta_values=tuple(args.delta)
     )
@@ -121,7 +117,7 @@ def cmd_analyze(args) -> int:
     report["_text"] = "\n".join(
         [
             f"extension valid: {validation.valid}",
-            f"kronecker dimension: {cross.kronecker_dim} / {n_x}",
+            f"kronecker dimension: {cross.kronecker_dim} / {ext.upstairs.size}",
             f"discrete spectrum: {report['discrete_spectrum']}",
             f"subspace distances: {cross.distances}",
             f"corollary verdicts: {cross.corollary}",

@@ -290,7 +290,11 @@ def _distances_to(M: FiniteSet, x_fibers: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def defect(M: FiniteSet, F: FiniteSet) -> DefectReport:
-    """Pointwise worst-case distance from M to its nearest candidate in F."""
+    """Pointwise worst-case distance from M to its nearest candidate in F.
+
+    Against a ``GridNet`` (a ``heine_borel_net``) only the rows that can be
+    nearest are compared; value and argmin equal the dense computation.
+    """
     _check_space(M, F)
     if len(M) == 0 or len(F) == 0:
         raise ValueError("defect requires nonempty M and F")
@@ -298,9 +302,12 @@ def defect(M: FiniteSet, F: FiniteSet) -> DefectReport:
     value = np.empty(n_pts)
     argmin = np.empty((len(M), n_pts), dtype=int)
     for w in range(n_pts):
-        dist = _pair_dist(M.stacks[w], F.stacks[w])
-        argmin[:, w] = np.argmin(dist, axis=1)
-        value[w] = float(np.max(np.min(dist, axis=1)))
+        if isinstance(F, GridNet):
+            mins, argmin[:, w] = F.nearest(w, M.stacks[w])
+        else:
+            dist = _pair_dist(M.stacks[w], F.stacks[w])
+            mins, argmin[:, w] = np.min(dist, axis=1), np.argmin(dist, axis=1)
+        value[w] = float(np.max(mins))
     return DefectReport(StoneElement(M.space.base, value), F, argmin)
 
 
@@ -528,9 +535,12 @@ def disc_grid(radius: float, mesh: float) -> np.ndarray:
 
 
 def check_suborthonormal(basis: FiniteSet, tol: float = 1e-7) -> None:
-    """Raise unless the basis is pairwise orthogonal with idempotent norms."""
+    """Raise unless the basis is finite and pairwise orthogonal with
+    idempotent norms."""
     d = len(basis)
     for w, s in enumerate(basis.stacks):
+        if not np.all(np.isfinite(s)):
+            raise ValueError(f"basis not finite at point {w}")
         gram = s @ np.conj(s.T)
         off = gram - np.diag(np.diag(gram))
         if d > 1 and float(np.max(np.abs(off))) > tol:
@@ -554,6 +564,113 @@ def _grid_image(F: FiniteSet, grid: np.ndarray, cap: int) -> FiniteSet:
     return FiniteSet(F.space, [combos @ s for s in F.stacks], combos.shape[0])
 
 
+_U = 2.0**-53  # unit roundoff of float64
+_LIVE = 1e-150  # basis rows with a smaller squared norm keep their whole grid
+_PAIRS = 1 << 18  # (sample, row) pairs compared per block in GridNet.nearest
+
+
+class GridNet(FiniteSet):
+    """The rows of ``_grid_image(basis, grid)`` together with that
+    factorization, which lets ``defect`` skip the rows that cannot be nearest.
+
+    Row ``sum_j g_j * len(grid)**(m - 1 - j)`` is y(g) = sum_j grid[g_j] e_j.
+    At one point, with C_j = <x, e_j> and n_j^2 = |e_j|^2,
+
+        |x - y(g)|^2 = |x|^2 - sum_j |C_j|^2 / n_j^2 + sum_j q_j(g_j) + cross(g),
+        q_j(k) = |C_j - grid[k] n_j^2|^2 / n_j^2,
+        |cross(g)| <= X = max|offdiag Gram| (m R)^2,  R = max|grid|.
+
+    ``nearest`` keeps, per coordinate, every k with computed q_j(k) within
+    ``slack`` of that coordinate's minimum q_j(k_j*), and compares x with the
+    product of the kept indices only. A pruned g is strictly worse than the
+    kept g' that sets each of its pruned coordinates to k_j*:
+    |x - y(g)|^2 - |x - y(g')|^2 > slack - 2 X - 2 err_q. With
+
+        slack = 2 (X + 32 (d + m + 1) u Z^2) + 1e-300,  Z = |x| + m R max_j n_j,
+
+    the second term covers, about twice over, the rounding of q (matmuls, the
+    difference, the squares), the rounding of both computed squared distances
+    (net rows, differences, sums), the error of the measured Gram, and the 5u
+    relative gap that keeps ``sqrt`` from merging them; 1e-300 covers
+    underflow. So the computed distance of g exceeds that of g': g is neither
+    the minimum nor its lowest-index tie, and value and argmin equal the dense
+    ones bit for bit. A row with n_j^2 <= 1e-150 (``_LIVE``, below which the
+    relative bounds would need subnormal care) keeps its whole grid, and so
+    does every coordinate for a non-finite sample: keeping everything is the
+    dense computation. ``check_suborthonormal`` has rejected non-finite bases.
+
+    The stacks and the stored basis are read-only, so the factorization
+    stays true. ``subset``, ``p * net``, ``set_image`` and every other
+    operation build a plain ``FiniteSet``.
+    """
+
+    __slots__ = ("basis", "grid")
+
+    def __init__(self, basis: FiniteSet, grid: np.ndarray, cap: int):
+        net = _grid_image(basis, grid, cap)
+        super().__init__(net.space, net.stacks, len(net))
+        self.basis = FiniteSet(basis.space, [s.copy() for s in basis.stacks], len(basis))
+        self.grid = np.array(grid, dtype=complex)
+        for a in self.stacks + self.basis.stacks + [self.grid]:
+            a.flags.writeable = False
+
+    def _kept(self, w: int, X: np.ndarray) -> np.ndarray:
+        """(n, m, len(grid)) mask of the grid indices kept per sample row of
+        X and coordinate, at point w."""
+        s = self.basis.stacks[w]
+        m, d = s.shape
+        grid = self.grid
+        gram = s @ s.conj().T
+        n2 = gram.diagonal().real
+        live = n2 > _LIVE
+        finite = np.all(np.isfinite(X), axis=1)
+        X = np.where(finite[:, None], X, 0)
+        t = (X @ s.conj().T)[:, :, None] - grid * n2[:, None]
+        scale = np.where(live, n2, 1.0)[:, None]
+        q = np.where(live[:, None], (t.real**2 + t.imag**2) / scale, 0.0)
+        R = float(np.max(np.abs(grid)))
+        off = float(np.max(np.abs(gram - np.diag(gram.diagonal()))))
+        Z = np.linalg.norm(X, axis=1) + m * R * math.sqrt(float(np.max(n2)))
+        slack = 2.0 * (off * (m * R) ** 2 + 32 * (d + m + 1) * _U * Z**2) + 1e-300
+        keep = ~(q > q.min(axis=2, keepdims=True) + slack[:, None, None])
+        keep[~finite] = True
+        return keep
+
+    def nearest(self, w: int, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Distance from each row of X to its nearest net row at point w, and
+        the lowest index attaining it: ``np.min`` and ``np.argmin`` of the
+        ``_pair_dist`` table, bit for bit, from the kept rows alone."""
+        keep = self._kept(w, X)
+        n, m, size = keep.shape
+        counts = keep.sum(axis=2)
+        firsts = np.cumsum(counts, axis=0) - counts  # per coordinate offsets
+        kept = [np.nonzero(keep[:, j])[1] for j in range(m)]
+        rows_per = counts.prod(axis=1)
+        ends = np.cumsum(rows_per)
+        mins = np.empty(n)
+        argmin = np.empty(n, dtype=int)
+        a = 0
+        while a < n:
+            b = max(a + 1, int(np.searchsorted(ends, ends[a] - rows_per[a] + _PAIRS, "right")))
+            # ascending net indices of each sample's kept product
+            sample, index = np.arange(a, b), np.zeros(b - a, dtype=int)
+            for j in range(m):
+                rep = counts[sample, j]
+                pos = np.arange(int(rep.sum())) - np.repeat(np.cumsum(rep) - rep, rep)
+                pick = kept[j][np.repeat(firsts[sample, j], rep) + pos]
+                sample = np.repeat(sample, rep)
+                index = np.repeat(index, rep) * size + pick
+            dist = _dist(X[sample] - self.stacks[w][index])
+            starts = np.cumsum(rows_per[a:b]) - rows_per[a:b]
+            mins[a:b] = np.minimum.reduceat(dist, starts)
+            # np.argmin's tie rule: the first minimum, or the first NaN
+            hit = (dist == np.repeat(mins[a:b], rows_per[a:b])) | np.isnan(dist)
+            at = np.flatnonzero(hit)
+            argmin[a:b] = index[at[np.r_[True, sample[at[1:]] != sample[at[:-1]]]]]
+            a = b
+        return mins, argmin
+
+
 def heine_borel_net(
     basis: FiniteSet,
     c: float,
@@ -567,6 +684,8 @@ def heine_borel_net(
     The net is the image of a product of disc grids (radius c, mesh
     eps/sqrt(d)) under the basis: every x with |x| <= c pointwise in the
     spanned module has pointwise nearest distance at most eps to the net.
+    The net is a ``GridNet``: it carries that factorization, and ``defect``
+    against it compares each sample with its candidate nearest rows only.
     """
     if c < 0:
         raise ValueError("c must be nonnegative")
@@ -576,7 +695,7 @@ def heine_borel_net(
     space = basis.space
     if c == 0 or len(basis) == 0:
         return FiniteSet.from_vectors([ModuleVector.zeros(space)], space)
-    return _grid_image(basis, disc_grid(c, eps / math.sqrt(len(basis))), cap)
+    return GridNet(basis, disc_grid(c, eps / math.sqrt(len(basis))), cap)
 
 
 def zonotope_net(Z: Zonotope, mesh: float, cap: int = 10**6):

@@ -191,13 +191,14 @@ class GroupAction:
         return _as_perm_tuple(t) in self._members
 
     def koopman(self, t, f: np.ndarray) -> np.ndarray:
-        """Composition operator: (T_t f)(x) = f(t^{-1} x)."""
+        """Composition operator: (T_t f)(x) = f(t^{-1} x), acting on the last
+        (point) axis, so a ``(k, n)`` stack maps row by row."""
         perm = _as_perm_tuple(t)
         if perm not in self._members:
             raise UnknownGroupElementError(f"{perm} not in the enumerated closure")
         f = np.asarray(f, dtype=complex)
         out = np.empty_like(f)
-        out[np.asarray(perm)] = f
+        out[..., np.asarray(perm)] = f
         return out
 
 
@@ -272,11 +273,12 @@ class Extension:
         return sigma
 
     def koopman_y(self, t, g: np.ndarray) -> np.ndarray:
-        """Downstairs composition operator paired with upstairs t."""
+        """Downstairs composition operator paired with upstairs t, acting on
+        the last (point) axis like ``GroupAction.koopman``."""
         sigma = self.downstairs_perm(t)
         g = np.asarray(g, dtype=complex)
         out = np.empty_like(g)
-        out[sigma] = g
+        out[..., sigma] = g
         return out
 
     def fibers(self) -> list[np.ndarray]:
@@ -328,11 +330,12 @@ def validate_extension(ext: Extension, tol: float = DEFAULT_TOL) -> ValidationRe
 
 
 def cond_expectation(f: np.ndarray, ext: Extension) -> np.ndarray:
-    """Average f over each factor fiber, weighted by conditional mass."""
+    """Average f over each factor fiber, weighted by conditional mass, along
+    the last (point) axis; each row of a stack sums in the 1-D order."""
     f = np.asarray(f, dtype=complex)
-    num = np.zeros(ext.downstairs.size, dtype=complex)
-    np.add.at(num, ext.factor, f * ext.upstairs.weights)
-    return num / ext.downstairs.weights
+    num = np.zeros((ext.downstairs.size,) + f.shape[:-1], dtype=complex)
+    np.add.at(num, ext.factor, np.moveaxis(f * ext.upstairs.weights, -1, 0))
+    return np.moveaxis(num, 0, -1) / ext.downstairs.weights
 
 
 def embed_J(g: np.ndarray, ext: Extension) -> np.ndarray:

@@ -9,6 +9,7 @@ from latnorm import (
     FiberSpace,
     FiberwiseMap,
     FiniteSet,
+    GridNet,
     Idempotent,
     IterationLimitError,
     ModuleVector,
@@ -401,6 +402,15 @@ class TestHeineBorel:
         with pytest.raises(ValueError):
             heine_borel_net(skew, c=1.0, eps=0.5)
 
+    def test_non_finite_basis_rejected(self):
+        space = single_fiber_space(2)
+        for bad in (np.nan, np.inf):
+            for rows in (1, 2):
+                stack = np.eye(2, dtype=complex)[:rows].copy()
+                stack[0, 0] = bad
+                with pytest.raises(ValueError):
+                    heine_borel_net(FiniteSet(space, [stack], rows), c=1.0, eps=0.5)
+
     def test_size_cap(self):
         space = single_fiber_space(2)
         basis = FiniteSet(space, [np.eye(2, dtype=complex)], 2)
@@ -426,6 +436,125 @@ class TestHeineBorel:
             net, _ = zonotope_net(Zonotope(F), mesh)
             ref = product_grid_image(F, disc_grid(1.0, mesh))
             assert [s.tobytes() for s in net.stacks] == [s.tobytes() for s in ref.stacks]
+
+
+def _cnormal(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _structured_cases(rng, n_cases):
+    """(net, M, features) on random suborthonormal bases: rank drops, rows of
+    norm about 1e-8, Gram off-diagonals near the 1e-7 that
+    ``check_suborthonormal`` admits, samples on and off the module, samples
+    at grid midpoints (ties), exact net rows and NaN/inf samples."""
+    for _ in range(n_cases):
+        features = set()
+        dims = tuple(int(d) for d in rng.integers(1, 5, int(rng.integers(1, 4))))
+        space = FiberSpace(PointSet.of_size(len(dims)), dims)
+        m = int(rng.integers(1, 4))
+        stacks = []
+        for d in dims:
+            b = np.zeros((m, d), dtype=complex)
+            r = min(m, d) - int(rng.random() < 0.4)
+            if r < m:
+                features.add("rank drop")
+            if r > 0:
+                q, _ = np.linalg.qr(_cnormal(rng, (d, r)))
+                b[:r] = q.T[:r]
+            if r < m and rng.random() < 0.4:
+                b[r] = 1e-8 * _cnormal(rng, d) / np.sqrt(2 * d)
+                features.add("tiny row")
+            if m > 1 and r > 1 and rng.random() < 0.4:
+                b[1] += 0.9e-7 * b[0]  # <e_1, e_0> = 0.9e-7
+                features.add("gram 1e-7")
+            stacks.append(b)
+        basis = FiniteSet(space, stacks, m)
+        net = heine_borel_net(basis, 1.0, {1: 0.25, 2: 0.5, 3: 1.0}[m])
+        n = int(rng.integers(1, 40))
+        kind = ["on module", "off module", "midpoint", "net row"][int(rng.integers(4))]
+        features.add(kind)
+        grid = disc_grid(1.0, {1: 0.25, 2: 0.5, 3: 1.0}[m] / np.sqrt(m))
+        samples = []
+        for w, d in enumerate(dims):
+            if kind == "on module":
+                lam = _cnormal(rng, (n, m))
+                lam *= rng.random((n, 1)) / np.abs(lam).sum(axis=1, keepdims=True)
+                samples.append(lam @ stacks[w])
+            elif kind == "off module":
+                samples.append(1.5 * rng.random((n, 1)) * _cnormal(rng, (n, d)))
+            elif kind == "midpoint":
+                i, k = rng.integers(0, len(grid), (2, n, m))
+                samples.append(0.5 * (grid[i] + grid[k]) @ stacks[w])
+            else:
+                samples.append(net.stacks[w][rng.integers(0, len(net), n)])
+        if rng.random() < 0.2:
+            samples[0][0, 0] = np.nan
+            samples[-1][-1, -1] = np.inf
+            features.add("non-finite")
+        yield net, FiniteSet(space, samples, n), features
+
+
+class TestGridNet:
+    def test_structured_defect_equals_dense(self):
+        seen = set()
+        for net, M, features in _structured_cases(np.random.default_rng(41), 80):
+            assert isinstance(net, GridNet)
+            dense = net.subset(range(len(net)))  # drops the factorization
+            rep, ref = defect(M, net), defect(M, dense)
+            assert rep.value.values.tobytes() == ref.value.values.tobytes()
+            assert rep.argmin.tobytes() == ref.argmin.tobytes()
+            seen |= features
+        assert seen == {
+            "rank drop", "tiny row", "gram 1e-7", "on module", "off module",
+            "midpoint", "net row", "non-finite",
+        }
+
+    def test_blocks_of_samples(self):
+        # a rank-0 point keeps the whole net for every sample, so the kept
+        # pairs span several blocks
+        space = FiberSpace(PointSet.of_size(2), (2, 1))
+        basis = FiniteSet(space, [np.eye(2, dtype=complex), np.zeros((2, 1))], 2)
+        net = heine_borel_net(basis, 1.0, 0.5)
+        rng = np.random.default_rng(42)
+        M = FiniteSet(space, [_cnormal(rng, (100, 2)), _cnormal(rng, (100, 1))], 100)
+        assert 100 * len(net) > 2 * (1 << 18)
+        rep, ref = defect(M, net), defect(M, net.subset(range(len(net))))
+        assert rep.value.values.tobytes() == ref.value.values.tobytes()
+        assert rep.argmin.tobytes() == ref.argmin.tobytes()
+
+    def test_derived_sets_take_the_dense_path(self, monkeypatch):
+        space = FiberSpace(PointSet.of_size(2), (2, 3))
+        basis = FiniteSet(space, [np.eye(2, dtype=complex), np.eye(2, 3, dtype=complex)], 2)
+        net = heine_borel_net(basis, 1.0, 0.5)
+        M = random_finite_set(np.random.default_rng(43), space, 5)
+        T = FiberwiseMap(space, space, [np.eye(2), np.eye(3)])
+        derived = [
+            net.subset(range(len(net))),
+            Idempotent(space.base, [True, True]) * net,
+            1.0 * net,
+            set_image(T, net),
+        ]
+        expected = defect(M, net)
+
+        def refuse(*args):
+            raise AssertionError("structured path on a derived set")
+
+        monkeypatch.setattr(GridNet, "nearest", refuse)
+        for F in derived:
+            assert type(F) is FiniteSet
+            rep = defect(M, F)
+            assert rep.value.values.tobytes() == expected.value.values.tobytes()
+            assert rep.argmin.tobytes() == expected.argmin.tobytes()
+
+    def test_factorization_is_read_only(self):
+        space = single_fiber_space(2)
+        stacks = [np.eye(2, dtype=complex)]
+        net = heine_borel_net(FiniteSet(space, stacks, 2), 1.0, 0.5)
+        stacks[0][0, 0] = 2.0  # the caller's basis array stays theirs
+        assert net.basis.stacks[0][0, 0] == 1.0
+        for a in (net.stacks[0], net.basis.stacks[0], net.grid):
+            with pytest.raises(ValueError):
+                a[0] = 0.0
 
 
 def test_disc_grid_is_a_net():

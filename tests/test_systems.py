@@ -334,6 +334,62 @@ def test_relative_isometry_paired_actions():
             assert np.max(np.abs(lhs - rhs)) <= TOL
 
 
+class TestStackAction:
+    """The composition operators and the conditional expectation act on the
+    last (point) axis: a ``(k, n)`` stack maps row by row, bit for bit, and a
+    single function maps as before."""
+
+    @staticmethod
+    def _cases(rng):
+        ext = rotation_extension(4, 2)
+        for k in (4, 2, 3):  # k == n_x, k == n_y, and neither
+            yield ext, random_function(rng, 4 * k).reshape(k, 4)
+        ext = random_extension(rng)
+        yield ext, random_function(rng, 5 * ext.upstairs.size).reshape(5, -1)
+
+    def test_stack_equals_per_row_images(self):
+        rng = np.random.default_rng(31)
+        for ext, fs in self._cases(rng):
+            gs = fs[:, : ext.downstairs.size]
+            for t in ext.action.closure:
+                out = ext.action.koopman(t, fs)
+                assert out.tobytes() == np.array([ext.action.koopman(t, f) for f in fs]).tobytes()
+                out = ext.koopman_y(t, gs)
+                assert out.tobytes() == np.array([ext.koopman_y(t, g) for g in gs]).tobytes()
+            out = cond_expectation(fs, ext)
+            assert out.tobytes() == np.array([cond_expectation(f, ext) for f in fs]).tobytes()
+
+    def test_square_stack_is_not_permuted_by_rows(self):
+        # the old first-axis indexing moved rows of a 4 x 4 stack instead of
+        # points: 3 of the 4 rotations differed from the per-row images
+        ext = rotation_extension(4, 2)
+        fs = np.arange(16, dtype=complex).reshape(4, 4)
+        for t in ext.action.closure:
+            perm = np.asarray(t)
+            expected = np.empty_like(fs)
+            expected[:, perm] = fs
+            assert ext.action.koopman(t, fs).tobytes() == expected.tobytes()
+
+    def test_single_function_unchanged(self):
+        # the 1-D results of the first-axis formulas, bit for bit
+        rng = np.random.default_rng(32)
+        for _ in range(10):
+            ext = random_extension(rng)
+            f = random_function(rng, ext.upstairs.size)
+            g = f[: ext.downstairs.size]
+            for t in ext.action.closure[:6]:
+                old = np.empty_like(f)
+                old[np.asarray(t)] = f
+                assert ext.action.koopman(t, f).tobytes() == old.tobytes()
+                old = np.empty_like(g)
+                old[ext.downstairs_perm(t)] = g
+                assert ext.koopman_y(t, g).tobytes() == old.tobytes()
+            num = np.zeros(ext.downstairs.size, dtype=complex)
+            np.add.at(num, ext.factor, f * ext.upstairs.weights)
+            old = num / ext.downstairs.weights
+            assert cond_expectation(f, ext).tobytes() == old.tobytes()
+
+
 def test_group_action_contains():
     act = GroupAction(
         FiniteProbabilitySpace(["a", "b", "c"], [1 / 3] * 3), [MPMap([1, 2, 0])]
