@@ -9,6 +9,7 @@ itself without a test harness.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import Callable
 
@@ -692,6 +693,7 @@ class CheckResult:
     name: str
     passed: bool
     detail: str = ""
+    seconds: float = 0.0  # wall time of the check
 
 
 REGISTRY: list[tuple[str, Callable]] = [
@@ -743,29 +745,35 @@ def run_all(seed: int = 0, fixture=None) -> list[CheckResult]:
     results = []
     for name, fn in REGISTRY:
         rng = np.random.default_rng(seed)
+        t0 = time.perf_counter()
         try:
             fn(rng)
-            results.append(CheckResult(name, True))
+            passed, detail = True, ""
         except AssertionError as exc:
-            results.append(CheckResult(name, False, str(exc)))
+            passed, detail = False, str(exc)
         except Exception as exc:  # a crash is a failure with context
-            results.append(CheckResult(name, False, f"{type(exc).__name__}: {exc}"))
+            passed, detail = False, f"{type(exc).__name__}: {exc}"
+        results.append(CheckResult(name, passed, detail, time.perf_counter() - t0))
     if fixture is not None:
+        t0 = time.perf_counter()
         report = validate_extension(fixture)
         results.append(
             CheckResult(
                 "fixture.extension-valid",
                 report.valid,
                 "; ".join(report.violations),
+                time.perf_counter() - t0,
             )
         )
         if report.valid:
+            t0 = time.perf_counter()
             rep = theorem_cross_check(fixture)
             results.append(
                 CheckResult(
                     "fixture.cross-check",
                     rep.subspaces_coincide and all(rep.corollary.values()),
                     str(rep.distances),
+                    time.perf_counter() - t0,
                 )
             )
     return results

@@ -5,7 +5,8 @@ Subcommands: ``analyze`` (extension documents), ``tob`` / ``zonotope`` /
 sequence model), and ``selftest`` (the named invariant suite). Reports
 embed the tool version and the effective configuration; exit codes are
 0 ok, 1 suite or verdict failure (or no cyclic witness), 2 schema violation
-or invalid option value, 3 cap exceeded, 4 solver iteration limit.
+(an unreadable input included) or invalid option value (an unwritable
+``--out`` included), 3 cap exceeded, 4 solver iteration limit.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .errors import (
     ConstructionError,
     InfeasibleTruncationError,
     IterationLimitError,
+    OutputError,
     SchemaError,
     SizeCapError,
 )
@@ -55,8 +57,14 @@ def _load_json(path: str):
             return json.load(fh)
     except FileNotFoundError:
         raise SchemaError([f"{path}: file not found"])
+    except OSError as exc:  # a directory, no permission
+        raise SchemaError([f"{path}: cannot read: {exc.strerror}"])
     except json.JSONDecodeError as exc:
         raise SchemaError([f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}"])
+    except ValueError as exc:  # not UTF-8, an integer literal too long
+        raise SchemaError([f"{path}: {exc}"])
+    except RecursionError:
+        raise SchemaError([f"{path}: nested too deeply"])
 
 
 def _emit(report: dict, args) -> None:
@@ -84,8 +92,11 @@ def _emit(report: dict, args) -> None:
         text = json.dumps(payload, default=str)
     out = getattr(args, "out", None)
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text if text.endswith("\n") else text + "\n")
+        except OSError as exc:
+            raise OutputError(f"argument --out: cannot write {out!r}: {exc.strerror}")
     else:
         print(text)
 
@@ -251,8 +262,9 @@ def cmd_selftest(args) -> int:
     for r in results:
         status = "PASS" if r.passed else "FAIL"
         detail = f"  ({r.detail})" if r.detail and not r.passed else ""
-        print(f"{status} {r.name}{detail}")
-    print(f"{len(results) - len(failed)}/{len(results)} invariants hold")
+        print(f"{status} {r.name} ({r.seconds:.3f} s){detail}")
+    total = sum(r.seconds for r in results)
+    print(f"{len(results) - len(failed)}/{len(results)} invariants hold ({total:.3f} s)")
     return EXIT_OK if not failed else EXIT_SUITE
 
 
@@ -374,6 +386,9 @@ def main(argv=None) -> int:
     except SchemaError as exc:
         for d in exc.diagnostics:
             print(f"schema: {d}", file=sys.stderr)
+        return EXIT_SCHEMA
+    except OutputError as exc:
+        print(f"latnorm {args.command}: error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
     except InfeasibleTruncationError as exc:
         print(f"counterexample: {exc}", file=sys.stderr)

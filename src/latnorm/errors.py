@@ -54,6 +54,10 @@ class IterationLimitError(LatnormError):
         self.best = best
 
 
+class OutputError(LatnormError):
+    """The report could not be written to the ``--out`` path."""
+
+
 class SchemaError(LatnormError):
     """Input document failed validation; ``diagnostics`` lists each issue."""
 

@@ -352,57 +352,40 @@ def _norm_table(M: FiniteSet) -> np.ndarray:
 
 
 class Traversal:
-    """Gonzalez farthest-point traversal of M, shared by every reader.
+    """Gonzalez farthest-point traversal of M, built whole at construction
+    and shared by every reader.
 
     Seeded by the element of largest lattice norm; each step places the
     element farthest (in sup norm of the pointwise distance) from those
-    already placed, ties to the lowest index. ``grow(k)`` places elements
-    only until k are placed, one distance row per placed element. ``order``
-    lists the placed indices, and row j of ``radii`` is the running radius
-    after j + 1 placements: the pointwise defect of M against
-    ``order[:j + 1]``. ``recheck(k)`` is the independent ``defect`` of M
-    against the first k placed elements, computed once per k;
-    ``utob(eps, tol)`` is ``is_utob`` through this traversal, computed once
-    per (eps, tol).
+    already placed, ties to the lowest index, with one distance row per
+    placed element. ``order`` lists every index of M in placement order, and
+    row j of ``radii`` is the running radius after j + 1 placements: the
+    pointwise defect of M against ``order[:j + 1]``. ``recheck(k)`` is the
+    independent ``defect`` of M against the first k placed elements,
+    computed once per k.
     """
 
     def __init__(self, M: FiniteSet):
         self.M = M
         self.order: list[int] = []
         self.radii = np.empty((len(M), M.space.n_points))
-        self._placed = np.zeros(len(M), dtype=bool)
-        self._mindist = np.full((M.space.n_points, len(M)), np.inf)
         self._rechecks: dict[int, DefectReport] = {}
-        self._utob: dict[tuple[float, float], UtobReport] = {}
-
-    def grow(self, k: int) -> np.ndarray:
-        """Place the first k elements (all of M when k exceeds it) and
-        return their rows of ``radii``."""
-        M = self.M
-        while len(self.order) < min(k, len(M)):
-            if self.order:
-                scores = self._mindist.max(axis=0)
-                scores[self._placed] = -1.0
-                nxt = int(scores.argmax())
-            else:
-                nxt = int(np.argmax(np.max(_norm_table(M), axis=1)))
-            row = _distances_to(M, [s[nxt] for s in M.stacks])
-            np.minimum(self._mindist, row, out=self._mindist)
-            self._placed[nxt] = True
-            self.radii[len(self.order)] = self._mindist.max(axis=1)
+        placed = np.zeros(len(M), dtype=bool)
+        mindist = np.full((M.space.n_points, len(M)), np.inf)
+        scores = np.max(_norm_table(M), axis=1)  # seed: the largest lattice norm
+        for j in range(len(M)):
+            nxt = int(scores.argmax())
+            np.minimum(mindist, _distances_to(M, [s[nxt] for s in M.stacks]), out=mindist)
+            placed[nxt] = True
+            self.radii[j] = mindist.max(axis=1)
             self.order.append(nxt)
-        return self.radii[:k]
+            scores = mindist.max(axis=0)
+            scores[placed] = -1.0
 
     def recheck(self, k: int) -> DefectReport:
         if k not in self._rechecks:
             self._rechecks[k] = defect(self.M, self.M.subset(self.order[:k]))
         return self._rechecks[k]
-
-    def utob(self, eps: float, tol: float) -> UtobReport:
-        key = (eps, tol)
-        if key not in self._utob:
-            self._utob[key] = is_utob(self.M, eps, tol, traversal=self)
-        return self._utob[key]
 
 
 def is_utob(
@@ -415,11 +398,11 @@ def is_utob(
 
     Any finite M is uniformly totally order-bounded (M itself is a witness
     with defect zero); the value of this routine is the witness it returns:
-    the shortest prefix of the farthest-point traversal of M whose prefix
-    defect is pointwise below eps, with the defect recomputed
-    independently for the verdict. ``traversal``, a ``Traversal`` of M,
-    lets several eps share one traversal, and one recheck per distinct
-    witness.
+    the shortest prefix of the farthest-point traversal of M whose running
+    radius is pointwise within eps + tol (all of M when none is, as with NaN
+    entries), with the defect recomputed independently for the verdict.
+    ``traversal``, a ``Traversal`` of M, is the way to share one traversal,
+    and one recheck per distinct witness, across several eps.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -429,9 +412,9 @@ def is_utob(
         raise ValueError("the traversal belongs to another set")
     if len(M) == 0:
         return UtobReport(True, FiniteSet(M.space, [s[:0] for s in M.stacks], 0), None, eps)
-    for k in range(1, len(M) + 1):
-        if float(np.max(traversal.grow(k)[-1])) <= eps + tol:
-            break
+    within = traversal.radii.max(axis=1) <= eps + tol
+    first = int(within.argmax())  # 0 when no row is within
+    k = first + 1 if within[first] else len(M)
     report = traversal.recheck(k)
     verdict = report.value.le(eps, tol)
     return UtobReport(verdict, report.witness, report, eps)
@@ -439,9 +422,7 @@ def is_utob(
 
 def greedy_order(M: FiniteSet) -> list[int]:
     """Full farthest-point insertion order of M."""
-    traversal = Traversal(M)
-    traversal.grow(len(M))
-    return traversal.order
+    return Traversal(M).order
 
 
 def truncate_to_ball(F: FiniteSet, r: float, tol: float = DEFAULT_TOL) -> FiniteSet:

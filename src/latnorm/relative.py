@@ -86,19 +86,10 @@ class APReport:
     eps_values: tuple[float, ...]
     verdicts: list[bool]
     witnesses: list[FiniteSet]
-    defects: list[StoneElement]
 
     @property
     def all_pass(self) -> bool:
         return all(self.verdicts)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "eps": list(self.eps_values),
-            "verdicts": self.verdicts,
-            "witness_sizes": [len(w) for w in self.witnesses],
-            "max_defect": [float(d.sup_norm()) for d in self.defects],
-        }
 
 
 def is_conditionally_ap(
@@ -115,23 +106,19 @@ def is_conditionally_ap(
     if orbits is None:
         orbits = OrbitCache(ext, tol)
     trav = orbits(f)
-    verdicts, witnesses, defects = [], [], []
-    for eps in eps_values:
-        rep = trav.utob(eps, tol)
-        verdicts.append(bool(rep.verdict))
-        witnesses.append(rep.witness)
-        defects.append(
-            rep.report.value
-            if rep.report is not None
-            else StoneElement.zeros(trav.M.space.base)
-        )
-    return APReport(np.asarray(f, dtype=complex), tuple(eps_values), verdicts, witnesses, defects)
+    reps = [is_utob(trav.M, eps, tol, traversal=trav) for eps in eps_values]
+    return APReport(
+        np.asarray(f, dtype=complex),
+        tuple(eps_values),
+        [bool(rep.verdict) for rep in reps],
+        [rep.witness for rep in reps],
+    )
 
 
 def defect_chain(M: FiniteSet) -> list[StoneElement]:
     """Defect values of M against its increasing greedy witness prefixes:
     the radius sequence of one farthest-point traversal."""
-    return [StoneElement(M.space.base, d) for d in Traversal(M).grow(len(M))]
+    return [StoneElement(M.space.base, d) for d in Traversal(M).radii]
 
 
 def orbit_tob_verdict(
@@ -148,8 +135,7 @@ def orbit_tob_verdict(
     """
     if orbits is None:
         orbits = OrbitCache(ext, tol)
-    trav = orbits(f)
-    U = trav.grow(len(trav.M))
+    U = orbits(f).radii
     return bool(np.all(U[1:] <= U[:-1] + tol) and np.all(U[-1] <= tol))
 
 
@@ -294,14 +280,6 @@ class EgoroffReport:
     removed_mass: float
     thresholds: dict[float, int | None]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "kept": self.kept.mask.astype(int).tolist(),
-            "removed": list(self.removed),
-            "removed_mass": self.removed_mass,
-            "thresholds": {str(k): v for k, v in self.thresholds.items()},
-        }
-
 
 def egoroff_localize(
     u_seq: Sequence[StoneElement],
@@ -444,7 +422,7 @@ def theorem_cross_check(
         if orbit_tob_verdict(f, ext, orbits=orbits):
             tob_members.append(f)
         trav = orbits(f)
-        chain = [StoneElement(trav.M.space.base, u) for u in trav.grow(len(trav.M))]
+        chain = [StoneElement(trav.M.space.base, u) for u in trav.radii]
         for delta in delta_values:
             loc = egoroff_localize(
                 chain, ext.downstairs.weights, delta, eps_values=[eps_ref]

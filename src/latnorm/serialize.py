@@ -21,6 +21,12 @@ from .stone import PointSet
 from .systems import Extension, FiniteProbabilitySpace, MPMap
 
 
+# the largest real or imaginary part a finite-set entry may have: squared
+# differences of such entries, summed over a fiber, stay far below the float
+# maximum, so no distance, norm or solver step overflows
+ENTRY_BOUND = 1e150
+
+
 def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
@@ -92,6 +98,9 @@ def _parse_scalar(v, path: str, diags: list[str]) -> complex:
     if not cmath.isfinite(z):
         diags.append(f"{path}: expected finite numbers")
         return 0j
+    if max(abs(z.real), abs(z.imag)) > ENTRY_BOUND:
+        diags.append(f"{path}: expected |re| and |im| at most 1e150")
+        return 0j
     return z
 
 
@@ -113,9 +122,9 @@ def parse_fiber_space(doc: Any, path: str, diags: list[str]) -> FiberSpace | Non
 def _array_stacks(elements: list, space: FiberSpace) -> list[np.ndarray] | None:
     """One ``(n, d)`` complex stack per fiber, each converted as one array,
     when every fiber of the set holds only plain numbers or only ``[re, im]``
-    pairs, all finite; None when anything else occurs, so that the caller
-    parses the set entry by entry. The values are bit-equal to ``complex(v)``
-    and ``complex(re, im)``."""
+    pairs, all within ``ENTRY_BOUND``; None when anything else occurs, so
+    that the caller parses the set entry by entry. The values are bit-equal
+    to ``complex(v)`` and ``complex(re, im)``."""
     n = len(elements)
     if not all(isinstance(e, list) and len(e) == space.n_points for e in elements):
         return None
@@ -133,7 +142,7 @@ def _array_stacks(elements: list, space: FiberSpace) -> list[np.ndarray] | None:
             s = a.astype(float).view(complex).reshape(n, d)
         else:
             return None
-        if not np.isfinite(s).all():
+        if not (np.abs(s.view(float)) <= ENTRY_BOUND).all():  # NaN fails too
             return None
         stacks.append(s)
     return stacks

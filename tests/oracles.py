@@ -282,7 +282,8 @@ def per_scalar_sets(sets_doc, dims):
     converted one scalar at a time: ``(stacks per set name, diagnostics)``,
     a diagnostic for each malformed set, element, fiber or entry, in document
     order. An entry is a number or an [re, im] pair of numbers (bools count
-    as numbers) whose value is finite."""
+    as numbers) whose value is finite, with real and imaginary parts at most
+    1e150 in magnitude."""
     diags, out = [], {}
     for name, elements in sets_doc.items():
         path = f"$.sets.{name}"
@@ -317,6 +318,9 @@ def per_scalar_sets(sets_doc, dims):
                         z = None
                     if z is None or not (math.isfinite(z.real) and math.isfinite(z.imag)):
                         diags.append(f"{where}: expected finite numbers")
+                        continue
+                    if abs(z.real) > 1e150 or abs(z.imag) > 1e150:
+                        diags.append(f"{where}: expected |re| and |im| at most 1e150")
                         continue
                     stacks[w][i, k] = z
         out[name] = stacks

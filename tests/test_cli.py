@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -178,6 +179,38 @@ class TestCommands:
     def test_missing_file(self, capsys):
         assert main(["tob", "/nonexistent/x.json"]) == 2
 
+    @pytest.mark.parametrize("argv", [["tob"], ["selftest", "--fixture"]])
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda p: p.mkdir(), "cannot read: Is a directory"),
+            (lambda p: p.write_bytes(b"\xff\xfe{}"), "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+            (lambda p: p.write_text("[" * 100_000 + "]" * 100_000), "nested too deeply"),
+        ],
+        ids=["directory", "utf16-bom", "deep"],
+    )
+    def test_unreadable_input_exits_2(self, tmp_path, argv, make, message, capsys):
+        path = tmp_path / "doc.json"
+        make(path)
+        assert main(argv + [str(path)]) == 2
+        assert capsys.readouterr().err == f"schema: {path}: {message}\n"
+
+    def test_overlong_integer_literal_exits_2(self, tmp_path, capsys):
+        # beyond Python's digit limit for int() where it has one, beyond the
+        # float range everywhere
+        path = _write(tmp_path, "doc.json", _sets_text("9" * 5000))
+        assert main(["tob", path]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("schema: ")
+
+    @pytest.mark.parametrize("target", ["missing/o.json", "."], ids=["missing-dir", "directory"])
+    def test_unwritable_out_exits_2(self, sets_doc, tmp_path, target, capsys):
+        out = str(tmp_path / target)
+        assert main(["tob", sets_doc, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"latnorm tob: error: argument --out: cannot write {out!r}: ")
+        assert err.count("\n") == 1
+
     def test_bad_eps_rejected(self, sets_doc):
         assert main(["tob", sets_doc, "--eps", "-1"]) == 2
 
@@ -341,6 +374,11 @@ class TestSelftest:
         assert main(["selftest", "--seed", "3"]) == 0
         out = capsys.readouterr().out
         assert "FAIL" not in out and "invariants hold" in out
+        *checks, total = out.splitlines()
+        seconds = [float(re.fullmatch(r"PASS \S+ \((\d+\.\d{3}) s\)", c)[1]) for c in checks]
+        hold = re.fullmatch(r"(\d+)/\1 invariants hold \((\d+\.\d{3}) s\)", total)
+        assert int(hold[1]) == len(checks)
+        assert abs(float(hold[2]) - sum(seconds)) <= 1e-3 * len(checks)
 
     def test_broken_fixture_fails_named(self, tmp_path, capsys):
         doc = extension_to_json(rotation_extension(4, 2))
@@ -374,6 +412,46 @@ class TestDocumentNumbers:
         assert main([command, path]) == 2
         err = capsys.readouterr().err
         assert err == "schema: $.sets.M[0][0][0]: expected finite numbers\n"
+
+    @pytest.mark.parametrize("command", ["tob", "cyclic", "zonotope"])
+    @pytest.mark.parametrize(
+        "entry",
+        ["1e151", "-1e308", "[0, 1e200]", "[-1e160, 1]", pytest.param(str(10**151), id="10**151")],
+    )
+    def test_entries_above_the_bound_exit_2(self, tmp_path, command, entry, capsys):
+        path = _write(tmp_path, "doc.json", _sets_text(entry))
+        assert main([command, path]) == 2
+        err = capsys.readouterr().err
+        assert err == "schema: $.sets.M[0][0][0]: expected |re| and |im| at most 1e150\n"
+
+    @pytest.mark.parametrize(
+        "entry", ["1e150", "-1e150", "[1e150, -1e150]", pytest.param(str(10**150), id="10**150")]
+    )
+    def test_entries_at_the_bound_accepted(self, tmp_path, entry, capsys):
+        path = _write(tmp_path, "doc.json", _sets_text(entry))
+        assert main(["cyclic", path]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert math.isfinite(report["radius"])
+
+    @pytest.mark.parametrize(
+        "command, sets, paths",
+        [
+            # a traceback from the solver's linear algebra before the bound
+            ("zonotope", {"M": [[[0]]], "F": [[[1]], [[1e300]], [[[1e308, 1e308]]]]},
+             ["$.sets.F[1][0][0]", "$.sets.F[2][0][0]"]),
+            # 10,000 iterations and a NaN best value before the bound
+            ("zonotope", {"M": [[[0]]], "F": [[[1e308]]]}, ["$.sets.F[0][0][0]"]),
+            # exit 0 with a radius of Infinity before the bound
+            ("cyclic", {"M": [[[1e308, 1e308]], [[-1e308, 0]]]},
+             ["$.sets.M[0][0][0]", "$.sets.M[0][0][1]", "$.sets.M[1][0][0]"]),
+        ],
+    )
+    def test_near_float_maximum_reproductions(self, tmp_path, command, sets, paths, capsys):
+        dims = [len(sets["M"][0][0])]
+        doc = {"space": {"points": ["a"], "dims": dims}, "sets": sets}
+        assert main([command, _write(tmp_path, "doc.json", json.dumps(doc))]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"schema: {p}: expected |re| and |im| at most 1e150" for p in paths]
 
     @pytest.mark.parametrize(
         "dims, message",
@@ -460,7 +538,7 @@ def _random_sets(rng, dims, uniform):
 
 
 _BAD_ENTRIES = [math.nan, math.inf, -math.inf, 10**400, [1e308, math.inf], "1", None,
-                [1], [1, 2, 3], [1, "2"], {"re": 1}, [[1, 2]]]
+                [1], [1, 2, 3], [1, "2"], {"re": 1}, [[1, 2]], 1e151, [0, -10**200]]
 
 
 def _corrupt(rng, sets):
@@ -573,5 +651,5 @@ class TestSharedTobTraversal:
         assert main(argv) == 0
         sizes = [v["witness_size"] for v in json.loads(capsys.readouterr().out)["utob"].values()]
         assert len(set(sizes)) >= 3 and 1 < max(sizes) < 30
-        assert len(rows) == max(sizes)
+        assert len(rows) == 30  # one traversal, built whole
         assert sorted(defects) == sorted(set(sizes))

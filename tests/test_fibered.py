@@ -183,8 +183,7 @@ class TestTraversal:
     def test_matches_brute_force_oracle(self):
         for M in _traversal_cases():
             trav = Traversal(M)
-            radii = trav.grow(len(M))
-            order = trav.order
+            radii, order = trav.radii, trav.order
             assert order == brute_force_greedy_order(M) == greedy_order(M)
             oracle = brute_force_defect_chain(M, order)
             assert len(radii) == len(oracle)
@@ -206,26 +205,6 @@ class TestTraversal:
                 assert np.array_equal(rep.report.argmin, oracle[n - 1].argmin)
                 assert rep.report.value.values.tolist() == oracle[n - 1].value.values.tolist()
 
-    def test_utob_stops_the_traversal_early(self, monkeypatch):
-        import latnorm.fibered as fibered
-
-        calls = []
-        real = fibered._distances_to
-        monkeypatch.setattr(
-            fibered, "_distances_to",
-            lambda M, x: calls.append(x) or real(M, x),
-        )
-        rng = np.random.default_rng(41)
-        M = random_finite_set(rng, random_fiber_space(rng), 50)
-        big = float(2 * M.norm_sup().sup_norm()) + 1.0
-        assert len(is_utob(M, big).witness) == 1
-        assert len(calls) == 1  # one seed row, no further insertion
-        calls.clear()
-        assert len(greedy_order(M)) == 50 and len(calls) == 50
-        empty = Traversal(M.subset([]))
-        assert empty.grow(5).shape == (0, M.space.n_points) and empty.order == []
-
-
     def test_shared_traversal_equals_fresh_utob(self):
         for M in itertools.chain(_traversal_cases(), _uneven_sets()):
             scale = max(float(M.norm_sup().sup_norm()), 1.0)
@@ -245,25 +224,42 @@ class TestTraversal:
                     ]
                     assert np.array_equal(got.report.argmin, ref.report.argmin)
                     assert got.report.value.values.tobytes() == ref.report.value.values.tobytes()
-                placed = len(shared.order)
-                assert shared.order == greedy_order(M)[:placed]
-                assert shared.radii[:placed].tolist() == Traversal(M).grow(placed).tolist()
+                assert shared.order == greedy_order(M)
+                assert shared.radii.tolist() == Traversal(M).radii.tolist()
 
-    def test_traversal_replays_and_memoizes(self):
+    def test_traversal_replays_and_memoizes(self, monkeypatch):
+        import latnorm.fibered as fibered
+
+        calls = []
+        real = fibered._distances_to
+        monkeypatch.setattr(
+            fibered, "_distances_to",
+            lambda M, x: calls.append(x) or real(M, x),
+        )
         rng = np.random.default_rng(42)
         M = random_finite_set(rng, random_fiber_space(rng), 12)
-        full = Traversal(M)
-        radii = full.grow(12).tolist()
         trav = Traversal(M)
-        assert trav.grow(3).tolist() == radii[:3] and len(trav.order) == 3
-        assert trav.grow(2).tolist() == radii[:2] and len(trav.order) == 3
-        assert trav.grow(99).tolist() == radii
-        assert trav.order == full.order == greedy_order(M)
+        assert len(calls) == 12  # built whole, one distance row per element
+        radii = trav.radii.tolist()
+        assert len(radii) == 12 and sorted(trav.order) == list(range(12))
+        assert Traversal(M).radii.tolist() == radii
+        assert trav.order == Traversal(M).order == greedy_order(M)
         assert [c.values.tolist() for c in defect_chain(M)] == radii
         assert trav.recheck(3) is trav.recheck(3)
-        assert trav.utob(0.5, TOL) is trav.utob(0.5, TOL)
+        shared = [is_utob(M, 0.5, TOL, traversal=trav) for _ in range(2)]
+        assert shared[0].report is shared[1].report
         with pytest.raises(ValueError):
             is_utob(M.subset(range(12)), 0.5, traversal=trav)
+        empty = Traversal(M.subset([]))
+        assert empty.radii.shape == (0, M.space.n_points) and empty.order == []
+
+    def test_no_radius_within_eps_takes_all_of_M(self):
+        # NaN radii compare false, so the witness is the whole traversal
+        rng = np.random.default_rng(43)
+        M = random_finite_set(rng, random_fiber_space(rng), 6)
+        M.stacks[0][2, 0] = np.nan
+        rep = is_utob(M, 1e6)
+        assert len(rep.witness) == 6 and not rep.verdict
 
 
 def _uneven_sets():
@@ -278,7 +274,7 @@ class TestDistanceFormula:
     def test_traversal_prefix_equals_recheck(self):
         for M in _uneven_sets():
             trav = Traversal(M)
-            for k, prefix in enumerate(trav.grow(len(M)), 1):
+            for k, prefix in enumerate(trav.radii, 1):
                 recheck = defect(M, M.subset(trav.order[:k])).value.values
                 assert prefix.tolist() == recheck.tolist()
 
@@ -312,12 +308,11 @@ class TestStackLayout:
         # so every kernel reads them exactly as it reads C-ordered copies
         def results(M, F):
             rep, trav = defect(M, F), Traversal(M)
-            radii = trav.grow(len(M))
             return [
                 rep.value.values.tobytes(),
                 rep.argmin.tobytes(),
                 prefix_defects(M, F).tobytes(),
-                radii.tobytes(),
+                trav.radii.tobytes(),
                 trav.order,
             ]
 
@@ -348,7 +343,7 @@ class TestPrefixDefects:
 
     def test_greedy_prefixes_equal_traversal_chain(self):
         for M in _uneven_sets():
-            chain = Traversal(M).grow(len(M)).tolist()
+            chain = Traversal(M).radii.tolist()
             assert prefix_defects(M, M.subset(greedy_order(M))).tolist() == chain
 
     def test_empty_sets_rejected(self):

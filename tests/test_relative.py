@@ -305,7 +305,7 @@ def test_orbit_tob_verdict_equals_per_link_oracle():
     verdicts = set()
     for chain, _, _ in random_chains(32):
         U = np.array([u.values for u in chain])
-        fake = SimpleNamespace(M=chain, grow=lambda k: U[:k])
+        fake = SimpleNamespace(M=chain, radii=U)
         got = orbit_tob_verdict(None, None, orbits=lambda f: fake)
         assert got == per_link_orbit_tob_verdict(chain)
         verdicts.add(got)
