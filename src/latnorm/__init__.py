@@ -39,7 +39,6 @@ from .fibered import (
     FiberwiseMap,
     FiniteSet,
     GridNet,
-    ModuleVector,
     Traversal,
     UtobReport,
     Zonotope,
@@ -54,7 +53,6 @@ from .fibered import (
     set_image,
     set_sum,
     truncate_to_ball,
-    zonotope_distance,
     zonotope_distances,
     zonotope_net,
     zonotope_report,

@@ -21,7 +21,6 @@ from .fibered import (
     FiberSpace,
     FiberwiseMap,
     FiniteSet,
-    ModuleVector,
     Zonotope,
     cp_check,
     cp_witness_from_utob,
@@ -31,7 +30,7 @@ from .fibered import (
     set_image,
     set_sum,
     truncate_to_ball,
-    zonotope_distance,
+    zonotope_distances,
     zonotope_net,
 )
 from .mixing import cyclic_witness, eq_idempotent, mix, mix_membership, verify_cyclic
@@ -152,23 +151,22 @@ def check_defect_subadditive(rng, n=50):
         assert lhs.le(rhs, TOL), "sum-set defect bound"
 
 
-def _hadamard(space):
-    """Fiberwise coordinate product; its lattice norm is submultiplicative."""
-
-    def m(x: ModuleVector, y: ModuleVector) -> ModuleVector:
-        return ModuleVector(space, [a * b for a, b in zip(x.fibers, y.fibers)])
-
-    return m
+def _hadamard(M, N):
+    """{x * y} for the fiberwise coordinate product, ordered M-major; its
+    lattice norm is submultiplicative."""
+    stacks = [
+        (a[:, None, :] * b[None, :, :]).reshape(-1, a.shape[1])
+        for a, b in zip(M.stacks, N.stacks)
+    ]
+    return FiniteSet(M.space, stacks, len(M) * len(N))
 
 
 def check_defect_product_bound(rng, n=50):
     for _ in range(n):
         space = fixtures.random_fiber_space(rng)
-        m = _hadamard(space)
         M, N = _instance(rng, 2, space=space), _instance(rng, 2, space=space)
         G, H = _instance(rng, 2, space=space), _instance(rng, 2, space=space)
-        mMN = FiniteSet.from_vectors([m(x, y) for x in M for y in N], space)
-        mGH = FiniteSet.from_vectors([m(z, w) for z in G for w in H], space)
+        mMN, mGH = _hadamard(M, N), _hadamard(G, H)
         A, B = M.norm_sup(), N.norm_sup()
         dMG, dNH = defect(M, G).value, defect(N, H).value
         bound = A * dNH + dMG * dNH + B * dMG
@@ -184,11 +182,10 @@ def check_defect_enlargement(rng, n=50):
         noise = fixtures.random_finite_set(rng, space, 3)
         rows = []
         for i in range(3):
-            x, e = Mt[i], noise[i]
-            norm = e.lattice_norm()
-            scale = t / max(norm.sup_norm(), 1e-12) * float(rng.random())
-            rows.append(x + scale * e)
-        M = FiniteSet.from_vectors(rows, space)
+            e = noise.subset([i])
+            scale = t / max(e.norm_sup().sup_norm(), 1e-12) * float(rng.random())
+            rows.append(Mt.subset([i]) + scale * e)
+        M = FiniteSet.concat(rows)
         lhs = defect(M, F).value
         rhs = StoneElement.constant(space.base, t) + defect(Mt, F).value
         assert lhs.le(rhs, TOL), "enlargement defect bound"
@@ -229,20 +226,8 @@ def check_lipschitz_surrogate(rng, n=50):
         M = _instance(rng, 3, space=space)
         F = _instance(rng, 3, space=space)
         pert = fixtures.random_finite_set(rng, space, 3, scale=0.2)
-        F2 = FiniteSet(
-            space, [a + b for a, b in zip(F.stacks, pert.stacks)], len(F)
-        )
-        shift = StoneElement(
-            space.base,
-            np.max(
-                np.stack(
-                    [np.linalg.norm(p, axis=1) for p in pert.stacks], axis=1
-                ),
-                axis=0,
-            ),
-        )
-        diff = defect(M, F).value - defect(M, F2).value
-        assert diff.abs().le(shift, TOL), "matched-list Lipschitz bound"
+        diff = defect(M, F).value - defect(M, F + pert).value
+        assert diff.abs().le(pert.norm_sup(), TOL), "matched-list Lipschitz bound"
 
 
 def _suborthonormal_basis(rng, space, d):
@@ -263,9 +248,8 @@ def check_heine_borel(rng, n_samples=200, eps=0.5, c=1.0):
     d = 2
     basis = _suborthonormal_basis(rng, space, d)
     net = heine_borel_net(basis, c, eps)
-    samples = []
-    for _ in range(n_samples):
-        fibers = [np.zeros(dim, dtype=complex) for dim in space.dims]
+    stacks = [np.zeros((n_samples, dim), dtype=complex) for dim in space.dims]
+    for i in range(n_samples):
         for w in range(space.n_points):
             lam = rng.standard_normal(d) + 1j * rng.standard_normal(d)
             supp = np.linalg.norm(basis.stacks[w], axis=1) > 0.5
@@ -273,9 +257,8 @@ def check_heine_borel(rng, n_samples=200, eps=0.5, c=1.0):
             nrm = np.linalg.norm(lam)
             if nrm > 0:
                 lam = lam / nrm * c * rng.random()
-            fibers[w] = lam @ basis.stacks[w]
-        samples.append(ModuleVector(space, fibers))
-    M = FiniteSet.from_vectors(samples, space)
+            stacks[w][i] = lam @ basis.stacks[w]
+    M = FiniteSet(space, stacks, n_samples)
     assert defect(M, net).value.le(eps, TOL), "net misses a bounded element"
 
 
@@ -313,12 +296,12 @@ def check_zonotope_membership(rng, n=20):
     for _ in range(n):
         space = fixtures.random_fiber_space(rng)
         F = _instance(rng, int(rng.integers(1, 4)), space=space)
-        x = ModuleVector.zeros(space)
-        for y in F:
+        x = FiniteSet.zero(space)
+        for j in range(len(F)):
             mods = rng.random(space.n_points)
             phases = np.exp(1j * rng.uniform(0, 2 * np.pi, space.n_points))
-            x = x + ComplexCoefficient(space.base, mods * phases) * y
-        dval = zonotope_distance(x, Zonotope(F), tol=1e-7, max_iter=50_000)
+            x = x + ComplexCoefficient(space.base, mods * phases) * F.subset([j])
+        dval = zonotope_distances(x, Zonotope(F), tol=1e-7, max_iter=50_000)[0]
         assert dval.sup_norm() <= 1e-6, f"membership distance {dval.sup_norm()}"
 
 
@@ -330,8 +313,8 @@ def check_zonotope_equivalence(rng, n=10):
         wit = cp_witness_from_utob(M, eps)
         # the selections certify the containment elementwise
         for i, pou in enumerate(wit.selections):
-            for p, y in zip(pou, wit.witness):
-                gap = (M[i] - y).lattice_norm() * p
+            for j, p in enumerate(pou):
+                gap = (M.subset([i]) - wit.witness.subset([j])).norm_sup() * p
                 assert gap.le(eps, TOL), "selection misses the bound"
         assert cp_check(M, wit.witness, eps, tol=1e-6, max_iter=50_000)
 
@@ -339,15 +322,15 @@ def check_zonotope_equivalence(rng, n=10):
         F = _instance(rng, 2, space=space)
         pts = []
         for _ in range(3):
-            u = ModuleVector.zeros(space)
-            for y in F:
+            u = FiniteSet.zero(space)
+            for j in range(len(F)):
                 mods = rng.random(space.n_points)
                 ph = np.exp(1j * rng.uniform(0, 2 * np.pi, space.n_points))
-                u = u + ComplexCoefficient(space.base, mods * ph) * y
-            noise = fixtures.random_finite_set(rng, space, 1)[0]
-            nn = noise.lattice_norm().sup_norm()
+                u = u + ComplexCoefficient(space.base, mods * ph) * F.subset([j])
+            noise = fixtures.random_finite_set(rng, space, 1)
+            nn = noise.norm_sup().sup_norm()
             pts.append(u + (eps / max(nn, 1e-12) * 0.9) * noise)
-        M2 = FiniteSet.from_vectors(pts, space)
+        M2 = FiniteSet.concat(pts)
         net, slack = zonotope_net(Zonotope(F), mesh=0.25, cap=10**6)
         bound = StoneElement.constant(space.base, eps) + slack
         assert defect(M2, net).value.le(bound, 1e-6), "zonotope net witness"
@@ -356,8 +339,7 @@ def check_zonotope_equivalence(rng, n=10):
 def check_bounded_chain(rng, n=20):
     for _ in range(n):
         M = _instance(rng, int(rng.integers(1, 6)))
-        zero = FiniteSet.from_vectors([ModuleVector.zeros(M.space)], M.space)
-        assert defect(M, zero).value.eq(M.norm_sup(), TOL), "defect vs {0}"
+        assert defect(M, FiniteSet.zero(M.space)).value.eq(M.norm_sup(), TOL), "defect vs {0}"
         chain = defect_chain(M)
         for u, v in zip(chain, chain[1:]):
             assert v.le(u, TOL), "chain must decrease"
@@ -372,7 +354,7 @@ def check_bset_axioms(rng, n=100):
     for _ in range(n):
         space = fixtures.random_fiber_space(rng)
         xs = fixtures.random_finite_set(rng, space, 3)
-        x, y, z = xs[0], xs[1], xs[2]
+        x, y, z = (xs.subset([i]) for i in range(3))
         assert eq_idempotent(x, x).is_one()
         assert eq_idempotent(x, y) == eq_idempotent(y, x)
         prod = eq_idempotent(x, y) & eq_idempotent(y, z)
@@ -383,20 +365,20 @@ def check_bset_map_law(rng, n=50):
     for _ in range(n):
         space = fixtures.random_fiber_space(rng)
         k = int(rng.integers(1, 4))
-        fam = list(fixtures.random_finite_set(rng, space, k))
-        z = fixtures.random_finite_set(rng, space, 1)[0]
+        fam = fixtures.random_finite_set(rng, space, k)
+        z = fixtures.random_finite_set(rng, space, 1)
         masks = np.zeros((k, space.n_points), dtype=bool)
         assign = rng.integers(0, k, size=space.n_points)
         for a in range(k):
             masks[a] = assign == a
         pou = PartitionOfUnity([Idempotent(space.base, m) for m in masks])
         glued = mix(pou, fam)
-        lhs = (z - glued).lattice_norm()
+        lhs = (z - glued).norm_sup()
         rhs = StoneElement.zeros(space.base)
-        for p, xa in zip(pou, fam):
-            rhs = rhs + (z - xa).lattice_norm() * p
+        for a, p in enumerate(pou):
+            rhs = rhs + (z - fam.subset([a])).norm_sup() * p
         assert lhs.eq(rhs, TOL), "mixing law for distances"
-        wit = mix_membership(glued, FiniteSet.from_vectors(fam, space))
+        wit = mix_membership(glued, fam)
         assert wit is not None, "mixing must be recognized"
 
 
@@ -405,9 +387,9 @@ def check_mix_membership_perturbation(rng, n=25):
         space = fixtures.random_fiber_space(rng)
         M = fixtures.random_finite_set(rng, space, 3)
         tol = 1e-9
-        x = M[int(rng.integers(0, 3))].copy()
+        x = M.subset([int(rng.integers(0, 3))])
         w0 = int(rng.integers(0, space.n_points))
-        x.fibers[w0] = x.fibers[w0] + 10 * tol
+        x.stacks[w0] += 10 * tol
         assert mix_membership(x, M, tol) is None, "perturbed point accepted"
 
 
@@ -433,8 +415,8 @@ def check_defect_mix_invariance(rng, n=25):
             assign = rng.integers(0, len(M), size=space.n_points)
             masks = [assign == a for a in range(len(M))]
             pou = PartitionOfUnity([Idempotent(space.base, m) for m in masks])
-            mixes.append(mix(pou, list(M)))
-        enlarged = FiniteSet.from_vectors(list(M) + mixes, space)
+            mixes.append(mix(pou, M))
+        enlarged = FiniteSet.concat([M, *mixes])
         assert defect(enlarged, F).value.eq(base_val, TOL), "mixing moved the sup"
 
 
@@ -631,8 +613,8 @@ def check_orbit_in_submodule_net(rng, n=5):
 
 
 def check_egoroff_localize(rng):
-    _, M, nets = build_counterexample(8)
-    chain = [defect(M, F).value for F in nets]
+    _, M, F_n = build_counterexample(8)
+    chain = [defect(M, F_n.subset(range(m + 1))).value for m in range(1, 9)]
     weights = np.array([2.0**-k for k in range(1, 9)] + [2.0**-8])
     rep = egoroff_localize(chain, weights, delta=0.25)
     kept = np.nonzero(rep.kept.mask)[0]
@@ -661,7 +643,6 @@ def check_cross_check(rng, n=4):
 
 def check_seq_counterexample(rng):
     n = 10
-    _, M, nets = build_counterexample(n)
     prev = None
     for m in range(1, n + 1):
         ok, value = verify_tob_bound(n, m)
@@ -672,7 +653,7 @@ def check_seq_counterexample(rng):
         assert value.sup_norm() >= SQRT2 / 2 - TOL or m == n
     for d in (1, 2, 3):
         for big in (d + 2, n):
-            F = build_counterexample(big)[2][d - 1].subset(range(1, d + 1))
+            F = build_counterexample(big)[2].subset(range(1, d + 1))
             i, n0 = verify_not_utob(big, F)
             assert n0 > d
     demo_prev = 0

@@ -226,9 +226,9 @@ def cmd_cyclic(args) -> int:
 
 def cmd_counterexample(args) -> int:
     n = args.n
-    _, M, nets = build_counterexample(n)
+    _, M, F_n = build_counterexample(n)
     # F_m is the first m + 1 elements of F_n, so column m - 1 is row m
-    table = prefix_defects(M, nets[-1])[1:].T
+    table = prefix_defects(M, F_n)[1:].T
     labels = [str(k) for k in range(1, n + 1)] + ["tail"]
     lines = ["coordinate," + ",".join(f"net_{m}" for m in range(1, n + 1))]
     for w, lab in enumerate(labels):

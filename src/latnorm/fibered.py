@@ -2,8 +2,9 @@
 
 A module element assigns to every point of the base a vector in a finite
 dimensional complex Hilbert fiber; the lattice norm is the fiberwise
-Euclidean norm. The central quantity is the defect of a set M against a
-finite candidate set F,
+Euclidean norm. Elements live in ``FiniteSet``s, one stack per fiber, and a
+single element is a set of length one. The central quantity is the defect
+of a set M against a finite candidate set F,
 
     defect(M, F)(w) = max_{x in M} min_{y in F} ||x(w) - y(w)||,
 
@@ -16,6 +17,7 @@ uniform total order-boundedness witnesses.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -64,97 +66,18 @@ def _check_space(a, b):
         raise DimensionMismatchError("operands live on different fiber spaces")
 
 
-class ModuleVector:
-    """One complex vector per point of the base."""
-
-    __slots__ = ("space", "fibers")
-
-    def __init__(self, space: FiberSpace, fibers: Sequence[np.ndarray]):
-        fibers = [np.asarray(f, dtype=complex) for f in fibers]
-        if len(fibers) != space.n_points:
-            raise DimensionMismatchError("one fiber per point required")
-        for f, d in zip(fibers, space.dims):
-            if f.shape != (d,):
-                raise DimensionMismatchError(
-                    f"fiber shape {f.shape} does not match dimension {d}"
-                )
-        self.space = space
-        self.fibers = fibers
-
-    @staticmethod
-    def zeros(space: FiberSpace) -> "ModuleVector":
-        return ModuleVector(space, [np.zeros(d, dtype=complex) for d in space.dims])
-
-    def copy(self) -> "ModuleVector":
-        return ModuleVector(self.space, [f.copy() for f in self.fibers])
-
-    def __add__(self, other: "ModuleVector") -> "ModuleVector":
-        _check_space(self, other)
-        return ModuleVector(
-            self.space, [a + b for a, b in zip(self.fibers, other.fibers)]
-        )
-
-    def __sub__(self, other: "ModuleVector") -> "ModuleVector":
-        _check_space(self, other)
-        return ModuleVector(
-            self.space, [a - b for a, b in zip(self.fibers, other.fibers)]
-        )
-
-    def __neg__(self) -> "ModuleVector":
-        return ModuleVector(self.space, [-f for f in self.fibers])
-
-    def __rmul__(self, other) -> "ModuleVector":
-        if isinstance(other, ComplexCoefficient):
-            if other.base != self.space.base:
-                raise DimensionMismatchError("coefficient on a different point set")
-            return ModuleVector(
-                self.space,
-                [lam * f for lam, f in zip(other.values, self.fibers)],
-            )
-        if isinstance(other, Idempotent):
-            if other.base != self.space.base:
-                raise DimensionMismatchError("idempotent on a different point set")
-            return ModuleVector(
-                self.space,
-                [f * bool(m) for m, f in zip(other.mask, self.fibers)],
-            )
-        if isinstance(other, (int, float, complex)):
-            return ModuleVector(self.space, [other * f for f in self.fibers])
-        return NotImplemented
-
-    __mul__ = __rmul__
-
-    def conj(self) -> "ModuleVector":
-        return ModuleVector(self.space, [np.conj(f) for f in self.fibers])
-
-    def lattice_norm(self) -> StoneElement:
-        """Pointwise Euclidean norm of the fibers."""
-        return StoneElement(
-            self.space.base, [float(np.linalg.norm(f)) for f in self.fibers]
-        )
-
-    def inner(self, other: "ModuleVector") -> ComplexCoefficient:
-        """Fiberwise inner product, linear in the first argument."""
-        _check_space(self, other)
-        vals = [
-            complex(np.sum(a * np.conj(b)))
-            for a, b in zip(self.fibers, other.fibers)
-        ]
-        return ComplexCoefficient(self.space.base, vals)
-
-    def __repr__(self):
-        return f"ModuleVector(points={self.space.n_points})"
-
-
 class FiniteSet:
-    """Finite ordered list of module vectors on a common fiber space.
+    """Finite ordered list of module elements on a common fiber space.
 
-    Stored as one unpadded (n_elements, dim) stack per fiber so that defect
-    computations vectorize; individual elements are materialized on demand,
-    and ``p * M`` multiplies all of them by an idempotent or a scalar.
+    Stored as one unpadded (n_elements, dim) stack per fiber so that every
+    kernel vectorizes. A single module element is a set of length one, and
+    ``subset([i])`` takes element i out of a set. ``M + N`` and ``M - N``
+    act elementwise on sets of one length, and ``c * M`` multiplies every
+    element by an idempotent, a coefficient field or a scalar.
     """
 
     __slots__ = ("space", "stacks", "_n")
+    __array_ufunc__ = None  # numpy operands defer to the operators below
 
     def __init__(self, space: FiberSpace, stacks: Sequence[np.ndarray], n: int):
         self.space = space
@@ -168,53 +91,67 @@ class FiniteSet:
                 )
 
     @staticmethod
-    def from_vectors(vectors: Sequence[ModuleVector], space: FiberSpace | None = None):
-        vectors = list(vectors)
-        if space is None:
-            if not vectors:
-                raise ValueError("cannot infer the space of an empty set")
-            space = vectors[0].space
-        for v in vectors:
-            if v.space != space:
-                raise DimensionMismatchError("elements live on different fiber spaces")
-        stacks = [
-            np.array([v.fibers[w] for v in vectors], dtype=complex).reshape(
-                len(vectors), d
-            )
-            for w, d in enumerate(space.dims)
-        ]
-        return FiniteSet(space, stacks, len(vectors))
+    def zero(space: FiberSpace) -> "FiniteSet":
+        """The one-element set of the zero element."""
+        return FiniteSet(space, [np.zeros((1, d), dtype=complex) for d in space.dims], 1)
+
+    @staticmethod
+    def concat(sets: Sequence["FiniteSet"]) -> "FiniteSet":
+        """The elements of every set in turn, on their common fiber space."""
+        if not sets:
+            raise ValueError("cannot infer the space of no sets")
+        for F in sets[1:]:
+            _check_space(sets[0], F)
+        stacks = [np.concatenate(fibers) for fibers in zip(*(F.stacks for F in sets))]
+        return FiniteSet(sets[0].space, stacks, sum(len(F) for F in sets))
 
     def __len__(self):
         return self._n
-
-    def __getitem__(self, i: int) -> ModuleVector:
-        return ModuleVector(self.space, [s[i] for s in self.stacks])
-
-    def __iter__(self):
-        return (self[i] for i in range(self._n))
 
     def subset(self, indices: Sequence[int]) -> "FiniteSet":
         idx = list(indices)
         return FiniteSet(self.space, [s[idx] for s in self.stacks], len(idx))
 
+    def _elementwise(self, other, op) -> "FiniteSet":
+        if not isinstance(other, FiniteSet):
+            return NotImplemented
+        _check_space(self, other)
+        if len(other) != self._n:
+            raise DimensionMismatchError(f"sets of {self._n} and {len(other)} elements")
+        stacks = [op(a, b) for a, b in zip(self.stacks, other.stacks)]
+        return FiniteSet(self.space, stacks, self._n)
+
+    def __add__(self, other) -> "FiniteSet":
+        return self._elementwise(other, np.add)
+
+    def __sub__(self, other) -> "FiniteSet":
+        return self._elementwise(other, np.subtract)
+
     def __rmul__(self, other) -> "FiniteSet":
-        if isinstance(other, Idempotent):
+        if isinstance(other, (Idempotent, ComplexCoefficient)):
             if other.base != self.space.base:
-                raise DimensionMismatchError("idempotent on a different point set")
-            stacks = [s * m for m, s in zip(other.mask, self.stacks)]
-        elif isinstance(other, (int, float, complex)):
+                raise DimensionMismatchError("coefficient on a different point set")
+            factors = other.mask if isinstance(other, Idempotent) else other.values
+            # factor first: numpy's complex array product is not symmetric
+            # in the last bit, and c * s is the product of c with each row
+            stacks = [c * s for c, s in zip(factors, self.stacks)]
+        elif isinstance(other, numbers.Number):
             stacks = [other * s for s in self.stacks]
         else:
             return NotImplemented
         return FiniteSet(self.space, stacks, self._n)
 
+    __mul__ = __rmul__
+
+    def norms(self) -> np.ndarray:
+        """(n_elements, n_points) table of the lattice norms of the elements."""
+        return np.stack([np.linalg.norm(s, axis=1) for s in self.stacks], axis=1)
+
     def norm_sup(self) -> StoneElement:
         """Pointwise supremum of the lattice norms of the elements."""
         if self._n == 0:
             return StoneElement.zeros(self.space.base)
-        vals = [float(np.max(np.linalg.norm(s, axis=1))) for s in self.stacks]
-        return StoneElement(self.space.base, vals)
+        return StoneElement(self.space.base, self.norms().max(axis=0))
 
     def __repr__(self):
         return f"FiniteSet(n={self._n}, points={self.space.n_points})"
@@ -344,13 +281,6 @@ class UtobReport:
         }
 
 
-def _norm_table(M: FiniteSet) -> np.ndarray:
-    """(n_elements, n_points) table of fiber norms."""
-    return np.stack(
-        [np.linalg.norm(s, axis=1) for s in M.stacks], axis=1
-    ) if len(M) else np.zeros((0, M.space.n_points))
-
-
 class Traversal:
     """Gonzalez farthest-point traversal of M, built whole at construction
     and shared by every reader.
@@ -372,7 +302,7 @@ class Traversal:
         self._rechecks: dict[int, DefectReport] = {}
         placed = np.zeros(len(M), dtype=bool)
         mindist = np.full((M.space.n_points, len(M)), np.inf)
-        scores = np.max(_norm_table(M), axis=1)  # seed: the largest lattice norm
+        scores = M.norms().max(axis=1)  # seed: the largest lattice norm
         for j in range(len(M)):
             nxt = int(scores.argmax())
             np.minimum(mindist, _distances_to(M, [s[nxt] for s in M.stacks]), out=mindist)
@@ -434,12 +364,8 @@ def truncate_to_ball(F: FiniteSet, r: float, tol: float = DEFAULT_TOL) -> Finite
     """
     if r < 0:
         raise ValueError("r must be nonnegative")
-    stacks = []
-    norms = _norm_table(F)
-    keep = norms <= 2.0 * r + tol
-    for w, s in enumerate(F.stacks):
-        stacks.append(s * keep[:, w][:, None])
-    return FiniteSet(F.space, stacks, len(F))
+    keep = F.norms() <= 2.0 * r + tol
+    return FiniteSet(F.space, [s * keep[:, w, None] for w, s in enumerate(F.stacks)], len(F))
 
 
 def set_sum(M: FiniteSet, N: FiniteSet) -> FiniteSet:
@@ -470,13 +396,6 @@ class FiberwiseMap:
 
     def bound(self) -> float:
         return max(float(np.linalg.norm(m, 2)) for m in self.mats)
-
-    def __call__(self, x: ModuleVector) -> ModuleVector:
-        if x.space != self.space_in:
-            raise DimensionMismatchError("vector not in the map's domain")
-        return ModuleVector(
-            self.space_out, [m @ f for m, f in zip(self.mats, x.fibers)]
-        )
 
 
 def set_image(T: FiberwiseMap, M: FiniteSet) -> FiniteSet:
@@ -675,7 +594,7 @@ def heine_borel_net(
     check_suborthonormal(basis, tol)
     space = basis.space
     if c == 0 or len(basis) == 0:
-        return FiniteSet.from_vectors([ModuleVector.zeros(space)], space)
+        return FiniteSet.zero(space)
     return GridNet(basis, disc_grid(c, eps / math.sqrt(len(basis))), cap)
 
 
@@ -688,9 +607,8 @@ def zonotope_net(Z: Zonotope, mesh: float, cap: int = 10**6):
     F = Z.generators
     space = F.space
     if len(F) == 0:
-        net = FiniteSet.from_vectors([ModuleVector.zeros(space)], space)
-        return net, StoneElement.zeros(space.base)
-    norm_sum = np.sum(_norm_table(F), axis=0)
+        return FiniteSet.zero(space), StoneElement.zeros(space.base)
+    norm_sum = np.sum(F.norms(), axis=0)
     slack = StoneElement(space.base, mesh * norm_sum)
     return _grid_image(F, disc_grid(1.0, mesh), cap), slack
 
@@ -783,19 +701,6 @@ def _solve_disc_fit(
         if np.all(done):
             break
     return best, done, iterations
-
-
-def zonotope_distance(
-    x: ModuleVector,
-    Z: Zonotope,
-    tol: float = 1e-7,
-    max_iter: int = 10_000,
-) -> StoneElement:
-    """Pointwise distance from x to the zonotope of Z's generators."""
-    dists = zonotope_distances(
-        FiniteSet.from_vectors([x]), Z, tol=tol, max_iter=max_iter
-    )
-    return dists[0]
 
 
 def zonotope_distances(

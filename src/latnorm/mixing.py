@@ -3,6 +3,8 @@
 The boolean-valued equality ``[[x = y]]`` (complement of the support of
 |x - y|) makes every fiberwise module a set with boolean-algebra-valued
 equality; a mixing glues a family of elements along a partition of unity.
+An element is a one-element ``FiniteSet`` and a family is one set, so a
+mixing picks, at each point, the family row whose part holds that point.
 Relative cyclic compactness of a set is certified by a countable partition
 (q_n) and finite sets F_n whose mixings epsilon-approximate every element
 on the corresponding component; at finite scale the constructive existence
@@ -18,38 +20,41 @@ import numpy as np
 from .errors import ConstructionError, DimensionMismatchError
 from .stone import DEFAULT_TOL, Idempotent, PartitionOfUnity
 from .fibered import (
-    FiniteSet, ModuleVector, _distances_to, defect, greedy_order, prefix_defects,
+    FiniteSet, _distances_to, defect, greedy_order, prefix_defects,
     truncate_to_ball,
 )
 
 
-def eq_idempotent(
-    x: ModuleVector, y: ModuleVector, tol: float = DEFAULT_TOL
-) -> Idempotent:
-    """Boolean-valued equality: the component where x and y agree within tol."""
-    return (x - y).lattice_norm().support(tol).complement()
+def _check_element(x: FiniteSet) -> None:
+    if len(x) != 1:
+        raise ValueError(f"expected a one-element set, got {len(x)} elements")
 
 
-def mix(partition: PartitionOfUnity, family: list[ModuleVector]) -> ModuleVector:
-    """Glue the family along the partition: take x_a on the part p_a."""
+def eq_idempotent(x: FiniteSet, y: FiniteSet, tol: float = DEFAULT_TOL) -> Idempotent:
+    """Boolean-valued equality of two elements (one-element sets): the
+    component where x and y agree within tol."""
+    _check_element(x)
+    _check_element(y)
+    return (x - y).norm_sup().support(tol).complement()
+
+
+def mix(partition: PartitionOfUnity, family: FiniteSet) -> FiniteSet:
+    """Glue the family, one element per part, along the partition: the
+    one-element set that takes element a on the part p_a, a row pick per
+    fiber."""
     if len(family) != len(partition):
         raise ValueError(
             f"family size {len(family)} != partition size {len(partition)}"
         )
-    space = family[0].space
-    if partition.base != space.base:
+    if partition.base != family.space.base:
         raise DimensionMismatchError("partition on a different point set")
-    out = ModuleVector.zeros(space)
-    for p, x in zip(partition, family):
-        if x.space != space:
-            raise DimensionMismatchError("family members on different fiber spaces")
-        out = out + p * x
-    return out
+    part = np.array([p.mask for p in partition]).argmax(axis=0)
+    return FiniteSet(family.space, [s[[a]] for s, a in zip(family.stacks, part)], 1)
 
 
 @dataclass
 class MixWitness:
-    """Certificate that a vector is a mixing of a family.
+    """Certificate that an element is a mixing of a family.
 
     ``assignment[a]`` indexes the family member selected on part a.
     """
@@ -59,16 +64,18 @@ class MixWitness:
 
 
 def mix_membership(
-    x: ModuleVector, M: FiniteSet, tol: float = DEFAULT_TOL
+    x: FiniteSet, M: FiniteSet, tol: float = DEFAULT_TOL
 ) -> MixWitness | None:
-    """Exhibit x as a mixing of elements of M, or report that none exists.
+    """Exhibit the element x (a one-element set) as a mixing of elements of
+    M, or report that none exists.
 
     Fiberwise characterization: a witness exists iff at every point some
     element of M matches x within tol; the lowest such index is chosen.
     """
+    _check_element(x)
     if x.space != M.space:
-        raise DimensionMismatchError("vector and set on different fiber spaces")
-    hits = _distances_to(M, x.fibers) <= tol  # (n_points, n_elements)
+        raise DimensionMismatchError("element and set on different fiber spaces")
+    hits = _distances_to(M, [s[0] for s in x.stacks]) <= tol  # (n_points, n_elements)
     if not np.all(hits.any(axis=1)):
         return None
     pick = hits.argmax(axis=1)

@@ -50,34 +50,25 @@ class TruncatedSeqSpace:
         return e
 
 
-def build_counterexample(n: int) -> tuple[TruncatedSeqSpace, FiniteSet, list[FiniteSet]]:
-    """Probe set M and net chain F_1..F_n of the truncated model.
+def build_counterexample(n: int) -> tuple[TruncatedSeqSpace, FiniteSet, FiniteSet]:
+    """Probe set M and the largest net F_n of the truncated model.
 
-    M holds 1_{k} (x) e_j for 1 <= j <= k <= n (zero tail); F_m holds the
-    zero element and the constants 1 (x) e_l for l <= m (zero tail).
+    M holds 1_{k} (x) e_j for 1 <= j <= k <= n (zero tail), ordered by k
+    and then j, so rows k(k - 1)/2 .. k(k + 1)/2 - 1 at point k hold the k x k
+    identity. F_n holds the zero element and then the constants 1 (x) e_l
+    for l = 1..n (zero tail); the net F_m is ``F_n.subset(range(m + 1))``.
     """
     space = TruncatedSeqSpace.build(n)
     fs = space.fiber_space
-    n_pts = fs.n_points
-
-    m_rows = []
+    size = n * (n + 1) // 2
+    m_stacks = [np.zeros((size, n), dtype=complex) for _ in range(fs.n_points)]
     for k in range(1, n + 1):
-        for j in range(1, k + 1):
-            m_rows.append((k, j))
-    m_stacks = []
-    for w in range(n_pts):
-        s = np.zeros((len(m_rows), n), dtype=complex)
-        for i, (k, j) in enumerate(m_rows):
-            if w == k - 1:
-                s[i, j - 1] = 1.0
-        m_stacks.append(s)
-    M = FiniteSet(fs, m_stacks, len(m_rows))
-
-    # F_n: the zero element, then 1 (x) e_l for l = 1..n, vanishing on the
-    # tail; F_m is its first m + 1 elements
+        start = k * (k - 1) // 2
+        m_stacks[k - 1][start : start + k, :k] = np.eye(k)
+    M = FiniteSet(fs, m_stacks, size)
     stacks = [np.eye(n + 1, n, k=-1, dtype=complex)] * n
     F_n = FiniteSet(fs, stacks + [np.zeros((n + 1, n), dtype=complex)], n + 1)
-    return space, M, [F_n.subset(range(m + 1)) for m in range(1, n + 1)]
+    return space, M, F_n
 
 
 def verify_tob_bound(
@@ -86,8 +77,8 @@ def verify_tob_bound(
     """Defect of the probe set against F_m: zero on 1..m, at most sqrt(2) after."""
     if not 1 <= m <= n:
         raise ValueError("net index out of range")
-    _, M, nets = build_counterexample(n)
-    value = defect(M, nets[m - 1]).value
+    _, M, F_n = build_counterexample(n)
+    value = defect(M, F_n.subset(range(m + 1))).value
     ok = bool(
         np.all(value.values[:m] <= tol) and np.all(value.values <= SQRT2 + tol)
     )
@@ -107,7 +98,7 @@ def verify_not_utob(
     """
     space = TruncatedSeqSpace.build(n)
     if F is None or len(F) == 0:
-        F = _zero_set(space)
+        F = FiniteSet.zero(space.fiber_space)
         d = 0
     else:
         if F.space != space.fiber_space:
@@ -125,11 +116,6 @@ def verify_not_utob(
     raise RuntimeError(
         "no pigeonhole witness found; the truncated model is inconsistent"
     )
-
-
-def _zero_set(space: TruncatedSeqSpace) -> FiniteSet:
-    fs = space.fiber_space
-    return FiniteSet(fs, [np.zeros((1, d), dtype=complex) for d in fs.dims], 1)
 
 
 @dataclass
@@ -167,7 +153,7 @@ def egoroff_demo(n: int, delta: float, tol: float = DEFAULT_TOL) -> EgoroffDemo:
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
-    space, M, nets = build_counterexample(n)
+    space, M, F_n = build_counterexample(n)
     m = 0
     while 2.0 ** -m > delta:
         m += 1
@@ -183,6 +169,6 @@ def egoroff_demo(n: int, delta: float, tol: float = DEFAULT_TOL) -> EgoroffDemo:
     removed_mass = float(np.sum(space.weights()[~mask]))
 
     masked_set = kept * M
-    witness = kept * (nets[m - 1] if m >= 1 else _zero_set(space))
+    witness = kept * F_n.subset(range(m + 1))
     value = defect(masked_set, witness).value
     return EgoroffDemo(m, kept, removed_mass, masked_set, witness, value)

@@ -36,9 +36,6 @@ class PointSet:
     def size(self) -> int:
         return len(self.labels)
 
-    def index(self, label: str) -> int:
-        return self.labels.index(label)
-
     @staticmethod
     def of_size(n: int, prefix: str = "w") -> "PointSet":
         return PointSet(tuple(f"{prefix}{i}" for i in range(n)))
@@ -70,10 +67,6 @@ class StoneElement:
     @staticmethod
     def zeros(base: PointSet) -> "StoneElement":
         return StoneElement(base, np.zeros(base.size))
-
-    @staticmethod
-    def ones(base: PointSet) -> "StoneElement":
-        return StoneElement(base, np.ones(base.size))
 
     @staticmethod
     def constant(base: PointSet, c: float) -> "StoneElement":
@@ -116,9 +109,6 @@ class StoneElement:
     def abs(self) -> "StoneElement":
         return StoneElement(self.base, np.abs(self.values))
 
-    def sqrt(self) -> "StoneElement":
-        return StoneElement(self.base, np.sqrt(np.maximum(self.values, 0.0)))
-
     # -- order and norm -----------------------------------------------
 
     def le(self, other, tol: float = DEFAULT_TOL) -> bool:
@@ -149,7 +139,7 @@ class StoneElement:
 
 
 class ComplexCoefficient:
-    """Complex scalar field on a point set; acts on module vectors."""
+    """Complex scalar field on a point set; acts on module elements."""
 
     __slots__ = ("base", "values")
 
@@ -161,10 +151,6 @@ class ComplexCoefficient:
             )
         self.base = base
         self.values = values
-
-    @staticmethod
-    def ones(base: PointSet) -> "ComplexCoefficient":
-        return ComplexCoefficient(base, np.ones(base.size, dtype=complex))
 
     def modulus(self) -> StoneElement:
         return StoneElement(self.base, np.abs(self.values))
@@ -203,10 +189,6 @@ class Idempotent:
     @staticmethod
     def one(base: PointSet) -> "Idempotent":
         return Idempotent(base, np.ones(base.size, dtype=bool))
-
-    @staticmethod
-    def zero(base: PointSet) -> "Idempotent":
-        return Idempotent(base, np.zeros(base.size, dtype=bool))
 
     def complement(self) -> "Idempotent":
         return Idempotent(self.base, ~self.mask)

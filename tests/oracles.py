@@ -12,7 +12,6 @@ from latnorm import (
     FiniteSet,
     Idempotent,
     KroneckerReport,
-    ModuleVector,
     OrbitCache,
     defect,
     disc_grid,
@@ -26,14 +25,15 @@ from latnorm.relative import _phi, span_basis
 from latnorm.systems import Extension, FiniteProbabilitySpace, MPMap
 
 
-def grid_zonotope_distance(x, F, mesh=0.01):
-    """Grid the last coefficient disc, solve the first coefficient in closed
+def grid_zonotope_oracle(x, F, mesh=0.01):
+    """Distance from the element x (a one-element set) to the zonotope of F:
+    grid the last coefficient disc, solve the first coefficient in closed
     form; exact for one generator, within mesh * |last generator| of the
     optimum for two."""
     grid = disc_grid(1.0, mesh)
     out = np.zeros(x.space.n_points)
     for w in range(x.space.n_points):
-        b = x.fibers[w]
+        b = x.stacks[w][0]
         gens = F.stacks[w]
         if len(F) == 1:
             vals = np.linalg.norm(b[None, :] - grid[:, None] * gens[0][None, :], axis=1)
@@ -137,24 +137,27 @@ def encoding_cases():
 
 
 def per_function_encode(fs, ext):
-    """Encode one function at a time as a ``ModuleVector`` and restack the
-    vectors with ``FiniteSet.from_vectors``."""
+    """Encode one function at a time as a plain list of its fibers, then
+    stack fiber w of every function into the set's stack w."""
     points, space, sqrt_w = _fiber_encoding(ext)
-    vectors = [
-        ModuleVector(space, [f[p] * sw for p, sw in zip(points, sqrt_w)])
-        for f in np.asarray(fs, dtype=complex)
+    fs = np.asarray(fs, dtype=complex)
+    vectors = [[f[p] * sw for p, sw in zip(points, sqrt_w)] for f in fs]
+    stacks = [
+        np.array([v[w] for v in vectors], dtype=complex).reshape(len(fs), d)
+        for w, d in enumerate(space.dims)
     ]
-    return FiniteSet.from_vectors(vectors, space)
+    return FiniteSet(space, stacks, len(fs))
 
 
 def per_function_decode(F, ext):
-    """Decode one element (``F[j]``) at a time: the ``(len(F), n_x)`` array."""
+    """Decode one element (row j of every stack) at a time: the
+    ``(len(F), n_x)`` array."""
     points, _, sqrt_w = _fiber_encoding(ext)
     rows = []
-    for v in F:
+    for j in range(len(F)):
         out = np.zeros(ext.upstairs.size, dtype=complex)
-        for p, sw, fib in zip(points, sqrt_w, v.fibers):
-            out[p] = fib / sw
+        for p, sw, s in zip(points, sqrt_w, F.stacks):
+            out[p] = s[j] / sw
         rows.append(out)
     return np.array(rows, dtype=complex).reshape(len(F), ext.upstairs.size)
 
@@ -232,6 +235,16 @@ def per_prefix_cyclic_witness(M, eps, r, tol=1e-9):
         )
         parts.append((p, glued))
     return parts
+
+
+def masked_sum_mix(partition, family):
+    """Mixing of a family (one element per part) as the sum over parts of
+    each part's 0/1 mask times its element, fiber by fiber: the one-element
+    set sum_a p_a x_a."""
+    out = [np.zeros(d, dtype=complex) for d in family.space.dims]
+    for a, p in enumerate(partition):
+        out = [o + s[a] * bool(m) for o, s, m in zip(out, family.stacks, p.mask)]
+    return FiniteSet(family.space, [o[None, :] for o in out], 1)
 
 
 def product_grid_image(F, grid):

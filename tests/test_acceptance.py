@@ -12,7 +12,6 @@ from latnorm import (
     ComplexCoefficient,
     FiberSpace,
     FiniteSet,
-    ModuleVector,
     PointSet,
     Zonotope,
     ap_closure_properties,
@@ -52,7 +51,7 @@ from latnorm.fixtures import (
     rotation_extension,
 )
 from latnorm.seqmodel import SQRT2
-from oracles import grid_zonotope_distance
+from oracles import grid_zonotope_oracle
 
 TOL = 1e-9
 
@@ -66,7 +65,7 @@ def _report(num: int, name: str, t0: float, limit: float) -> None:
 def test_ac1_counterexample_bounds():
     t0 = time.perf_counter()
     n = 16
-    space, M, nets = build_counterexample(n)
+    space, M, F_n = build_counterexample(n)
     for m in range(1, n):
         ok, value = verify_tob_bound(n, m, TOL)
         assert ok
@@ -76,7 +75,7 @@ def test_ac1_counterexample_bounds():
     rng = np.random.default_rng(161)
     fs = space.fiber_space
     for d in range(1, 9):
-        adversaries = [nets[d - 1].subset(range(1, d + 1))]  # the d constants
+        adversaries = [F_n.subset(range(1, d + 1))]  # the d constants
         for _ in range(3):
             stacks = [
                 (rng.standard_normal((d, n)) + 1j * rng.standard_normal((d, n)))
@@ -116,15 +115,12 @@ def test_ac2_zonotope_equivalence():
         assert cp_check(M, wit.witness, eps, tol=1e-6, max_iter=100_000)
 
         # membership constructions solve to numerical zero
-        x = ModuleVector.zeros(space)
-        for y in F:
+        x = FiniteSet.zero(space)
+        for j in range(len(F)):
             mods = rng.random(space.n_points)
             ph = np.exp(1j * rng.uniform(0, 2 * np.pi, space.n_points))
-            x = x + ComplexCoefficient(space.base, mods * ph) * y
-        dist = zonotope_distances(
-            FiniteSet.from_vectors([x], space), Zonotope(F),
-            tol=1e-7, max_iter=100_000,
-        )[0]
+            x = x + ComplexCoefficient(space.base, mods * ph) * F.subset([j])
+        dist = zonotope_distances(x, Zonotope(F), tol=1e-7, max_iter=100_000)[0]
         assert dist.sup_norm() <= 1e-6
 
     # solver against the independent grid oracle
@@ -132,12 +128,9 @@ def test_ac2_zonotope_equivalence():
         space = random_fiber_space(rng, max_points=6, max_dim=4)
         m = int(rng.integers(1, 3))
         F = random_finite_set(rng, space, m, scale=0.6)
-        x = random_finite_set(rng, space, 1, scale=1.0)[0]
-        d = zonotope_distances(
-            FiniteSet.from_vectors([x], space), Zonotope(F),
-            tol=1e-7, max_iter=100_000,
-        )[0]
-        oracle = grid_zonotope_distance(x, F, mesh=0.01)
+        x = random_finite_set(rng, space, 1, scale=1.0)
+        d = zonotope_distances(x, Zonotope(F), tol=1e-7, max_iter=100_000)[0]
+        oracle = grid_zonotope_oracle(x, F, mesh=0.01)
         assert np.max(np.abs(d.values - oracle)) <= 0.02
     _report(2, "zonotope equivalence", t0, 60.0)
 
@@ -160,18 +153,16 @@ def test_ac3_heine_borel():
         ]
         for eps in (0.5, 0.25):
             net = heine_borel_net(basis, c=1.0, eps=eps)
-            samples = []
-            for _ in range(1000):
-                fibers = []
+            stacks = [np.zeros((1000, dim), dtype=complex) for dim in space.dims]
+            for i in range(1000):
                 for w in range(space.n_points):
                     lam = rng.standard_normal(d) + 1j * rng.standard_normal(d)
                     lam = lam * supports[w]
                     nrm = np.linalg.norm(lam)
                     if nrm > 0:
                         lam = lam / nrm * rng.random()
-                    fibers.append(lam @ basis.stacks[w])
-                samples.append(ModuleVector(space, fibers))
-            M = FiniteSet.from_vectors(samples, space)
+                    stacks[w][i] = lam @ basis.stacks[w]
+            M = FiniteSet(space, stacks, 1000)
             assert defect(M, net).value.le(eps, TOL)
     _report(3, "Heine-Borel nets", t0, 30.0)
 

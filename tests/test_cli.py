@@ -145,7 +145,7 @@ class TestCommands:
         out = json.loads(capsys.readouterr().out)
         assert out["results"]["0.5"]["verified"] is True
 
-    def test_cyclic_zero_set_at_zero_tol_has_radius_zero(self, tmp_path, capsys):
+    def test_cyclic_zero_element_at_zero_tol_has_radius_zero(self, tmp_path, capsys):
         path = tmp_path / "zero.json"
         path.write_text(
             json.dumps({"space": {"points": ["a"], "dims": [1]}, "sets": {"M": [[[0.0]]]}})
@@ -265,7 +265,8 @@ class TestCommands:
         for n in range(2, 17):
             assert main(["counterexample", "--n", str(n)]) == 0
             table = json.loads(capsys.readouterr().out)["defect_table"]
-            _, M, nets = build_counterexample(n)
+            _, M, F_n = build_counterexample(n)
+            nets = [F_n.subset(range(m + 1)) for m in range(1, n + 1)]
             expected = np.stack([defect(M, F).value.values for F in nets], axis=1)
             assert table == expected.tolist()
 

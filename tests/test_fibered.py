@@ -12,7 +12,6 @@ from latnorm import (
     GridNet,
     Idempotent,
     IterationLimitError,
-    ModuleVector,
     PointSet,
     SizeCapError,
     StoneElement,
@@ -31,7 +30,7 @@ from latnorm import (
     set_image,
     set_sum,
     truncate_to_ball,
-    zonotope_distance,
+    zonotope_distances,
     zonotope_net,
     zonotope_report,
 )
@@ -44,7 +43,7 @@ from latnorm.fixtures import (
 from oracles import (
     brute_force_defect_chain,
     brute_force_greedy_order,
-    grid_zonotope_distance,
+    grid_zonotope_oracle,
     product_grid_image,
 )
 
@@ -60,27 +59,33 @@ def scalars(space, *vals):
     return FiniteSet(space, [np.array(vals, dtype=complex).reshape(-1, 1)], len(vals))
 
 
+def element(space, *fibers):
+    """One-element set with the given fibers."""
+    return FiniteSet(space, [np.array(f, dtype=complex).reshape(1, -1) for f in fibers], 1)
+
+
 class TestLatticeNorm:
     def test_zero(self):
         space = random_fiber_space(np.random.default_rng(0))
-        assert ModuleVector.zeros(space).lattice_norm().sup_norm() == 0.0
+        assert FiniteSet.zero(space).norm_sup().sup_norm() == 0.0
 
     def test_pythagoras(self):
         space = single_fiber_space(2)
-        x = ModuleVector(space, [np.array([3.0, 4.0])])
-        assert np.allclose(x.lattice_norm().values, [5.0])
+        x = element(space, [3.0, 4.0])
+        assert np.allclose(x.norm_sup().values, [5.0])
+        assert x.norms().tolist() == [[5.0]]
 
     def test_homogeneity(self):
         space = FiberSpace(PointSet.of_size(2), (2, 2))
-        x = ModuleVector(space, [np.array([1, 0]), np.array([0, 1])])
+        x = element(space, [1, 0], [0, 1])
         lam = ComplexCoefficient(space.base, [2.0, 0.0])
-        assert np.allclose((lam * x).lattice_norm().values, [2.0, 0.0])
+        assert np.allclose((lam * x).norm_sup().values, [2.0, 0.0])
         # |lam x| = |lam| |x| in general
         rng = np.random.default_rng(3)
-        y = ModuleVector(space, [rng.standard_normal(2) + 1j, rng.standard_normal(2)])
+        y = element(space, rng.standard_normal(2) + 1j, rng.standard_normal(2))
         mu = ComplexCoefficient(space.base, rng.standard_normal(2) + 1j * rng.standard_normal(2))
-        lhs = (mu * y).lattice_norm()
-        rhs = mu.modulus() * y.lattice_norm()
+        lhs = (mu * y).norm_sup()
+        rhs = mu.modulus() * y.norm_sup()
         assert lhs.eq(rhs, TOL)
 
 
@@ -384,9 +389,8 @@ class TestHeineBorel:
         for _ in range(200):
             lam = rng.standard_normal(2) + 1j * rng.standard_normal(2)
             lam = lam / max(np.linalg.norm(lam), 1.0) * rng.random()
-            fibers = [lam @ basis.stacks[0], (lam * [1, 0]) @ basis.stacks[1]]
-            samples.append(ModuleVector(space, fibers))
-        M = FiniteSet.from_vectors(samples, space)
+            samples.append(element(space, lam @ basis.stacks[0], (lam * [1, 0]) @ basis.stacks[1]))
+        M = FiniteSet.concat(samples)
         assert defect(M, net).value.le(0.5, TOL)
 
     def test_suborthonormality_enforced(self):
@@ -566,8 +570,8 @@ class TestZonotope:
         space = single_fiber_space(2)
         e1 = np.array([1.0, 0.0], dtype=complex)
         F = FiniteSet(space, [e1.reshape(1, 2)], 1)
-        x = ModuleVector(space, [2.0 * e1])
-        d = zonotope_distance(x, Zonotope(F), tol=1e-9, max_iter=50_000)
+        x = element(space, 2.0 * e1)
+        d = zonotope_distances(x, Zonotope(F), tol=1e-9, max_iter=50_000)[0]
         assert d.values[0] == pytest.approx(1.0, abs=1e-8)
 
     def test_membership(self):
@@ -575,12 +579,12 @@ class TestZonotope:
         for _ in range(10):
             space = random_fiber_space(rng, max_points=3, max_dim=3)
             F = random_finite_set(rng, space, int(rng.integers(1, 4)))
-            x = ModuleVector.zeros(space)
-            for y in F:
+            x = FiniteSet.zero(space)
+            for j in range(len(F)):
                 mods = rng.random(space.n_points)
                 ph = np.exp(1j * rng.uniform(0, 2 * np.pi, space.n_points))
-                x = x + ComplexCoefficient(space.base, mods * ph) * y
-            d = zonotope_distance(x, Zonotope(F), tol=1e-7, max_iter=50_000)
+                x = x + ComplexCoefficient(space.base, mods * ph) * F.subset([j])
+            d = zonotope_distances(x, Zonotope(F), tol=1e-7, max_iter=50_000)[0]
             assert d.sup_norm() <= 1e-6
 
     def test_matches_grid_brute_force(self):
@@ -589,9 +593,9 @@ class TestZonotope:
             space = random_fiber_space(rng, max_points=2, max_dim=3)
             m = int(rng.integers(1, 3))
             F = random_finite_set(rng, space, m, scale=0.8)
-            x = random_finite_set(rng, space, 1, scale=1.2)[0]
-            d = zonotope_distance(x, Zonotope(F), tol=1e-7, max_iter=50_000)
-            oracle = grid_zonotope_distance(x, F, mesh=0.01)
+            x = random_finite_set(rng, space, 1, scale=1.2)
+            d = zonotope_distances(x, Zonotope(F), tol=1e-7, max_iter=50_000)[0]
+            oracle = grid_zonotope_oracle(x, F, mesh=0.01)
             assert np.max(np.abs(d.values - oracle)) <= 0.02
 
     def test_stopped_problems_are_certified(self):
@@ -616,9 +620,9 @@ class TestZonotope:
         rng = np.random.default_rng(16)
         space = random_fiber_space(rng, max_points=2, max_dim=3)
         F = random_finite_set(rng, space, 2)
-        x = random_finite_set(rng, space, 1, scale=2.0)[0]
+        x = random_finite_set(rng, space, 1, scale=2.0)
         with pytest.raises(IterationLimitError) as exc:
-            zonotope_distance(x, Zonotope(F), tol=1e-14, max_iter=2)
+            zonotope_distances(x, Zonotope(F), tol=1e-14, max_iter=2)
         best = exc.value.best
         assert best is not None and isinstance(best[0], StoneElement)
 
@@ -647,12 +651,11 @@ class TestCpCheck:
         rows = []
         for _ in range(4):
             pick = rng.integers(0, len(F), size=space.n_points)
-            fibers = [F.stacks[w][pick[w]].copy() for w in range(space.n_points)]
-            x = ModuleVector(space, fibers)
-            noise = random_finite_set(rng, space, 1)[0]
-            nn = noise.lattice_norm().sup_norm()
+            x = element(space, *(F.stacks[w][pick[w]] for w in range(space.n_points)))
+            noise = random_finite_set(rng, space, 1)
+            nn = noise.norm_sup().sup_norm()
             rows.append(x + (eps / 2.0 / max(nn, 1e-12)) * noise)
-        M = FiniteSet.from_vectors(rows, space)
+        M = FiniteSet.concat(rows)
         assert cp_check(M, F, eps, tol=1e-6, max_iter=50_000)
 
 
@@ -664,8 +667,9 @@ class TestCpWitness:
             eps = float(rng.uniform(0.3, 1.0))
             wit = cp_witness_from_utob(M, eps)
             for i, pou in enumerate(wit.selections):
-                for p, y in zip(pou, wit.witness):
-                    assert ((M[i] - y).lattice_norm() * p).le(eps, TOL)
+                for j, p in enumerate(pou):
+                    gap = (M.subset([i]) - wit.witness.subset([j])).norm_sup()
+                    assert (gap * p).le(eps, TOL)
 
     def test_single_fiber_nearest(self):
         space = single_fiber_space()
@@ -722,8 +726,7 @@ class TestSetOps:
         rng = np.random.default_rng(22)
         space = random_fiber_space(rng)
         M = random_finite_set(rng, space, 3)
-        zero = FiniteSet.from_vectors([ModuleVector.zeros(space)], space)
-        out = set_sum(M, zero)
+        out = set_sum(M, FiniteSet.zero(space))
         for a, b in zip(out.stacks, M.stacks):
             assert np.allclose(a, b)
 
@@ -755,11 +758,92 @@ class TestSetOps:
         p = Idempotent(space.base, rng.random(space.n_points) < 0.5)
         for c, Mc in ((p, p * M), (2.5j, 2.5j * M)):
             assert len(Mc) == len(M)
-            for x, y in zip(M, Mc):
-                assert all(np.array_equal(a, b) for a, b in zip((c * x).fibers, y.fibers))
+            for i in range(len(M)):
+                x, y = M.subset([i]), Mc.subset([i])
+                assert all(np.array_equal(a, b) for a, b in zip((c * x).stacks, y.stacks))
         other = Idempotent(PointSet.of_size(space.n_points + 1), [True] * (space.n_points + 1))
         with pytest.raises(DimensionMismatchError):
             other * M
+
+
+class TestElementwise:
+    """``+``, ``-`` and the module actions against one numpy operation per
+    element and fiber."""
+
+    def test_equal_per_element_oracle_bit_for_bit(self):
+        for seed, M in enumerate(_uneven_sets()):
+            rng = np.random.default_rng(3000 + seed)
+            space, n = M.space, len(M)
+            N = random_finite_set(rng, space, n)
+            p = Idempotent(space.base, rng.random(space.n_points) < 0.5)
+            lam = ComplexCoefficient(space.base, _cnormal(rng, space.n_points))
+            c = [2.5j, -3, np.float64(0.5), np.int64(2), np.complex128(1 - 2j), True][seed % 6]
+            cases = [
+                (M + N, lambda w, i: M.stacks[w][i] + N.stacks[w][i]),
+                (M - N, lambda w, i: M.stacks[w][i] - N.stacks[w][i]),
+                (p * M, lambda w, i: M.stacks[w][i] * bool(p.mask[w])),
+                (lam * M, lambda w, i: lam.values[w] * M.stacks[w][i]),
+                (M * lam, lambda w, i: lam.values[w] * M.stacks[w][i]),
+                (c * M, lambda w, i: c * M.stacks[w][i]),
+                (M * c, lambda w, i: c * M.stacks[w][i]),
+            ]
+            for got, oracle in cases:
+                assert type(got) is FiniteSet and len(got) == n
+                for w in range(space.n_points):
+                    for i in range(n):
+                        ref = np.asarray(oracle(w, i), dtype=complex)
+                        assert got.stacks[w][i].tobytes() == ref.tobytes()
+
+    def test_numpy_scalars_give_sets(self):
+        # numpy once iterated a set through __len__/__getitem__ and returned
+        # an object array of elements
+        rng = np.random.default_rng(27)
+        M = random_finite_set(rng, random_fiber_space(rng), 3)
+        for c in (np.int64(2), np.float64(2.0), np.complex128(2j)):
+            for got in (c * M, M * c):
+                assert type(got) is FiniteSet and len(got) == 3
+                assert all(a.tobytes() == (c * s).tobytes() for a, s in zip(got.stacks, M.stacks))
+
+    def test_mismatches_rejected(self):
+        rng = np.random.default_rng(29)
+        space = random_fiber_space(rng)
+        M = random_finite_set(rng, space, 3)
+        other = FiberSpace(PointSet.of_size(space.n_points), tuple(d + 1 for d in space.dims))
+        for bad in (M.subset([0, 1]), random_finite_set(rng, other, 3)):
+            with pytest.raises(DimensionMismatchError):
+                M + bad
+            with pytest.raises(DimensionMismatchError):
+                bad - M
+        wider = PointSet.of_size(space.n_points + 1)
+        coeff = ComplexCoefficient(wider, np.ones(wider.size))
+        with pytest.raises(DimensionMismatchError):
+            coeff * M
+        for bad in ("2", [1.0], None):
+            with pytest.raises(TypeError):
+                bad * M
+            with pytest.raises(TypeError):
+                M + bad
+
+    def test_zero_and_concat(self):
+        rng = np.random.default_rng(30)
+        space = random_fiber_space(rng)
+        zero = FiniteSet.zero(space)
+        assert len(zero) == 1 and [s.shape for s in zero.stacks] == [(1, d) for d in space.dims]
+        assert all(not s.any() for s in zero.stacks)
+        A, B = random_finite_set(rng, space, 3), random_finite_set(rng, space, 2)
+        both = FiniteSet.concat([A, zero, B.subset([]), B])
+        assert len(both) == 6
+        for s, a, b in zip(both.stacks, A.stacks, B.stacks):
+            ref = np.vstack([a, np.zeros((1, a.shape[1])), b]).astype(complex)
+            assert s.tobytes() == ref.tobytes()
+        assert FiniteSet.concat([A]).stacks[0].tobytes() == A.stacks[0].tobytes()
+        assert A.norms().shape == (3, space.n_points)
+        assert A.subset([]).norms().shape == (0, space.n_points)
+        assert A.norm_sup().values.tolist() == A.norms().max(axis=0).tolist()
+        with pytest.raises(ValueError):
+            FiniteSet.concat([])
+        with pytest.raises(DimensionMismatchError):
+            FiniteSet.concat([A, random_finite_set(rng, random_fiber_space(rng), 1)])
 
 
 def test_zonotope_net_certifies_cp_to_utob():
@@ -771,15 +855,15 @@ def test_zonotope_net_certifies_cp_to_utob():
     eps = 0.3
     rows = []
     for _ in range(5):
-        u = ModuleVector.zeros(space)
-        for y in F:
+        u = FiniteSet.zero(space)
+        for j in range(len(F)):
             mods = rng.random(space.n_points)
             ph = np.exp(1j * rng.uniform(0, 2 * np.pi, space.n_points))
-            u = u + ComplexCoefficient(space.base, mods * ph) * y
-        noise = random_finite_set(rng, space, 1)[0]
-        nn = noise.lattice_norm().sup_norm()
+            u = u + ComplexCoefficient(space.base, mods * ph) * F.subset([j])
+        noise = random_finite_set(rng, space, 1)
+        nn = noise.norm_sup().sup_norm()
         rows.append(u + (0.9 * eps / max(nn, 1e-12)) * noise)
-    M = FiniteSet.from_vectors(rows, space)
+    M = FiniteSet.concat(rows)
     net, slack = zonotope_net(Zonotope(F), mesh=0.2)
     bound = StoneElement.constant(space.base, eps) + slack
     assert defect(M, net).value.le(bound, 1e-9)

@@ -216,8 +216,8 @@ class TestKronecker:
 
 class TestEgoroffLocalize:
     def test_uniformly_convergent_keeps_all(self):
-        _, M, nets = build_counterexample(4)
-        chain = [defect(M, F).value for F in nets]
+        _, M, F_n = build_counterexample(4)
+        chain = [defect(M, F_n.subset(range(m + 1))).value for m in range(1, 5)]
         # uniform weights: everything converges by the last index anyway
         rep = egoroff_localize(chain, np.full(5, 0.2), delta=0.05)
         assert rep.kept.is_one() or rep.removed_mass <= 0.05
@@ -228,8 +228,8 @@ class TestEgoroffLocalize:
 
     def test_dyadic_counterexample_prefix(self):
         n = 8
-        space, M, nets = build_counterexample(n)
-        chain = [defect(M, F).value for F in nets]
+        space, M, F_n = build_counterexample(n)
+        chain = [defect(M, F_n.subset(range(m + 1))).value for m in range(1, n + 1)]
         weights = space.weights()
         for m_target, delta in [(2, 0.25), (4, 1 / 16)]:
             rep = egoroff_localize(chain, weights, delta)
@@ -240,8 +240,8 @@ class TestEgoroffLocalize:
             assert rep.thresholds[0.5] == m_target
 
     def test_not_decreasing_rejected(self):
-        space, M, nets = build_counterexample(3)
-        chain = [defect(M, F).value for F in nets]
+        space, M, F_n = build_counterexample(3)
+        chain = [defect(M, F_n.subset(range(m + 1))).value for m in range(1, 4)]
         with pytest.raises(ValueError):
             egoroff_localize(list(reversed(chain)), space.weights(), 0.5)
 

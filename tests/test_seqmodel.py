@@ -26,7 +26,8 @@ class TestBuild:
         assert len(M) == 3
 
     def test_net_sizes(self):
-        _, _, nets = build_counterexample(5)
+        _, _, F_n = build_counterexample(5)
+        nets = [F_n.subset(range(m + 1)) for m in range(1, 6)]
         assert [len(F) for F in nets] == [2, 3, 4, 5, 6]
 
     def test_probes_are_single_coordinate_indicators(self):
@@ -78,9 +79,9 @@ class TestTobBound:
 class TestNotUtob:
     def test_chain_net_witness_at_next_index(self):
         n = 10
-        _, _, nets = build_counterexample(n)
+        _, _, F_n = build_counterexample(n)
         for d in (1, 2, 4):
-            F = nets[d - 1].subset(range(1, d + 1))  # the d constants
+            F = F_n.subset(range(1, d + 1))  # the d constants
             i, n0 = verify_not_utob(n, F)
             assert n0 == d + 1 and 1 <= i <= n0
 
@@ -107,9 +108,9 @@ class TestNotUtob:
         assert dist >= SQRT2 / 2 - TOL
 
     def test_oversized_candidate_rejected(self):
-        _, _, nets = build_counterexample(4)
+        _, _, F_n = build_counterexample(4)
         with pytest.raises(ValueError):
-            verify_not_utob(4, nets[3])  # five candidates on a 4-prefix
+            verify_not_utob(4, F_n)  # five candidates on a 4-prefix
 
 
 class TestEgoroffDemo:
