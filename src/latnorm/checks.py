@@ -389,7 +389,7 @@ def check_mix_membership_perturbation(rng, n=25):
         tol = 1e-9
         x = M.subset([int(rng.integers(0, 3))])
         w0 = int(rng.integers(0, space.n_points))
-        x.stacks[w0] += 10 * tol
+        x = FiniteSet(space, [s + 10 * tol if w == w0 else s for w, s in enumerate(x.stacks)], 1)
         assert mix_membership(x, M, tol) is None, "perturbed point accepted"
 
 

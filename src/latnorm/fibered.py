@@ -73,7 +73,8 @@ class FiniteSet:
     kernel vectorizes. A single module element is a set of length one, and
     ``subset([i])`` takes element i out of a set. ``M + N`` and ``M - N``
     act elementwise on sets of one length, and ``c * M`` multiplies every
-    element by an idempotent, a coefficient field or a scalar.
+    element by an idempotent, a coefficient field or a scalar. The stacks
+    are read-only: a set freezes the arrays it is given in place, uncopied.
     """
 
     __slots__ = ("space", "stacks", "_n")
@@ -89,6 +90,7 @@ class FiniteSet:
                 raise DimensionMismatchError(
                     f"stack shape {s.shape} does not match ({self._n}, {d})"
                 )
+            s.flags.writeable = False
 
     @staticmethod
     def zero(space: FiberSpace) -> "FiniteSet":
@@ -193,8 +195,8 @@ class DefectReport:
 
 def _dist(diff: np.ndarray) -> np.ndarray:
     """Euclidean norms of complex differences along the last axis: the one
-    distance formula between fiber vectors, so that traversal rows and defect
-    tables (a prefix defect and its recheck) agree to the last bit."""
+    distance formula between fiber vectors, so that traversal tables and
+    defect tables (a prefix defect and its recheck) agree to the last bit."""
     v = diff.view(float)
     return np.sqrt(np.einsum("...k,...k->...", v, v))
 
@@ -202,27 +204,19 @@ def _dist(diff: np.ndarray) -> np.ndarray:
 def _pair_dist(stack_a: np.ndarray, stack_b: np.ndarray) -> np.ndarray:
     """Euclidean distance matrix between the rows of two complex stacks.
 
-    Computed by ``_dist`` from explicit differences (chunked to bound
-    memory): the Gram identity would lose ~1e-8 of absolute accuracy near
-    zero, which the exact-coincidence checks cannot afford.
+    Computed by ``_dist`` from explicit differences: the Gram identity would
+    lose ~1e-8 of absolute accuracy near zero, which the exact-coincidence
+    checks cannot afford. Chunks of 2**16 differences keep the temporaries in
+    cache, without which a traversal's |M| x |M| tables are memory-bound.
     """
     n_a, d = stack_a.shape
     n_b = stack_b.shape[0]
     out = np.empty((n_a, n_b))
-    chunk = max(1, (1 << 22) // max(n_b * max(d, 1), 1))
+    chunk = max(1, (1 << 16) // max(n_b * max(d, 1), 1))
     for i0 in range(0, n_a, chunk):
         out[i0 : i0 + chunk] = _dist(
             stack_a[i0 : i0 + chunk, None, :] - stack_b[None, :, :]
         )
-    return out
-
-
-def _distances_to(M: FiniteSet, x_fibers: Sequence[np.ndarray]) -> np.ndarray:
-    """(n_points, n_elements) distances from every element of M to the
-    vector with fibers ``x_fibers``, the same values as ``_pair_dist``."""
-    out = np.empty((M.space.n_points, len(M)))
-    for w, (s, x) in enumerate(zip(M.stacks, x_fibers)):
-        out[w] = _dist(s - x)
     return out
 
 
@@ -287,12 +281,12 @@ class Traversal:
 
     Seeded by the element of largest lattice norm; each step places the
     element farthest (in sup norm of the pointwise distance) from those
-    already placed, ties to the lowest index, with one distance row per
-    placed element. ``order`` lists every index of M in placement order, and
-    row j of ``radii`` is the running radius after j + 1 placements: the
-    pointwise defect of M against ``order[:j + 1]``. ``recheck(k)`` is the
-    independent ``defect`` of M against the first k placed elements,
-    computed once per k.
+    already placed, ties to the lowest index, reading its row of one
+    ``_pair_dist`` table per fiber (n_points |M|^2 floats, freed once built).
+    ``order`` lists every index of M in placement order, and row j of
+    ``radii`` is the running radius after j + 1 placements: the pointwise
+    defect of M against ``order[:j + 1]``. ``recheck(k)`` is the independent
+    ``defect`` of M against the first k placed elements, computed once per k.
     """
 
     def __init__(self, M: FiniteSet):
@@ -300,12 +294,15 @@ class Traversal:
         self.order: list[int] = []
         self.radii = np.empty((len(M), M.space.n_points))
         self._rechecks: dict[int, DefectReport] = {}
+        tables = np.empty((M.space.n_points, len(M), len(M)))
+        for w, s in enumerate(M.stacks):
+            tables[w] = _pair_dist(s, s)
         placed = np.zeros(len(M), dtype=bool)
         mindist = np.full((M.space.n_points, len(M)), np.inf)
         scores = M.norms().max(axis=1)  # seed: the largest lattice norm
         for j in range(len(M)):
             nxt = int(scores.argmax())
-            np.minimum(mindist, _distances_to(M, [s[nxt] for s in M.stacks]), out=mindist)
+            np.minimum(mindist, tables[:, nxt], out=mindist)
             placed[nxt] = True
             self.radii[j] = mindist.max(axis=1)
             self.order.append(nxt)
@@ -499,9 +496,9 @@ class GridNet(FiniteSet):
     does every coordinate for a non-finite sample: keeping everything is the
     dense computation. ``check_suborthonormal`` has rejected non-finite bases.
 
-    The stacks and the stored basis are read-only, so the factorization
-    stays true. ``subset``, ``p * net``, ``set_image`` and every other
-    operation build a plain ``FiniteSet``.
+    The stacks, the basis (the caller's set) and the grid are read-only, so
+    the factorization stays true. ``subset``, ``p * net``, ``set_image`` and
+    every other operation build a plain ``FiniteSet``.
     """
 
     __slots__ = ("basis", "grid")
@@ -509,10 +506,9 @@ class GridNet(FiniteSet):
     def __init__(self, basis: FiniteSet, grid: np.ndarray, cap: int):
         net = _grid_image(basis, grid, cap)
         super().__init__(net.space, net.stacks, len(net))
-        self.basis = FiniteSet(basis.space, [s.copy() for s in basis.stacks], len(basis))
+        self.basis = basis
         self.grid = np.array(grid, dtype=complex)
-        for a in self.stacks + self.basis.stacks + [self.grid]:
-            a.flags.writeable = False
+        self.grid.flags.writeable = False
 
     def _kept(self, w: int, X: np.ndarray) -> np.ndarray:
         """(n, m, len(grid)) mask of the grid indices kept per sample row of

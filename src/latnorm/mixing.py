@@ -20,7 +20,7 @@ import numpy as np
 from .errors import ConstructionError, DimensionMismatchError
 from .stone import DEFAULT_TOL, Idempotent, PartitionOfUnity
 from .fibered import (
-    FiniteSet, _distances_to, defect, greedy_order, prefix_defects,
+    FiniteSet, _pair_dist, defect, greedy_order, prefix_defects,
     truncate_to_ball,
 )
 
@@ -75,7 +75,7 @@ def mix_membership(
     _check_element(x)
     if x.space != M.space:
         raise DimensionMismatchError("element and set on different fiber spaces")
-    hits = _distances_to(M, [s[0] for s in x.stacks]) <= tol  # (n_points, n_elements)
+    hits = np.stack([_pair_dist(a, s)[0] for a, s in zip(x.stacks, M.stacks)]) <= tol
     if not np.all(hits.any(axis=1)):
         return None
     pick = hits.argmax(axis=1)

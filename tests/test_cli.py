@@ -643,14 +643,14 @@ class TestSharedTobTraversal:
         space = random_fiber_space(rng, 3, 3)
         M = finite_set_to_json(random_finite_set(rng, space, 30))
         path = _write(tmp_path, "m.json", json.dumps({"space": M["space"], "sets": {"M": M["elements"]}}))
-        rows, defects = [], []
-        real_rows, real_defect = fibered._distances_to, fibered.defect
-        monkeypatch.setattr(fibered, "_distances_to", lambda M, x: rows.append(1) or real_rows(M, x))
+        built, defects = [], []
+        real_init, real_defect = fibered.Traversal.__init__, fibered.defect
+        monkeypatch.setattr(fibered.Traversal, "__init__", lambda t, M: built.append(len(M)) or real_init(t, M))
         monkeypatch.setattr(fibered, "defect", lambda M, F: defects.append(len(F)) or real_defect(M, F))
         eps_values = ["0.5", "4.0", "0.5", "1.5", "0.9"]
         argv = ["tob", path] + [a for e in eps_values for a in ("--eps", e)]
         assert main(argv) == 0
         sizes = [v["witness_size"] for v in json.loads(capsys.readouterr().out)["utob"].values()]
         assert len(set(sizes)) >= 3 and 1 < max(sizes) < 30
-        assert len(rows) == 30  # one traversal, built whole
+        assert built == [30]  # one traversal for every eps
         assert sorted(defects) == sorted(set(sizes))

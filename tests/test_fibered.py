@@ -184,17 +184,38 @@ def _traversal_cases():
             yield orbit(f, ext)
 
 
+def _nonfinite_cases():
+    """Random sets with NaN, +-inf and complex-inf entries planted, and one
+    with repeated elements so that NaN and inf distances tie."""
+    rng = np.random.default_rng(44)
+    values = [np.nan, np.inf, -np.inf, complex(np.inf, np.inf), complex(0, -np.inf),
+              complex(np.nan, 1)]
+    for n in (1, 2, 5, 12, 30):
+        for value in values:
+            M = random_finite_set(rng, random_fiber_space(rng), n)
+            stacks = [s.copy() for s in M.stacks]
+            for _ in range(int(rng.integers(1, 4))):
+                s = stacks[int(rng.integers(len(stacks)))]
+                s[rng.integers(n), rng.integers(s.shape[1])] = value
+            M = FiniteSet(M.space, stacks, n)
+            yield M
+    yield M.subset([0, 1, 0, 2, 3, 1, 3])
+
+
 class TestTraversal:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf
     def test_matches_brute_force_oracle(self):
-        for M in _traversal_cases():
+        for M in itertools.chain(_traversal_cases(), _nonfinite_cases()):
             trav = Traversal(M)
             radii, order = trav.radii, trav.order
             assert order == brute_force_greedy_order(M) == greedy_order(M)
             oracle = brute_force_defect_chain(M, order)
             assert len(radii) == len(oracle)
-            for prefix, rep in zip(radii, oracle):
-                assert prefix.tolist() == rep.value.values.tolist()
-            assert [c.values.tolist() for c in defect_chain(M)] == radii.tolist()
+            for k, (prefix, rep) in enumerate(zip(radii, oracle), 1):
+                assert np.array_equal(prefix, rep.value.values, equal_nan=True)
+                assert np.array_equal(prefix, trav.recheck(k).value.values, equal_nan=True)
+            chain = np.array([c.values for c in defect_chain(M)])
+            assert np.array_equal(chain, radii, equal_nan=True)
 
     def test_utob_witness_is_oracle_prefix(self):
         for M in _traversal_cases():
@@ -236,15 +257,16 @@ class TestTraversal:
         import latnorm.fibered as fibered
 
         calls = []
-        real = fibered._distances_to
+        real = fibered._pair_dist
         monkeypatch.setattr(
-            fibered, "_distances_to",
-            lambda M, x: calls.append(x) or real(M, x),
+            fibered, "_pair_dist",
+            lambda a, b: calls.append(a.shape) or real(a, b),
         )
         rng = np.random.default_rng(42)
         M = random_finite_set(rng, random_fiber_space(rng), 12)
         trav = Traversal(M)
-        assert len(calls) == 12  # built whole, one distance row per element
+        # built whole, from one distance table per fiber
+        assert calls == [s.shape for s in M.stacks]
         radii = trav.radii.tolist()
         assert len(radii) == 12 and sorted(trav.order) == list(range(12))
         assert Traversal(M).radii.tolist() == radii
@@ -262,7 +284,9 @@ class TestTraversal:
         # NaN radii compare false, so the witness is the whole traversal
         rng = np.random.default_rng(43)
         M = random_finite_set(rng, random_fiber_space(rng), 6)
-        M.stacks[0][2, 0] = np.nan
+        stacks = [s.copy() for s in M.stacks]
+        stacks[0][2, 0] = np.nan
+        M = FiniteSet(M.space, stacks, 6)
         rep = is_utob(M, 1e6)
         assert len(rep.witness) == 6 and not rep.verdict
 
@@ -283,16 +307,6 @@ class TestDistanceFormula:
                 recheck = defect(M, M.subset(trav.order[:k])).value.values
                 assert prefix.tolist() == recheck.tolist()
 
-    def test_rows_equal_pair_columns(self):
-        import latnorm.fibered as fibered
-
-        for M in _uneven_sets():
-            tables = [fibered._pair_dist(s, s) for s in M.stacks]
-            for j in range(len(M)):
-                rows = fibered._distances_to(M, [s[j] for s in M.stacks])
-                for row, table in zip(rows, tables):
-                    assert row.tolist() == table[:, j].tolist()
-
     def test_matches_independent_oracle(self):
         import latnorm.fibered as fibered
 
@@ -304,6 +318,8 @@ class TestDistanceFormula:
                 ref = np.sqrt(np.sum(diff.real**2 + diff.imag**2, axis=2))
                 assert np.all(np.abs(got - ref) <= 4 * np.spacing(ref))
                 assert np.all(np.diag(got) == 0.0)
+                # the traversal reads rows where ``defect`` reads columns
+                assert np.array_equal(got, got.T)
                 assert got[0, -1] == got[-1, 0] == 0.0
 
 
@@ -333,6 +349,44 @@ class TestStackLayout:
                 assert results(rebuilt(M, layout), rebuilt(F, layout)) == results(
                     rebuilt(M, copy), rebuilt(F, copy)
                 )
+
+    def test_stacks_are_read_only(self):
+        # a traversal keeps M and rechecks it lazily, so M must not change
+        rng = np.random.default_rng(45)
+        space = random_fiber_space(rng)
+        caller = [rng.normal(size=(5, d)) + 0j for d in space.dims]
+        M = FiniteSet(space, caller, 5)
+        trav = Traversal(M)
+        derived = [M, M.subset([0, 2]), M + M, M - M, 2.0 * M, FiniteSet.concat([M, M])]
+        for X in derived:
+            for w in range(space.n_points):
+                with pytest.raises(ValueError):
+                    X.stacks[w][trav.order[0] % len(X)] += 10
+        assert trav.recheck(1).value.values.tolist() == trav.radii[0].tolist()
+        assert all(s is t for s, t in zip(M.stacks, caller))  # frozen, not copied
+        with pytest.raises(ValueError):
+            caller[0][0, 0] = 0.0
+
+    def test_traversal_holds_its_tables_only_while_building(self):
+        import tracemalloc
+
+        space = FiberSpace(PointSet.of_size(8), (1, 6, 3, 4, 2, 5, 6, 3))
+        n, P = 300, space.n_points
+        M = random_finite_set(np.random.default_rng(46), space, n)
+        tables = P * n * n * 8
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            trav = Traversal(M)
+            after, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the tables, one fiber's table on its way in, chunk temporaries
+        assert tables < peak - before <= tables + n * n * 8 + (4 << 20)
+        # kept: the radii and the order, O(P |M|)
+        assert after - before <= 4 * P * n * 8 + (64 << 10)
+        assert trav.radii.shape == (n, P)
 
 
 class TestPrefixDefects:
@@ -549,9 +603,8 @@ class TestGridNet:
         space = single_fiber_space(2)
         stacks = [np.eye(2, dtype=complex)]
         net = heine_borel_net(FiniteSet(space, stacks, 2), 1.0, 0.5)
-        stacks[0][0, 0] = 2.0  # the caller's basis array stays theirs
-        assert net.basis.stacks[0][0, 0] == 1.0
-        for a in (net.stacks[0], net.basis.stacks[0], net.grid):
+        assert net.basis.stacks[0] is stacks[0]  # the caller's array, frozen
+        for a in (stacks[0], net.stacks[0], net.grid):
             with pytest.raises(ValueError):
                 a[0] = 0.0
 

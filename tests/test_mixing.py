@@ -109,9 +109,10 @@ class TestMix:
         for _ in range(200):
             space = random_fiber_space(rng, max_points=6, max_dim=5)
             k = int(rng.integers(1, 5))
-            family = random_finite_set(rng, space, k)
-            family.stacks[0][:, :1] *= rng.integers(0, 2, (k, 1))  # some signed zeros
-            family.stacks[-1][:, -1:] *= -0.0
+            stacks = [s.copy() for s in random_finite_set(rng, space, k).stacks]
+            stacks[0][:, :1] *= rng.integers(0, 2, (k, 1))  # some signed zeros
+            stacks[-1][:, -1:] *= -0.0
+            family = FiniteSet(space, stacks, k)
             assign = rng.integers(0, k, size=space.n_points)
             parts = PartitionOfUnity([Idempotent(space.base, assign == a) for a in range(k)])
             got, ref = mix(parts, family), masked_sum_mix(parts, family)
@@ -154,7 +155,7 @@ class TestMixMembership:
         _, space, M = rng_sets(8)
         tol = 1e-9
         x = M.subset([0])
-        x.stacks[0] += 10 * tol
+        x = FiniteSet(space, [x.stacks[0] + 10 * tol] + x.stacks[1:], 1)
         assert mix_membership(x, M, tol) is None
 
 
