@@ -85,7 +85,6 @@ from .relative import (
     CrossCheckReport,
     EgoroffReport,
     KroneckerReport,
-    OrbitCache,
     SubmoduleBasis,
     ap_closure_properties,
     defect_chain,

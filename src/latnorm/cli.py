@@ -6,7 +6,8 @@ sequence model), and ``selftest`` (the named invariant suite). Reports
 embed the tool version and the effective configuration; exit codes are
 0 ok, 1 suite or verdict failure (or no cyclic witness), 2 schema violation
 (an unreadable input included) or invalid option value (an unwritable
-``--out`` included), 3 cap exceeded, 4 solver iteration limit.
+``--out`` or a closed stdout included), 3 cap exceeded, 4 solver iteration
+limit.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -83,13 +85,12 @@ def _emit(report: dict, args) -> None:
         },
         **report,
     }
-    if args.format == "csv" and csv_text:
-        text = csv_text
-    elif args.format == "text" and plain_text:
-        text = plain_text
-    else:
+    if args.format == "json":
         # no indent: only then does the json module use its C encoder
         text = json.dumps(payload, default=str)
+    else:
+        # a parser offers only the renderings its command produces
+        text = csv_text if args.format == "csv" else plain_text
     out = getattr(args, "out", None)
     if out:
         try:
@@ -98,7 +99,16 @@ def _emit(report: dict, args) -> None:
         except OSError as exc:
             raise OutputError(f"argument --out: cannot write {out!r}: {exc.strerror}")
     else:
-        print(text)
+        try:
+            print(text)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # as Python's signal docs advise: point stdout at devnull, so
+            # that the flush at exit does not raise again
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            raise OutputError("cannot write the report: stdout is closed")
 
 
 def cmd_analyze(args) -> int:
@@ -146,6 +156,10 @@ def cmd_tob(args) -> int:
         raise SchemaError(["$.sets.M: a nonempty probe set M is required"])
     M = sets["M"]
     F = sets.get("F")
+    if args.format == "csv" and (F is None or len(F) == 0):
+        raise SchemaError(
+            ["$.sets.F: --format csv renders the defect table against F; F is missing or empty"]
+        )
     report: dict = {}
     if F is not None and len(F):
         rep = defect(M, F)
@@ -291,10 +305,11 @@ def _int_at_least(low):
     return _checked(int, lambda v: v >= low, f"an integer >= {low}")
 
 
-def _add_common(p, *, tol=True):
+def _add_common(p, *, tol=True, csv=True):
     if tol:
         p.add_argument("--tol", type=_NONNEGATIVE, default=1e-9, help="comparison tolerance")
-    p.add_argument("--format", choices=("json", "csv", "text"), default="json")
+    formats = ("json", "csv", "text") if csv else ("json", "text")
+    p.add_argument("--format", choices=formats, default="json")
     p.add_argument("--out", help="write the report to this file")
 
 
@@ -333,14 +348,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=_POSITIVE, action="append", default=None)
     p.add_argument("--solver-tol", type=_POSITIVE, default=1e-7)
     p.add_argument("--max-iter", type=_int_at_least(1), default=10_000)
-    _add_common(p, tol=False)
+    _add_common(p, tol=False, csv=False)
     p.set_defaults(func=cmd_zonotope)
 
     p = sub.add_parser("cyclic", help="cyclic-compactness witness and check")
     p.add_argument("input", help="finite-set JSON document with M")
     p.add_argument("--eps", type=_POSITIVE, action="append", default=None)
     p.add_argument("--radius", type=_POSITIVE, default=None)
-    _add_common(p)
+    _add_common(p, csv=False)
     p.set_defaults(func=cmd_cyclic)
 
     p = sub.add_parser(

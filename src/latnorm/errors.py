@@ -55,7 +55,7 @@ class IterationLimitError(LatnormError):
 
 
 class OutputError(LatnormError):
-    """The report could not be written to the ``--out`` path."""
+    """The report could not be written to the ``--out`` path or to stdout."""
 
 
 class SchemaError(LatnormError):

@@ -8,6 +8,11 @@ Kronecker subspace is spanned by the finitely generated invariant
 submodules grown from point indicators; on finite models the two always
 exhaust the whole function space, and the cross-check below verifies that
 the independent pipelines agree instead of assuming it.
+
+``is_conditionally_ap``, ``orbit_tob_verdict``, ``generated_submodule`` and
+``kronecker_subspace`` read an orbit's traversal from the extension, which
+keeps one per orbit set for its lifetime: the functions of one orbit share
+one walk, one encoding and one traversal.
 """
 
 from __future__ import annotations
@@ -50,28 +55,21 @@ def orbit(f, ext: Extension, tol: float = DEFAULT_TOL) -> FiniteSet:
     return ext.rel.encode(orbit_functions(f, ext, tol))
 
 
-class OrbitCache:
-    """Orbits of functions on one extension, memoized by the function's bytes.
+def _traversal(f, ext: Extension, tol: float) -> Traversal:
+    """The traversal of f's encoded orbit, memoized in ``ext._orbits``.
 
-    ``cache(f)`` returns the ``Traversal`` of f's encoded orbit, so that every
-    pipeline of one check shares one orbit walk and one traversal per
-    function. The routines taking ``orbits=`` read their orbit from it, walked
-    at the cache's tol, instead of walking their own.
+    The orbit of any image of f is f's own orbit, so a walk files its one
+    traversal under the bytes of every image it kept; each orbit set is then
+    walked, encoded and traversed once per extension and tol.
     """
-
-    def __init__(self, ext: Extension, tol: float = DEFAULT_TOL):
-        self.ext = ext
-        self.tol = tol
-        self._memo: dict[bytes, Traversal] = {}
-
-    def __call__(self, f) -> Traversal:
-        f = np.asarray(f, dtype=complex)
-        key = f.tobytes()
-        hit = self._memo.get(key)
-        if hit is None:
-            hit = Traversal(orbit(f, self.ext, self.tol))
-            self._memo[key] = hit
-        return hit
+    f = np.asarray(f, dtype=complex)
+    hit = ext._orbits.get((tol, f.tobytes()))
+    if hit is None:
+        images = orbit_functions(f, ext, tol)
+        hit = Traversal(ext.rel.encode(images))
+        for g in images:
+            ext._orbits.setdefault((tol, g.tobytes()), hit)
+    return hit
 
 
 # ---------------------------------------------------------------------------
@@ -97,15 +95,12 @@ def is_conditionally_ap(
     ext: Extension,
     eps_values: Sequence[float],
     tol: float = DEFAULT_TOL,
-    orbits: OrbitCache | None = None,
 ) -> APReport:
     """Probe the orbit of f for uniform total order-boundedness at each eps.
 
     Every eps reads its witness off the one traversal of the orbit.
     """
-    if orbits is None:
-        orbits = OrbitCache(ext, tol)
-    trav = orbits(f)
+    trav = _traversal(f, ext, tol)
     reps = [is_utob(trav.M, eps, tol, traversal=trav) for eps in eps_values]
     return APReport(
         np.asarray(f, dtype=complex),
@@ -121,21 +116,14 @@ def defect_chain(M: FiniteSet) -> list[StoneElement]:
     return [StoneElement(M.space.base, d) for d in Traversal(M).radii]
 
 
-def orbit_tob_verdict(
-    f,
-    ext: Extension,
-    tol: float = DEFAULT_TOL,
-    orbits: OrbitCache | None = None,
-) -> bool:
+def orbit_tob_verdict(f, ext: Extension, tol: float = DEFAULT_TOL) -> bool:
     """Pointwise (order) convergence of the orbit's defect chain to zero.
 
     Distinct from the uniform pipeline: this checks that the chain of
     defects over increasing witnesses is pointwise decreasing and ends at
     zero, with no uniformity requirement along the way.
     """
-    if orbits is None:
-        orbits = OrbitCache(ext, tol)
-    U = orbits(f).radii
+    U = _traversal(f, ext, tol).radii
     return bool(np.all(U[1:] <= U[:-1] + tol) and np.all(U[-1] <= tol))
 
 
@@ -167,21 +155,14 @@ class SubmoduleBasis:
         return FiniteSet(self.module.space, stacks, len(X))
 
 
-def generated_submodule(
-    f,
-    ext: Extension,
-    tol: float = DEFAULT_TOL,
-    orbits: OrbitCache | None = None,
-) -> SubmoduleBasis:
+def generated_submodule(f, ext: Extension, tol: float = DEFAULT_TOL) -> SubmoduleBasis:
     """Fiberwise orthonormalization of the module spanned by the orbit of f.
 
     Per fiber the orbit vectors are stacked and reduced by SVD; singular
     values below tol times the fiber dimension are treated as rank defects.
     The result is invariant under the action because the orbit is.
     """
-    if orbits is None:
-        orbits = OrbitCache(ext, tol)
-    orb = orbits(f).M
+    orb = _traversal(f, ext, tol).M
     fiber_bases = []
     for stack, d in zip(orb.stacks, orb.space.dims):
         _, sv, vh = np.linalg.svd(stack, full_matrices=False)
@@ -236,29 +217,30 @@ class KroneckerReport:
         return projector(self.basis_phi)
 
 
-def kronecker_subspace(
-    ext: Extension, tol: float = DEFAULT_TOL, orbits: OrbitCache | None = None
-) -> KroneckerReport:
+def kronecker_subspace(ext: Extension, tol: float = DEFAULT_TOL) -> KroneckerReport:
     """Span of the invariant modules generated by every point indicator.
 
-    Each generated module is expanded into plain functions by cutting its
-    decoded basis down to single fibers (rows ordered by seed point, basis
-    vector, then fiber; all-zero cuts dropped), and the union is
-    orthonormalized in the weighted inner product upstairs.
+    Indicators in one point orbit share one orbit set and so one generated
+    module, built once. Each module is expanded into plain functions by
+    cutting its decoded basis down to single fibers (rows ordered by orbit,
+    from its first seed point, then basis vector, then fiber; all-zero cuts
+    dropped), and the union is orthonormalized in the weighted inner product
+    upstairs. ``seed_ranks[x]`` is the size of the module of point x's orbit.
     """
-    if orbits is None:
-        orbits = OrbitCache(ext, tol)
     n_x = ext.upstairs.size
     on_fiber = ext.factor == np.arange(ext.downstairs.size)[:, None]  # (n_y, n_x)
+    modules: dict[Traversal, SubmoduleBasis] = {}
     vectors = []
     seed_ranks = []
     for x0 in range(n_x):
         f = np.zeros(n_x, dtype=complex)
         f[x0] = 1.0
-        sb = generated_submodule(f, ext, tol, orbits)
-        seed_ranks.append(len(sb))
-        cuts = (ext.rel.decode(sb.vectors)[:, None, :] * on_fiber).reshape(-1, n_x)
-        vectors.append(cuts[np.any(np.abs(cuts) > 0, axis=1)])
+        trav = _traversal(f, ext, tol)
+        if trav not in modules:
+            sb = modules[trav] = generated_submodule(f, ext, tol)
+            cuts = (ext.rel.decode(sb.vectors)[:, None, :] * on_fiber).reshape(-1, n_x)
+            vectors.append(cuts[np.any(np.abs(cuts) > 0, axis=1)])
+        seed_ranks.append(len(modules[trav]))
     stack = np.concatenate(vectors)
     basis = span_basis(_phi(stack, ext.upstairs.weights))
     return KroneckerReport(basis.shape[0], basis, seed_ranks)
@@ -397,14 +379,14 @@ def theorem_cross_check(
     part, density of the order-precompact part, localizability) and states
     the finite-scale degeneracy explicitly.
 
-    Each indicator's orbit is walked and traversed once; every pipeline,
-    the localized indicators included, reads from that one traversal.
+    Each orbit set is walked and traversed once: every pipeline reads the
+    traversal of an indicator's orbit, shared by all indicators of one point
+    orbit, and a localized indicator equal to one already seen reads it too.
     """
-    orbits = OrbitCache(ext)
     n_x = ext.upstairs.size
     w = ext.upstairs.weights
 
-    kron = kronecker_subspace(ext, orbits=orbits)
+    kron = kronecker_subspace(ext)
 
     ap_members, ap_verdicts, ap_sizes = [], [], []
     tob_members = []
@@ -414,14 +396,14 @@ def theorem_cross_check(
     for x0 in range(n_x):
         f = np.zeros(n_x, dtype=complex)
         f[x0] = 1.0
-        rep = is_conditionally_ap(f, ext, eps_values, orbits=orbits)
+        rep = is_conditionally_ap(f, ext, eps_values)
         ap_verdicts.append(rep.all_pass)
         ap_sizes.append([len(w) for w in rep.witnesses])
         if rep.all_pass:
             ap_members.append(f)
-        if orbit_tob_verdict(f, ext, orbits=orbits):
+        if orbit_tob_verdict(f, ext):
             tob_members.append(f)
-        trav = orbits(f)
+        trav = _traversal(f, ext, DEFAULT_TOL)
         chain = [StoneElement(trav.M.space.base, u) for u in trav.radii]
         for delta in delta_values:
             loc = egoroff_localize(
@@ -433,7 +415,7 @@ def theorem_cross_check(
             else:
                 thresholds[delta] = max(thresholds[delta], t_here)
             mask = embed_J(loc.kept.mask.astype(complex), ext)
-            rep_loc = is_conditionally_ap(mask * f, ext, eps_values, orbits=orbits)
+            rep_loc = is_conditionally_ap(mask * f, ext, eps_values)
             egoroff_ok = egoroff_ok and rep_loc.all_pass
 
     ap_stack = np.array(ap_members, dtype=complex).reshape(len(ap_members), n_x)

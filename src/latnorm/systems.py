@@ -249,6 +249,8 @@ class Extension:
         self.cap = cap
         self._action = None
         self._rel = None
+        # orbit traversals of the relative layer, keyed by (tol, f.tobytes())
+        self._orbits = {}
 
     @property
     def action(self) -> GroupAction:

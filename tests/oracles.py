@@ -12,12 +12,14 @@ from latnorm import (
     FiniteSet,
     Idempotent,
     KroneckerReport,
-    OrbitCache,
+    Traversal,
     defect,
     disc_grid,
     exhaustion,
-    generated_submodule,
     greedy_order,
+    is_utob,
+    orbit,
+    orbit_functions,
     truncate_to_ball,
 )
 from latnorm.fixtures import random_extension, rotation_extension, symmetric_extension
@@ -162,26 +164,92 @@ def per_function_decode(F, ext):
     return np.array(rows, dtype=complex).reshape(len(F), ext.upstairs.size)
 
 
-def per_cut_kronecker_subspace(ext, tol=1e-9):
-    """Kronecker subspace from generated bases decoded one element at a time
-    and cut to one fiber at a time, all-zero cuts dropped."""
-    orbits = OrbitCache(ext, tol)
-    n_x = ext.upstairs.size
-    vectors, seed_ranks = [], []
-    for x0 in range(n_x):
-        f = np.zeros(n_x, dtype=complex)
-        f[x0] = 1.0
-        sb = generated_submodule(f, ext, tol, orbits)
-        seed_ranks.append(len(sb))
-        for j in range(len(sb)):
-            h = per_function_decode(sb.vectors.subset([j]), ext)[0]
-            for y in range(ext.downstairs.size):
-                cut = h * (ext.factor == y)
-                if np.any(np.abs(cut) > 0):
-                    vectors.append(cut)
-    stack = np.array(vectors, dtype=complex)
+def indicator(n, x0):
+    f = np.zeros(n, dtype=complex)
+    f[x0] = 1.0
+    return f
+
+
+def per_indicator_submodule(f, ext, tol=1e-9):
+    """Generated module of f from its own orbit walk: per fiber, the SVD of
+    the encoded orbit, rows with singular values above tol times the fiber
+    dimension, zero-padded to the largest fiber rank. Returns the padded
+    ``FiniteSet`` of basis vectors."""
+    orb = orbit(f, ext, tol)
+    fiber_bases = []
+    for stack, d in zip(orb.stacks, orb.space.dims):
+        _, sv, vh = np.linalg.svd(stack, full_matrices=False)
+        fiber_bases.append(vh[: int(np.sum(sv > tol * d))])
+    n_basis = max(len(b) for b in fiber_bases)
+    stacks = []
+    for b, d in zip(fiber_bases, orb.space.dims):
+        s = np.zeros((n_basis, d), dtype=complex)
+        s[: len(b)] = b
+        stacks.append(s)
+    return FiniteSet(orb.space, stacks, n_basis)
+
+
+def _cut_rows(vectors, ext):
+    """Decode the basis one element at a time and cut each function to one
+    fiber at a time, all-zero cuts dropped."""
+    rows = []
+    for j in range(len(vectors)):
+        h = per_function_decode(vectors.subset([j]), ext)[0]
+        for y in range(ext.downstairs.size):
+            cut = h * (ext.factor == y)
+            if np.any(np.abs(cut) > 0):
+                rows.append(cut)
+    return rows
+
+
+def _kronecker_report(rows, seed_ranks, ext):
+    stack = np.array(rows, dtype=complex)
     basis = span_basis(_phi(stack, ext.upstairs.weights))
     return KroneckerReport(basis.shape[0], basis, seed_ranks)
+
+
+def per_cut_kronecker_subspace(ext, tol=1e-9):
+    """Kronecker subspace from one generated module per point orbit: the
+    module of the first indicator of each orbit (orbits found by their own
+    walks), decoded and cut one element at a time."""
+    n_x = ext.upstairs.size
+    orbit_of = [None] * n_x
+    rows, modules = [], []
+    for x0 in range(n_x):
+        if orbit_of[x0] is not None:
+            continue
+        f = indicator(n_x, x0)
+        for x in np.nonzero(orbit_functions(f, ext, tol))[1]:
+            orbit_of[x] = len(modules)
+        modules.append(per_indicator_submodule(f, ext, tol))
+        rows += _cut_rows(modules[-1], ext)
+    return _kronecker_report(rows, [len(modules[k]) for k in orbit_of], ext)
+
+
+def per_indicator_kronecker_subspace(ext, tol=1e-9):
+    """Kronecker subspace with every indicator's orbit walked and its module
+    built on its own, all of their cuts stacked."""
+    n_x = ext.upstairs.size
+    rows, seed_ranks = [], []
+    for x0 in range(n_x):
+        vectors = per_indicator_submodule(indicator(n_x, x0), ext, tol)
+        seed_ranks.append(len(vectors))
+        rows += _cut_rows(vectors, ext)
+    return _kronecker_report(rows, seed_ranks, ext)
+
+
+def per_indicator_ap(ext, eps_values, tol=1e-9):
+    """AP verdicts and witness sizes per indicator, each from its own orbit
+    walk and its own ``Traversal``."""
+    n_x = ext.upstairs.size
+    verdicts, sizes = [], []
+    for x0 in range(n_x):
+        M = orbit(indicator(n_x, x0), ext, tol)
+        trav = Traversal(M)
+        reps = [is_utob(M, eps, tol, traversal=trav) for eps in eps_values]
+        verdicts.append(all(bool(r.verdict) for r in reps))
+        sizes.append([len(r.witness) for r in reps])
+    return verdicts, sizes
 
 
 def brute_force_greedy_order(M):

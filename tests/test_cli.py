@@ -211,6 +211,45 @@ class TestCommands:
         assert err.startswith(f"latnorm tob: error: argument --out: cannot write {out!r}: ")
         assert err.count("\n") == 1
 
+    def test_closed_stdout_exits_2(self, tmp_path, monkeypatch, capsys):
+        class ClosedPipe:
+            """A stdout whose reader has gone: every write raises."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def flush(self):
+                pass
+
+            def fileno(self):
+                return self.fh.fileno()
+
+        with open(tmp_path / "stdout", "wb") as fh:
+            monkeypatch.setattr("sys.stdout", ClosedPipe(fh))
+            assert main(["counterexample", "--n", "40", "--format", "csv"]) == 2
+            # the descriptor now writes to devnull, so the flush at exit is silent
+            fh.write(b"dropped")
+            fh.flush()
+        assert (tmp_path / "stdout").read_bytes() == b""
+        assert capsys.readouterr().err == (
+            "latnorm counterexample: error: cannot write the report: stdout is closed\n"
+        )
+
+    @pytest.mark.parametrize("command", ["cyclic", "zonotope"])
+    def test_csv_not_offered_without_a_csv_rendering(self, command, sets_doc, capsys):
+        assert main([command, sets_doc, "--format", "csv"]) == 2
+        assert "argument --format: invalid choice: 'csv'" in capsys.readouterr().err
+
+    def test_tob_csv_without_F_exits_2(self, tmp_path, capsys):
+        path = _write(tmp_path, "doc.json", _sets_text("1.0"))
+        assert main(["tob", path, "--format", "csv"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("schema: $.sets.F: ") and err.count("\n") == 1
+        assert main(["tob", path, "--format", "text"]) == 0
+
     def test_bad_eps_rejected(self, sets_doc):
         assert main(["tob", sets_doc, "--eps", "-1"]) == 2
 

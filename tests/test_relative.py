@@ -41,6 +41,8 @@ from oracles import (
     closure_orbit_functions,
     encoding_cases,
     per_cut_kronecker_subspace,
+    per_indicator_ap,
+    per_indicator_kronecker_subspace,
     per_link_egoroff_localize,
     per_link_orbit_tob_verdict,
 )
@@ -301,21 +303,22 @@ def test_egoroff_localize_equals_per_link_oracle():
     assert all(outcomes.values()), outcomes
 
 
-def test_orbit_tob_verdict_equals_per_link_oracle():
+def test_orbit_tob_verdict_equals_per_link_oracle(monkeypatch):
     verdicts = set()
     for chain, _, _ in random_chains(32):
         U = np.array([u.values for u in chain])
         fake = SimpleNamespace(M=chain, radii=U)
-        got = orbit_tob_verdict(None, None, orbits=lambda f: fake)
+        with monkeypatch.context() as m:
+            m.setattr(relative, "_traversal", lambda f, ext, tol: fake)
+            got = orbit_tob_verdict(None, None)
         assert got == per_link_orbit_tob_verdict(chain)
         verdicts.add(got)
     assert verdicts == {True, False}
     ext = random_extension(np.random.default_rng(33))
-    orbits = relative.OrbitCache(ext)
     for x0 in range(ext.upstairs.size):
         f = delta(ext.upstairs.size, x0)
-        expected = per_link_orbit_tob_verdict(defect_chain(orbits(f).M))
-        assert orbit_tob_verdict(f, ext, orbits=orbits) == expected
+        M = relative._traversal(f, ext, TOL).M
+        assert orbit_tob_verdict(f, ext) == per_link_orbit_tob_verdict(defect_chain(M))
 
 
 def test_egoroff_rejects_chains_on_mixed_point_sets():
@@ -388,7 +391,7 @@ class TestSharedOrbits:
         h = random_function(rng, 2)
         assert all(ap_closure_properties(ext, f, g, h, eps=0.5).values())
 
-    def test_one_walk_and_traversal_per_function(self, monkeypatch):
+    def test_one_walk_and_traversal_per_orbit(self, monkeypatch):
         walks, traversals = [], []
 
         def counted(log, fn, key):
@@ -405,12 +408,58 @@ class TestSharedOrbits:
         monkeypatch.setattr(
             relative, "Traversal", counted(traversals, relative.Traversal, id),
         )
-        ext = random_extension(np.random.default_rng(23))
-        theorem_cross_check(ext, delta_values=(0.5, 0.25, 0.1))
-        n = ext.upstairs.size
-        # the indicators, and at most the zero function from the localization
-        assert len(walks) == len(set(walks)) and n <= len(walks) <= n + 1
-        assert len(traversals) == len(walks)
+        for ext in (
+            rotation_extension(8, 2),  # one point orbit of 8
+            symmetric_extension(4, 2),  # two of 4
+            random_extension(np.random.default_rng(30)),  # sizes 2, 2 and 4
+        ):
+            walks.clear(), traversals.clear()
+            n = ext.upstairs.size
+            point_orbits = {
+                frozenset(int(np.asarray(t)[x]) for t in ext.action.closure)
+                for x in range(n)
+            }
+            assert len(point_orbits) < n
+            theorem_cross_check(ext, delta_values=(0.5, 0.25, 0.1))
+            zero = np.zeros(n, dtype=complex).tobytes()
+            # one walk per point orbit, and at most the zero function from
+            # the localization
+            assert len(walks) == len(set(walks))
+            assert len([w for w in walks if w != zero]) == len(point_orbits)
+            assert len(traversals) == len(walks) <= len(point_orbits) + 1
+            done = len(walks)
+            theorem_cross_check(ext, delta_values=(0.5, 0.25, 0.1))
+            assert len(walks) == len(traversals) == done
+
+
+class TestSharedOrbitOracles:
+    """The shared orbit traversals against a per-indicator reference in
+    which every indicator walks, orthonormalizes and traverses its own
+    orbit."""
+
+    EPS = (0.5, 0.25, 0.1, 0.05)
+
+    def cases(self):
+        yield from encoding_cases()
+        rng = np.random.default_rng(42)
+        for _ in range(60):
+            yield random_extension(rng)
+        for n_top, n_base in ((4, 2), (6, 2), (6, 3), (8, 4)):
+            yield rotation_extension(n_top, n_base)
+        for k, q in ((3, 1), (3, 2), (4, 1), (4, 2)):
+            yield symmetric_extension(k, q)
+
+    def test_equals_per_indicator_reference(self):
+        for ext in self.cases():
+            ref = per_indicator_kronecker_subspace(ext)
+            verdicts, sizes = per_indicator_ap(ext, self.EPS)
+            kr = kronecker_subspace(ext)
+            rep = theorem_cross_check(ext, eps_values=self.EPS)
+            assert kr.dim == rep.kronecker_dim == ref.dim
+            assert kr.seed_ranks == ref.seed_ranks
+            assert subspace_distance(kr.basis_phi, ref.basis_phi) <= 1e-12
+            assert rep.ap_verdicts == verdicts
+            assert rep.ap_witness_sizes == sizes
 
 
 class TestApClosure:
