@@ -69,6 +69,19 @@ def _load_json(path: str):
         raise SchemaError([f"{path}: nested too deeply"])
 
 
+def _print(text: str) -> None:
+    """Print to stdout; a closed stdout raises ``OutputError``."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # as Python's signal docs advise: point stdout at devnull, so
+        # that the flush at exit does not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        raise OutputError("cannot write the report: stdout is closed")
+
+
 def _emit(report: dict, args) -> None:
     # the plain-text and CSV renderings are alternatives to the JSON
     # payload, never part of it
@@ -99,16 +112,7 @@ def _emit(report: dict, args) -> None:
         except OSError as exc:
             raise OutputError(f"argument --out: cannot write {out!r}: {exc.strerror}")
     else:
-        try:
-            print(text)
-            sys.stdout.flush()
-        except BrokenPipeError:
-            # as Python's signal docs advise: point stdout at devnull, so
-            # that the flush at exit does not raise again
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
-            raise OutputError("cannot write the report: stdout is closed")
+        _print(text)
 
 
 def cmd_analyze(args) -> int:
@@ -273,12 +277,14 @@ def cmd_selftest(args) -> int:
         fixture = parse_extension_doc(doc, cap=args.cap)
     results = checks.run_all(seed=args.seed, fixture=fixture)
     failed = [r for r in results if not r.passed]
+    lines = []
     for r in results:
         status = "PASS" if r.passed else "FAIL"
         detail = f"  ({r.detail})" if r.detail and not r.passed else ""
-        print(f"{status} {r.name} ({r.seconds:.3f} s){detail}")
+        lines.append(f"{status} {r.name} ({r.seconds:.3f} s){detail}")
     total = sum(r.seconds for r in results)
-    print(f"{len(results) - len(failed)}/{len(results)} invariants hold ({total:.3f} s)")
+    lines.append(f"{len(results) - len(failed)}/{len(results)} invariants hold ({total:.3f} s)")
+    _print("\n".join(lines))
     return EXIT_OK if not failed else EXIT_SUITE
 
 

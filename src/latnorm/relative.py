@@ -9,10 +9,9 @@ submodules grown from point indicators; on finite models the two always
 exhaust the whole function space, and the cross-check below verifies that
 the independent pipelines agree instead of assuming it.
 
-``is_conditionally_ap``, ``orbit_tob_verdict``, ``generated_submodule`` and
-``kronecker_subspace`` read an orbit's traversal from the extension, which
-keeps one per orbit set for its lifetime: the functions of one orbit share
-one walk, one encoding and one traversal.
+The orbit routines read an orbit's traversal from the extension, which keeps
+one per orbit set for its lifetime; the Kronecker subspace and the
+cross-check visit each point orbit once, not each indicator.
 """
 
 from __future__ import annotations
@@ -70,6 +69,16 @@ def _traversal(f, ext: Extension, tol: float) -> Traversal:
         for g in images:
             ext._orbits.setdefault((tol, g.tobytes()), hit)
     return hit
+
+
+def _point_orbits(ext: Extension, tol: float) -> list[tuple]:
+    """``(traversal, indicator, points)`` per point orbit, in order of the
+    orbit's first point, whose indicator it is: the indicators grouped by
+    the traversal they share."""
+    orbits: dict[Traversal, tuple] = {}
+    for x, f in enumerate(np.eye(ext.upstairs.size, dtype=complex)):
+        orbits.setdefault(_traversal(f, ext, tol), (f, []))[1].append(x)
+    return [(trav, f, xs) for trav, (f, xs) in orbits.items()]
 
 
 # ---------------------------------------------------------------------------
@@ -220,30 +229,23 @@ class KroneckerReport:
 def kronecker_subspace(ext: Extension, tol: float = DEFAULT_TOL) -> KroneckerReport:
     """Span of the invariant modules generated by every point indicator.
 
-    Indicators in one point orbit share one orbit set and so one generated
-    module, built once. Each module is expanded into plain functions by
-    cutting its decoded basis down to single fibers (rows ordered by orbit,
-    from its first seed point, then basis vector, then fiber; all-zero cuts
-    dropped), and the union is orthonormalized in the weighted inner product
-    upstairs. ``seed_ranks[x]`` is the size of the module of point x's orbit.
+    One module per point orbit, its decoded basis cut down to single fibers
+    (rows ordered by orbit, basis vector, fiber; all-zero cuts dropped); the
+    union is orthonormalized in the weighted inner product upstairs.
+    ``seed_ranks[x]`` is the size of the module of point x's orbit.
     """
     n_x = ext.upstairs.size
     on_fiber = ext.factor == np.arange(ext.downstairs.size)[:, None]  # (n_y, n_x)
-    modules: dict[Traversal, SubmoduleBasis] = {}
     vectors = []
-    seed_ranks = []
-    for x0 in range(n_x):
-        f = np.zeros(n_x, dtype=complex)
-        f[x0] = 1.0
-        trav = _traversal(f, ext, tol)
-        if trav not in modules:
-            sb = modules[trav] = generated_submodule(f, ext, tol)
-            cuts = (ext.rel.decode(sb.vectors)[:, None, :] * on_fiber).reshape(-1, n_x)
-            vectors.append(cuts[np.any(np.abs(cuts) > 0, axis=1)])
-        seed_ranks.append(len(modules[trav]))
+    seed_ranks = np.zeros(n_x, dtype=int)
+    for _, f, xs in _point_orbits(ext, tol):
+        sb = generated_submodule(f, ext, tol)
+        cuts = (ext.rel.decode(sb.vectors)[:, None, :] * on_fiber).reshape(-1, n_x)
+        vectors.append(cuts[np.any(np.abs(cuts) > 0, axis=1)])
+        seed_ranks[xs] = len(sb)
     stack = np.concatenate(vectors)
     basis = span_basis(_phi(stack, ext.upstairs.weights))
-    return KroneckerReport(basis.shape[0], basis, seed_ranks)
+    return KroneckerReport(basis.shape[0], basis, seed_ranks.tolist())
 
 
 def has_discrete_spectrum(ext: Extension, tol: float = DEFAULT_TOL) -> bool:
@@ -379,49 +381,40 @@ def theorem_cross_check(
     part, density of the order-precompact part, localizability) and states
     the finite-scale degeneracy explicitly.
 
-    Each orbit set is walked and traversed once: every pipeline reads the
-    traversal of an indicator's orbit, shared by all indicators of one point
-    orbit, and a localized indicator equal to one already seen reads it too.
+    Each point orbit is visited once, with one AP probe, one TOB verdict and
+    one localization per delta. The localized indicator ``1_kept * e_x`` is
+    e_x over a kept point and the zero function, probed too, over a cut one.
     """
     n_x = ext.upstairs.size
     w = ext.upstairs.weights
 
     kron = kronecker_subspace(ext)
 
-    ap_members, ap_verdicts, ap_sizes = [], [], []
-    tob_members = []
+    ap_ok, tob_ok = np.zeros((2, n_x), dtype=bool)
+    ap_sizes = np.zeros((n_x, len(eps_values)), dtype=int)
     egoroff_ok = True
     eps_ref = min(eps_values)
     thresholds: dict[float, int | None] = {d: 0 for d in delta_values}
-    for x0 in range(n_x):
-        f = np.zeros(n_x, dtype=complex)
-        f[x0] = 1.0
+    for trav, f, xs in _point_orbits(ext, DEFAULT_TOL):
         rep = is_conditionally_ap(f, ext, eps_values)
-        ap_verdicts.append(rep.all_pass)
-        ap_sizes.append([len(w) for w in rep.witnesses])
-        if rep.all_pass:
-            ap_members.append(f)
-        if orbit_tob_verdict(f, ext):
-            tob_members.append(f)
-        trav = _traversal(f, ext, DEFAULT_TOL)
+        ap_ok[xs] = rep.all_pass
+        ap_sizes[xs] = [len(wit) for wit in rep.witnesses]
+        tob_ok[xs] = orbit_tob_verdict(f, ext)
         chain = [StoneElement(trav.M.space.base, u) for u in trav.radii]
         for delta in delta_values:
             loc = egoroff_localize(
                 chain, ext.downstairs.weights, delta, eps_values=[eps_ref]
             )
-            t_here = loc.thresholds[eps_ref]
-            if t_here is None or thresholds[delta] is None:
-                thresholds[delta] = None
-            else:
-                thresholds[delta] = max(thresholds[delta], t_here)
-            mask = embed_J(loc.kept.mask.astype(complex), ext)
-            rep_loc = is_conditionally_ap(mask * f, ext, eps_values)
-            egoroff_ok = egoroff_ok and rep_loc.all_pass
+            t_here, t_max = loc.thresholds[eps_ref], thresholds[delta]
+            thresholds[delta] = None if None in (t_here, t_max) else max(t_max, t_here)
+            kept = loc.kept.mask[ext.factor[xs]]
+            egoroff_ok &= rep.all_pass or not kept.any()
+            if not kept.all():
+                zero = np.zeros(n_x, dtype=complex)
+                egoroff_ok &= is_conditionally_ap(zero, ext, eps_values).all_pass
 
-    ap_stack = np.array(ap_members, dtype=complex).reshape(len(ap_members), n_x)
-    tob_stack = np.array(tob_members, dtype=complex).reshape(len(tob_members), n_x)
-    ap_basis = span_basis(_phi(ap_stack, w))
-    tob_basis = span_basis(_phi(tob_stack, w))
+    ap_basis = span_basis(_phi(np.eye(n_x, dtype=complex)[ap_ok], w))
+    tob_basis = span_basis(_phi(np.eye(n_x, dtype=complex)[tob_ok], w))
 
     distances = {
         "fm_ap": subspace_distance(kron.basis_phi, ap_basis),
@@ -445,8 +438,8 @@ def theorem_cross_check(
         tob_dim=tob_basis.shape[0],
         distances=distances,
         inclusion_residuals=inclusions,
-        ap_verdicts=ap_verdicts,
-        ap_witness_sizes=ap_sizes,
+        ap_verdicts=ap_ok.tolist(),
+        ap_witness_sizes=ap_sizes.tolist(),
         egoroff_thresholds=thresholds,
         corollary=corollary,
         weakly_mixing_dim=n_x - kron.dim,

@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from latnorm.checks import CheckResult
 from latnorm.cli import build_parser, main
 from latnorm.fixtures import (
     random_fiber_space,
@@ -212,21 +213,6 @@ class TestCommands:
         assert err.count("\n") == 1
 
     def test_closed_stdout_exits_2(self, tmp_path, monkeypatch, capsys):
-        class ClosedPipe:
-            """A stdout whose reader has gone: every write raises."""
-
-            def __init__(self, fh):
-                self.fh = fh
-
-            def write(self, text):
-                raise BrokenPipeError(32, "Broken pipe")
-
-            def flush(self):
-                pass
-
-            def fileno(self):
-                return self.fh.fileno()
-
         with open(tmp_path / "stdout", "wb") as fh:
             monkeypatch.setattr("sys.stdout", ClosedPipe(fh))
             assert main(["counterexample", "--n", "40", "--format", "csv"]) == 2
@@ -237,6 +223,27 @@ class TestCommands:
         assert capsys.readouterr().err == (
             "latnorm counterexample: error: cannot write the report: stdout is closed\n"
         )
+
+    def test_selftest_closed_stdout_exits_2(self, tmp_path, monkeypatch, capsys):
+        results = [CheckResult("a.holds", True), CheckResult("b.broken", False, "why")]
+        monkeypatch.setattr("latnorm.checks.run_all", lambda seed, fixture: results)
+        with open(tmp_path / "stdout", "wb") as fh:
+            with monkeypatch.context() as m:
+                m.setattr("sys.stdout", ClosedPipe(fh))
+                assert main(["selftest"]) == 2
+            fh.write(b"dropped")
+            fh.flush()
+        assert (tmp_path / "stdout").read_bytes() == b""
+        assert capsys.readouterr().err == (
+            "latnorm selftest: error: cannot write the report: stdout is closed\n"
+        )
+        # with stdout open, the failing suite prints and exits 1
+        assert main(["selftest"]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "PASS a.holds (0.000 s)",
+            "FAIL b.broken (0.000 s)  (why)",
+            "1/2 invariants hold (0.000 s)",
+        ]
 
     @pytest.mark.parametrize("command", ["cyclic", "zonotope"])
     def test_csv_not_offered_without_a_csv_rendering(self, command, sets_doc, capsys):
@@ -428,6 +435,22 @@ class TestSelftest:
         assert main(["selftest", "--fixture", str(path)]) == 1
         out = capsys.readouterr().out
         assert "FAIL fixture.extension-valid" in out
+
+
+class ClosedPipe:
+    """A stdout whose reader has gone: every write raises."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        return self.fh.fileno()
 
 
 def _write(tmp_path, name, text):

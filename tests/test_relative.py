@@ -1,3 +1,5 @@
+import json
+from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
@@ -42,6 +44,7 @@ from oracles import (
     encoding_cases,
     per_cut_kronecker_subspace,
     per_indicator_ap,
+    per_indicator_cross_check,
     per_indicator_kronecker_subspace,
     per_link_egoroff_localize,
     per_link_orbit_tob_verdict,
@@ -392,7 +395,7 @@ class TestSharedOrbits:
         assert all(ap_closure_properties(ext, f, g, h, eps=0.5).values())
 
     def test_one_walk_and_traversal_per_orbit(self, monkeypatch):
-        walks, traversals = [], []
+        walks, traversals, localizations, probes = [], [], [], []
 
         def counted(log, fn, key):
             def inner(x, *args, **kwargs):
@@ -408,19 +411,33 @@ class TestSharedOrbits:
         monkeypatch.setattr(
             relative, "Traversal", counted(traversals, relative.Traversal, id),
         )
+        monkeypatch.setattr(
+            relative, "egoroff_localize",
+            counted(localizations, relative.egoroff_localize, id),
+        )
+        monkeypatch.setattr(
+            relative, "is_conditionally_ap",
+            counted(probes, relative.is_conditionally_ap, lambda f: np.any(f != 0)),
+        )
         for ext in (
             rotation_extension(8, 2),  # one point orbit of 8
             symmetric_extension(4, 2),  # two of 4
             random_extension(np.random.default_rng(30)),  # sizes 2, 2 and 4
         ):
-            walks.clear(), traversals.clear()
+            for log in (walks, traversals, localizations, probes):
+                log.clear()
             n = ext.upstairs.size
             point_orbits = {
                 frozenset(int(np.asarray(t)[x]) for t in ext.action.closure)
                 for x in range(n)
             }
             assert len(point_orbits) < n
-            theorem_cross_check(ext, delta_values=(0.5, 0.25, 0.1))
+            deltas = (0.5, 0.25, 0.1)
+            theorem_cross_check(ext, delta_values=deltas)
+            # one localization per point orbit and delta, and one AP probe
+            # of a nonzero function per point orbit
+            assert len(localizations) == len(point_orbits) * len(deltas)
+            assert sum(probes) == len(point_orbits)
             zero = np.zeros(n, dtype=complex).tobytes()
             # one walk per point orbit, and at most the zero function from
             # the localization
@@ -428,8 +445,17 @@ class TestSharedOrbits:
             assert len([w for w in walks if w != zero]) == len(point_orbits)
             assert len(traversals) == len(walks) <= len(point_orbits) + 1
             done = len(walks)
-            theorem_cross_check(ext, delta_values=(0.5, 0.25, 0.1))
+            theorem_cross_check(ext, delta_values=deltas)
             assert len(walks) == len(traversals) == done
+
+
+@dataclass(eq=False)
+class LiftedTraversal:
+    """A stand-in traversal: a set, a chain of radii and a recheck."""
+
+    M: object
+    radii: np.ndarray
+    recheck: object
 
 
 class TestSharedOrbitOracles:
@@ -460,6 +486,35 @@ class TestSharedOrbitOracles:
             assert subspace_distance(kr.basis_phi, ref.basis_phi) <= 1e-12
             assert rep.ap_verdicts == verdicts
             assert rep.ap_witness_sizes == sizes
+
+    def test_cross_check_equals_per_indicator_oracle(self, monkeypatch):
+        zero_probes = []
+        probe = relative.is_conditionally_ap
+
+        def counted(f, *args, **kwargs):
+            zero_probes.append(not np.any(f != 0))
+            return probe(f, *args, **kwargs)
+
+        monkeypatch.setattr(relative, "is_conditionally_ap", counted)
+        # a finite orbit's chain ends at zero, so only a chain that does not
+        # converge leaves a delta with no threshold: file a copy of one
+        # orbit's traversal, its chain lifted by 1, under that orbit's keys
+        lifted = rotation_extension(6, 3)
+        trav = relative._traversal(np.eye(6, dtype=complex)[0], lifted, TOL)
+        fake = LiftedTraversal(trav.M, trav.radii + 1.0, trav.recheck)
+        for key, hit in list(lifted._orbits.items()):
+            if hit is trav:
+                lifted._orbits[key] = fake
+        no_threshold = False
+        for ext in [*self.cases(), lifted]:
+            for deltas in ((0.25, 0.1), (0.5, 0.25, 0.1), (0.9,)):
+                rep = theorem_cross_check(ext, self.EPS, deltas)
+                ref = per_indicator_cross_check(ext, self.EPS, deltas)
+                assert json.dumps(rep.to_json_dict()) == json.dumps(ref.to_json_dict())
+                no_threshold |= None in rep.egoroff_thresholds.values()
+        # the localization cut points (so the zero function was probed) and
+        # left some delta with no uniform threshold
+        assert any(zero_probes) and no_threshold
 
 
 class TestApClosure:
