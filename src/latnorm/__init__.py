@@ -41,7 +41,6 @@ from .fibered import (
     GridNet,
     Traversal,
     UtobReport,
-    Zonotope,
     cp_check,
     cp_witness_from_utob,
     defect,
@@ -53,7 +52,6 @@ from .fibered import (
     set_image,
     set_sum,
     truncate_to_ball,
-    zonotope_distances,
     zonotope_net,
     zonotope_report,
 )

@@ -21,17 +21,17 @@ from .fibered import (
     FiberSpace,
     FiberwiseMap,
     FiniteSet,
-    Zonotope,
     cp_check,
     cp_witness_from_utob,
     defect,
     heine_borel_net,
     is_utob,
+    prefix_defects,
     set_image,
     set_sum,
     truncate_to_ball,
-    zonotope_distances,
     zonotope_net,
+    zonotope_report,
 )
 from .mixing import cyclic_witness, eq_idempotent, mix, mix_membership, verify_cyclic
 from .relative import (
@@ -301,8 +301,8 @@ def check_zonotope_membership(rng, n=20):
             mods = rng.random(space.n_points)
             phases = np.exp(1j * rng.uniform(0, 2 * np.pi, space.n_points))
             x = x + ComplexCoefficient(space.base, mods * phases) * F.subset([j])
-        dval = zonotope_distances(x, Zonotope(F), tol=1e-7, max_iter=50_000)[0]
-        assert dval.sup_norm() <= 1e-6, f"membership distance {dval.sup_norm()}"
+        dval = zonotope_report(x, F, tol=1e-7, max_iter=50_000)[0].max()
+        assert dval <= 1e-6, f"membership distance {dval}"
 
 
 def check_zonotope_equivalence(rng, n=10):
@@ -331,7 +331,7 @@ def check_zonotope_equivalence(rng, n=10):
             nn = noise.norm_sup().sup_norm()
             pts.append(u + (eps / max(nn, 1e-12) * 0.9) * noise)
         M2 = FiniteSet.concat(pts)
-        net, slack = zonotope_net(Zonotope(F), mesh=0.25, cap=10**6)
+        net, slack = zonotope_net(F, mesh=0.25, cap=10**6)
         bound = StoneElement.constant(space.base, eps) + slack
         assert defect(M2, net).value.le(bound, 1e-6), "zonotope net witness"
 
@@ -341,9 +341,8 @@ def check_bounded_chain(rng, n=20):
         M = _instance(rng, int(rng.integers(1, 6)))
         assert defect(M, FiniteSet.zero(M.space)).value.eq(M.norm_sup(), TOL), "defect vs {0}"
         chain = defect_chain(M)
-        for u, v in zip(chain, chain[1:]):
-            assert v.le(u, TOL), "chain must decrease"
-        assert chain[-1].le(0.0, TOL)
+        assert np.all(chain[1:] <= chain[:-1] + TOL), "chain must decrease"
+        assert np.all(chain[-1] <= TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -614,10 +613,10 @@ def check_orbit_in_submodule_net(rng, n=5):
 
 def check_egoroff_localize(rng):
     _, M, F_n = build_counterexample(8)
-    chain = [defect(M, F_n.subset(range(m + 1))).value for m in range(1, 9)]
+    chain = prefix_defects(M, F_n)[1:9]
     weights = np.array([2.0**-k for k in range(1, 9)] + [2.0**-8])
     rep = egoroff_localize(chain, weights, delta=0.25)
-    kept = np.nonzero(rep.kept.mask)[0]
+    kept = np.nonzero(rep.kept)[0]
     assert set(kept.tolist()) == {0, 1, 8}, "expected the 2-prefix plus tail"
     assert rep.removed_mass <= 0.25 + 1e-12
     # thresholds: on the kept set the chain hits zero at index 2

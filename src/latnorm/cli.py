@@ -33,7 +33,6 @@ from .errors import (
 )
 from .fibered import (
     Traversal,
-    Zonotope,
     defect,
     is_utob,
     prefix_defects,
@@ -200,20 +199,13 @@ def cmd_zonotope(args) -> int:
     M, F = sets["M"], sets["F"]
     if len(M) == 0 or len(F) == 0:
         raise SchemaError(["$.sets: M and F must be nonempty"])
-    dists, diag = zonotope_report(
-        M, Zonotope(F), tol=args.solver_tol, max_iter=args.max_iter
-    )
-    verdicts = {
-        str(eps): all(d.le(eps + args.solver_tol, args.solver_tol) for d in dists)
-        for eps in args.eps
-    }
-    report = {
-        "distances": [d.values.tolist() for d in dists],
-        "cp_verdicts": verdicts,
-        "solver": diag,
-    }
+    dist, diag = zonotope_report(M, F, tol=args.solver_tol, max_iter=args.max_iter)
+    tol = args.solver_tol
+    # the verdict of ``cp_check``
+    verdicts = {str(eps): bool(np.all(dist <= eps + tol + tol)) for eps in args.eps}
+    report = {"distances": dist.tolist(), "cp_verdicts": verdicts, "solver": diag}
     report["_text"] = "\n".join(
-        [f"element {i}: {d.values.tolist()}" for i, d in enumerate(dists)]
+        [f"element {i}: {d.tolist()}" for i, d in enumerate(dist)]
         + [f"cp at eps={e}: {v}" for e, v in verdicts.items()]
     )
     _emit(report, args)
@@ -423,8 +415,7 @@ def main(argv=None) -> int:
     except IterationLimitError as exc:
         print(f"solver: {exc}", file=sys.stderr)
         if exc.best is not None:
-            best = [b.values.tolist() for b in exc.best]
-            print(f"best values found: {best}", file=sys.stderr)
+            print(f"best values found: {exc.best.tolist()}", file=sys.stderr)
         return EXIT_SOLVER
 
 

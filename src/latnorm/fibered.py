@@ -11,7 +11,9 @@ of a set M against a finite candidate set F,
 which measures order-precompactness pointwise. On top of it sit epsilon-net
 constructions (Heine-Borel style over a suborthonormal basis), zonotope
 membership distances solved by projected gradient, and the bookkeeping for
-uniform total order-boundedness witnesses.
+uniform total order-boundedness witnesses. A family of pointwise values (a
+traversal's radii, prefix defects, zonotope distances) is one
+``(k, n_points)`` float array; a single value is a ``StoneElement``.
 """
 
 from __future__ import annotations
@@ -159,13 +161,6 @@ class FiniteSet:
         return f"FiniteSet(n={self._n}, points={self.space.n_points})"
 
 
-@dataclass(frozen=True)
-class Zonotope:
-    """Module combinations of the generators with coefficients of modulus <= 1."""
-
-    generators: FiniteSet
-
-
 @dataclass
 class DefectReport:
     """Value and witness of a defect computation.
@@ -283,10 +278,11 @@ class Traversal:
     element farthest (in sup norm of the pointwise distance) from those
     already placed, ties to the lowest index, reading its row of one
     ``_pair_dist`` table per fiber (n_points |M|^2 floats, freed once built).
-    ``order`` lists every index of M in placement order, and row j of
-    ``radii`` is the running radius after j + 1 placements: the pointwise
-    defect of M against ``order[:j + 1]``. ``recheck(k)`` is the independent
-    ``defect`` of M against the first k placed elements, computed once per k.
+    ``order`` lists every index of M in placement order, and row j of the
+    read-only ``radii`` is the running radius after j + 1 placements: the
+    pointwise defect of M against ``order[:j + 1]``. ``recheck(k)`` is the
+    independent ``defect`` of M against the first k placed elements,
+    computed once per k.
     """
 
     def __init__(self, M: FiniteSet):
@@ -308,6 +304,7 @@ class Traversal:
             self.order.append(nxt)
             scores = mindist.max(axis=0)
             scores[placed] = -1.0
+        self.radii.flags.writeable = False
 
     def recheck(self, k: int) -> DefectReport:
         if k not in self._rechecks:
@@ -594,13 +591,13 @@ def heine_borel_net(
     return GridNet(basis, disc_grid(c, eps / math.sqrt(len(basis))), cap)
 
 
-def zonotope_net(Z: Zonotope, mesh: float, cap: int = 10**6):
-    """Finite net of a zonotope together with its pointwise mesh bound.
+def zonotope_net(F: FiniteSet, mesh: float, cap: int = 10**6):
+    """Finite net of the zonotope of F (the module combinations of its
+    elements with coefficients of modulus <= 1) and its pointwise mesh bound.
 
     Returns ``(net, slack)`` where every element of the zonotope is within
     the StoneElement ``slack = mesh * sum_y |y|`` of the net, pointwise.
     """
-    F = Z.generators
     space = F.space
     if len(F) == 0:
         return FiniteSet.zero(space), StoneElement.zeros(space.base)
@@ -652,7 +649,7 @@ def _solve_disc_fit(
     if m == 0:
         dist = np.linalg.norm(b, axis=2)
         return dist, np.ones((batch, n_pts), dtype=bool), 0
-    L = np.array([max(float(np.max(np.linalg.eigvalsh(g))), 0.0) for g in gram])
+    L = np.maximum(np.linalg.eigvalsh(gram).max(axis=1), 0.0)
     step = 1.0 / np.maximum(L, 1e-30)
 
     def objective(lam):
@@ -699,32 +696,20 @@ def _solve_disc_fit(
     return best, done, iterations
 
 
-def zonotope_distances(
-    M: FiniteSet,
-    Z: Zonotope,
-    tol: float = 1e-7,
-    max_iter: int = 10_000,
-) -> list[StoneElement]:
-    """Batched pointwise zonotope distances for every element of M."""
-    dists, _ = zonotope_report(M, Z, tol=tol, max_iter=max_iter)
-    return dists
-
-
 def zonotope_report(
     M: FiniteSet,
-    Z: Zonotope,
+    F: FiniteSet,
     tol: float = 1e-7,
     max_iter: int = 10_000,
-) -> tuple[list[StoneElement], dict]:
-    """Zonotope distances together with solver diagnostics."""
-    F = Z.generators
+) -> tuple[np.ndarray, dict]:
+    """Pointwise distances of every element of M to the zonotope of F, a
+    ``(len(M), n_points)`` array, together with solver diagnostics."""
     _check_space(M, F)
     if tol <= 0:
         raise ValueError("tol must be positive")
     G = _padded(F).transpose(1, 2, 0)
     b = _padded(M)
     dist, done, iters = _solve_disc_fit(G, b, tol, max_iter)
-    out = [StoneElement(M.space.base, dist[i]) for i in range(len(M))]
     diag = {
         "iterations": int(iters),
         "tol": tol,
@@ -734,9 +719,9 @@ def zonotope_report(
     }
     if not np.all(done):
         raise IterationLimitError(
-            f"zonotope solver uncertified after {iters} iterations", best=out
+            f"zonotope solver uncertified after {iters} iterations", best=dist
         )
-    return out, diag
+    return dist, diag
 
 
 def cp_check(
@@ -749,8 +734,9 @@ def cp_check(
     """Is M inside the zonotope of F fattened by an eps-ball, pointwise?"""
     if eps <= 0:
         raise ValueError("eps must be positive")
-    dists = zonotope_distances(M, Zonotope(F), tol=tol, max_iter=max_iter)
-    return all(d.le(eps + tol, tol) for d in dists)
+    dist, _ = zonotope_report(M, F, tol=tol, max_iter=max_iter)
+    # a distance certified within tol of eps + tol, compared within tol
+    return bool(np.all(dist <= eps + tol + tol))
 
 
 @dataclass

@@ -11,7 +11,9 @@ the independent pipelines agree instead of assuming it.
 
 The orbit routines read an orbit's traversal from the extension, which keeps
 one per orbit set for its lifetime; the Kronecker subspace and the
-cross-check visit each point orbit once, not each indicator.
+cross-check visit each point orbit once, not each indicator. A defect chain
+is one ``(K, n_points)`` array, a traversal's read-only radii, and Egoroff
+localization reads it as it is.
 """
 
 from __future__ import annotations
@@ -21,9 +23,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError
 from .fibered import FiniteSet, Traversal, defect, is_utob, set_sum
-from .stone import DEFAULT_TOL, Idempotent, StoneElement
+from .stone import DEFAULT_TOL
 from .systems import Extension, RelModule, _generator_steps, _walk_orbit, embed_J
 
 
@@ -119,10 +120,10 @@ def is_conditionally_ap(
     )
 
 
-def defect_chain(M: FiniteSet) -> list[StoneElement]:
-    """Defect values of M against its increasing greedy witness prefixes:
-    the radius sequence of one farthest-point traversal."""
-    return [StoneElement(M.space.base, d) for d in Traversal(M).radii]
+def defect_chain(M: FiniteSet) -> np.ndarray:
+    """Defect values of M against its increasing greedy witness prefixes,
+    one row per prefix: the read-only radii of one farthest-point traversal."""
+    return Traversal(M).radii
 
 
 def orbit_tob_verdict(f, ext: Extension, tol: float = DEFAULT_TOL) -> bool:
@@ -259,14 +260,14 @@ def has_discrete_spectrum(ext: Extension, tol: float = DEFAULT_TOL) -> bool:
 
 @dataclass
 class EgoroffReport:
-    kept: Idempotent
+    kept: np.ndarray  # bool mask of the points kept
     removed: list[int]
     removed_mass: float
     thresholds: dict[float, int | None]
 
 
 def egoroff_localize(
-    u_seq: Sequence[StoneElement],
+    U: np.ndarray,
     weights: np.ndarray,
     delta: float,
     eps_values: Sequence[float] = (0.5, 0.25, 0.1, 0.05),
@@ -274,25 +275,20 @@ def egoroff_localize(
 ) -> EgoroffReport:
     """Trade a mass budget for uniform convergence of a decreasing chain.
 
-    ``u_seq`` must decrease pointwise (defects against increasing witness
-    sets do). Points are ranked by how slowly their values decay (late
-    values first, ties toward the larger index) and greedily removed while
-    the removed mass stays within delta; points whose whole profile is
-    already below tol are never spent on. Thresholds report, per epsilon,
-    the first chain index that is uniformly below epsilon on the kept set.
+    ``U`` is the ``(K, n_points)`` chain, one row per link; it must decrease
+    pointwise (defects against increasing witness sets do). Points are
+    ranked by how slowly their values decay (late values first, ties toward
+    the larger index) and greedily removed while the removed mass stays
+    within delta; points whose whole profile is already below tol are never
+    spent on. Thresholds report, per epsilon, the first chain index that is
+    uniformly below epsilon on the kept set, whose mask is ``kept``.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
-    u_seq = list(u_seq)
-    if not u_seq:
-        raise ValueError("need at least one chain element")
-    base = u_seq[0].base
-    if any(u.base != base for u in u_seq):
-        raise DimensionMismatchError("chain elements on different point sets")
+    U = np.asarray(U, dtype=float)
     weights = np.asarray(weights, dtype=float)
-    if weights.shape != (base.size,):
-        raise ValueError("one weight per point required")
-    U = np.array([u.values for u in u_seq])  # (K, n)
+    if U.ndim != 2 or len(U) == 0 or U.shape[1:] != weights.shape:
+        raise ValueError("need a nonempty (K, n_points) chain and one weight per point")
     if not np.all(U[1:] <= U[:-1] + tol):
         raise ValueError("chain is not pointwise decreasing")
     slow_order = np.lexsort(tuple(U))[::-1]  # last chain element is primary
@@ -303,15 +299,13 @@ def egoroff_localize(
         if removed_mass + weights[idx] <= delta + 1e-15:
             removed.append(idx)
             removed_mass += float(weights[idx])
-    kept_mask = np.ones(base.size, dtype=bool)
-    kept_mask[removed] = False
+    kept = np.ones(U.shape[1], dtype=bool)
+    kept[removed] = False
     thresholds: dict[float, int | None] = {}
     for eps in eps_values:
-        below = np.all(U[:, kept_mask] <= eps + tol, axis=1)
+        below = np.all(U[:, kept] <= eps + tol, axis=1)
         thresholds[eps] = int(below.argmax()) + 1 if below.any() else None
-    return EgoroffReport(
-        Idempotent(base, kept_mask), sorted(removed), removed_mass, thresholds
-    )
+    return EgoroffReport(kept, sorted(removed), removed_mass, thresholds)
 
 
 # ---------------------------------------------------------------------------
@@ -400,14 +394,13 @@ def theorem_cross_check(
         ap_ok[xs] = rep.all_pass
         ap_sizes[xs] = [len(wit) for wit in rep.witnesses]
         tob_ok[xs] = orbit_tob_verdict(f, ext)
-        chain = [StoneElement(trav.M.space.base, u) for u in trav.radii]
         for delta in delta_values:
             loc = egoroff_localize(
-                chain, ext.downstairs.weights, delta, eps_values=[eps_ref]
+                trav.radii, ext.downstairs.weights, delta, eps_values=[eps_ref]
             )
             t_here, t_max = loc.thresholds[eps_ref], thresholds[delta]
             thresholds[delta] = None if None in (t_here, t_max) else max(t_max, t_here)
-            kept = loc.kept.mask[ext.factor[xs]]
+            kept = loc.kept[ext.factor[xs]]
             egoroff_ok &= rep.all_pass or not kept.any()
             if not kept.all():
                 zero = np.zeros(n_x, dtype=complex)

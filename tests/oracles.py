@@ -35,7 +35,7 @@ from latnorm.relative import (
     span_basis,
     subspace_distance,
 )
-from latnorm.stone import DEFAULT_TOL, StoneElement
+from latnorm.stone import DEFAULT_TOL
 from latnorm.systems import Extension, FiniteProbabilitySpace, MPMap, embed_J
 
 
@@ -285,17 +285,16 @@ def per_indicator_cross_check(ext, eps_values=(0.5, 0.25), delta_values=(0.25, 0
         if orbit_tob_verdict(f, ext):
             tob_members.append(f)
         trav = _traversal(f, ext, DEFAULT_TOL)
-        chain = [StoneElement(trav.M.space.base, u) for u in trav.radii]
         for delta in delta_values:
             loc = egoroff_localize(
-                chain, ext.downstairs.weights, delta, eps_values=[eps_ref]
+                trav.radii, ext.downstairs.weights, delta, eps_values=[eps_ref]
             )
             t_here = loc.thresholds[eps_ref]
             if t_here is None or thresholds[delta] is None:
                 thresholds[delta] = None
             else:
                 thresholds[delta] = max(thresholds[delta], t_here)
-            mask = embed_J(loc.kept.mask.astype(complex), ext)
+            mask = embed_J(loc.kept.astype(complex), ext)
             rep_loc = is_conditionally_ap(mask * f, ext, eps_values)
             egoroff_ok = egoroff_ok and rep_loc.all_pass
     ap_stack = np.array(ap_members, dtype=complex).reshape(len(ap_members), n_x)

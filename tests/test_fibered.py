@@ -16,7 +16,6 @@ from latnorm import (
     SizeCapError,
     StoneElement,
     Traversal,
-    Zonotope,
     cp_check,
     cp_witness_from_utob,
     defect,
@@ -30,7 +29,6 @@ from latnorm import (
     set_image,
     set_sum,
     truncate_to_ball,
-    zonotope_distances,
     zonotope_net,
     zonotope_report,
 )
@@ -214,8 +212,7 @@ class TestTraversal:
             for k, (prefix, rep) in enumerate(zip(radii, oracle), 1):
                 assert np.array_equal(prefix, rep.value.values, equal_nan=True)
                 assert np.array_equal(prefix, trav.recheck(k).value.values, equal_nan=True)
-            chain = np.array([c.values for c in defect_chain(M)])
-            assert np.array_equal(chain, radii, equal_nan=True)
+            assert np.array_equal(defect_chain(M), radii, equal_nan=True)
 
     def test_utob_witness_is_oracle_prefix(self):
         for M in _traversal_cases():
@@ -271,7 +268,7 @@ class TestTraversal:
         assert len(radii) == 12 and sorted(trav.order) == list(range(12))
         assert Traversal(M).radii.tolist() == radii
         assert trav.order == Traversal(M).order == greedy_order(M)
-        assert [c.values.tolist() for c in defect_chain(M)] == radii
+        assert defect_chain(M).tolist() == radii
         assert trav.recheck(3) is trav.recheck(3)
         shared = [is_utob(M, 0.5, TOL, traversal=trav) for _ in range(2)]
         assert shared[0].report is shared[1].report
@@ -470,7 +467,7 @@ class TestHeineBorel:
         with pytest.raises(SizeCapError):
             heine_borel_net(basis, c=1.0, eps=0.01, cap=100)
         with pytest.raises(SizeCapError):
-            zonotope_net(Zonotope(basis), mesh=0.01, cap=100)
+            zonotope_net(basis, mesh=0.01, cap=100)
 
     def test_nets_equal_product_oracle(self):
         # grids of 81, 127 and 257 points, as the benchmark's nets use
@@ -486,7 +483,7 @@ class TestHeineBorel:
         rng = np.random.default_rng(14)
         for m, mesh in ((1, 0.2), (2, 0.5), (3, 1.0)):
             F = random_finite_set(rng, random_fiber_space(rng), m)
-            net, _ = zonotope_net(Zonotope(F), mesh)
+            net, _ = zonotope_net(F, mesh)
             ref = product_grid_image(F, disc_grid(1.0, mesh))
             assert [s.tobytes() for s in net.stacks] == [s.tobytes() for s in ref.stacks]
 
@@ -624,8 +621,8 @@ class TestZonotope:
         e1 = np.array([1.0, 0.0], dtype=complex)
         F = FiniteSet(space, [e1.reshape(1, 2)], 1)
         x = element(space, 2.0 * e1)
-        d = zonotope_distances(x, Zonotope(F), tol=1e-9, max_iter=50_000)[0]
-        assert d.values[0] == pytest.approx(1.0, abs=1e-8)
+        d, _ = zonotope_report(x, F, tol=1e-9, max_iter=50_000)
+        assert d.shape == (1, 1) and d[0, 0] == pytest.approx(1.0, abs=1e-8)
 
     def test_membership(self):
         rng = np.random.default_rng(14)
@@ -637,8 +634,8 @@ class TestZonotope:
                 mods = rng.random(space.n_points)
                 ph = np.exp(1j * rng.uniform(0, 2 * np.pi, space.n_points))
                 x = x + ComplexCoefficient(space.base, mods * ph) * F.subset([j])
-            d = zonotope_distances(x, Zonotope(F), tol=1e-7, max_iter=50_000)[0]
-            assert d.sup_norm() <= 1e-6
+            d, _ = zonotope_report(x, F, tol=1e-7, max_iter=50_000)
+            assert d.max() <= 1e-6
 
     def test_matches_grid_brute_force(self):
         rng = np.random.default_rng(15)
@@ -647,9 +644,9 @@ class TestZonotope:
             m = int(rng.integers(1, 3))
             F = random_finite_set(rng, space, m, scale=0.8)
             x = random_finite_set(rng, space, 1, scale=1.2)
-            d = zonotope_distances(x, Zonotope(F), tol=1e-7, max_iter=50_000)[0]
+            d, _ = zonotope_report(x, F, tol=1e-7, max_iter=50_000)
             oracle = grid_zonotope_oracle(x, F, mesh=0.01)
-            assert np.max(np.abs(d.values - oracle)) <= 0.02
+            assert np.max(np.abs(d[0] - oracle)) <= 0.02
 
     def test_stopped_problems_are_certified(self):
         # inside targets: the distance is 0, so a certified stop reads <= tol
@@ -665,19 +662,32 @@ class TestZonotope:
         lam = cnormal((nt, 6, m))
         lam = lam / np.maximum(np.abs(lam), 1.0)
         M = FiniteSet(space, [lam[:, w] @ s for w, s in enumerate(F.stacks)], nt)
-        dists, diag = zonotope_report(M, Zonotope(F), tol=1e-7, max_iter=100_000)
+        dist, diag = zonotope_report(M, F, tol=1e-7, max_iter=100_000)
         assert diag["stopped"] == diag["problems"] == nt * 6
-        assert max(d.sup_norm() for d in dists) <= 1e-7
+        assert dist.shape == (nt, 6) and dist.max() <= 1e-7
+
+    def test_batched_step_sizes_equal_per_fiber(self):
+        # the solver reads every fiber's largest Gram eigenvalue off one
+        # batched eigvalsh; its distances stay what one call per fiber gave
+        # only while the two agree bit for bit, on every supported numpy
+        rng = np.random.default_rng(19)
+        for _ in range(100):
+            n, d, m = (int(v) for v in rng.integers(1, 7, size=3))
+            G = _cnormal(rng, (n, d, m))
+            gram = np.einsum("wdi,wdj->wij", np.conj(G), G)
+            per_fiber = np.array([np.max(np.linalg.eigvalsh(g)) for g in gram])
+            assert np.linalg.eigvalsh(gram).max(axis=1).tobytes() == per_fiber.tobytes()
 
     def test_iteration_limit_carries_best(self):
         rng = np.random.default_rng(16)
         space = random_fiber_space(rng, max_points=2, max_dim=3)
         F = random_finite_set(rng, space, 2)
-        x = random_finite_set(rng, space, 1, scale=2.0)
+        M = random_finite_set(rng, space, 3, scale=2.0)
         with pytest.raises(IterationLimitError) as exc:
-            zonotope_distances(x, Zonotope(F), tol=1e-14, max_iter=2)
+            zonotope_report(M, F, tol=1e-14, max_iter=2)
         best = exc.value.best
-        assert best is not None and isinstance(best[0], StoneElement)
+        assert isinstance(best, np.ndarray) and best.shape == (3, space.n_points)
+        assert np.all(np.isfinite(best)) and np.all(best >= 0.0)
 
 
 class TestCpCheck:
@@ -917,6 +927,6 @@ def test_zonotope_net_certifies_cp_to_utob():
         nn = noise.norm_sup().sup_norm()
         rows.append(u + (0.9 * eps / max(nn, 1e-12)) * noise)
     M = FiniteSet.concat(rows)
-    net, slack = zonotope_net(Zonotope(F), mesh=0.2)
+    net, slack = zonotope_net(F, mesh=0.2)
     bound = StoneElement.constant(space.base, eps) + slack
     assert defect(M, net).value.le(bound, 1e-9)

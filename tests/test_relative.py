@@ -8,7 +8,6 @@ import pytest
 import latnorm.relative as relative
 from latnorm import (
     CapExceededError,
-    DimensionMismatchError,
     Extension,
     FiniteProbabilitySpace,
     MPMap,
@@ -27,6 +26,7 @@ from latnorm import (
     orbit,
     orbit_functions,
     orbit_tob_verdict,
+    prefix_defects,
     rel_norm,
     theorem_cross_check,
 )
@@ -222,23 +222,21 @@ class TestKronecker:
 class TestEgoroffLocalize:
     def test_uniformly_convergent_keeps_all(self):
         _, M, F_n = build_counterexample(4)
-        chain = [defect(M, F_n.subset(range(m + 1))).value for m in range(1, 5)]
+        chain = prefix_defects(M, F_n)[1:5]
         # uniform weights: everything converges by the last index anyway
         rep = egoroff_localize(chain, np.full(5, 0.2), delta=0.05)
-        assert rep.kept.is_one() or rep.removed_mass <= 0.05
-        rep2 = egoroff_localize(
-            [c * 0.0 for c in chain], np.full(5, 0.2), delta=0.5
-        )
-        assert rep2.kept.is_one()
+        assert rep.kept.all() or rep.removed_mass <= 0.05
+        rep2 = egoroff_localize(chain * 0.0, np.full(5, 0.2), delta=0.5)
+        assert rep2.kept.all()
 
     def test_dyadic_counterexample_prefix(self):
         n = 8
         space, M, F_n = build_counterexample(n)
-        chain = [defect(M, F_n.subset(range(m + 1))).value for m in range(1, n + 1)]
+        chain = prefix_defects(M, F_n)[1 : n + 1]
         weights = space.weights()
         for m_target, delta in [(2, 0.25), (4, 1 / 16)]:
             rep = egoroff_localize(chain, weights, delta)
-            kept = set(np.nonzero(rep.kept.mask)[0].tolist())
+            kept = set(np.nonzero(rep.kept)[0].tolist())
             # the tail never converges slowly here (defect 0), so it stays
             assert kept == set(range(m_target)) | {n}
             assert rep.removed_mass <= delta + 1e-12
@@ -246,9 +244,9 @@ class TestEgoroffLocalize:
 
     def test_not_decreasing_rejected(self):
         space, M, F_n = build_counterexample(3)
-        chain = [defect(M, F_n.subset(range(m + 1))).value for m in range(1, 4)]
+        chain = prefix_defects(M, F_n)[1:4]
         with pytest.raises(ValueError):
-            egoroff_localize(list(reversed(chain)), space.weights(), 0.5)
+            egoroff_localize(chain[::-1], space.weights(), 0.5)
 
     def test_localized_function_stays_ap(self):
         rng = np.random.default_rng(8)
@@ -256,7 +254,7 @@ class TestEgoroffLocalize:
         f = random_function(rng, ext.upstairs.size)
         chain = defect_chain(orbit(f, ext))
         rep = egoroff_localize(chain, ext.downstairs.weights, delta=0.25)
-        mask = embed_J(rep.kept.mask.astype(complex), ext)
+        mask = embed_J(rep.kept.astype(complex), ext)
         assert is_conditionally_ap(mask * f, ext, [0.5, 0.1]).all_pass
 
 
@@ -281,7 +279,12 @@ def random_chains(seed, count=300, tol=TOL):
         weights = rng.random(n) + 0.01
         weights /= weights.sum()
         delta = float(rng.choice([0.05, 0.3, 0.7, 1.5]))
-        yield [StoneElement(PointSet.of_size(n), r) for r in rows], weights, delta
+        yield np.array(rows), weights, delta
+
+
+def elements(U):
+    """The rows of a chain as ``StoneElement``s, the oracles' input."""
+    return [StoneElement(PointSet.of_size(U.shape[1]), u) for u in U]
 
 
 def test_egoroff_localize_equals_per_link_oracle():
@@ -290,7 +293,7 @@ def test_egoroff_localize_equals_per_link_oracle():
     for chain, weights, delta in random_chains(31):
         try:
             kept, removed, mass, thresholds = per_link_egoroff_localize(
-                chain, weights, delta, eps_values
+                elements(chain), weights, delta, eps_values
             )
         except ValueError:
             with pytest.raises(ValueError):
@@ -298,7 +301,7 @@ def test_egoroff_localize_equals_per_link_oracle():
             outcomes["rejected"] += 1
             continue
         rep = egoroff_localize(chain, weights, delta, eps_values)
-        assert np.array_equal(rep.kept.mask, kept)
+        assert np.array_equal(rep.kept, kept)
         assert rep.removed == removed and rep.removed_mass == mass
         assert rep.thresholds == thresholds
         outcomes["all_removed"] += not kept.any()
@@ -309,26 +312,38 @@ def test_egoroff_localize_equals_per_link_oracle():
 def test_orbit_tob_verdict_equals_per_link_oracle(monkeypatch):
     verdicts = set()
     for chain, _, _ in random_chains(32):
-        U = np.array([u.values for u in chain])
-        fake = SimpleNamespace(M=chain, radii=U)
+        fake = SimpleNamespace(M=None, radii=chain)
         with monkeypatch.context() as m:
             m.setattr(relative, "_traversal", lambda f, ext, tol: fake)
             got = orbit_tob_verdict(None, None)
-        assert got == per_link_orbit_tob_verdict(chain)
+        assert got == per_link_orbit_tob_verdict(elements(chain))
         verdicts.add(got)
     assert verdicts == {True, False}
     ext = random_extension(np.random.default_rng(33))
     for x0 in range(ext.upstairs.size):
         f = delta(ext.upstairs.size, x0)
         M = relative._traversal(f, ext, TOL).M
-        assert orbit_tob_verdict(f, ext) == per_link_orbit_tob_verdict(defect_chain(M))
+        chain = elements(defect_chain(M))
+        assert orbit_tob_verdict(f, ext) == per_link_orbit_tob_verdict(chain)
 
 
-def test_egoroff_rejects_chains_on_mixed_point_sets():
-    a = StoneElement(PointSet.of_size(2), [1.0, 1.0])
-    b = StoneElement(PointSet(("p", "q")), [0.5, 0.5])
-    with pytest.raises(DimensionMismatchError):
-        egoroff_localize([a, b], np.array([0.5, 0.5]), 0.1)
+def test_egoroff_rejects_misshapen_chains():
+    weights = np.array([0.5, 0.5])
+    for chain in (np.zeros((0, 2)), np.array([1.0, 0.5]), np.ones((3, 3))):
+        with pytest.raises(ValueError, match="nonempty"):
+            egoroff_localize(chain, weights, 0.1)
+    assert egoroff_localize(np.ones((3, 2)), weights, 0.1).kept.all()
+
+
+def test_traversal_radii_are_read_only():
+    ext = rotation_extension(4, 2)
+    e0, e1 = np.eye(ext.upstairs.size, dtype=complex)[:2]
+    trav = relative._traversal(e0, ext, TOL)
+    with pytest.raises(ValueError):
+        trav.radii += 1.0
+    assert orbit_tob_verdict(e1, ext)
+    assert relative._traversal(e1, ext, TOL) is trav
+    assert not defect_chain(trav.M).flags.writeable
 
 
 class TestCrossCheck:
