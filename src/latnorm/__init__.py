@@ -5,7 +5,8 @@ Layers, bottom up: ``stone`` (finite Stone algebra and partitions of unity),
 (boolean-valued equality and cyclic-compactness witnesses), ``systems``
 (measure-preserving systems and extensions), ``relative`` (almost periodic
 functions and the Kronecker subspace), ``seqmodel`` (the truncated
-sequence-space counterexample). ``cli`` drives everything from JSON inputs.
+sequence-space counterexample). ``cli`` drives everything from JSON inputs
+and alone writes the reports: the layers return plain result objects.
 """
 
 __version__ = "0.1.0"

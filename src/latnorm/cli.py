@@ -2,7 +2,10 @@
 
 Subcommands: ``analyze`` (extension documents), ``tob`` / ``zonotope`` /
 ``cyclic`` (finite-set documents), ``counterexample`` (the built-in
-sequence model), and ``selftest`` (the named invariant suite). Reports
+sequence model), and ``selftest`` (the named invariant suite). This module
+is the one place that knows the report format: each command builds its
+JSON payload, its text and its CSV rendering from the plain result objects
+of the library and hands the renderings to ``_emit``. Reports
 embed the tool version and the effective configuration; exit codes are
 0 ok, 1 suite or verdict failure (or no cyclic witness), 2 schema violation
 (an unreadable input included) or invalid option value (an unwritable
@@ -32,6 +35,7 @@ from .errors import (
     SizeCapError,
 )
 from .fibered import (
+    DefectReport,
     Traversal,
     defect,
     is_utob,
@@ -81,28 +85,26 @@ def _print(text: str) -> None:
         raise OutputError("cannot write the report: stdout is closed")
 
 
-def _emit(report: dict, args) -> None:
-    # the plain-text and CSV renderings are alternatives to the JSON
-    # payload, never part of it
-    csv_text = report.pop("_csv", None)
-    plain_text = report.pop("_text", None)
-    payload = {
-        "tool": "latnorm",
-        "version": __version__,
-        "command": args.command,
-        "config": {
-            k: v
-            for k, v in vars(args).items()
-            if k not in ("command", "func") and v is not None
-        },
-        **report,
-    }
+def _emit(args, report: dict, text: str, csv: str | None = None) -> None:
+    """Write the report in the chosen format: the JSON payload, or one of
+    the plain-text and CSV renderings that the command built beside it."""
     if args.format == "json":
+        payload = {
+            "tool": "latnorm",
+            "version": __version__,
+            "command": args.command,
+            "config": {
+                k: v
+                for k, v in vars(args).items()
+                if k not in ("command", "func") and v is not None
+            },
+            **report,
+        }
         # no indent: only then does the json module use its C encoder
         text = json.dumps(payload, default=str)
-    else:
+    elif args.format == "csv":
         # a parser offers only the renderings its command produces
-        text = csv_text if args.format == "csv" else plain_text
+        text = csv
     out = getattr(args, "out", None)
     if out:
         try:
@@ -112,6 +114,15 @@ def _emit(report: dict, args) -> None:
             raise OutputError(f"argument --out: cannot write {out!r}: {exc.strerror}")
     else:
         _print(text)
+
+
+def _defect_json(rep: DefectReport) -> dict:
+    return {
+        "points": list(rep.value.base.labels),
+        "value": rep.value.values.tolist(),
+        "witness_size": len(rep.witness),
+        "argmin": rep.argmin.tolist(),
+    }
 
 
 def cmd_analyze(args) -> int:
@@ -129,16 +140,30 @@ def cmd_analyze(args) -> int:
     cross = theorem_cross_check(
         ext, eps_values=tuple(args.eps), delta_values=tuple(args.delta)
     )
+    # written field by field: dataclasses.asdict deep-copies, which costs
+    # a tenth of a small extension's analysis
     report = {
-        "validation": validation.to_json_dict(),
+        "validation": {"valid": validation.valid, "violations": validation.violations},
         "cond_expectation": table.tolist(),
         "ap_verdicts": cross.ap_verdicts,
         "kronecker_dim": cross.kronecker_dim,
         "discrete_spectrum": cross.corollary["discrete_spectrum"],
-        "cross_check": cross.to_json_dict(),
+        "cross_check": {
+            "n_points": cross.n_points,
+            "kronecker_dim": cross.kronecker_dim,
+            "ap_dim": cross.ap_dim,
+            "tob_dim": cross.tob_dim,
+            "subspace_distances": cross.distances,
+            "inclusion_residuals": cross.inclusion_residuals,
+            "ap_verdicts": cross.ap_verdicts,
+            "ap_witness_sizes": cross.ap_witness_sizes,
+            "egoroff_thresholds": {str(k): v for k, v in cross.egoroff_thresholds.items()},
+            "corollary": cross.corollary,
+            "weakly_mixing_dim": cross.weakly_mixing_dim,
+            "note": cross.note,
+        },
     }
-    report["_csv"] = cross.ap_witness_csv(args.eps)
-    report["_text"] = "\n".join(
+    text = "\n".join(
         [
             f"extension valid: {validation.valid}",
             f"kronecker dimension: {cross.kronecker_dim} / {ext.upstairs.size}",
@@ -148,7 +173,14 @@ def cmd_analyze(args) -> int:
             cross.note,
         ]
     )
-    _emit(report, args)
+    # one row per basis function: its verdict and witness size per eps
+    rows = ["basis_index,verdict," + ",".join(f"witness_size_eps_{e}" for e in args.eps)]
+    rows += [
+        f"{i},{ok}," + ",".join(str(s) for s in sizes)
+        for i, (ok, sizes) in enumerate(zip(cross.ap_verdicts, cross.ap_witness_sizes))
+    ]
+    csv = "\n".join(rows) + "\n"
+    _emit(args, report, text, csv)
     return EXIT_OK
 
 
@@ -164,30 +196,32 @@ def cmd_tob(args) -> int:
             ["$.sets.F: --format csv renders the defect table against F; F is missing or empty"]
         )
     report: dict = {}
+    lines = [f"|M| = {len(M)}"]
+    csv = None
     if F is not None and len(F):
         rep = defect(M, F)
-        report["defect"] = rep.to_json_dict()
-        report["_csv"] = rep.to_csv()
+        report["defect"] = _defect_json(rep)
+        lines.append(f"defect vs F: {report['defect']['value']}")
+        rows = ["point,defect"] + [
+            f"{label},{v!r}" for label, v in zip(report["defect"]["points"], report["defect"]["value"])
+        ]
+        csv = "\n".join(rows) + "\n"
     # one traversal and one recheck per distinct witness serve every eps
     traversal = Traversal(M)
     utob = {}
     for eps in args.eps:
         r = is_utob(M, eps, args.tol, traversal=traversal)
-        utob[str(eps)] = r.to_json_dict()
+        utob[str(eps)] = {
+            "verdict": r.verdict,
+            "epsilon": r.epsilon,
+            "witness_size": len(r.witness),
+            "defect": _defect_json(r.report),
+        }
     report["utob"] = utob
-    report["_text"] = "\n".join(
-        [f"|M| = {len(M)}"]
-        + (
-            [f"defect vs F: {report['defect']['value']}"]
-            if "defect" in report
-            else []
-        )
-        + [
-            f"eps={e}: verdict={v['verdict']} witness={v['witness_size']}"
-            for e, v in utob.items()
-        ]
-    )
-    _emit(report, args)
+    lines += [
+        f"eps={e}: verdict={v['verdict']} witness={v['witness_size']}" for e, v in utob.items()
+    ]
+    _emit(args, report, "\n".join(lines), csv)
     return EXIT_OK
 
 
@@ -204,11 +238,11 @@ def cmd_zonotope(args) -> int:
     # the verdict of ``cp_check``
     verdicts = {str(eps): bool(np.all(dist <= eps + tol + tol)) for eps in args.eps}
     report = {"distances": dist.tolist(), "cp_verdicts": verdicts, "solver": diag}
-    report["_text"] = "\n".join(
-        [f"element {i}: {d.tolist()}" for i, d in enumerate(dist)]
+    text = "\n".join(
+        [f"element {i}: {d}" for i, d in enumerate(report["distances"])]
         + [f"cp at eps={e}: {v}" for e, v in verdicts.items()]
     )
-    _emit(report, args)
+    _emit(args, report, text)
     return EXIT_OK
 
 
@@ -225,12 +259,19 @@ def cmd_cyclic(args) -> int:
         w = cyclic_witness(M, eps, r, args.tol)
         ok = verify_cyclic(M, eps, w, args.tol)
         ok_all = ok_all and ok
-        results[str(eps)] = {"verified": ok, "witness": w.to_json_dict()}
+        parts = [
+            {
+                "mask": q.mask.astype(int).tolist(),
+                "set_size": len(F),
+                # complex entries, written by the encoder's str fallback
+                "set": [list(e) for e in zip(*(s.tolist() for s in F.stacks))],
+            }
+            for q, F in w.parts
+        ]
+        results[str(eps)] = {"verified": ok, "witness": {"epsilon": w.epsilon, "parts": parts}}
     report = {"radius": r, "results": results}
-    report["_text"] = "\n".join(
-        f"eps={e}: verified={v['verified']}" for e, v in results.items()
-    )
-    _emit(report, args)
+    text = "\n".join(f"eps={e}: verified={v['verified']}" for e, v in results.items())
+    _emit(args, report, text)
     return EXIT_OK if ok_all else EXIT_SUITE
 
 
@@ -243,22 +284,29 @@ def cmd_counterexample(args) -> int:
     lines = ["coordinate," + ",".join(f"net_{m}" for m in range(1, n + 1))]
     for w, lab in enumerate(labels):
         lines.append(lab + "," + ",".join(f"{float(v)!r}" for v in table[w]))
-    csv_text = "\n".join(lines)
+    csv = "\n".join(lines)
     report = {
         "n": n,
         "set_size": len(M),
         "defect_table": table.tolist(),
         "coordinates": labels,
-        "_csv": csv_text,
-        "_text": csv_text,
     }
     if args.delta:
         demos = {}
         for delta in args.delta:
             demo = egoroff_demo(n, delta, args.tol)
-            demos[str(delta)] = demo.to_json_dict()
+            kept = demo.kept.mask
+            demos[str(delta)] = {
+                "m": demo.m,
+                "kept": kept.astype(int).tolist(),
+                "removed_mass": demo.removed_mass,
+                "witness_size": len(demo.witness),
+                "max_defect_on_kept": float(np.max(demo.defect_value.values[kept]))
+                if np.any(kept)
+                else 0.0,
+            }
         report["egoroff"] = demos
-    _emit(report, args)
+    _emit(args, report, csv, csv)
     return EXIT_OK
 
 

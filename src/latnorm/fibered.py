@@ -9,11 +9,12 @@ of a set M against a finite candidate set F,
     defect(M, F)(w) = max_{x in M} min_{y in F} ||x(w) - y(w)||,
 
 which measures order-precompactness pointwise. On top of it sit epsilon-net
-constructions (Heine-Borel style over a suborthonormal basis), zonotope
-membership distances solved by projected gradient, and the bookkeeping for
-uniform total order-boundedness witnesses. A family of pointwise values (a
-traversal's radii, prefix defects, zonotope distances) is one
-``(k, n_points)`` float array; a single value is a ``StoneElement``.
+constructions (``GridNet``s over a suborthonormal basis, Heine-Borel style,
+or over a zonotope's generators), zonotope membership distances solved by
+projected gradient, and the bookkeeping for uniform total order-boundedness
+witnesses. A family of pointwise values (a traversal's radii, prefix
+defects, zonotope distances) is one ``(k, n_points)`` float array; a single
+value is a ``StoneElement``.
 """
 
 from __future__ import annotations
@@ -173,20 +174,6 @@ class DefectReport:
     witness: FiniteSet
     argmin: np.ndarray
 
-    def to_json_dict(self) -> dict:
-        return {
-            "points": list(self.value.base.labels),
-            "value": [float(v) for v in self.value.values],
-            "witness_size": len(self.witness),
-            "argmin": self.argmin.tolist(),
-        }
-
-    def to_csv(self) -> str:
-        lines = ["point,defect"]
-        for label, v in zip(self.value.base.labels, self.value.values):
-            lines.append(f"{label},{float(v)!r}")
-        return "\n".join(lines) + "\n"
-
 
 def _dist(diff: np.ndarray) -> np.ndarray:
     """Euclidean norms of complex differences along the last axis: the one
@@ -261,14 +248,6 @@ class UtobReport:
     report: DefectReport | None
     epsilon: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "epsilon": self.epsilon,
-            "witness_size": len(self.witness),
-            "defect": None if self.report is None else self.report.to_json_dict(),
-        }
-
 
 class Traversal:
     """Gonzalez farthest-point traversal of M, built whole at construction
@@ -278,16 +257,16 @@ class Traversal:
     element farthest (in sup norm of the pointwise distance) from those
     already placed, ties to the lowest index, reading its row of one
     ``_pair_dist`` table per fiber (n_points |M|^2 floats, freed once built).
-    ``order`` lists every index of M in placement order, and row j of the
-    read-only ``radii`` is the running radius after j + 1 placements: the
-    pointwise defect of M against ``order[:j + 1]``. ``recheck(k)`` is the
-    independent ``defect`` of M against the first k placed elements,
-    computed once per k.
+    The tuple ``order`` holds every index of M in placement order, and row
+    j of the read-only ``radii`` is the running radius after j + 1
+    placements: the pointwise defect of M against ``order[:j + 1]``.
+    ``recheck(k)`` is the independent ``defect`` of M against the first k
+    placed elements, computed once per k.
     """
 
     def __init__(self, M: FiniteSet):
         self.M = M
-        self.order: list[int] = []
+        order = []
         self.radii = np.empty((len(M), M.space.n_points))
         self._rechecks: dict[int, DefectReport] = {}
         tables = np.empty((M.space.n_points, len(M), len(M)))
@@ -301,9 +280,10 @@ class Traversal:
             np.minimum(mindist, tables[:, nxt], out=mindist)
             placed[nxt] = True
             self.radii[j] = mindist.max(axis=1)
-            self.order.append(nxt)
+            order.append(nxt)
             scores = mindist.max(axis=0)
             scores[placed] = -1.0
+        self.order = tuple(order)
         self.radii.flags.writeable = False
 
     def recheck(self, k: int) -> DefectReport:
@@ -346,7 +326,7 @@ def is_utob(
 
 def greedy_order(M: FiniteSet) -> list[int]:
     """Full farthest-point insertion order of M."""
-    return Traversal(M).order
+    return list(Traversal(M).order)
 
 
 def truncate_to_ball(F: FiniteSet, r: float, tol: float = DEFAULT_TOL) -> FiniteSet:
@@ -444,28 +424,16 @@ def check_suborthonormal(basis: FiniteSet, tol: float = 1e-7) -> None:
             raise ValueError(f"basis norms not idempotent-valued at point {w}")
 
 
-def _grid_image(F: FiniteSet, grid: np.ndarray, cap: int) -> FiniteSet:
-    """Images ``sum_j lam_j F[j]`` of every tuple ``lam`` of grid points, in
-    ``itertools.product`` order (the last coefficient varies fastest)."""
-    m = len(F)
-    total = m * len(grid) ** m
-    if total > cap:
-        raise SizeCapError(
-            f"net would need {m}*{len(grid)}^{m} = {total} > cap {cap}; "
-            "raise the cap or loosen the mesh"
-        )
-    combos = np.stack(np.meshgrid(*[grid] * m, indexing="ij"), -1).reshape(-1, m)
-    return FiniteSet(F.space, [combos @ s for s in F.stacks], combos.shape[0])
-
-
 _U = 2.0**-53  # unit roundoff of float64
 _LIVE = 1e-150  # basis rows with a smaller squared norm keep their whole grid
 _PAIRS = 1 << 18  # (sample, row) pairs compared per block in GridNet.nearest
 
 
 class GridNet(FiniteSet):
-    """The rows of ``_grid_image(basis, grid)`` together with that
-    factorization, which lets ``defect`` skip the rows that cannot be nearest.
+    """The images ``sum_j lam_j e_j`` of every tuple ``lam`` of grid points
+    under the m elements e_j of ``basis``, in ``itertools.product`` order
+    (the last coefficient varies fastest), together with that factorization,
+    which lets ``defect`` skip the rows that cannot be nearest.
 
     Row ``sum_j g_j * len(grid)**(m - 1 - j)`` is y(g) = sum_j grid[g_j] e_j.
     At one point, with C_j = <x, e_j> and n_j^2 = |e_j|^2,
@@ -488,10 +456,12 @@ class GridNet(FiniteSet):
     relative gap that keeps ``sqrt`` from merging them; 1e-300 covers
     underflow. So the computed distance of g exceeds that of g': g is neither
     the minimum nor its lowest-index tie, and value and argmin equal the dense
-    ones bit for bit. A row with n_j^2 <= 1e-150 (``_LIVE``, below which the
-    relative bounds would need subnormal care) keeps its whole grid, and so
-    does every coordinate for a non-finite sample: keeping everything is the
-    dense computation. ``check_suborthonormal`` has rejected non-finite bases.
+    ones bit for bit. The X term makes this hold for any basis, orthogonal
+    (``heine_borel_net``) or not (``zonotope_net``'s generators). A row with
+    n_j^2 <= 1e-150 (``_LIVE``, below which the relative bounds would need
+    subnormal care) keeps its whole grid, and so does every coordinate for a
+    non-finite sample, and every row for a non-finite basis (its slack is
+    not finite): keeping everything is the dense computation.
 
     The stacks, the basis (the caller's set) and the grid are read-only, so
     the factorization stays true. ``subset``, ``p * net``, ``set_image`` and
@@ -501,8 +471,15 @@ class GridNet(FiniteSet):
     __slots__ = ("basis", "grid")
 
     def __init__(self, basis: FiniteSet, grid: np.ndarray, cap: int):
-        net = _grid_image(basis, grid, cap)
-        super().__init__(net.space, net.stacks, len(net))
+        m = len(basis)
+        total = m * len(grid) ** m
+        if total > cap:
+            raise SizeCapError(
+                f"net would need {m}*{len(grid)}^{m} = {total} > cap {cap}; "
+                "raise the cap or loosen the mesh"
+            )
+        combos = np.stack(np.meshgrid(*[grid] * m, indexing="ij"), -1).reshape(-1, m)
+        super().__init__(basis.space, [combos @ s for s in basis.stacks], combos.shape[0])
         self.basis = basis
         self.grid = np.array(grid, dtype=complex)
         self.grid.flags.writeable = False
@@ -596,14 +573,15 @@ def zonotope_net(F: FiniteSet, mesh: float, cap: int = 10**6):
     elements with coefficients of modulus <= 1) and its pointwise mesh bound.
 
     Returns ``(net, slack)`` where every element of the zonotope is within
-    the StoneElement ``slack = mesh * sum_y |y|`` of the net, pointwise.
+    the StoneElement ``slack = mesh * sum_y |y|`` of the net, pointwise. The
+    net is a ``GridNet`` on the generators and a disc grid of radius 1.
     """
     space = F.space
     if len(F) == 0:
         return FiniteSet.zero(space), StoneElement.zeros(space.base)
     norm_sum = np.sum(F.norms(), axis=0)
     slack = StoneElement(space.base, mesh * norm_sum)
-    return _grid_image(F, disc_grid(1.0, mesh), cap), slack
+    return GridNet(F, disc_grid(1.0, mesh), cap), slack
 
 
 # ---------------------------------------------------------------------------

@@ -91,19 +91,6 @@ class CyclicWitness:
     parts: list[tuple[Idempotent, FiniteSet]]
     epsilon: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "parts": [
-                {
-                    "mask": q.mask.astype(int).tolist(),
-                    "set_size": len(F),
-                    "set": [list(e) for e in zip(*(s.tolist() for s in F.stacks))],
-                }
-                for q, F in self.parts
-            ],
-        }
-
 
 def cyclic_witness(
     M: FiniteSet, eps: float, r: float, tol: float = DEFAULT_TOL

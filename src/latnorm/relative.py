@@ -331,34 +331,6 @@ class CrossCheckReport:
     def subspaces_coincide(self) -> bool:
         return all(d <= 1e-7 for d in self.distances.values())
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n_points": self.n_points,
-            "kronecker_dim": self.kronecker_dim,
-            "ap_dim": self.ap_dim,
-            "tob_dim": self.tob_dim,
-            "subspace_distances": self.distances,
-            "inclusion_residuals": self.inclusion_residuals,
-            "ap_verdicts": self.ap_verdicts,
-            "ap_witness_sizes": self.ap_witness_sizes,
-            "egoroff_thresholds": {
-                str(k): v for k, v in self.egoroff_thresholds.items()
-            },
-            "corollary": self.corollary,
-            "weakly_mixing_dim": self.weakly_mixing_dim,
-            "note": self.note,
-        }
-
-    def ap_witness_csv(self, eps_values) -> str:
-        """Per-basis-function witness table."""
-        header = "basis_index,verdict," + ",".join(
-            f"witness_size_eps_{e}" for e in eps_values
-        )
-        rows = [header]
-        for i, (ok, sizes) in enumerate(zip(self.ap_verdicts, self.ap_witness_sizes)):
-            rows.append(f"{i},{ok}," + ",".join(str(s) for s in sizes))
-        return "\n".join(rows) + "\n"
-
 
 def theorem_cross_check(
     ext: Extension,

@@ -129,19 +129,6 @@ class EgoroffDemo:
     witness: FiniteSet
     defect_value: StoneElement
 
-    def to_json_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "kept": self.kept.mask.astype(int).tolist(),
-            "removed_mass": self.removed_mass,
-            "witness_size": len(self.witness),
-            "max_defect_on_kept": float(
-                np.max(self.defect_value.values[self.kept.mask])
-            )
-            if np.any(self.kept.mask)
-            else 0.0,
-        }
-
 
 def egoroff_demo(n: int, delta: float, tol: float = DEFAULT_TOL) -> EgoroffDemo:
     """Cut the model down to a prefix whose complement mass fits the budget.

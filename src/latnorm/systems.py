@@ -213,9 +213,6 @@ class ValidationReport:
     valid: bool
     violations: list[str] = field(default_factory=list)
 
-    def to_json_dict(self) -> dict:
-        return {"valid": self.valid, "violations": list(self.violations)}
-
 
 class Extension:
     """Two intertwined systems with a factor map from the big one down.

@@ -23,6 +23,7 @@ from latnorm.errors import SchemaError
 from latnorm.fibered import defect
 from latnorm.seqmodel import build_counterexample
 from oracles import per_scalar_sets
+from report_keys import check_keys
 
 
 @pytest.fixture
@@ -79,7 +80,7 @@ class TestSerialization:
 class TestCommands:
     def test_analyze_ok(self, ext_doc, capsys):
         assert main(["analyze", ext_doc]) == 0
-        out = json.loads(capsys.readouterr().out)
+        out = _report(capsys.readouterr().out)
         assert out["kronecker_dim"] == 4
         assert out["discrete_spectrum"] is True
         assert out["version"]
@@ -121,9 +122,19 @@ class TestCommands:
 
     def test_tob_defect_and_witness(self, sets_doc, capsys):
         assert main(["tob", sets_doc, "--eps", "0.5"]) == 0
-        out = json.loads(capsys.readouterr().out)
+        out = _report(capsys.readouterr().out)
         assert out["utob"]["0.5"]["verdict"] is True
         assert "defect" in out
+
+    def test_tob_defect_report_and_csv(self, tmp_path, capsys):
+        doc = {"space": {"points": ["a"], "dims": [1]}, "sets": {"M": [[[1.0]], [[2.0]]], "F": [[[0.0]]]}}
+        path = _write(tmp_path, "doc.json", json.dumps(doc))
+        assert main(["tob", path, "--eps", "0.5"]) == 0
+        out = _report(capsys.readouterr().out)
+        assert out["defect"] == {"points": ["a"], "value": [2.0], "witness_size": 1, "argmin": [[0], [0]]}
+        target = tmp_path / "defect.csv"
+        assert main(["tob", path, "--format", "csv", "--out", str(target)]) == 0
+        assert target.read_text() == "point,defect\na,2.0\n"
 
     def test_tob_self_fixture_zero(self, tmp_path, capsys):
         rng = np.random.default_rng(2)
@@ -133,17 +144,17 @@ class TestCommands:
         path = tmp_path / "mm.json"
         path.write_text(json.dumps(doc))
         assert main(["tob", str(path)]) == 0
-        out = json.loads(capsys.readouterr().out)
+        out = _report(capsys.readouterr().out)
         assert max(out["defect"]["value"]) == 0.0
 
     def test_zonotope(self, sets_doc, capsys):
         assert main(["zonotope", sets_doc, "--eps", "5.0"]) == 0
-        out = json.loads(capsys.readouterr().out)
+        out = _report(capsys.readouterr().out)
         assert out["cp_verdicts"]["5.0"] is True
 
     def test_cyclic(self, sets_doc, capsys):
         assert main(["cyclic", sets_doc, "--eps", "0.5"]) == 0
-        out = json.loads(capsys.readouterr().out)
+        out = _report(capsys.readouterr().out)
         assert out["results"]["0.5"]["verified"] is True
 
     def test_cyclic_zero_element_at_zero_tol_has_radius_zero(self, tmp_path, capsys):
@@ -153,13 +164,13 @@ class TestCommands:
         )
         assert main(["cyclic", str(path), "--tol", "0"]) == 0
         captured = capsys.readouterr()
-        out = json.loads(captured.out)
+        out = _report(captured.out)
         assert out["radius"] == 0.0 and captured.err == ""
         assert all(r["verified"] is True for r in out["results"].values())
 
     def test_analyze_config_holds_the_effective_delta(self, ext_doc, capsys):
         assert main(["analyze", ext_doc]) == 0
-        out = json.loads(capsys.readouterr().out)
+        out = _report(capsys.readouterr().out)
         assert out["config"]["delta"] == [0.25, 0.1]
         thresholds = out["cross_check"]["egoroff_thresholds"]
         assert [str(d) for d in out["config"]["delta"]] == list(thresholds)
@@ -174,7 +185,7 @@ class TestCommands:
 
     def test_counterexample_with_delta(self, capsys):
         assert main(["counterexample", "--n", "8", "--delta", "0.25"]) == 0
-        out = json.loads(capsys.readouterr().out)
+        out = _report(capsys.readouterr().out)
         assert out["egoroff"]["0.25"]["m"] == 2
 
     def test_missing_file(self, capsys):
@@ -310,7 +321,7 @@ class TestCommands:
     def test_counterexample_table_equals_defect_per_net(self, capsys):
         for n in range(2, 17):
             assert main(["counterexample", "--n", str(n)]) == 0
-            table = json.loads(capsys.readouterr().out)["defect_table"]
+            table = _report(capsys.readouterr().out)["defect_table"]
             _, M, F_n = build_counterexample(n)
             nets = [F_n.subset(range(m + 1)) for m in range(1, n + 1)]
             expected = np.stack([defect(M, F).value.values for F in nets], axis=1)
@@ -340,7 +351,7 @@ class TestCommands:
                 for v in node:
                     yield from keys(v)
 
-        leaked = [k for k in keys(json.loads(target.read_text())) if k.startswith("_")]
+        leaked = [k for k in keys(_report(target.read_text())) if k.startswith("_")]
         assert leaked == []
 
     def test_group_cap_exit_code(self, ext_doc, capsys):
@@ -352,10 +363,10 @@ class TestCommands:
         path = tmp_path / "s9.json"
         path.write_text(json.dumps(extension_to_json(symmetric_extension(9, 1))))
         assert main(["analyze", str(path)]) == 0
-        out = json.loads(capsys.readouterr().out)
+        out = _report(capsys.readouterr().out)
         assert out["discrete_spectrum"] is True and out["kronecker_dim"] == 9
         assert main(["analyze", str(path), "--cap", "9"]) == 0
-        capsys.readouterr()
+        _report(capsys.readouterr().out)
         assert main(["analyze", str(path), "--cap", "8"]) == 3
         assert "orbit exceeds cap 8" in capsys.readouterr().err
 
@@ -378,7 +389,7 @@ class TestCommands:
         path = tmp_path / "ident.json"
         path.write_text(json.dumps(extension_to_json(identity_extension(4))))
         assert main(["analyze", str(path)]) == 0
-        out = json.loads(capsys.readouterr().out)
+        out = _report(capsys.readouterr().out)
         assert out["discrete_spectrum"] is True
         assert all(
             v == 0.0 for v in out["cross_check"]["subspace_distances"].values()
@@ -387,6 +398,7 @@ class TestCommands:
     def test_deterministic_reports(self, sets_doc, capsys):
         assert main(["tob", sets_doc, "--eps", "0.5"]) == 0
         first = capsys.readouterr().out
+        _report(first)
         assert main(["tob", sets_doc, "--eps", "0.5"]) == 0
         assert capsys.readouterr().out == first
         assert main(["counterexample", "--n", "6", "--format", "csv"]) == 0
@@ -397,7 +409,7 @@ class TestCommands:
     def test_consecutive_calls_do_not_share_values(self, ext_doc, sets_doc, capsys):
         def config(argv):
             assert main(argv) == 0
-            return json.loads(capsys.readouterr().out)["config"]
+            return _report(capsys.readouterr().out)["config"]
 
         first = config(["tob", sets_doc, "--eps", "0.3", "--eps", "0.7"])
         assert first["eps"] == [0.3, 0.7]
@@ -413,7 +425,7 @@ class TestCommands:
     def test_out_file(self, ext_doc, tmp_path):
         target = tmp_path / "report.json"
         assert main(["analyze", ext_doc, "--out", str(target)]) == 0
-        assert json.loads(target.read_text())["discrete_spectrum"] is True
+        assert _report(target.read_text())["discrete_spectrum"] is True
 
 
 class TestSelftest:
@@ -451,6 +463,13 @@ class ClosedPipe:
 
     def fileno(self):
         return self.fh.fileno()
+
+
+def _report(text):
+    """An exit-0 JSON report, checked against its command's declared keys."""
+    report = json.loads(text)
+    check_keys(report)
+    return report
 
 
 def _write(tmp_path, name, text):
@@ -493,7 +512,7 @@ class TestDocumentNumbers:
     def test_entries_at_the_bound_accepted(self, tmp_path, entry, capsys):
         path = _write(tmp_path, "doc.json", _sets_text(entry))
         assert main(["cyclic", path]) == 0
-        report = json.loads(capsys.readouterr().out)
+        report = _report(capsys.readouterr().out)
         assert math.isfinite(report["radius"])
 
     @pytest.mark.parametrize(
@@ -694,7 +713,7 @@ class TestCompactReports:
         out = capsys.readouterr().out
         assert out.count("\n") == 1 and out.endswith("\n")
         indented = real(payloads[-1], indent=2, default=str)
-        assert json.loads(out) == json.loads(indented)
+        assert _report(out) == json.loads(indented)
 
 
 class TestSharedTobTraversal:
@@ -712,7 +731,7 @@ class TestSharedTobTraversal:
         eps_values = ["0.5", "4.0", "0.5", "1.5", "0.9"]
         argv = ["tob", path] + [a for e in eps_values for a in ("--eps", e)]
         assert main(argv) == 0
-        sizes = [v["witness_size"] for v in json.loads(capsys.readouterr().out)["utob"].values()]
+        sizes = [v["witness_size"] for v in _report(capsys.readouterr().out)["utob"].values()]
         assert len(set(sizes)) >= 3 and 1 < max(sizes) < 30
         assert built == [30]  # one traversal for every eps
         assert sorted(defects) == sorted(set(sizes))

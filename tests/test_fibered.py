@@ -131,13 +131,6 @@ class TestDefect:
         with pytest.raises(ValueError):
             defect(M, empty)
 
-    def test_report_json(self):
-        space = single_fiber_space()
-        rep = defect(scalars(space, 1, 2), scalars(space, 0))
-        doc = rep.to_json_dict()
-        assert doc["witness_size"] == 1 and doc["value"] == [2.0]
-        assert rep.to_csv().startswith("point,defect")
-
 
 class TestUtob:
     def test_any_finite_set_passes(self):
@@ -205,7 +198,7 @@ class TestTraversal:
     def test_matches_brute_force_oracle(self):
         for M in itertools.chain(_traversal_cases(), _nonfinite_cases()):
             trav = Traversal(M)
-            radii, order = trav.radii, trav.order
+            radii, order = trav.radii, list(trav.order)
             assert order == brute_force_greedy_order(M) == greedy_order(M)
             oracle = brute_force_defect_chain(M, order)
             assert len(radii) == len(oracle)
@@ -247,7 +240,7 @@ class TestTraversal:
                     ]
                     assert np.array_equal(got.report.argmin, ref.report.argmin)
                     assert got.report.value.values.tobytes() == ref.report.value.values.tobytes()
-                assert shared.order == greedy_order(M)
+                assert list(shared.order) == greedy_order(M)
                 assert shared.radii.tolist() == Traversal(M).radii.tolist()
 
     def test_traversal_replays_and_memoizes(self, monkeypatch):
@@ -267,7 +260,7 @@ class TestTraversal:
         radii = trav.radii.tolist()
         assert len(radii) == 12 and sorted(trav.order) == list(range(12))
         assert Traversal(M).radii.tolist() == radii
-        assert trav.order == Traversal(M).order == greedy_order(M)
+        assert list(trav.order) == list(Traversal(M).order) == greedy_order(M)
         assert defect_chain(M).tolist() == radii
         assert trav.recheck(3) is trav.recheck(3)
         shared = [is_utob(M, 0.5, TOL, traversal=trav) for _ in range(2)]
@@ -275,7 +268,26 @@ class TestTraversal:
         with pytest.raises(ValueError):
             is_utob(M.subset(range(12)), 0.5, traversal=trav)
         empty = Traversal(M.subset([]))
-        assert empty.radii.shape == (0, M.space.n_points) and empty.order == []
+        assert empty.radii.shape == (0, M.space.n_points) and list(empty.order) == []
+
+    def test_order_is_read_only(self):
+        # a traversal is shared, so a write to its order would change the
+        # witness of every later reader
+        rng = np.random.default_rng(3)
+        M = random_finite_set(rng, random_fiber_space(rng), 20)
+        ref = is_utob(M, 1.0)
+        assert ref.verdict and len(ref.witness) == 10
+        trav = Traversal(M)
+        with pytest.raises(AttributeError):
+            trav.order.reverse()
+        with pytest.raises(TypeError):
+            trav.order[0] = trav.order[1]
+        got = is_utob(M, 1.0, traversal=trav)
+        assert got.verdict == ref.verdict
+        assert [s.tobytes() for s in got.witness.stacks] == [s.tobytes() for s in ref.witness.stacks]
+        order = greedy_order(M)
+        order.reverse()
+        assert list(trav.order) == greedy_order(M) != order
 
     def test_no_radius_within_eps_takes_all_of_M(self):
         # NaN radii compare false, so the witness is the whole traversal
@@ -486,6 +498,38 @@ class TestHeineBorel:
             net, _ = zonotope_net(F, mesh)
             ref = product_grid_image(F, disc_grid(1.0, mesh))
             assert [s.tobytes() for s in net.stacks] == [s.tobytes() for s in ref.stacks]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf * 0
+    def test_zonotope_net_defect_equals_dense(self):
+        # generators are not orthogonal: the pruning slack covers their Gram
+        # off-diagonals, and a non-finite generator keeps every row
+        rng = np.random.default_rng(15)
+        seen = set()
+        for _ in range(60):
+            space = random_fiber_space(rng)
+            m = int(rng.integers(1, 4))
+            stacks = [s.copy() for s in random_finite_set(rng, space, m).stacks]
+            if rng.random() < 0.3:
+                stacks[int(rng.integers(len(stacks)))][int(rng.integers(m))] = 0
+                seen.add("vanishing row")
+            if rng.random() < 0.15:
+                stacks[0][0, 0] = [np.nan, np.inf][int(rng.integers(2))]
+                seen.add("non-finite")
+            F = FiniteSet(space, stacks, m)
+            mesh = float(rng.uniform(0.4 if m < 3 else 0.6, 0.9))
+            net, _ = zonotope_net(F, mesh)
+            assert isinstance(net, GridNet)
+            ref = product_grid_image(F, disc_grid(1.0, mesh))
+            assert [s.tobytes() for s in net.stacks] == [s.tobytes() for s in ref.stacks]
+            n = int(rng.integers(1, 30))
+            if rng.random() < 0.5:
+                M = net.subset(rng.integers(0, len(net), n))  # ties on duplicate rows
+            else:
+                M = random_finite_set(rng, space, n)
+            rep, dense = defect(M, net), defect(M, ref)
+            assert rep.value.values.tobytes() == dense.value.values.tobytes()
+            assert rep.argmin.tobytes() == dense.argmin.tobytes()
+        assert seen == {"vanishing row", "non-finite"}
 
 
 def _cnormal(rng, shape):

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from latnorm.cli import main
+from report_keys import check_keys
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
 
@@ -39,7 +40,9 @@ def test_json_document_runs(index, command, tmp_path, capsys):
     path = tmp_path / "doc.json"
     path.write_text(_blocks("json")[index])
     assert main([command, str(path)]) == 0, capsys.readouterr().err
-    assert json.loads(capsys.readouterr().out)["command"] == command
+    report = json.loads(capsys.readouterr().out)
+    assert report["command"] == command
+    check_keys(report)
 
 
 def test_quick_tour_runs():

@@ -1,5 +1,5 @@
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from types import SimpleNamespace
 
 import numpy as np
@@ -377,22 +377,6 @@ class TestCrossCheck:
             assert max(rep.inclusion_residuals.values()) <= 1e-7
             assert "weakly mixing" in rep.note
 
-    def test_report_serializes(self):
-        rep = theorem_cross_check(rotation_extension(4, 2))
-        doc = rep.to_json_dict()
-        assert set(doc) >= {
-            "kronecker_dim",
-            "ap_verdicts",
-            "subspace_distances",
-            "egoroff_thresholds",
-            "corollary",
-            "weakly_mixing_dim",
-            "note",
-        }
-        csv = rep.ap_witness_csv((0.5, 0.25))
-        assert csv.startswith("basis_index,verdict")
-        assert len(csv.strip().splitlines()) == 5
-
 
 class TestSharedOrbits:
     def test_analysis_never_enumerates_the_group(self, monkeypatch):
@@ -525,7 +509,7 @@ class TestSharedOrbitOracles:
             for deltas in ((0.25, 0.1), (0.5, 0.25, 0.1), (0.9,)):
                 rep = theorem_cross_check(ext, self.EPS, deltas)
                 ref = per_indicator_cross_check(ext, self.EPS, deltas)
-                assert json.dumps(rep.to_json_dict()) == json.dumps(ref.to_json_dict())
+                assert json.dumps(asdict(rep)) == json.dumps(asdict(ref))
                 no_threshold |= None in rep.egoroff_thresholds.values()
         # the localization cut points (so the zero function was probed) and
         # left some delta with no uniform threshold
