@@ -3,7 +3,8 @@
 Layers, bottom up: ``stone`` (finite Stone algebra and partitions of unity),
 ``fibered`` (fiberwise modules, defects, nets, zonotopes), ``mixing``
 (boolean-valued equality and cyclic-compactness witnesses), ``systems``
-(measure-preserving systems and extensions), ``relative`` (almost periodic
+(measure-preserving systems given by generators, the Koopman operator of a
+permutation, and extensions), ``relative`` (almost periodic
 functions and the Kronecker subspace), ``seqmodel`` (the truncated
 sequence-space counterexample). ``cli`` drives everything from JSON inputs
 and alone writes the reports: the layers return plain result objects.
@@ -21,7 +22,6 @@ from .errors import (
     LatnormError,
     SchemaError,
     SizeCapError,
-    UnknownGroupElementError,
 )
 from .stone import (
     DEFAULT_TOL,
@@ -31,7 +31,6 @@ from .stone import (
     PointSet,
     StoneElement,
     exhaustion,
-    pointwise_sup,
 )
 from .fibered import (
     CpWitness,
@@ -68,13 +67,13 @@ from .mixing import (
 from .systems import (
     Extension,
     FiniteProbabilitySpace,
-    GroupAction,
     MPMap,
     RelModule,
     ValidationReport,
     cond_expectation,
     embed_J,
     enumerate_group,
+    koopman,
     rel_inner,
     rel_norm,
     validate_extension,
@@ -89,7 +88,6 @@ from .relative import (
     defect_chain,
     egoroff_localize,
     generated_submodule,
-    has_discrete_spectrum,
     is_conditionally_ap,
     kronecker_subspace,
     orbit,

@@ -109,7 +109,7 @@ def _emit(args, report: dict, text: str, csv: str | None = None) -> None:
     if out:
         try:
             with open(out, "w", encoding="utf-8") as fh:
-                fh.write(text if text.endswith("\n") else text + "\n")
+                fh.write(text + "\n")
         except OSError as exc:
             raise OutputError(f"argument --out: cannot write {out!r}: {exc.strerror}")
     else:
@@ -179,7 +179,7 @@ def cmd_analyze(args) -> int:
         f"{i},{ok}," + ",".join(str(s) for s in sizes)
         for i, (ok, sizes) in enumerate(zip(cross.ap_verdicts, cross.ap_witness_sizes))
     ]
-    csv = "\n".join(rows) + "\n"
+    csv = "\n".join(rows)
     _emit(args, report, text, csv)
     return EXIT_OK
 
@@ -205,7 +205,7 @@ def cmd_tob(args) -> int:
         rows = ["point,defect"] + [
             f"{label},{v!r}" for label, v in zip(report["defect"]["points"], report["defect"]["value"])
         ]
-        csv = "\n".join(rows) + "\n"
+        csv = "\n".join(rows)
     # one traversal and one recheck per distinct witness serve every eps
     traversal = Traversal(M)
     utob = {}

@@ -31,10 +31,6 @@ class CapExceededError(LatnormError):
     """
 
 
-class UnknownGroupElementError(LatnormError):
-    """A permutation was used that is not in the enumerated closure."""
-
-
 class ConstructionError(LatnormError):
     """A constructive witness could not be assembled from the given data."""
 

@@ -14,7 +14,7 @@ import numpy as np
 from .errors import CapExceededError
 from .fibered import FiberSpace, FiniteSet
 from .stone import PointSet
-from .systems import Extension, FiniteProbabilitySpace, MPMap
+from .systems import Extension, FiniteProbabilitySpace, MPMap, enumerate_group
 
 
 def identity_extension(n: int = 4) -> Extension:
@@ -95,7 +95,7 @@ def random_extension(
                 ext = _skew_product(rng, max_base, max_fiber, cap)
             else:
                 ext = _static_base(rng, max_base, max_fiber, cap)
-            _ = ext.action  # force enumeration against the cap
+            enumerate_group(ext.upstairs_gens, cap)  # raises over the cap
             return ext
         except CapExceededError:
             continue

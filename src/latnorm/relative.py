@@ -249,11 +249,6 @@ def kronecker_subspace(ext: Extension, tol: float = DEFAULT_TOL) -> KroneckerRep
     return KroneckerReport(basis.shape[0], basis, seed_ranks.tolist())
 
 
-def has_discrete_spectrum(ext: Extension, tol: float = DEFAULT_TOL) -> bool:
-    """True when the Kronecker subspace is the whole function space."""
-    return kronecker_subspace(ext, tol).dim == ext.upstairs.size
-
-
 # ---------------------------------------------------------------------------
 # Egoroff localization
 

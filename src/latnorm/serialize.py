@@ -202,22 +202,6 @@ def parse_finite_set_doc(doc: Any) -> tuple[FiberSpace, dict[str, FiniteSet]]:
     return space, out
 
 
-def finite_set_to_json(F: FiniteSet) -> dict:
-    return {
-        "space": {
-            "points": list(F.space.base.labels),
-            "dims": list(F.space.dims),
-        },
-        "elements": [
-            [
-                [[float(v.real), float(v.imag)] for v in F.stacks[w][i]]
-                for w in range(F.space.n_points)
-            ]
-            for i in range(len(F))
-        ],
-    }
-
-
 def _parse_space(doc: Any, path: str, diags: list[str]) -> FiniteProbabilitySpace | None:
     points = _want_list(doc, "points", path, diags)
     weights = _want_list(doc, "weights", path, diags, of="number")
@@ -302,21 +286,3 @@ def parse_extension_doc(doc: Any, cap: int = 10**5) -> Extension:
     if diags:
         raise SchemaError(diags)
     return Extension(top, gens, base, base_gens, fmap, cap=cap)
-
-
-def extension_to_json(ext: Extension) -> dict:
-    return {
-        "space": {
-            "points": list(ext.upstairs.labels),
-            "weights": [float(w) for w in ext.upstairs.weights],
-        },
-        "generators": [g.perm.tolist() for g in ext.upstairs_gens],
-        "factor": {
-            "base_space": {
-                "points": list(ext.downstairs.labels),
-                "weights": [float(w) for w in ext.downstairs.weights],
-            },
-            "map": ext.factor.tolist(),
-            "base_generators": [g.perm.tolist() for g in ext.downstairs_gens],
-        },
-    }

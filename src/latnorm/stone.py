@@ -10,7 +10,7 @@ components; the exhaustion principle becomes a first-fit assignment.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -257,17 +257,6 @@ class PartitionOfUnity:
     @property
     def base(self) -> PointSet:
         return self.parts[0].base
-
-
-def pointwise_sup(elements: Iterable[StoneElement]) -> StoneElement:
-    """Join of a nonempty family of elements on a common point set."""
-    elements = list(elements)
-    if not elements:
-        raise ValueError("need at least one element")
-    out = elements[0]
-    for e in elements[1:]:
-        out = out.sup(e)
-    return out
 
 
 def exhaustion(

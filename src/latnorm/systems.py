@@ -1,13 +1,15 @@
-"""Finite measure-preserving systems, group actions, and extensions.
+"""Finite measure-preserving systems, their generators, and extensions.
 
-Dynamics are measure-preserving point permutations acting by composition
-(Koopman operators); an extension is a factor map intertwining two such
-systems. The conditional expectation averages over factor fibers, and the
-relative inner product/norm turn the upstairs function space into a
-fiberwise module over the downstairs algebra. ``Extension.rel`` is that
-module (a ``RelModule``, built once per extension); it encodes a whole
-stack of functions into a ``FiniteSet`` and decodes one back, one fancy
-index per fiber.
+Dynamics are measure-preserving point permutations given by generators;
+``koopman(perm, f)`` is the composition operator of one permutation, and
+the group is never enumerated to apply it. ``enumerate_group`` lists the
+closure of the generators, and orbits are walked from the generators alone.
+An extension is a factor map intertwining two such systems. The conditional
+expectation averages over factor fibers, and the relative inner
+product/norm turn the upstairs function space into a fiberwise module over
+the downstairs algebra. ``Extension.rel`` is that module (a ``RelModule``,
+built once per extension); it encodes a whole stack of functions into a
+``FiniteSet`` and decodes one back, one fancy index per fiber.
 """
 
 from __future__ import annotations
@@ -17,11 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (
-    CapExceededError,
-    DimensionMismatchError,
-    UnknownGroupElementError,
-)
+from .errors import CapExceededError, DimensionMismatchError
 from .fibered import FiberSpace, FiniteSet
 from .stone import DEFAULT_TOL, PointSet, StoneElement
 
@@ -100,9 +98,6 @@ class MPMap:
             return False
         return bool(np.all(np.abs(space.weights[self.perm] - space.weights) <= tol))
 
-    def as_tuple(self) -> tuple[int, ...]:
-        return tuple(int(i) for i in self.perm)
-
 
 def _generator_steps(gens: Sequence[MPMap]) -> list[np.ndarray]:
     """Index maps of the Koopman steps of each generator g and its inverse.
@@ -166,46 +161,14 @@ def enumerate_group(
     return tuple(map(tuple, np.argsort(walked, axis=1).tolist()))
 
 
-class GroupAction:
-    """Enumerated permutation action on a finite probability space."""
-
-    def __init__(
-        self,
-        space: FiniteProbabilitySpace,
-        generators: Sequence[MPMap],
-        cap: int = 10**5,
-    ):
-        self.space = space
-        self.generators = tuple(generators)
-        for g in self.generators:
-            if len(g) != space.size:
-                raise DimensionMismatchError("generator size mismatch")
-        self.cap = cap
-        self.closure = enumerate_group(self.generators, cap)
-        self._members = frozenset(self.closure)
-
-    def __len__(self):
-        return len(self.closure)
-
-    def contains(self, t) -> bool:
-        return _as_perm_tuple(t) in self._members
-
-    def koopman(self, t, f: np.ndarray) -> np.ndarray:
-        """Composition operator: (T_t f)(x) = f(t^{-1} x), acting on the last
-        (point) axis, so a ``(k, n)`` stack maps row by row."""
-        perm = _as_perm_tuple(t)
-        if perm not in self._members:
-            raise UnknownGroupElementError(f"{perm} not in the enumerated closure")
-        f = np.asarray(f, dtype=complex)
-        out = np.empty_like(f)
-        out[..., np.asarray(perm)] = f
-        return out
-
-
-def _as_perm_tuple(t) -> tuple[int, ...]:
-    if isinstance(t, MPMap):
-        return t.as_tuple()
-    return tuple(int(i) for i in t)
+def koopman(perm, f: np.ndarray) -> np.ndarray:
+    """Composition operator of the point permutation ``perm``:
+    (T f)(x) = f(perm^{-1} x), acting on the last (point) axis, so a
+    ``(k, n)`` stack maps row by row."""
+    f = np.asarray(f, dtype=complex)
+    out = np.empty_like(f)
+    out[..., np.asarray(perm)] = f
+    return out
 
 
 @dataclass
@@ -219,8 +182,8 @@ class Extension:
 
     ``factor[x]`` is the index of the downstairs point below upstairs point
     x; generator i upstairs is paired with generator i downstairs. The
-    downstairs image of any closure element is derived through the factor
-    map, so the two actions stay consistently paired.
+    downstairs image of any upstairs group element is derived through the
+    factor map (``downstairs_perm``), so the two actions stay paired.
     """
 
     def __init__(
@@ -244,16 +207,9 @@ class Extension:
         if np.any(self.factor < 0) or np.any(self.factor >= downstairs.size):
             raise ValueError("factor map image out of range")
         self.cap = cap
-        self._action = None
         self._rel = None
         # orbit traversals of the relative layer, keyed by (tol, f.tobytes())
         self._orbits = {}
-
-    @property
-    def action(self) -> GroupAction:
-        if self._action is None:
-            self._action = GroupAction(self.upstairs, self.upstairs_gens, self.cap)
-        return self._action
 
     @property
     def rel(self) -> "RelModule":
@@ -262,23 +218,14 @@ class Extension:
             self._rel = RelModule(self)
         return self._rel
 
-    def downstairs_perm(self, t) -> np.ndarray:
-        """Downstairs image of an upstairs closure element."""
-        perm = np.asarray(_as_perm_tuple(t), dtype=int)
+    def downstairs_perm(self, perm) -> np.ndarray:
+        """Downstairs image of an upstairs permutation of the group."""
+        perm = np.asarray(perm, dtype=int)
         sigma = np.full(self.downstairs.size, -1, dtype=int)
         sigma[self.factor] = self.factor[perm]
         if np.any(sigma < 0):
             raise ValueError("factor map is not surjective")
         return sigma
-
-    def koopman_y(self, t, g: np.ndarray) -> np.ndarray:
-        """Downstairs composition operator paired with upstairs t, acting on
-        the last (point) axis like ``GroupAction.koopman``."""
-        sigma = self.downstairs_perm(t)
-        g = np.asarray(g, dtype=complex)
-        out = np.empty_like(g)
-        out[..., sigma] = g
-        return out
 
     def fibers(self) -> list[np.ndarray]:
         """Upstairs indices over each downstairs point, in point order."""

@@ -13,15 +13,11 @@ from latnorm.fixtures import (
     rotation_extension,
     symmetric_extension,
 )
-from latnorm.serialize import (
-    extension_to_json,
-    finite_set_to_json,
-    parse_extension_doc,
-    parse_finite_set_doc,
-)
+from latnorm.serialize import parse_extension_doc, parse_finite_set_doc
 from latnorm.errors import SchemaError
 from latnorm.fibered import defect
 from latnorm.seqmodel import build_counterexample
+from documents import extension_to_json, finite_set_to_json
 from oracles import per_scalar_sets
 from report_keys import check_keys
 
@@ -687,6 +683,44 @@ class TestArrayParsing:
             failed += bool(per_scalar_sets(sets, dims)[1])
             self._check(doc, dims)
         assert failed >= 250
+
+
+# a document whose defects are exact: one real dimension per point, dyadic
+# entries, so each distance is the absolute difference of two entries
+CSV_SETS = {
+    "space": {"points": ["a", "b"], "dims": [1, 1]},
+    "sets": {
+        "M": [[[1.0], [0.5]], [[-0.5], [0.25]], [[0.25], [-1]]],
+        "F": [[[1.0], [0.5]], [[0], [0]]],
+    },
+}
+CSV_BYTES = {
+    "tob": "point,defect\na,0.5\nb,1.0\n",
+    "analyze": (
+        "basis_index,verdict,witness_size_eps_0.5,witness_size_eps_0.25\n"
+        + "".join(f"{i},True,4,4\n" for i in range(4))
+    ),
+    "counterexample": "coordinate,net_1,net_2\n1,0.0,0.0\n2,1.0,0.0\ntail,0.0,0.0\n",
+}
+
+
+class TestCsvBytes:
+    """Each CSV report ends in one newline, on stdout and in an ``--out``
+    file alike."""
+
+    @pytest.mark.parametrize("command", sorted(CSV_BYTES))
+    def test_stdout_and_out_file(self, command, ext_doc, tmp_path, capsys):
+        argv = {
+            "tob": ["tob", _write(tmp_path, "sets.json", json.dumps(CSV_SETS))],
+            "analyze": ["analyze", ext_doc],
+            "counterexample": ["counterexample", "--n", "2"],
+        }[command] + ["--format", "csv"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == CSV_BYTES[command]
+        target = tmp_path / "report.csv"
+        assert main(argv + ["--out", str(target)]) == 0
+        assert capsys.readouterr().out == ""
+        assert target.read_bytes() == CSV_BYTES[command].encode()
 
 
 class TestCompactReports:

@@ -1,4 +1,5 @@
 import json
+import sys
 from dataclasses import asdict, dataclass
 from types import SimpleNamespace
 
@@ -10,18 +11,21 @@ from latnorm import (
     CapExceededError,
     Extension,
     FiniteProbabilitySpace,
+    FiniteSet,
     MPMap,
     PointSet,
     RelModule,
     StoneElement,
+    SubmoduleBasis,
     ap_closure_properties,
     defect,
     defect_chain,
     egoroff_localize,
+    enumerate_group,
     generated_submodule,
-    has_discrete_spectrum,
     heine_borel_net,
     is_conditionally_ap,
+    koopman,
     kronecker_subspace,
     orbit,
     orbit_functions,
@@ -30,6 +34,7 @@ from latnorm import (
     rel_norm,
     theorem_cross_check,
 )
+from latnorm.checks import _generator_perms
 from latnorm.fixtures import (
     random_extension,
     random_function,
@@ -42,6 +47,7 @@ from latnorm.systems import embed_J
 from oracles import (
     closure_orbit_functions,
     encoding_cases,
+    frontier_group_closure,
     per_cut_kronecker_subspace,
     per_indicator_ap,
     per_indicator_cross_check,
@@ -166,8 +172,8 @@ class TestGeneratedSubmodule:
             f = random_function(rng, ext.upstairs.size)
             sb = generated_submodule(f, ext)
             basis = ext.rel.decode(sb.vectors)
-            for t in ext.action.closure[:6]:
-                moved = ext.rel.encode([ext.action.koopman(t, h) for h in basis])
+            for t in enumerate_group(ext.upstairs_gens)[:6]:
+                moved = ext.rel.encode([koopman(t, h) for h in basis])
                 proj = sb.project(moved)
                 for a, b in zip(moved.stacks, proj.stacks):
                     assert np.max(np.linalg.norm(a - b, axis=1)) <= 1e-8
@@ -194,7 +200,6 @@ class TestKronecker:
     def test_identity_action_full(self):
         ext = still_extension(5)
         assert kronecker_subspace(ext).dim == 5
-        assert has_discrete_spectrum(ext)
 
     def test_rotation_four_over_two(self):
         # fiberwise the square of the rotation acts on each 2-point fiber;
@@ -205,7 +210,7 @@ class TestKronecker:
         ext = rotation_extension(4, 2)
         kr = kronecker_subspace(ext)
         P = kr.projector()
-        for t in ext.action.closure:
+        for t in enumerate_group(ext.upstairs_gens):
             A = np.zeros((4, 4))
             A[np.asarray(t), np.arange(4)] = 1.0
             assert np.linalg.norm(P @ A - A @ P, 2) <= TOL
@@ -216,7 +221,95 @@ class TestKronecker:
     def test_discrete_spectrum_everywhere(self):
         rng = np.random.default_rng(7)
         for _ in range(5):
-            assert has_discrete_spectrum(random_extension(rng))
+            ext = random_extension(rng)
+            assert kronecker_subspace(ext).dim == ext.upstairs.size
+
+
+def _commutes(P, perm):
+    """Whether the projector P (in phi coordinates) commutes with the
+    Koopman matrix of perm, a permutation matrix there too."""
+    A = np.zeros(P.shape)
+    A[np.asarray(perm), np.arange(len(perm))] = 1.0
+    return np.linalg.norm(P @ A - A @ P, 2) <= 1e-9
+
+
+def _module_invariant(sb, perm):
+    """Whether the module of sb holds every image of its basis under perm."""
+    moved = sb.module.encode(koopman(perm, sb.module.decode(sb.vectors)))
+    proj = sb.project(moved)
+    return all(
+        np.max(np.linalg.norm(a - b, axis=1), initial=0.0) <= 1e-8
+        for a, b in zip(moved.stacks, proj.stacks)
+    )
+
+
+def _cycle_union(rng, gen, n):
+    """Indicator of a random union of the cycles of gen, or of a random
+    set of points when gen is None."""
+    if gen is None:
+        return (rng.random(n) < 0.5).astype(float)
+    out = np.zeros(n)
+    for x in range(n):
+        if not out[x] and rng.random() < 0.5:
+            y = x
+            while not out[y]:
+                out[y] = 1.0
+                y = gen.perm[y]
+    return out
+
+
+def _span_module(ext, f):
+    """The module spanned fiberwise by f alone, not by its orbit."""
+    stacks = []
+    for s in ext.rel.encode(f[None]).stacks:
+        norm = np.linalg.norm(s)
+        stacks.append(s / norm if norm > 1e-12 else np.zeros_like(s))
+    vectors = FiniteSet(ext.rel.space, stacks, 1)
+    ranks = np.array([int(np.any(s != 0)) for s in stacks])
+    return SubmoduleBasis(ext.rel, vectors, ranks)
+
+
+class TestGeneratorInvariance:
+    """Invariance under the identity and the generators, which the selftest
+    checks, is invariance under the whole closure."""
+
+    @staticmethod
+    def _verdicts(check, ext):
+        gens = [check(t) for t in _generator_perms(ext)]
+        group = [check(t) for t in frontier_group_closure(ext.upstairs_gens)]
+        return all(gens), all(group)
+
+    def test_same_verdict_on_generators_and_closure(self):
+        rng = np.random.default_rng(40)
+        outcomes = set()
+        for _ in range(25):
+            ext = random_extension(rng)
+            n = ext.upstairs.size
+            P = kronecker_subspace(ext).projector()
+            assert self._verdicts(lambda t: _commutes(P, t), ext) == (True, True)
+            f = random_function(rng, n)
+            sb = generated_submodule(f, ext)
+            assert self._verdicts(lambda t: _module_invariant(sb, t), ext) == (True, True)
+            # coordinate subspaces, invariant exactly on unions of point
+            # orbits: random sets, and unions of one generator's cycles
+            for gen in (None,) + ext.upstairs_gens:
+                P = np.diag(_cycle_union(rng, gen, n))
+                on_gens, on_group = self._verdicts(lambda t: _commutes(P, t), ext)
+                assert on_gens == on_group
+                outcomes.add(on_gens)
+            sb = _span_module(ext, f)
+            on_gens, on_group = self._verdicts(lambda t: _module_invariant(sb, t), ext)
+            assert on_gens == on_group
+            outcomes.add(on_gens)
+        assert outcomes == {True, False}
+
+    def test_indicator_span_fails_both(self):
+        ext = rotation_extension(4, 2)
+        P = np.diag(delta(4, 0).real)
+        assert self._verdicts(lambda t: _commutes(P, t), ext) == (False, False)
+        sb = _span_module(ext, delta(4, 0))
+        assert list(sb.ranks) == [1, 0]
+        assert self._verdicts(lambda t: _module_invariant(sb, t), ext) == (False, False)
 
 
 class TestEgoroffLocalize:
@@ -380,10 +473,13 @@ class TestCrossCheck:
 
 class TestSharedOrbits:
     def test_analysis_never_enumerates_the_group(self, monkeypatch):
-        def enumerated(self):
+        def enumerated(*args, **kwargs):
             raise AssertionError("the group closure was enumerated")
 
-        monkeypatch.setattr(Extension, "action", property(enumerated))
+        # every latnorm module that holds the name, as it imports it
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "latnorm" and hasattr(module, "enumerate_group"):
+                monkeypatch.setattr(module, "enumerate_group", enumerated)
         rng = np.random.default_rng(22)
         ext = symmetric_extension(4, 2)
         rep = theorem_cross_check(ext)
@@ -427,7 +523,7 @@ class TestSharedOrbits:
                 log.clear()
             n = ext.upstairs.size
             point_orbits = {
-                frozenset(int(np.asarray(t)[x]) for t in ext.action.closure)
+                frozenset(int(np.asarray(t)[x]) for t in enumerate_group(ext.upstairs_gens))
                 for x in range(n)
             }
             assert len(point_orbits) < n
