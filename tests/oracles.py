@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -11,7 +12,6 @@ from latnorm import (
     FiberSpace,
     FiniteSet,
     Idempotent,
-    KroneckerReport,
     Traversal,
     defect,
     disc_grid,
@@ -25,15 +25,10 @@ from latnorm import (
 from latnorm.fixtures import random_extension, rotation_extension, symmetric_extension
 from latnorm.relative import (
     CrossCheckReport,
-    _phi,
     _traversal,
-    containment_residual,
     egoroff_localize,
     is_conditionally_ap,
-    kronecker_subspace,
     orbit_tob_verdict,
-    span_basis,
-    subspace_distance,
 )
 from latnorm.stone import DEFAULT_TOL
 from latnorm.systems import Extension, FiniteProbabilitySpace, MPMap, embed_J
@@ -214,10 +209,59 @@ def _cut_rows(vectors, ext):
     return rows
 
 
+def _phi(vectors, weights):
+    """Coordinates in which the weighted inner product is the standard one."""
+    return np.atleast_2d(vectors) * np.sqrt(weights)[None, :]
+
+
+def span_basis(vectors_phi, rtol=1e-10):
+    """Orthonormal row basis of the span, with a rank cutoff relative to the
+    largest singular value of the whole stack."""
+    if vectors_phi.size == 0:
+        return np.zeros((0, vectors_phi.shape[-1]), dtype=complex)
+    _, sv, vh = np.linalg.svd(np.atleast_2d(vectors_phi), full_matrices=False)
+    if sv.size == 0 or sv[0] == 0.0:
+        return np.zeros((0, vectors_phi.shape[-1]), dtype=complex)
+    r = int(np.sum(sv > rtol * sv[0]))
+    return vh[:r]
+
+
+def projector(basis):
+    """Dense projector onto the span of the orthonormal rows of basis."""
+    return basis.T @ np.conj(basis)
+
+
+def subspace_distance(basis_a, basis_b):
+    """Spectral norm of the difference of the two dense projectors."""
+    return float(np.linalg.norm(projector(basis_a) - projector(basis_b), 2))
+
+
+def containment_residual(inner_basis, outer_basis):
+    """How far the first span sticks out of the second (0 means contained),
+    from the two dense projectors."""
+    p_in, p_out = projector(inner_basis), projector(outer_basis)
+    return float(np.linalg.norm(p_in - p_out @ p_in, 2))
+
+
+@dataclass
+class DenseKronecker:
+    """A Kronecker subspace as one dense orthonormal row basis of
+    ``(n_x,)``-vectors in weighted coordinates."""
+
+    dim: int
+    basis_phi: np.ndarray
+    seed_ranks: list
+
+    def projector(self):
+        return projector(self.basis_phi)
+
+
 def _kronecker_report(rows, seed_ranks, ext):
+    """One global SVD of every fiber cut in weighted coordinates; its rank
+    cutoff is relative to the largest singular value over all fibers."""
     stack = np.array(rows, dtype=complex)
     basis = span_basis(_phi(stack, ext.upstairs.weights))
-    return KroneckerReport(basis.shape[0], basis, seed_ranks)
+    return DenseKronecker(basis.shape[0], basis, seed_ranks)
 
 
 def per_cut_kronecker_subspace(ext, tol=1e-9):
@@ -267,10 +311,12 @@ def per_indicator_ap(ext, eps_values, tol=1e-9):
 def per_indicator_cross_check(ext, eps_values=(0.5, 0.25), delta_values=(0.25, 0.1)):
     """``theorem_cross_check`` one indicator at a time: every indicator gets
     its own AP probe, TOB verdict and localizations, and each localization
-    probes the localized indicator ``mask * f`` itself."""
+    probes the localized indicator ``mask * f`` itself. The three spans are
+    dense: the per-cut Kronecker subspace and the spans of the AP and TOB
+    indicators, compared through their ``(n_x, n_x)`` projectors."""
     n_x = ext.upstairs.size
     w = ext.upstairs.weights
-    kron = kronecker_subspace(ext)
+    kron = per_cut_kronecker_subspace(ext)
     ap_members, ap_verdicts, ap_sizes, tob_members = [], [], [], []
     egoroff_ok = True
     eps_ref = min(eps_values)

@@ -391,6 +391,26 @@ class TestCommands:
             v == 0.0 for v in out["cross_check"]["subspace_distances"].values()
         )
 
+    def test_analyze_tiny_fiber_weight(self, tmp_path, capsys):
+        # a valid extension whose second fiber weighs 2e-21: every finite
+        # extension has discrete spectrum, whatever its fibers weigh
+        doc = {
+            "space": {"points": ["x0", "x1", "x2", "x3"], "weights": [0.5, 0.5, 1e-21, 1e-21]},
+            "generators": [[1, 0, 3, 2]],
+            "factor": {
+                "base_space": {"points": ["y0", "y1"], "weights": [1.0, 2e-21]},
+                "map": [0, 0, 1, 1],
+                "base_generators": [[0, 1]],
+            },
+        }
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps(doc))
+        assert main(["analyze", str(path)]) == 0
+        out = _report(capsys.readouterr().out)
+        assert out["kronecker_dim"] == 4 and out["discrete_spectrum"] is True
+        corollary = out["cross_check"]["corollary"]
+        assert corollary["ap_dense"] is True and corollary["tob_dense"] is True
+
     def test_deterministic_reports(self, sets_doc, capsys):
         assert main(["tob", sets_doc, "--eps", "0.5"]) == 0
         first = capsys.readouterr().out

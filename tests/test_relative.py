@@ -41,11 +41,11 @@ from latnorm.fixtures import (
     rotation_extension,
     symmetric_extension,
 )
-from latnorm.relative import span_basis, subspace_distance
 from latnorm.seqmodel import build_counterexample
 from latnorm.systems import embed_J
 from oracles import (
     closure_orbit_functions,
+    containment_residual,
     encoding_cases,
     frontier_group_closure,
     per_cut_kronecker_subspace,
@@ -54,6 +54,9 @@ from oracles import (
     per_indicator_kronecker_subspace,
     per_link_egoroff_localize,
     per_link_orbit_tob_verdict,
+    projector,
+    span_basis,
+    subspace_distance,
 )
 
 TOL = 1e-9
@@ -64,6 +67,13 @@ def still_extension(n=3):
     space = FiniteProbabilitySpace([f"x{i}" for i in range(n)], [1.0 / n] * n)
     ident = MPMap(range(n))
     return Extension(space, [ident], space, [ident], range(n))
+
+
+def tiny_fiber_extension():
+    """A swap on each of two fibers, one of weight 1, one of weight 2e-21."""
+    up = FiniteProbabilitySpace(["x0", "x1", "x2", "x3"], [0.5, 0.5, 1e-21, 1e-21])
+    down = FiniteProbabilitySpace(["y0", "y1"], [1.0, 2e-21])
+    return Extension(up, [MPMap([1, 0, 3, 2])], down, [MPMap([0, 1])], [0, 0, 1, 1])
 
 
 def delta(n, i):
@@ -195,7 +205,7 @@ class TestKronecker:
         for ext in encoding_cases():
             kr, oracle = kronecker_subspace(ext), per_cut_kronecker_subspace(ext)
             assert kr.dim == oracle.dim and kr.seed_ranks == oracle.seed_ranks
-            assert kr.basis_phi.tobytes() == oracle.basis_phi.tobytes()
+            assert kr.projector().tobytes() == oracle.projector().tobytes()
 
     def test_identity_action_full(self):
         ext = still_extension(5)
@@ -223,6 +233,59 @@ class TestKronecker:
         for _ in range(5):
             ext = random_extension(rng)
             assert kronecker_subspace(ext).dim == ext.upstairs.size
+
+    def test_rank_does_not_depend_on_fiber_weight(self):
+        # a fiber of weight 2e-21 under one of weight 1: every finite
+        # extension has discrete spectrum, whatever its fibers weigh
+        ext = tiny_fiber_extension()
+        kr = kronecker_subspace(ext)
+        assert kr.dim == 4 and [B.shape for B in kr.blocks] == [(2, 2), (2, 2)]
+        rep = theorem_cross_check(ext)
+        assert rep.kronecker_dim == rep.ap_dim == rep.tob_dim == 4
+        assert all(rep.corollary.values()) and rep.subspaces_coincide
+
+    def test_fiber_distances_equal_the_dense_norms(self):
+        # random orthonormal blocks of random rank on uneven, interleaved
+        # fibers against random AP and TOB masks, one fiber all false
+        rng = np.random.default_rng(18)
+        strict = np.zeros(5, dtype=int)
+        for _ in range(300):
+            dims = rng.integers(1, 6, size=int(rng.integers(1, 5)))
+            n_x = int(dims.sum())
+            fiber_points = np.split(rng.permutation(n_x), np.cumsum(dims)[:-1])
+            ap, tob = rng.random((2, n_x)) < 0.6
+            empty = fiber_points[int(rng.integers(len(dims)))]
+            ap[empty] = tob[empty] = False
+            blocks = []
+            for d, pts in zip(dims, fiber_points):
+                # half the time as many basis vectors as AP points, so that
+                # distances below 1 occur
+                r = int(ap[pts].sum()) if rng.random() < 0.5 else int(rng.integers(d + 1))
+                a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+                blocks.append(np.linalg.qr(a)[0][:, :r].T)
+            kr = relative.KroneckerReport(
+                sum(len(B) for B in blocks), blocks, fiber_points, []
+            )
+            dense = np.zeros((kr.dim, n_x), dtype=complex)
+            row = 0
+            for B, pts in zip(blocks, fiber_points):
+                dense[row : row + len(B), pts] = B
+                row += len(B)
+            ap_basis, tob_basis = np.eye(n_x, dtype=complex)[ap], np.eye(n_x, dtype=complex)[tob]
+            distances, inclusions = relative._fiber_distances(kr, ap, tob)
+            want = (
+                subspace_distance(dense, ap_basis),
+                subspace_distance(dense, tob_basis),
+                subspace_distance(ap_basis, tob_basis),
+                containment_residual(dense, ap_basis),
+                containment_residual(ap_basis, tob_basis),
+            )
+            got = (*distances.values(), *inclusions.values())
+            assert np.allclose(got, want, rtol=0.0, atol=1e-12), (got, want)
+            assert np.allclose(kr.projector(), projector(dense), rtol=0.0, atol=1e-12)
+            strict += [1e-9 < v < 1 - 1e-9 for v in got]
+        # fm_ap, fm_tob and fm_in_ap each fall strictly between 0 and 1
+        assert np.all(strict[[0, 1, 3]] > 0)
 
 
 def _commutes(P, perm):
@@ -578,7 +641,7 @@ class TestSharedOrbitOracles:
             rep = theorem_cross_check(ext, eps_values=self.EPS)
             assert kr.dim == rep.kronecker_dim == ref.dim
             assert kr.seed_ranks == ref.seed_ranks
-            assert subspace_distance(kr.basis_phi, ref.basis_phi) <= 1e-12
+            assert kr.projector().tobytes() == ref.projector().tobytes()
             assert rep.ap_verdicts == verdicts
             assert rep.ap_witness_sizes == sizes
 
