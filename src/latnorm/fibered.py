@@ -463,26 +463,51 @@ class GridNet(FiniteSet):
     non-finite sample, and every row for a non-finite basis (its slack is
     not finite): keeping everything is the dense computation.
 
-    The stacks, the basis (the caller's set) and the grid are read-only, so
-    the factorization stays true. ``subset``, ``p * net``, ``set_image`` and
-    every other operation build a plain ``FiniteSet``.
+    The net holds only the factorization: ``len(net)`` is ``len(grid)**m``,
+    ``nearest`` builds the kept rows from it, and the stacks of every row are
+    computed on first access, then frozen. The basis (the caller's set) and
+    the grid are read-only, so the factorization stays true. ``subset``,
+    ``p * net``, ``set_image`` and every other operation read the stacks and
+    build a plain ``FiniteSet``.
     """
 
-    __slots__ = ("basis", "grid")
+    __slots__ = ("basis", "grid", "_stacks")
 
     def __init__(self, basis: FiniteSet, grid: np.ndarray, cap: int):
-        m = len(basis)
-        total = m * len(grid) ** m
-        if total > cap:
+        m, n = len(basis), len(grid) ** len(basis)
+        if m * n > cap:
             raise SizeCapError(
-                f"net would need {m}*{len(grid)}^{m} = {total} > cap {cap}; "
+                f"net would need {m}*{len(grid)}^{m} = {m * n} > cap {cap}; "
                 "raise the cap or loosen the mesh"
             )
-        combos = np.stack(np.meshgrid(*[grid] * m, indexing="ij"), -1).reshape(-1, m)
-        super().__init__(basis.space, [combos @ s for s in basis.stacks], combos.shape[0])
+        self.space = basis.space
+        self._n = n
         self.basis = basis
         self.grid = np.array(grid, dtype=complex)
         self.grid.flags.writeable = False
+        self._stacks = None
+
+    @property
+    def stacks(self) -> list[np.ndarray]:
+        """Every net row, per fiber: built on first access, then frozen."""
+        if self._stacks is None:
+            index = np.arange(self._n)
+            self._stacks = [self._rows(w, index) for w in range(self.space.n_points)]
+            for s in self._stacks:
+                s.flags.writeable = False
+        return self._stacks
+
+    def _rows(self, w: int, index: np.ndarray) -> np.ndarray:
+        """The net rows ``index`` at point w: the C-ordered rows of grid
+        coefficients times the basis stack. Any index set gives the bytes of
+        the same rows of the whole product, because the coefficients get at
+        least two rows: numpy multiplies a single row by gemv, which need not
+        round like gemm."""
+        m, size = len(self.basis), len(self.grid)
+        coeffs = np.zeros((max(len(index), 2), m), dtype=complex)
+        for j in range(m):
+            coeffs[: len(index), j] = self.grid[index // size ** (m - 1 - j) % size]
+        return (coeffs @ self.basis.stacks[w])[: len(index)]
 
     def _kept(self, w: int, X: np.ndarray) -> np.ndarray:
         """(n, m, len(grid)) mask of the grid indices kept per sample row of
@@ -530,7 +555,7 @@ class GridNet(FiniteSet):
                 pick = kept[j][np.repeat(firsts[sample, j], rep) + pos]
                 sample = np.repeat(sample, rep)
                 index = np.repeat(index, rep) * size + pick
-            dist = _dist(X[sample] - self.stacks[w][index])
+            dist = _dist(X[sample] - self._rows(w, index))
             starts = np.cumsum(rows_per[a:b]) - rows_per[a:b]
             mins[a:b] = np.minimum.reduceat(dist, starts)
             # np.argmin's tie rule: the first minimum, or the first NaN
@@ -554,8 +579,9 @@ def heine_borel_net(
     The net is the image of a product of disc grids (radius c, mesh
     eps/sqrt(d)) under the basis: every x with |x| <= c pointwise in the
     spanned module has pointwise nearest distance at most eps to the net.
-    The net is a ``GridNet``: it carries that factorization, and ``defect``
-    against it compares each sample with its candidate nearest rows only.
+    The net is a ``GridNet``: it holds that factorization and builds no
+    rows, and ``defect`` against it builds and compares each sample's
+    candidate nearest rows only.
     """
     if c < 0:
         raise ValueError("c must be nonnegative")

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -639,6 +640,66 @@ class TestGridNet:
             rep = defect(M, F)
             assert rep.value.values.tobytes() == expected.value.values.tobytes()
             assert rep.argmin.tobytes() == expected.argmin.tobytes()
+
+    def test_rows_equal_product_rows(self):
+        # the rows nearest builds from (basis, grid) are the product's rows
+        # byte for byte, on fibers of dims 1 to 4 and for one row as well
+        rng = np.random.default_rng(44)
+        dims = (1, 2, 3, 4)
+        space = FiberSpace(PointSet.of_size(len(dims)), dims)
+        for m in (1, 2, 3):
+            stacks = []
+            for d in dims:
+                b = np.zeros((m, d), dtype=complex)
+                r = min(m, d)
+                q, _ = np.linalg.qr(_cnormal(rng, (d, r)))
+                b[:r] = q.T
+                stacks.append(b)
+            eps = {1: 0.25, 2: 0.5, 3: 1.0}[m]
+            heine = heine_borel_net(FiniteSet(space, stacks, m), 1.0, eps)
+            zono, _ = zonotope_net(random_finite_set(rng, space, m), {1: 0.2, 2: 0.5, 3: 0.9}[m])
+            for net in (heine, zono):
+                ref = product_grid_image(net.basis, net.grid)
+                n = len(net)
+                assert n == len(ref)
+                index_sets = [
+                    [0], [n - 1], [0, n - 1], [n - 1, 0, 0], list(range(n)),
+                    rng.integers(0, n, 1), rng.integers(0, n, 2),
+                    rng.integers(0, n, 7), rng.integers(0, n, 500),
+                ]
+                for idx in index_sets:
+                    idx = np.asarray(idx)
+                    for w in range(len(dims)):
+                        got = net._rows(w, idx)
+                        assert got.tobytes() == ref.stacks[w][idx].tobytes(), (m, dims[w], len(idx))
+
+    def test_construction_builds_no_rows(self):
+        # the benchmark's largest net: 257**2 rows of dims (2, 3), 5.3 MB
+        space = FiberSpace(PointSet.of_size(2), (2, 3))
+        basis = FiniteSet(space, [np.eye(2, dtype=complex), np.eye(2, 3, dtype=complex)], 2)
+        M = random_finite_set(np.random.default_rng(45), space, 6)
+        tracemalloc.start()
+        try:
+            net = heine_borel_net(basis, 1.0, 0.25)
+            built = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            rep = defect(M, net)
+            probed = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            stacks = net.stacks
+            read = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(net) == 257**2 and len(net.grid) == 257
+        assert built < 256 * 1024 and probed < 256 * 1024
+        assert read > 257**2 * 5 * 16  # the rows appear on the first read
+        assert net.stacks is stacks and all(a is b for a, b in zip(net.stacks, stacks))
+        for s in net.stacks:
+            with pytest.raises(ValueError):
+                s[0] = 0.0
+        ref = defect(M, net.subset(range(len(net))))
+        assert rep.value.values.tobytes() == ref.value.values.tobytes()
+        assert rep.argmin.tobytes() == ref.argmin.tobytes()
 
     def test_factorization_is_read_only(self):
         space = single_fiber_space(2)
