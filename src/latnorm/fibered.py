@@ -389,7 +389,9 @@ def disc_grid(radius: float, mesh: float) -> np.ndarray:
 
     Polar grid: rings spaced mesh/sqrt(2) apart, angular spacing on each
     ring with chord length at most mesh/sqrt(2); every point of the disc is
-    then within mesh of a grid point.
+    then within mesh of a grid point. The origin comes first, then each
+    ring from the inside out, counterclockwise from the positive real axis,
+    all rings built in one pass of array operations.
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
@@ -399,13 +401,12 @@ def disc_grid(radius: float, mesh: float) -> np.ndarray:
         return np.zeros(1, dtype=complex)
     step = mesh / math.sqrt(2.0)
     n_rings = max(1, math.ceil(radius / step))
-    points = [0.0 + 0.0j]
-    for k in range(1, n_rings + 1):
-        rho = radius * k / n_rings
-        n_theta = max(1, math.ceil(2.0 * math.pi * rho / step))
-        angles = 2.0 * math.pi * np.arange(n_theta) / n_theta
-        points.extend(rho * np.exp(1j * angles))
-    return np.asarray(points, dtype=complex)
+    rho = radius * np.arange(1, n_rings + 1) / n_rings
+    n_theta = np.maximum(1, np.ceil(2.0 * math.pi * rho / step)).astype(int)
+    ring = np.repeat(np.arange(n_rings), n_theta)
+    k = np.arange(len(ring)) - (np.cumsum(n_theta) - n_theta)[ring]
+    angles = 2.0 * math.pi * k / n_theta[ring]
+    return np.concatenate(([0j], rho[ring] * np.exp(1j * angles)))
 
 
 def check_suborthonormal(basis: FiniteSet, tol: float = 1e-7) -> None:
@@ -457,11 +458,16 @@ class GridNet(FiniteSet):
     underflow. So the computed distance of g exceeds that of g': g is neither
     the minimum nor its lowest-index tie, and value and argmin equal the dense
     ones bit for bit. The X term makes this hold for any basis, orthogonal
-    (``heine_borel_net``) or not (``zonotope_net``'s generators). A row with
-    n_j^2 <= 1e-150 (``_LIVE``, below which the relative bounds would need
-    subnormal care) keeps its whole grid, and so does every coordinate for a
-    non-finite sample, and every row for a non-finite basis (its slack is
-    not finite): keeping everything is the dense computation.
+    (``heine_borel_net``) or not (``zonotope_net``'s generators). A row that
+    is exactly zero at the point (-0.0 entries included) keeps grid index 0
+    alone for a finite sample and grid: a finite grid value times it is a
+    signed zero, which leaves every net row unchanged but for the sign of a
+    zero, so any g has the distance of the lower index that sets g_j = 0.
+    A nonzero row with n_j^2 <= 1e-150 (``_LIVE``, below which the relative
+    bounds would need subnormal care) keeps its whole grid, and so does
+    every coordinate for a non-finite sample, and every live row for a
+    non-finite basis (its slack is not finite): keeping everything is the
+    dense computation.
 
     The net holds only the factorization: ``len(net)`` is ``len(grid)**m``,
     ``nearest`` builds the kept rows from it, and the stacks of every row are
@@ -528,6 +534,8 @@ class GridNet(FiniteSet):
         Z = np.linalg.norm(X, axis=1) + m * R * math.sqrt(float(np.max(n2)))
         slack = 2.0 * (off * (m * R) ** 2 + 32 * (d + m + 1) * _U * Z**2) + 1e-300
         keep = ~(q > q.min(axis=2, keepdims=True) + slack[:, None, None])
+        if np.isfinite(R):  # a finite grid value times a zero row is a zero
+            keep[:, ~s.any(axis=1), 1:] = False
         keep[~finite] = True
         return keep
 

@@ -176,14 +176,17 @@ def generated_submodule(f, ext: Extension, tol: float = DEFAULT_TOL) -> Submodul
     """Fiberwise orthonormalization of the module spanned by the orbit of f.
 
     Per fiber the orbit vectors are stacked and reduced by SVD; singular
-    values below tol times the fiber dimension are treated as rank defects.
-    The result is invariant under the action because the orbit is.
+    values below tol times the fiber dimension times the largest singular
+    value are treated as rank defects. The cut is relative because orbit
+    points share a weight: a point holding a tiny share of its fiber's
+    weight still generates its line. The result is invariant under the
+    action because the orbit is.
     """
     orb = _traversal(f, ext, tol).M
     fiber_bases = []
     for stack, d in zip(orb.stacks, orb.space.dims):
         _, sv, vh = np.linalg.svd(stack, full_matrices=False)
-        fiber_bases.append(vh[: int(np.sum(sv > tol * d))])
+        fiber_bases.append(vh[: int(np.sum(sv > tol * d * np.max(sv, initial=0.0)))])
     ranks = np.array([len(b) for b in fiber_bases], dtype=int)
     n_basis = int(ranks.max())
     stacks = []

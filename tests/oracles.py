@@ -449,6 +449,22 @@ def product_grid_image(F, grid):
     return FiniteSet(F.space, [combos @ s for s in F.stacks], combos.shape[0])
 
 
+def ring_loop_disc_grid(radius, mesh):
+    """``disc_grid`` built one ring at a time: the origin, then each ring's
+    points appended in angle order."""
+    if radius == 0:
+        return np.zeros(1, dtype=complex)
+    step = mesh / math.sqrt(2.0)
+    n_rings = max(1, math.ceil(radius / step))
+    points = [0.0 + 0.0j]
+    for k in range(1, n_rings + 1):
+        rho = radius * k / n_rings
+        n_theta = max(1, math.ceil(2.0 * math.pi * rho / step))
+        angles = 2.0 * math.pi * np.arange(n_theta) / n_theta
+        points.extend(rho * np.exp(1j * angles))
+    return np.asarray(points, dtype=complex)
+
+
 def per_link_orbit_tob_verdict(chain, tol=1e-9):
     """Pointwise decrease and final zero of a chain, one ``le`` per link."""
     for u, v in zip(chain, chain[1:]):

@@ -411,6 +411,25 @@ class TestCommands:
         corollary = out["cross_check"]["corollary"]
         assert corollary["ap_dense"] is True and corollary["tob_dense"] is True
 
+    def test_analyze_tiny_point_weight(self, tmp_path, capsys):
+        # a point holding 1e-20 of its fiber's weight still generates its
+        # line: the rank cut is relative to the largest singular value
+        doc = {
+            "space": {"points": ["x0", "x1"], "weights": [1.0, 1e-20]},
+            "generators": [[0, 1]],
+            "factor": {
+                "base_space": {"points": ["y0"], "weights": [1.0]},
+                "map": [0, 0],
+                "base_generators": [[0]],
+            },
+        }
+        path = tmp_path / "tiny_point.json"
+        path.write_text(json.dumps(doc))
+        assert main(["analyze", str(path)]) == 0
+        out = _report(capsys.readouterr().out)
+        assert out["kronecker_dim"] == 2 and out["discrete_spectrum"] is True
+        assert all(v == 0.0 for v in out["cross_check"]["subspace_distances"].values())
+
     def test_deterministic_reports(self, sets_doc, capsys):
         assert main(["tob", sets_doc, "--eps", "0.5"]) == 0
         first = capsys.readouterr().out

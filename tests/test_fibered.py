@@ -44,6 +44,7 @@ from oracles import (
     brute_force_greedy_order,
     grid_zonotope_oracle,
     product_grid_image,
+    ring_loop_disc_grid,
 )
 
 TOL = 1e-9
@@ -605,17 +606,73 @@ class TestGridNet:
         }
 
     def test_blocks_of_samples(self):
-        # a rank-0 point keeps the whole net for every sample, so the kept
-        # pairs span several blocks
+        # rows of norm 1e-80 (below _LIVE) keep their whole grid, so at the
+        # second point every sample keeps the whole net and the kept pairs
+        # span several blocks
         space = FiberSpace(PointSet.of_size(2), (2, 1))
-        basis = FiniteSet(space, [np.eye(2, dtype=complex), np.zeros((2, 1))], 2)
+        basis = FiniteSet(space, [np.eye(2, dtype=complex), np.full((2, 1), 1e-80 + 0j)], 2)
         net = heine_borel_net(basis, 1.0, 0.5)
         rng = np.random.default_rng(42)
         M = FiniteSet(space, [_cnormal(rng, (100, 2)), _cnormal(rng, (100, 1))], 100)
-        assert 100 * len(net) > 2 * (1 << 18)
+        pairs = net._kept(1, M.stacks[1]).sum(axis=2).prod(axis=1).sum()
+        assert pairs == 100 * len(net) > 2 * (1 << 18)
         rep, ref = defect(M, net), defect(M, net.subset(range(len(net))))
         assert rep.value.values.tobytes() == ref.value.values.tobytes()
         assert rep.argmin.tobytes() == ref.argmin.tobytes()
+
+    def test_vanishing_rows_keep_one_index(self):
+        # a basis row that is exactly zero at a point (+0.0 or -0.0) keeps
+        # grid index 0 alone for every finite sample, at rank-drop and rank-0
+        # points alike; a nonzero row of norm 1e-80 keeps its whole grid
+        rng = np.random.default_rng(46)
+        dims = (1, 2, 3, 4, 3, 4)
+        space = FiberSpace(PointSet.of_size(len(dims)), dims)
+        tiny = 1e-80 * np.eye(1, 4, 2, dtype=complex)[0]
+        for m in (1, 2, 3):
+            ortho, generic = [], random_finite_set(rng, space, m).stacks
+            for d in dims:
+                b = np.zeros((m, d), dtype=complex)
+                q, _ = np.linalg.qr(_cnormal(rng, (d, min(m, d))))
+                b[: min(m, d)] = q.T
+                ortho.append(b)
+            nets = []
+            for stacks in (ortho, [s.copy() for s in generic]):
+                stacks[1][m - 1] = -np.zeros(2, dtype=complex)  # -0.0 real and imaginary
+                stacks[2][0] = 0.0
+                stacks[4][:] = 0.0  # rank 0
+                stacks[5][m - 1] = tiny
+                nets.append(FiniteSet(space, stacks, m))
+            heine = heine_borel_net(nets[0], 1.0, {1: 0.25, 2: 0.5, 3: 1.0}[m])
+            zono, _ = zonotope_net(nets[1], {1: 0.2, 2: 0.5, 3: 0.9}[m])
+            for net in (heine, zono):
+                assert isinstance(net, GridNet)
+                assert np.signbit(net.basis.stacks[1][m - 1].view(float)).all()
+                dense = net.subset(range(len(net)))
+                grid, idx = net.grid, rng.integers(0, len(net), 8)
+                samples = []
+                for w, d in enumerate(dims):
+                    i, k = rng.integers(0, len(grid), (2, 8, m))
+                    samples.append(np.concatenate([
+                        dense.stacks[w][idx],  # exact net rows: ties
+                        0.5 * (grid[i] + grid[k]) @ net.basis.stacks[w],  # midpoints
+                        _cnormal(rng, (8, d)),
+                    ]))
+                samples[0][0, 0] = np.nan
+                samples[3][9, -1] = np.inf
+                M = FiniteSet(space, samples, 24)
+                rep, ref = defect(M, net), defect(M, dense)
+                assert rep.value.values.tobytes() == ref.value.values.tobytes()
+                assert rep.argmin.tobytes() == ref.argmin.tobytes()
+                n_dead = 0
+                for w, s in enumerate(net.basis.stacks):
+                    keep = net._kept(w, M.stacks[w])
+                    finite = np.all(np.isfinite(M.stacks[w]), axis=1)
+                    dead = ~s.any(axis=1)
+                    n_dead += int(dead.sum())
+                    assert (keep[finite][:, dead].sum(axis=2) == 1).all()
+                    assert keep[finite][:, dead, 0].all() and keep[~finite].all()
+                assert n_dead >= m + 2
+                assert net._kept(5, M.stacks[5])[:, m - 1].all()  # the 1e-80 row
 
     def test_derived_sets_take_the_dense_path(self, monkeypatch):
         space = FiberSpace(PointSet.of_size(2), (2, 3))
@@ -718,6 +775,19 @@ def test_disc_grid_is_a_net():
         pts = radius * np.sqrt(rng.random(500)) * np.exp(1j * rng.uniform(0, 2 * np.pi, 500))
         dist = np.abs(pts[:, None] - grid[None, :]).min(axis=1)
         assert dist.max() <= mesh + 1e-12
+
+
+def test_disc_grid_equals_ring_loop():
+    # the one-pass grid has the bytes of the ring-by-ring reference
+    rng = np.random.default_rng(16)
+    pairs = [(1.0, eps / np.sqrt(m)) for eps in (0.25, 0.5, 1.0) for m in (1, 2, 3)]
+    pairs += [(1.0, mesh) for mesh in (0.2, 0.4, 0.6, 0.9, 2.0, 1e300)]
+    pairs += [(0.0, 1.0), (1e-300, 1.0), (3.0, 0.1)]
+    radii = rng.uniform(0.0, 5.0, 300)
+    pairs += zip(radii, radii * np.exp(rng.uniform(-3.5, 1.0, 300)))
+    for radius, mesh in pairs:
+        got, ref = disc_grid(float(radius), float(mesh)), ring_loop_disc_grid(float(radius), float(mesh))
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), (radius, mesh)
 
 
 class TestZonotope:
