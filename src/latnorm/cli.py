@@ -24,7 +24,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, checks
+from . import __version__
 from .errors import (
     CapExceededError,
     ConstructionError,
@@ -311,6 +311,9 @@ def cmd_counterexample(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    # imported here: the suite and its fixtures are needed by this command only
+    from . import checks
+
     fixture = None
     if args.fixture:
         doc = _load_json(args.fixture)

@@ -20,7 +20,8 @@ class IncompleteCoverError(LatnormError):
 
 
 class SizeCapError(LatnormError):
-    """A net or grid construction would exceed its configured size cap."""
+    """A net or grid construction would exceed its configured size cap, or
+    a traversal's distance table cannot be allocated."""
 
 
 class CapExceededError(LatnormError):

@@ -256,7 +256,8 @@ class Traversal:
     Seeded by the element of largest lattice norm; each step places the
     element farthest (in sup norm of the pointwise distance) from those
     already placed, ties to the lowest index, reading its row of one
-    ``_pair_dist`` table per fiber (n_points |M|^2 floats, freed once built).
+    ``_pair_dist`` table per fiber (n_points |M|^2 floats, freed once built;
+    ``SizeCapError`` when they cannot be allocated).
     The tuple ``order`` holds every index of M in placement order, and row
     j of the read-only ``radii`` is the running radius after j + 1
     placements: the pointwise defect of M against ``order[:j + 1]``.
@@ -267,15 +268,23 @@ class Traversal:
     def __init__(self, M: FiniteSet):
         self.M = M
         order = []
-        self.radii = np.empty((len(M), M.space.n_points))
+        n_pts, n = M.space.n_points, len(M)
+        self.radii = np.empty((n, n_pts))
         self._rechecks: dict[int, DefectReport] = {}
-        tables = np.empty((M.space.n_points, len(M), len(M)))
-        for w, s in enumerate(M.stacks):
-            tables[w] = _pair_dist(s, s)
-        placed = np.zeros(len(M), dtype=bool)
-        mindist = np.full((M.space.n_points, len(M)), np.inf)
+        try:
+            tables = np.empty((n_pts, n, n))
+            for w, s in enumerate(M.stacks):
+                tables[w] = _pair_dist(s, s)
+        except MemoryError:
+            raise SizeCapError(
+                f"the traversal of |M| = {n} over P = {n_pts} points needs a "
+                f"({n_pts}, {n}, {n}) distance table of {8 * n_pts * n * n} bytes, "
+                "which could not be allocated"
+            ) from None
+        placed = np.zeros(n, dtype=bool)
+        mindist = np.full((n_pts, n), np.inf)
         scores = M.norms().max(axis=1)  # seed: the largest lattice norm
-        for j in range(len(M)):
+        for j in range(n):
             nxt = int(scores.argmax())
             np.minimum(mindist, tables[:, nxt], out=mindist)
             placed[nxt] = True

@@ -11,14 +11,16 @@ the independent pipelines agree instead of assuming it.
 
 The orbit routines read an orbit's traversal from the extension, which keeps
 one per orbit set for its lifetime; the Kronecker subspace and the
-cross-check visit each point orbit once, not each indicator. A defect chain
-is one ``(K, n_points)`` array, a traversal's read-only radii, and Egoroff
+cross-check visit each point orbit once, not each indicator, and walk it on
+point indices rather than as indicator functions. A defect chain is one
+``(K, n_points)`` array, a traversal's read-only radii, and Egoroff
 localization reads it as it is.
 
 An invariant submodule is closed under band projections, so the Kronecker
 subspace is the direct sum of its fiber parts, one orthonormal block per
 downstairs fiber; the AP and TOB spans are point masks. The cross-check's
-linear algebra therefore costs the sum of |fiber|^3, not n_x^3.
+linear algebra therefore costs the sum of |fiber|^3, not n_x^3, in one
+batched SVD call per distinct fiber shape.
 """
 
 from __future__ import annotations
@@ -46,13 +48,18 @@ def orbit_functions(f, ext: Extension, tol: float = DEFAULT_TOL) -> np.ndarray:
     agree after rounding to multiples of tol count as one.
     """
     f = np.asarray(f, dtype=complex)
+    images = _walk_orbit(f, _generator_steps(ext.upstairs_gens), _rounding_key(tol), ext.cap)
+    return np.array(images, dtype=complex)
+
+
+def _rounding_key(tol: float):
+    """The key under which ``orbit_functions`` counts two images as one."""
     scale = max(tol, 1e-300)
 
     def key(g):
         return np.round(g.view(float) / scale).astype(np.int64).tobytes()
 
-    images = _walk_orbit(f, _generator_steps(ext.upstairs_gens), key, ext.cap)
-    return np.array(images, dtype=complex)
+    return key
 
 
 def orbit(f, ext: Extension, tol: float = DEFAULT_TOL) -> FiniteSet:
@@ -60,17 +67,19 @@ def orbit(f, ext: Extension, tol: float = DEFAULT_TOL) -> FiniteSet:
     return ext.rel.encode(orbit_functions(f, ext, tol))
 
 
-def _traversal(f, ext: Extension, tol: float) -> Traversal:
+def _traversal(f, ext: Extension, tol: float, images=None) -> Traversal:
     """The traversal of f's encoded orbit, memoized in ``ext._orbits``.
 
     The orbit of any image of f is f's own orbit, so a walk files its one
     traversal under the bytes of every image it kept; each orbit set is then
-    walked, encoded and traversed once per extension and tol.
+    walked, encoded and traversed once per extension and tol. ``images``,
+    f's orbit as ``orbit_functions`` lists it, spares the walk.
     """
     f = np.asarray(f, dtype=complex)
     hit = ext._orbits.get((tol, f.tobytes()))
     if hit is None:
-        images = orbit_functions(f, ext, tol)
+        if images is None:
+            images = orbit_functions(f, ext, tol)
         hit = Traversal(ext.rel.encode(images))
         for g in images:
             ext._orbits.setdefault((tol, g.tobytes()), hit)
@@ -79,14 +88,36 @@ def _traversal(f, ext: Extension, tol: float) -> Traversal:
 
 def _point_orbits(ext: Extension, tol: float) -> list[tuple]:
     """``(traversal, indicator, points)`` per point orbit, in order of the
-    orbit's first point, whose indicator it is: the indicators grouped by
-    the traversal they share."""
-    orbits: dict[Traversal, tuple] = {}
-    for x in range(ext.upstairs.size):
-        f = np.zeros(ext.upstairs.size, dtype=complex)
-        f[x] = 1.0
-        orbits.setdefault(_traversal(f, ext, tol), (f, []))[1].append(x)
-    return [(trav, f, xs) for trav, (f, xs) in orbits.items()]
+    orbit's first point, whose indicator it is, with ``points`` in discovery
+    order: what ``_traversal`` gives each indicator, walked on point indices.
+
+    The step s of ``orbit_functions`` sends the indicator of y to that of
+    ``argsort(s)[y]``, so the point walk lists the points in the order in
+    which ``orbit_functions`` lists their indicators, under the same cap;
+    where 1 and 0 round alike at tol, each indicator is its own orbit. The
+    list is kept in ``ext._point_orbits``, so each point orbit is walked
+    once per extension and tol.
+    """
+    if tol in ext._point_orbits:
+        return ext._point_orbits[tol]
+    n = ext.upstairs.size
+    key, unit = _rounding_key(tol), np.ones(1, dtype=complex)
+    steps = []
+    if key(unit) != key(0 * unit):
+        for g in ext.upstairs_gens:  # the argsorts of the ``_generator_steps``
+            steps += [g.perm.tolist(), np.argsort(g.perm).tolist()]
+    seen: set[int] = set()
+    orbits = []
+    for x in range(n):
+        if x not in seen:
+            points = _walk_orbit(x, steps, int, ext.cap, move=lambda y, s: s[y])
+            seen.update(points)
+            images = np.zeros((len(points), n), dtype=complex)
+            images[np.arange(len(points)), points] = 1.0
+            f = images[0].copy()  # not a view, which would keep every indicator
+            orbits.append((_traversal(f, ext, tol, images), f, points))
+    ext._point_orbits[tol] = orbits
+    return orbits
 
 
 # ---------------------------------------------------------------------------
@@ -183,10 +214,10 @@ def generated_submodule(f, ext: Extension, tol: float = DEFAULT_TOL) -> Submodul
     action because the orbit is.
     """
     orb = _traversal(f, ext, tol).M
-    fiber_bases = []
-    for stack, d in zip(orb.stacks, orb.space.dims):
-        _, sv, vh = np.linalg.svd(stack, full_matrices=False)
-        fiber_bases.append(vh[: int(np.sum(sv > tol * d * np.max(sv, initial=0.0)))])
+    fiber_bases = [
+        vh[: int(np.sum(sv > tol * d * np.max(sv, initial=0.0)))]
+        for (sv, vh), d in zip(_svd_by_shape(orb.stacks), orb.space.dims)
+    ]
     ranks = np.array([len(b) for b in fiber_bases], dtype=int)
     n_basis = int(ranks.max())
     stacks = []
@@ -195,6 +226,27 @@ def generated_submodule(f, ext: Extension, tol: float = DEFAULT_TOL) -> Submodul
         s[: len(b)] = b
         stacks.append(s)
     return SubmoduleBasis(ext.rel, FiniteSet(orb.space, stacks, n_basis), ranks)
+
+
+def _svd_by_shape(mats: Sequence[np.ndarray], compute_uv: bool = True) -> list:
+    """``np.linalg.svd(m, full_matrices=False, compute_uv=compute_uv)`` of
+    every matrix m, in order: ``(sv, vh)`` per matrix, or ``sv`` alone.
+
+    One call per distinct shape on the stacked matrices. The gufunc runs the
+    same LAPACK routine on each matrix of a stack, so every result equals
+    that of a call on the matrix alone, bit for bit.
+    """
+    by_shape: dict[tuple, list[int]] = {}
+    for i, m in enumerate(mats):
+        by_shape.setdefault(m.shape, []).append(i)
+    out = [None] * len(mats)
+    for idx in by_shape.values():
+        res = np.linalg.svd(
+            np.stack([mats[i] for i in idx]), full_matrices=False, compute_uv=compute_uv
+        )
+        for i, r in zip(idx, zip(res[1], res[2]) if compute_uv else res):
+            out[i] = r
+    return out
 
 
 def projector(basis: np.ndarray) -> np.ndarray:
@@ -226,8 +278,9 @@ def kronecker_subspace(ext: Extension, tol: float = DEFAULT_TOL) -> KroneckerRep
     """Span of the invariant modules generated by every point indicator.
 
     One module per point orbit; per fiber, its basis rows (by orbit, then
-    basis vector) go through one SVD in module coordinates, cut at 1e-10
-    times that fiber's largest singular value, whatever the fiber weighs.
+    basis vector) go through one SVD in module coordinates (batched by
+    shape), cut at 1e-10 times that fiber's largest singular value,
+    whatever the fiber weighs.
     ``seed_ranks[x]`` is the size of the module of point x's orbit.
     """
     rows = [[] for _ in range(ext.downstairs.size)]
@@ -237,10 +290,10 @@ def kronecker_subspace(ext: Extension, tol: float = DEFAULT_TOL) -> KroneckerRep
         for y, (s, r) in enumerate(zip(sb.vectors.stacks, sb.ranks)):
             rows[y].append(s[:r])
         seed_ranks[xs] = len(sb)
-    blocks = []
-    for stack in map(np.concatenate, rows):
-        _, sv, vh = np.linalg.svd(stack, full_matrices=False)
-        blocks.append(vh[: int(np.sum(sv > 1e-10 * np.max(sv, initial=0.0)))])
+    blocks = [
+        vh[: int(np.sum(sv > 1e-10 * np.max(sv, initial=0.0)))]
+        for sv, vh in _svd_by_shape([np.concatenate(r) for r in rows])
+    ]
     dim = sum(map(len, blocks))
     return KroneckerReport(dim, blocks, ext.rel.fiber_points, seed_ranks.tolist())
 
@@ -328,13 +381,14 @@ def _fiber_distances(kron: KroneckerReport, ap: np.ndarray, tob: np.ndarray):
     by point masks (projectors ``diag(mask)``). Every projector is block
     diagonal, so each spectral norm is the largest over the fibers, and two
     coordinate projectors are 1 apart where their masks differ, else 0."""
-    fm_ap = fm_tob = fm_in_ap = 0.0
+    diffs = []
     for B, pts in zip(kron.blocks, kron.fiber_points):
         P = projector(B)
-        a, t = ap[pts], tob[pts]
-        fm_ap = max(fm_ap, float(np.linalg.norm(P - np.diag(a), 2)))
-        fm_tob = max(fm_tob, float(np.linalg.norm(P - np.diag(t), 2)))
-        fm_in_ap = max(fm_in_ap, float(np.linalg.norm(P - a[:, None] * P, 2)))
+        a = ap[pts]
+        diffs += [P - np.diag(a), P - np.diag(tob[pts]), P - a[:, None] * P]
+    # the spectral norm, as np.linalg.norm(., 2) takes it, of each difference
+    norms = [float(sv.max()) for sv in _svd_by_shape(diffs, compute_uv=False)]
+    fm_ap, fm_tob, fm_in_ap = (max([0.0, *norms[i::3]]) for i in range(3))
     distances = {"fm_ap": fm_ap, "fm_tob": fm_tob, "ap_tob": float(np.any(ap != tob))}
     inclusions = {"fm_in_ap": fm_in_ap, "ap_in_tob": float(np.any(ap & ~tob))}
     return distances, inclusions

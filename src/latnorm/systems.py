@@ -14,6 +14,7 @@ built once per extension); it encodes a whole stack of functions into a
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -114,9 +115,10 @@ def _generator_steps(gens: Sequence[MPMap]) -> list[np.ndarray]:
 
 
 def _walk_orbit(
-    x: np.ndarray, steps: Sequence[np.ndarray], key: Callable, cap: int
-) -> list[np.ndarray]:
-    """Breadth-first orbit of x under the index maps ``steps``.
+    x, steps: Sequence, key: Callable, cap: int, move: Callable = operator.getitem
+) -> list:
+    """Breadth-first orbit of x under ``steps``, image y moving to
+    ``move(y, s)``: by default the array ``y[s]`` of an index map s.
 
     Known images are expanded in discovery order, each by every step in
     order; an image whose ``key`` was seen before is dropped, so the first
@@ -126,7 +128,7 @@ def _walk_orbit(
     seen = {key(x)}
     for y in images:  # the list is the queue: appended images are visited too
         for s in steps:
-            z = y[s]
+            z = move(y, s)
             k = key(z)
             if k not in seen:
                 if len(images) + 1 > cap:
@@ -208,8 +210,13 @@ class Extension:
             raise ValueError("factor map image out of range")
         self.cap = cap
         self._rel = None
-        # orbit traversals of the relative layer, keyed by (tol, f.tobytes())
+        # the last report of validate_extension at DEFAULT_TOL, which
+        # RelModule reads rather than validating again
+        self._validation = None
+        # orbit traversals of the relative layer, keyed by (tol, f.tobytes()),
+        # and its point orbits, keyed by tol
         self._orbits = {}
+        self._point_orbits = {}
 
     @property
     def rel(self) -> "RelModule":
@@ -235,7 +242,11 @@ class Extension:
 
 
 def validate_extension(ext: Extension, tol: float = DEFAULT_TOL) -> ValidationReport:
-    """Diagnostic check of measure preservation, pushforward and intertwining."""
+    """Diagnostic check of measure preservation, pushforward and intertwining.
+
+    A report at ``DEFAULT_TOL`` is kept on the extension, whose ``RelModule``
+    reads it rather than validating again.
+    """
     violations = []
     for i, g in enumerate(ext.upstairs_gens):
         if len(g) != ext.upstairs.size:
@@ -272,7 +283,10 @@ def validate_extension(ext: Extension, tol: float = DEFAULT_TOL) -> ValidationRe
         rhs = sigma.perm[ext.factor]
         if not np.array_equal(lhs, rhs):
             violations.append(f"generator pair {i} does not intertwine the factor map")
-    return ValidationReport(valid=not violations, violations=violations)
+    report = ValidationReport(valid=not violations, violations=violations)
+    if tol == DEFAULT_TOL:
+        ext._validation = report
+    return report
 
 
 def cond_expectation(f: np.ndarray, ext: Extension) -> np.ndarray:
@@ -307,11 +321,15 @@ class RelModule:
     ``encode`` rescales by the square root of the conditional weights so
     the Euclidean fiber norm of an encoded function equals its relative
     norm. Functions travel as ``(k, n_x)`` arrays, one per row, and module
-    elements as ``FiniteSet`` stacks.
+    elements as ``FiniteSet`` stacks. Only a valid extension has a module:
+    the last ``validate_extension`` report at ``DEFAULT_TOL`` decides, or a
+    new one when there is none.
     """
 
     def __init__(self, ext: Extension):
-        report = validate_extension(ext)
+        report = ext._validation
+        if report is None:
+            report = validate_extension(ext)
         if not report.valid:
             raise ValueError(
                 "invalid extension: " + "; ".join(report.violations)

@@ -1,9 +1,18 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+try:
+    import resource
+except ImportError:  # not on every platform
+    resource = None
 
 from latnorm.checks import CheckResult
 from latnorm.cli import build_parser, main
@@ -349,6 +358,27 @@ class TestCommands:
 
         leaked = [k for k in keys(_report(target.read_text())) if k.startswith("_")]
         assert leaked == []
+
+    def test_analyze_validates_once(self, ext_doc, monkeypatch, capsys):
+        import latnorm.cli as cli
+        import latnorm.systems as systems
+
+        tols = []
+        real = systems.validate_extension
+
+        def counted(ext, tol=1e-9):
+            tols.append(tol)
+            return real(ext, tol)
+
+        monkeypatch.setattr(cli, "validate_extension", counted)
+        monkeypatch.setattr(systems, "validate_extension", counted)
+        assert main(["analyze", ext_doc]) == 0
+        assert tols == [1e-9]
+        # validated below the default tolerance, the module validates again
+        tols.clear()
+        assert main(["analyze", ext_doc, "--tol", "1e-12"]) == 0
+        assert tols == [1e-12, 1e-9]
+        capsys.readouterr()
 
     def test_group_cap_exit_code(self, ext_doc, capsys):
         assert main(["analyze", ext_doc, "--cap", "2"]) == 3
@@ -808,3 +838,64 @@ class TestSharedTobTraversal:
         assert len(set(sizes)) >= 3 and 1 < max(sizes) < 30
         assert built == [30]  # one traversal for every eps
         assert sorted(defects) == sorted(set(sizes))
+
+
+
+@pytest.mark.skipif(not hasattr(resource, "RLIMIT_AS"), reason="no RLIMIT_AS here")
+class TestTraversalTable:
+    """|M| = 20,000 over one point of dim 1 asks for a 3.2 GB traversal
+    table. Under a 1.5 GB address-space limit, set in a child process once
+    numpy and latnorm are imported, the allocation fails and the traversal
+    raises ``SizeCapError``; commands exit 3 with one line on stderr."""
+
+    N = 20_000
+    LIMIT = 1536 * 2**20
+
+    def _run_limited(self, tmp_path, body):
+        script = (
+            "import resource, sys\n"
+            "import numpy as np\n"
+            "import latnorm, latnorm.cli\n"
+            "soft, hard = resource.getrlimit(resource.RLIMIT_AS)\n"
+            f"limit = {self.LIMIT} if hard == resource.RLIM_INFINITY else min({self.LIMIT}, hard)\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (limit, hard))\n" + body
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+        return subprocess.run(
+            [sys.executable, "-c", script], cwd=tmp_path, env=env,
+            capture_output=True, text=True, timeout=120,
+        )
+
+    def _names_the_size(self, text):
+        return f"|M| = {self.N}" in text and "P = 1 " in text and str(8 * self.N**2) in text
+
+    def test_library_raises_size_cap_error(self, tmp_path):
+        proc = self._run_limited(
+            tmp_path,
+            "space = latnorm.FiberSpace(latnorm.PointSet(['a']), (1,))\n"
+            f"stack = np.arange({self.N}, dtype=complex)[:, None]\n"
+            f"M = latnorm.FiniteSet(space, [stack], {self.N})\n"
+            "try:\n"
+            "    latnorm.Traversal(M)\n"
+            "except latnorm.SizeCapError as exc:\n"
+            "    print(exc)\n"
+            "    sys.exit(0)\n"
+            "sys.exit('no SizeCapError')\n",
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert self._names_the_size(proc.stdout), proc.stdout
+
+    def test_tob_exits_3_with_one_line(self, tmp_path):
+        doc = {
+            "space": {"points": ["a"], "dims": [1]},
+            "sets": {"M": [[[i / self.N]] for i in range(self.N)]},
+        }
+        (tmp_path / "big.json").write_text(json.dumps(doc))
+        proc = self._run_limited(tmp_path, "sys.exit(latnorm.cli.main(['tob', 'big.json']))\n")
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("cap exceeded: "), proc.stderr
+        assert self._names_the_size(lines[0])

@@ -1,3 +1,4 @@
+import itertools
 import json
 import sys
 from dataclasses import asdict, dataclass
@@ -553,7 +554,17 @@ class TestSharedOrbits:
         assert all(ap_closure_properties(ext, f, g, h, eps=0.5).values())
 
     def test_one_walk_and_traversal_per_orbit(self, monkeypatch):
-        walks, traversals, localizations, probes = [], [], [], []
+        point_walks, function_walks = [], []
+        traversals, localizations, probes = [], [], []
+        walk = relative._walk_orbit
+
+        def walked(x, *args, **kwargs):
+            # a point walk starts at a point index, a function walk at an array
+            if isinstance(x, int):
+                point_walks.append(x)
+            else:
+                function_walks.append(np.asarray(x).tobytes())
+            return walk(x, *args, **kwargs)
 
         def counted(log, fn, key):
             def inner(x, *args, **kwargs):
@@ -562,10 +573,7 @@ class TestSharedOrbits:
 
             return inner
 
-        monkeypatch.setattr(
-            relative, "orbit_functions",
-            counted(walks, relative.orbit_functions, lambda f: np.asarray(f).tobytes()),
-        )
+        monkeypatch.setattr(relative, "_walk_orbit", walked)
         monkeypatch.setattr(
             relative, "Traversal", counted(traversals, relative.Traversal, id),
         )
@@ -577,12 +585,13 @@ class TestSharedOrbits:
             relative, "is_conditionally_ap",
             counted(probes, relative.is_conditionally_ap, lambda f: np.any(f != 0)),
         )
+        logs = (point_walks, function_walks, traversals, localizations, probes)
         for ext in (
             rotation_extension(8, 2),  # one point orbit of 8
             symmetric_extension(4, 2),  # two of 4
             random_extension(np.random.default_rng(30)),  # sizes 2, 2 and 4
         ):
-            for log in (walks, traversals, localizations, probes):
+            for log in logs:
                 log.clear()
             n = ext.upstairs.size
             point_orbits = {
@@ -596,15 +605,103 @@ class TestSharedOrbits:
             # of a nonzero function per point orbit
             assert len(localizations) == len(point_orbits) * len(deltas)
             assert sum(probes) == len(point_orbits)
+            # one point walk per point orbit, from its first point, and no
+            # function walk but at most the zero function's
+            assert point_walks == sorted(min(o) for o in point_orbits)
             zero = np.zeros(n, dtype=complex).tobytes()
-            # one walk per point orbit, and at most the zero function from
-            # the localization
-            assert len(walks) == len(set(walks))
-            assert len([w for w in walks if w != zero]) == len(point_orbits)
-            assert len(traversals) == len(walks) <= len(point_orbits) + 1
-            done = len(walks)
+            assert function_walks in ([], [zero])
+            # one traversal per walk
+            assert len(traversals) == len(point_walks) + len(function_walks)
+            done = len(traversals), list(function_walks)
+            # a second cross-check walks nothing and traverses nothing
+            point_walks.clear()
             theorem_cross_check(ext, delta_values=deltas)
-            assert len(walks) == len(traversals) == done
+            assert point_walks == [] and (len(traversals), function_walks) == done
+
+
+class TestPointOrbits:
+    """The point walk of ``_point_orbits`` against the function walk of each
+    indicator, and the per-shape SVD batches against one call per matrix."""
+
+    def cases(self):
+        rng = np.random.default_rng(20)
+        for _ in range(30):
+            yield random_extension(rng)
+        for n_top, n_base in ((4, 2), (6, 3), (8, 2), (12, 4)):
+            yield rotation_extension(n_top, n_base)
+        for k, q in ((3, 2), (4, 1), (4, 2), (5, 1)):
+            yield symmetric_extension(k, q)
+
+    def test_walks_and_files_as_the_indicators_do(self):
+        # at tol 3, 1 and 0 round alike, so every indicator is its own orbit
+        for ext, tol in itertools.product(self.cases(), (TOL, 3.0)):
+            n = ext.upstairs.size
+            ext._orbits.clear()
+            orbits = relative._point_orbits(ext, tol)
+            assert relative._point_orbits(ext, tol) is orbits  # kept
+            filed = dict(ext._orbits)
+            covered = []
+            for trav, f, points in orbits:
+                walked = orbit_functions(f, ext, tol)
+                assert np.nonzero(walked)[1].tolist() == points
+                assert f.tobytes() == walked[0].tobytes() == delta(n, points[0]).tobytes()
+                assert trav.M.stacks[0].tobytes() == ext.rel.encode(walked).stacks[0].tobytes()
+                covered += points
+            assert sorted(covered) == list(range(n))
+            assert [points[0] for _, _, points in orbits] == sorted(
+                points[0] for _, _, points in orbits
+            )
+            # every indicator's own traversal, filed under the same keys
+            ext._orbits.clear()
+            for x in range(n):
+                relative._traversal(delta(n, x), ext, tol)
+            assert filed.keys() == ext._orbits.keys()
+            for key, trav in filed.items():
+                ref = ext._orbits[key]
+                assert trav.order == ref.order
+                assert trav.radii.tobytes() == ref.radii.tobytes()
+
+    def test_same_cap_as_the_function_walk(self):
+        for ext in self.cases():
+            orbits = relative._point_orbits(ext, TOL)
+            largest = max(orbits, key=lambda o: len(o[2]))
+            size = len(largest[2])
+            # a new walk each time, not the kept orbits
+            ext.cap = size
+            ext._point_orbits.clear()
+            assert len(relative._point_orbits(ext, TOL)) == len(orbits)
+            assert len(orbit_functions(largest[1], ext)) == size
+            if size == 1:
+                continue
+            ext.cap = size - 1
+            ext._point_orbits.clear()
+            with pytest.raises(CapExceededError) as by_points:
+                relative._point_orbits(ext, TOL)
+            with pytest.raises(CapExceededError) as by_function:
+                orbit_functions(largest[1], ext)
+            assert str(by_points.value) == str(by_function.value) == f"orbit exceeds cap {size - 1}"
+
+    def test_svd_batches_equal_per_matrix_calls(self, monkeypatch):
+        batched = relative._svd_by_shape
+        calls = []
+
+        def checked(mats, compute_uv=True):
+            out = batched(mats, compute_uv)
+            assert len(out) == len(mats)
+            for m, got in zip(mats, out):
+                want = np.linalg.svd(m, full_matrices=False, compute_uv=compute_uv)
+                want = want[1:] if compute_uv else (want,)
+                got = got if compute_uv else (got,)
+                assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+            calls.append((compute_uv, len({m.shape for m in mats}), len(mats)))
+            return out
+
+        monkeypatch.setattr(relative, "_svd_by_shape", checked)
+        for ext in self.cases():
+            theorem_cross_check(ext)
+        # both kinds of batch ran, and some batched several matrices per call
+        assert {uv for uv, _, _ in calls} == {True, False}
+        assert any(shapes < mats for _, shapes, mats in calls)
 
 
 @dataclass(eq=False)

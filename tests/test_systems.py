@@ -292,6 +292,11 @@ class TestRelModule:
             RelModule(broken_extension())
         with pytest.raises(ValueError):
             broken_extension().rel
+        # the module reads a kept report and rejects an invalid one too
+        ext = broken_extension()
+        assert not validate_extension(ext).valid
+        with pytest.raises(ValueError, match="pushforward"):
+            ext.rel
 
     def test_rejects_arrays_that_are_not_function_stacks(self):
         rel = uniform_4_over_2().rel
