@@ -21,7 +21,8 @@ class IncompleteCoverError(LatnormError):
 
 class SizeCapError(LatnormError):
     """A net or grid construction would exceed its configured size cap, or
-    a traversal's distance table cannot be allocated."""
+    a traversal's distance table or the counterexample model cannot be
+    allocated."""
 
 
 class CapExceededError(LatnormError):

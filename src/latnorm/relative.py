@@ -9,10 +9,10 @@ submodules grown from point indicators; on finite models the two always
 exhaust the whole function space, and the cross-check below verifies that
 the independent pipelines agree instead of assuming it.
 
-The orbit routines read an orbit's traversal from the extension, which keeps
-one per orbit set for its lifetime; the Kronecker subspace and the
-cross-check visit each point orbit once, not each indicator, and walk it on
-point indices rather than as indicator functions. A defect chain is one
+The public orbit routines walk and traverse the orbit they are given, so
+their results depend on their arguments alone. The Kronecker subspace and
+the cross-check visit each point orbit once, walked on point indices; the
+extension keeps its traversal per tol. A defect chain is one
 ``(K, n_points)`` array, a traversal's read-only radii, and Egoroff
 localization reads it as it is.
 
@@ -67,29 +67,11 @@ def orbit(f, ext: Extension, tol: float = DEFAULT_TOL) -> FiniteSet:
     return ext.rel.encode(orbit_functions(f, ext, tol))
 
 
-def _traversal(f, ext: Extension, tol: float, images=None) -> Traversal:
-    """The traversal of f's encoded orbit, memoized in ``ext._orbits``.
-
-    The orbit of any image of f is f's own orbit, so a walk files its one
-    traversal under the bytes of every image it kept; each orbit set is then
-    walked, encoded and traversed once per extension and tol. ``images``,
-    f's orbit as ``orbit_functions`` lists it, spares the walk.
-    """
-    f = np.asarray(f, dtype=complex)
-    hit = ext._orbits.get((tol, f.tobytes()))
-    if hit is None:
-        if images is None:
-            images = orbit_functions(f, ext, tol)
-        hit = Traversal(ext.rel.encode(images))
-        for g in images:
-            ext._orbits.setdefault((tol, g.tobytes()), hit)
-    return hit
-
-
 def _point_orbits(ext: Extension, tol: float) -> list[tuple]:
-    """``(traversal, indicator, points)`` per point orbit, in order of the
-    orbit's first point, whose indicator it is, with ``points`` in discovery
-    order: what ``_traversal`` gives each indicator, walked on point indices.
+    """``(traversal, points)`` per point orbit, in order of the orbit's first
+    point, with ``points`` in discovery order: the traversal of
+    ``orbit(e_x, ext, tol)`` for the indicator e_x of the first point x,
+    walked on point indices.
 
     The step s of ``orbit_functions`` sends the indicator of y to that of
     ``argsort(s)[y]``, so the point walk lists the points in the order in
@@ -114,8 +96,7 @@ def _point_orbits(ext: Extension, tol: float) -> list[tuple]:
             seen.update(points)
             images = np.zeros((len(points), n), dtype=complex)
             images[np.arange(len(points)), points] = 1.0
-            f = images[0].copy()  # not a view, which would keep every indicator
-            orbits.append((_traversal(f, ext, tol, images), f, points))
+            orbits.append((Traversal(ext.rel.encode(images)), points))
     ext._point_orbits[tol] = orbits
     return orbits
 
@@ -148,14 +129,15 @@ def is_conditionally_ap(
 
     Every eps reads its witness off the one traversal of the orbit.
     """
-    trav = _traversal(f, ext, tol)
+    f = np.asarray(f, dtype=complex)
+    trav = Traversal(orbit(f, ext, tol))
+    return APReport(f, tuple(eps_values), *_ap_probe(trav, eps_values, tol))
+
+
+def _ap_probe(trav: Traversal, eps_values: Sequence[float], tol: float) -> tuple:
+    """The verdict and witness at each eps of the orbit traversed by trav."""
     reps = [is_utob(trav.M, eps, tol, traversal=trav) for eps in eps_values]
-    return APReport(
-        np.asarray(f, dtype=complex),
-        tuple(eps_values),
-        [bool(rep.verdict) for rep in reps],
-        [rep.witness for rep in reps],
-    )
+    return [bool(rep.verdict) for rep in reps], [rep.witness for rep in reps]
 
 
 def defect_chain(M: FiniteSet) -> np.ndarray:
@@ -171,7 +153,11 @@ def orbit_tob_verdict(f, ext: Extension, tol: float = DEFAULT_TOL) -> bool:
     defects over increasing witnesses is pointwise decreasing and ends at
     zero, with no uniformity requirement along the way.
     """
-    U = _traversal(f, ext, tol).radii
+    return _tob_verdict(defect_chain(orbit(f, ext, tol)), tol)
+
+
+def _tob_verdict(U: np.ndarray, tol: float) -> bool:
+    """Whether the chain U decreases pointwise, within tol, to zero."""
     return bool(np.all(U[1:] <= U[:-1] + tol) and np.all(U[-1] <= tol))
 
 
@@ -213,7 +199,11 @@ def generated_submodule(f, ext: Extension, tol: float = DEFAULT_TOL) -> Submodul
     weight still generates its line. The result is invariant under the
     action because the orbit is.
     """
-    orb = _traversal(f, ext, tol).M
+    return _submodule(orbit(f, ext, tol), ext, tol)
+
+
+def _submodule(orb: FiniteSet, ext: Extension, tol: float) -> SubmoduleBasis:
+    """``generated_submodule`` of the encoded orbit orb."""
     fiber_bases = [
         vh[: int(np.sum(sv > tol * d * np.max(sv, initial=0.0)))]
         for (sv, vh), d in zip(_svd_by_shape(orb.stacks), orb.space.dims)
@@ -285,8 +275,8 @@ def kronecker_subspace(ext: Extension, tol: float = DEFAULT_TOL) -> KroneckerRep
     """
     rows = [[] for _ in range(ext.downstairs.size)]
     seed_ranks = np.zeros(ext.upstairs.size, dtype=int)
-    for _, f, xs in _point_orbits(ext, tol):
-        sb = generated_submodule(f, ext, tol)
+    for trav, xs in _point_orbits(ext, tol):
+        sb = _submodule(trav.M, ext, tol)
         for y, (s, r) in enumerate(zip(sb.vectors.stacks, sb.ranks)):
             rows[y].append(s[:r])
         seed_ranks[xs] = len(sb)
@@ -411,7 +401,7 @@ def theorem_cross_check(
 
     Each point orbit is visited once, with one AP probe, one TOB verdict and
     one localization per delta. The localized indicator ``1_kept * e_x`` is
-    e_x over a kept point and the zero function, probed too, over a cut one.
+    e_x over a kept point and the zero function, probed once, over a cut one.
     """
     n_x = ext.upstairs.size
     kron = kronecker_subspace(ext)
@@ -421,11 +411,13 @@ def theorem_cross_check(
     egoroff_ok = True
     eps_ref = min(eps_values)
     thresholds: dict[float, int | None] = {d: 0 for d in delta_values}
-    for trav, f, xs in _point_orbits(ext, DEFAULT_TOL):
-        rep = is_conditionally_ap(f, ext, eps_values)
-        ap_ok[xs] = rep.all_pass
-        ap_sizes[xs] = [len(wit) for wit in rep.witnesses]
-        tob_ok[xs] = orbit_tob_verdict(f, ext)
+    cut = False  # whether a localization cut a point
+    for trav, xs in _point_orbits(ext, DEFAULT_TOL):
+        verdicts, witnesses = _ap_probe(trav, eps_values, DEFAULT_TOL)
+        passes = all(verdicts)
+        ap_ok[xs] = passes
+        ap_sizes[xs] = [len(wit) for wit in witnesses]
+        tob_ok[xs] = _tob_verdict(trav.radii, DEFAULT_TOL)
         for delta in delta_values:
             loc = egoroff_localize(
                 trav.radii, ext.downstairs.weights, delta, eps_values=[eps_ref]
@@ -433,10 +425,10 @@ def theorem_cross_check(
             t_here, t_max = loc.thresholds[eps_ref], thresholds[delta]
             thresholds[delta] = None if None in (t_here, t_max) else max(t_max, t_here)
             kept = loc.kept[ext.factor[xs]]
-            egoroff_ok &= rep.all_pass or not kept.any()
-            if not kept.all():
-                zero = np.zeros(n_x, dtype=complex)
-                egoroff_ok &= is_conditionally_ap(zero, ext, eps_values).all_pass
+            egoroff_ok &= passes or not kept.any()
+            cut |= not kept.all()
+    if cut:
+        egoroff_ok &= is_conditionally_ap(np.zeros(n_x), ext, eps_values).all_pass
 
     distances, inclusions = _fiber_distances(kron, ap_ok, tob_ok)
     corollary = {

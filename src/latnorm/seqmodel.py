@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleTruncationError
+from .errors import InfeasibleTruncationError, SizeCapError
 from .fibered import FiberSpace, FiniteSet, _pair_dist, defect
 from .stone import DEFAULT_TOL, Idempotent, PointSet, StoneElement
 
@@ -57,11 +57,18 @@ def build_counterexample(n: int) -> tuple[TruncatedSeqSpace, FiniteSet, FiniteSe
     and then j, so rows k(k - 1)/2 .. k(k + 1)/2 - 1 at point k hold the k x k
     identity. F_n holds the zero element and then the constants 1 (x) e_l
     for l = 1..n (zero tail); the net F_m is ``F_n.subset(range(m + 1))``.
+    ``SizeCapError`` when M cannot be allocated.
     """
     space = TruncatedSeqSpace.build(n)
     fs = space.fiber_space
     size = n * (n + 1) // 2
-    m_stacks = [np.zeros((size, n), dtype=complex) for _ in range(fs.n_points)]
+    try:
+        m_stacks = [np.zeros((size, n), dtype=complex) for _ in range(fs.n_points)]
+    except MemoryError:
+        raise SizeCapError(
+            f"the counterexample at n = {n} needs a probe set of "
+            f"{16 * fs.n_points * size * n} bytes, which could not be allocated"
+        ) from None
     for k in range(1, n + 1):
         start = k * (k - 1) // 2
         m_stacks[k - 1][start : start + k, :k] = np.eye(k)

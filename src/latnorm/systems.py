@@ -213,9 +213,7 @@ class Extension:
         # the last report of validate_extension at DEFAULT_TOL, which
         # RelModule reads rather than validating again
         self._validation = None
-        # orbit traversals of the relative layer, keyed by (tol, f.tobytes()),
-        # and its point orbits, keyed by tol
-        self._orbits = {}
+        # the relative layer's point orbits per tol, (traversal, points) each
         self._point_orbits = {}
 
     @property

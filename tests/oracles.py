@@ -25,7 +25,6 @@ from latnorm import (
 from latnorm.fixtures import random_extension, rotation_extension, symmetric_extension
 from latnorm.relative import (
     CrossCheckReport,
-    _traversal,
     egoroff_localize,
     is_conditionally_ap,
     orbit_tob_verdict,
@@ -330,7 +329,10 @@ def per_indicator_cross_check(ext, eps_values=(0.5, 0.25), delta_values=(0.25, 0
             ap_members.append(f)
         if orbit_tob_verdict(f, ext):
             tob_members.append(f)
-        trav = _traversal(f, ext, DEFAULT_TOL)
+        # every point of an orbit localizes by the orbit's chain listed from
+        # its first point, whose indicator's traversal the cross-check keeps
+        first = int(np.nonzero(orbit_functions(f, ext, DEFAULT_TOL))[1].min())
+        trav = Traversal(orbit(indicator(n_x, first), ext, DEFAULT_TOL))
         for delta in delta_values:
             loc = egoroff_localize(
                 trav.radii, ext.downstairs.weights, delta, eps_values=[eps_ref]

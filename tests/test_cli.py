@@ -841,6 +841,26 @@ class TestSharedTobTraversal:
 
 
 
+def _run_limited(tmp_path, body, limit=1536 * 2**20):
+    """Run body in a child process that imports numpy and latnorm and then
+    limits its address space to limit bytes."""
+    script = (
+        "import resource, sys\n"
+        "import numpy as np\n"
+        "import latnorm, latnorm.cli\n"
+        "soft, hard = resource.getrlimit(resource.RLIMIT_AS)\n"
+        f"limit = {limit} if hard == resource.RLIM_INFINITY else min({limit}, hard)\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (limit, hard))\n" + body
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+    return subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, env=env,
+        capture_output=True, text=True, timeout=120,
+    )
+
+
 @pytest.mark.skipif(not hasattr(resource, "RLIMIT_AS"), reason="no RLIMIT_AS here")
 class TestTraversalTable:
     """|M| = 20,000 over one point of dim 1 asks for a 3.2 GB traversal
@@ -849,30 +869,12 @@ class TestTraversalTable:
     raises ``SizeCapError``; commands exit 3 with one line on stderr."""
 
     N = 20_000
-    LIMIT = 1536 * 2**20
-
-    def _run_limited(self, tmp_path, body):
-        script = (
-            "import resource, sys\n"
-            "import numpy as np\n"
-            "import latnorm, latnorm.cli\n"
-            "soft, hard = resource.getrlimit(resource.RLIMIT_AS)\n"
-            f"limit = {self.LIMIT} if hard == resource.RLIM_INFINITY else min({self.LIMIT}, hard)\n"
-            "resource.setrlimit(resource.RLIMIT_AS, (limit, hard))\n" + body
-        )
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-        env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
-        return subprocess.run(
-            [sys.executable, "-c", script], cwd=tmp_path, env=env,
-            capture_output=True, text=True, timeout=120,
-        )
 
     def _names_the_size(self, text):
         return f"|M| = {self.N}" in text and "P = 1 " in text and str(8 * self.N**2) in text
 
     def test_library_raises_size_cap_error(self, tmp_path):
-        proc = self._run_limited(
+        proc = _run_limited(
             tmp_path,
             "space = latnorm.FiberSpace(latnorm.PointSet(['a']), (1,))\n"
             f"stack = np.arange({self.N}, dtype=complex)[:, None]\n"
@@ -893,9 +895,23 @@ class TestTraversalTable:
             "sets": {"M": [[[i / self.N]] for i in range(self.N)]},
         }
         (tmp_path / "big.json").write_text(json.dumps(doc))
-        proc = self._run_limited(tmp_path, "sys.exit(latnorm.cli.main(['tob', 'big.json']))\n")
+        proc = _run_limited(tmp_path, "sys.exit(latnorm.cli.main(['tob', 'big.json']))\n")
         assert proc.returncode == 3, proc.stderr
         assert proc.stdout == ""
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("cap exceeded: "), proc.stderr
         assert self._names_the_size(lines[0])
+
+
+@pytest.mark.skipif(not hasattr(resource, "RLIMIT_AS"), reason="no RLIMIT_AS here")
+def test_counterexample_too_large_exits_3_with_one_line(tmp_path):
+    """``--n 100000`` asks for 8.0e20 bytes: refused at once, under a 1.5 GB
+    address-space limit too, as ``SizeCapError`` naming n and the bytes."""
+    n = 100_000
+    proc = _run_limited(tmp_path, f"sys.exit(latnorm.cli.main(['counterexample', '--n', '{n}']))\n")
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("cap exceeded: "), proc.stderr
+    size = n * (n + 1) // 2
+    assert f"n = {n} " in lines[0] and str(16 * (n + 1) * size * n) in lines[0]

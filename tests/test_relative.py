@@ -1,13 +1,13 @@
 import itertools
 import json
 import sys
-from dataclasses import asdict, dataclass
-from types import SimpleNamespace
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 import latnorm.relative as relative
+import oracles
 from latnorm import (
     CapExceededError,
     Extension,
@@ -18,6 +18,7 @@ from latnorm import (
     RelModule,
     StoneElement,
     SubmoduleBasis,
+    Traversal,
     ap_closure_properties,
     defect,
     defect_chain,
@@ -466,21 +467,17 @@ def test_egoroff_localize_equals_per_link_oracle():
     assert all(outcomes.values()), outcomes
 
 
-def test_orbit_tob_verdict_equals_per_link_oracle(monkeypatch):
+def test_orbit_tob_verdict_equals_per_link_oracle():
     verdicts = set()
     for chain, _, _ in random_chains(32):
-        fake = SimpleNamespace(M=None, radii=chain)
-        with monkeypatch.context() as m:
-            m.setattr(relative, "_traversal", lambda f, ext, tol: fake)
-            got = orbit_tob_verdict(None, None)
+        got = relative._tob_verdict(chain, TOL)
         assert got == per_link_orbit_tob_verdict(elements(chain))
         verdicts.add(got)
     assert verdicts == {True, False}
     ext = random_extension(np.random.default_rng(33))
     for x0 in range(ext.upstairs.size):
         f = delta(ext.upstairs.size, x0)
-        M = relative._traversal(f, ext, TOL).M
-        chain = elements(defect_chain(M))
+        chain = elements(Traversal(orbit(f, ext)).radii)
         assert orbit_tob_verdict(f, ext) == per_link_orbit_tob_verdict(chain)
 
 
@@ -494,12 +491,10 @@ def test_egoroff_rejects_misshapen_chains():
 
 def test_traversal_radii_are_read_only():
     ext = rotation_extension(4, 2)
-    e0, e1 = np.eye(ext.upstairs.size, dtype=complex)[:2]
-    trav = relative._traversal(e0, ext, TOL)
+    trav = relative._point_orbits(ext, TOL)[0][0]
     with pytest.raises(ValueError):
         trav.radii += 1.0
-    assert orbit_tob_verdict(e1, ext)
-    assert relative._traversal(e1, ext, TOL) is trav
+    assert orbit_tob_verdict(np.eye(ext.upstairs.size, dtype=complex)[1], ext)
     assert not defect_chain(trav.M).flags.writeable
 
 
@@ -582,8 +577,8 @@ class TestSharedOrbits:
             counted(localizations, relative.egoroff_localize, id),
         )
         monkeypatch.setattr(
-            relative, "is_conditionally_ap",
-            counted(probes, relative.is_conditionally_ap, lambda f: np.any(f != 0)),
+            relative, "_ap_probe",
+            counted(probes, relative._ap_probe, lambda t: any(s.any() for s in t.M.stacks)),
         )
         logs = (point_walks, function_walks, traversals, localizations, probes)
         for ext in (
@@ -601,10 +596,10 @@ class TestSharedOrbits:
             assert len(point_orbits) < n
             deltas = (0.5, 0.25, 0.1)
             theorem_cross_check(ext, delta_values=deltas)
-            # one localization per point orbit and delta, and one AP probe
-            # of a nonzero function per point orbit
+            # one localization per point orbit and delta, one AP probe of a
+            # nonzero orbit per point orbit, and at most one of the zero orbit
             assert len(localizations) == len(point_orbits) * len(deltas)
-            assert sum(probes) == len(point_orbits)
+            assert sum(probes) == len(point_orbits) and len(probes) - sum(probes) <= 1
             # one point walk per point orbit, from its first point, and no
             # function walk but at most the zero function's
             assert point_walks == sorted(min(o) for o in point_orbits)
@@ -612,11 +607,13 @@ class TestSharedOrbits:
             assert function_walks in ([], [zero])
             # one traversal per walk
             assert len(traversals) == len(point_walks) + len(function_walks)
-            done = len(traversals), list(function_walks)
-            # a second cross-check walks nothing and traverses nothing
+            n_traversals, n_walks = len(traversals), len(function_walks)
+            # a second cross-check walks no point orbit, and walks and
+            # traverses at most the zero function once more
             point_walks.clear()
             theorem_cross_check(ext, delta_values=deltas)
-            assert point_walks == [] and (len(traversals), function_walks) == done
+            assert point_walks == [] and function_walks[n_walks:] in ([], [zero])
+            assert len(traversals) - n_traversals == len(function_walks) - n_walks
 
 
 class TestPointOrbits:
@@ -636,41 +633,61 @@ class TestPointOrbits:
         # at tol 3, 1 and 0 round alike, so every indicator is its own orbit
         for ext, tol in itertools.product(self.cases(), (TOL, 3.0)):
             n = ext.upstairs.size
-            ext._orbits.clear()
             orbits = relative._point_orbits(ext, tol)
             assert relative._point_orbits(ext, tol) is orbits  # kept
-            filed = dict(ext._orbits)
             covered = []
-            for trav, f, points in orbits:
+            for trav, points in orbits:
+                f = delta(n, points[0])
                 walked = orbit_functions(f, ext, tol)
                 assert np.nonzero(walked)[1].tolist() == points
-                assert f.tobytes() == walked[0].tobytes() == delta(n, points[0]).tobytes()
-                assert trav.M.stacks[0].tobytes() == ext.rel.encode(walked).stacks[0].tobytes()
-                covered += points
-            assert sorted(covered) == list(range(n))
-            assert [points[0] for _, _, points in orbits] == sorted(
-                points[0] for _, _, points in orbits
-            )
-            # every indicator's own traversal, filed under the same keys
-            ext._orbits.clear()
-            for x in range(n):
-                relative._traversal(delta(n, x), ext, tol)
-            assert filed.keys() == ext._orbits.keys()
-            for key, trav in filed.items():
-                ref = ext._orbits[key]
+                assert walked[0].tobytes() == f.tobytes()
+                # the traversal of the first point's indicator
+                ref = Traversal(orbit(f, ext, tol))
+                assert [s.tobytes() for s in trav.M.stacks] == [s.tobytes() for s in ref.M.stacks]
                 assert trav.order == ref.order
                 assert trav.radii.tobytes() == ref.radii.tobytes()
+                covered += points
+            assert sorted(covered) == list(range(n))
+            assert [points[0] for _, points in orbits] == sorted(
+                points[0] for _, points in orbits
+            )
+
+    def test_public_results_ignore_earlier_calls(self):
+        # after a cross-check, each public orbit call equals the same call on
+        # a freshly built copy of the extension, byte for byte
+        eps = (0.5, 0.25, 0.1)
+
+        def results(f, ext):
+            ap = is_conditionally_ap(f, ext, eps)
+            sb = generated_submodule(f, ext)
+            return (
+                ap.verdicts,
+                [[s.tobytes() for s in wit.stacks] for wit in ap.witnesses],
+                orbit_tob_verdict(f, ext),
+                [s.tobytes() for s in sb.vectors.stacks],
+                sb.ranks.tobytes(),
+            )
+
+        for ext in self.cases():
+            theorem_cross_check(ext)
+            n = ext.upstairs.size
+            for x in range(n):
+                fresh = Extension(
+                    ext.upstairs, ext.upstairs_gens, ext.downstairs,
+                    ext.downstairs_gens, ext.factor, ext.cap,
+                )
+                assert results(delta(n, x), ext) == results(delta(n, x), fresh)
 
     def test_same_cap_as_the_function_walk(self):
         for ext in self.cases():
             orbits = relative._point_orbits(ext, TOL)
-            largest = max(orbits, key=lambda o: len(o[2]))
-            size = len(largest[2])
+            points = max((points for _, points in orbits), key=len)
+            size, f = len(points), delta(ext.upstairs.size, points[0])
             # a new walk each time, not the kept orbits
             ext.cap = size
             ext._point_orbits.clear()
             assert len(relative._point_orbits(ext, TOL)) == len(orbits)
-            assert len(orbit_functions(largest[1], ext)) == size
+            assert len(orbit_functions(f, ext)) == size
             if size == 1:
                 continue
             ext.cap = size - 1
@@ -678,7 +695,7 @@ class TestPointOrbits:
             with pytest.raises(CapExceededError) as by_points:
                 relative._point_orbits(ext, TOL)
             with pytest.raises(CapExceededError) as by_function:
-                orbit_functions(largest[1], ext)
+                orbit_functions(f, ext)
             assert str(by_points.value) == str(by_function.value) == f"orbit exceeds cap {size - 1}"
 
     def test_svd_batches_equal_per_matrix_calls(self, monkeypatch):
@@ -702,15 +719,6 @@ class TestPointOrbits:
         # both kinds of batch ran, and some batched several matrices per call
         assert {uv for uv, _, _ in calls} == {True, False}
         assert any(shapes < mats for _, shapes, mats in calls)
-
-
-@dataclass(eq=False)
-class LiftedTraversal:
-    """A stand-in traversal: a set, a chain of radii and a recheck."""
-
-    M: object
-    radii: np.ndarray
-    recheck: object
 
 
 class TestSharedOrbitOracles:
@@ -752,14 +760,20 @@ class TestSharedOrbitOracles:
 
         monkeypatch.setattr(relative, "is_conditionally_ap", counted)
         # a finite orbit's chain ends at zero, so only a chain that does not
-        # converge leaves a delta with no threshold: file a copy of one
-        # orbit's traversal, its chain lifted by 1, under that orbit's keys
+        # converge leaves a delta with no threshold: lift by 1 the chain of
+        # every nonzero orbit of one extension, a single orbit of 6 points,
+        # in the traversals that the cross-check and the oracle both build
         lifted = rotation_extension(6, 3)
-        trav = relative._traversal(np.eye(6, dtype=complex)[0], lifted, TOL)
-        fake = LiftedTraversal(trav.M, trav.radii + 1.0, trav.recheck)
-        for key, hit in list(lifted._orbits.items()):
-            if hit is trav:
-                lifted._orbits[key] = fake
+
+        class LiftedTraversal(Traversal):
+            def __init__(self, M):
+                super().__init__(M)
+                if M.space is lifted.rel.space and any(s.any() for s in M.stacks):
+                    self.radii = self.radii + 1.0
+                    self.radii.flags.writeable = False
+
+        monkeypatch.setattr(relative, "Traversal", LiftedTraversal)
+        monkeypatch.setattr(oracles, "Traversal", LiftedTraversal)
         no_threshold = False
         for ext in [*self.cases(), lifted]:
             for deltas in ((0.25, 0.1), (0.5, 0.25, 0.1), (0.9,)):
