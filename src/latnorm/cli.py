@@ -294,7 +294,7 @@ def cmd_counterexample(args) -> int:
     if args.delta:
         demos = {}
         for delta in args.delta:
-            demo = egoroff_demo(n, delta, args.tol)
+            demo = egoroff_demo(n, delta)
             kept = demo.kept.mask
             demos[str(delta)] = {
                 "m": demo.m,
@@ -415,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--delta", type=_POSITIVE, action="append", default=None,
         help="also run the mass-budget localization at this delta",
     )
-    _add_common(p)
+    _add_common(p, tol=False)
     p.set_defaults(func=cmd_counterexample)
 
     p = sub.add_parser("selftest", help="run the named invariant suite")

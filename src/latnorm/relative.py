@@ -9,12 +9,12 @@ submodules grown from point indicators; on finite models the two always
 exhaust the whole function space, and the cross-check below verifies that
 the independent pipelines agree instead of assuming it.
 
-The public orbit routines walk and traverse the orbit they are given, so
-their results depend on their arguments alone. The Kronecker subspace and
-the cross-check visit each point orbit once, walked on point indices; the
-extension keeps its traversal per tol. A defect chain is one
-``(K, n_points)`` array, a traversal's read-only radii, and Egoroff
-localization reads it as it is.
+The orbit routines walk and traverse the orbit they are given, so their
+results depend on their arguments alone; orbits are deduplicated at
+``DEFAULT_TOL``. The Kronecker subspace walks each point orbit once on
+point indices and returns the traversals, which the cross-check reads. A
+defect chain is one ``(K, n_points)`` array, a traversal's read-only radii,
+and Egoroff localization reads it as it is.
 
 An invariant submodule is closed under band projections, so the Kronecker
 subspace is the direct sum of its fiber parts, one orthonormal block per
@@ -39,55 +39,43 @@ from .systems import Extension, RelModule, _generator_steps, _walk_orbit, embed_
 # orbits
 
 
-def orbit_functions(f, ext: Extension, tol: float = DEFAULT_TOL) -> np.ndarray:
+def orbit_functions(f, ext: Extension) -> np.ndarray:
     """Deduplicated images of f under the group of the upstairs generators.
 
     Walked breadth-first from f under the generators and their inverses
     (Schreier-graph orbit algorithm), so the cost is the orbit size, not the
     group order; ``ext.cap`` bounds the orbit size. Images whose entries
-    agree after rounding to multiples of tol count as one.
+    agree after rounding to multiples of ``DEFAULT_TOL`` count as one.
     """
     f = np.asarray(f, dtype=complex)
-    images = _walk_orbit(f, _generator_steps(ext.upstairs_gens), _rounding_key(tol), ext.cap)
+    images = _walk_orbit(f, _generator_steps(ext.upstairs_gens), _rounding_key, ext.cap)
     return np.array(images, dtype=complex)
 
 
-def _rounding_key(tol: float):
+def _rounding_key(g: np.ndarray) -> bytes:
     """The key under which ``orbit_functions`` counts two images as one."""
-    scale = max(tol, 1e-300)
-
-    def key(g):
-        return np.round(g.view(float) / scale).astype(np.int64).tobytes()
-
-    return key
+    return np.round(g.view(float) / DEFAULT_TOL).astype(np.int64).tobytes()
 
 
-def orbit(f, ext: Extension, tol: float = DEFAULT_TOL) -> FiniteSet:
+def orbit(f, ext: Extension) -> FiniteSet:
     """Orbit of f encoded into the fiberwise module of the extension."""
-    return ext.rel.encode(orbit_functions(f, ext, tol))
+    return ext.rel.encode(orbit_functions(f, ext))
 
 
-def _point_orbits(ext: Extension, tol: float) -> list[tuple]:
+def _point_orbits(ext: Extension) -> list[tuple]:
     """``(traversal, points)`` per point orbit, in order of the orbit's first
     point, with ``points`` in discovery order: the traversal of
-    ``orbit(e_x, ext, tol)`` for the indicator e_x of the first point x,
-    walked on point indices.
+    ``orbit(e_x, ext)`` for the indicator e_x of the first point x, walked
+    on point indices.
 
     The step s of ``orbit_functions`` sends the indicator of y to that of
     ``argsort(s)[y]``, so the point walk lists the points in the order in
-    which ``orbit_functions`` lists their indicators, under the same cap;
-    where 1 and 0 round alike at tol, each indicator is its own orbit. The
-    list is kept in ``ext._point_orbits``, so each point orbit is walked
-    once per extension and tol.
+    which ``orbit_functions`` lists their indicators, under the same cap.
     """
-    if tol in ext._point_orbits:
-        return ext._point_orbits[tol]
     n = ext.upstairs.size
-    key, unit = _rounding_key(tol), np.ones(1, dtype=complex)
     steps = []
-    if key(unit) != key(0 * unit):
-        for g in ext.upstairs_gens:  # the argsorts of the ``_generator_steps``
-            steps += [g.perm.tolist(), np.argsort(g.perm).tolist()]
+    for g in ext.upstairs_gens:  # the argsorts of the ``_generator_steps``
+        steps += [g.perm.tolist(), np.argsort(g.perm).tolist()]
     seen: set[int] = set()
     orbits = []
     for x in range(n):
@@ -97,7 +85,6 @@ def _point_orbits(ext: Extension, tol: float) -> list[tuple]:
             images = np.zeros((len(points), n), dtype=complex)
             images[np.arange(len(points)), points] = 1.0
             orbits.append((Traversal(ext.rel.encode(images)), points))
-    ext._point_orbits[tol] = orbits
     return orbits
 
 
@@ -119,24 +106,19 @@ class APReport:
         return all(self.verdicts)
 
 
-def is_conditionally_ap(
-    f,
-    ext: Extension,
-    eps_values: Sequence[float],
-    tol: float = DEFAULT_TOL,
-) -> APReport:
+def is_conditionally_ap(f, ext: Extension, eps_values: Sequence[float]) -> APReport:
     """Probe the orbit of f for uniform total order-boundedness at each eps.
 
     Every eps reads its witness off the one traversal of the orbit.
     """
     f = np.asarray(f, dtype=complex)
-    trav = Traversal(orbit(f, ext, tol))
-    return APReport(f, tuple(eps_values), *_ap_probe(trav, eps_values, tol))
+    trav = Traversal(orbit(f, ext))
+    return APReport(f, tuple(eps_values), *_ap_probe(trav, eps_values))
 
 
-def _ap_probe(trav: Traversal, eps_values: Sequence[float], tol: float) -> tuple:
+def _ap_probe(trav: Traversal, eps_values: Sequence[float]) -> tuple:
     """The verdict and witness at each eps of the orbit traversed by trav."""
-    reps = [is_utob(trav.M, eps, tol, traversal=trav) for eps in eps_values]
+    reps = [is_utob(trav.M, eps, traversal=trav) for eps in eps_values]
     return [bool(rep.verdict) for rep in reps], [rep.witness for rep in reps]
 
 
@@ -146,19 +128,19 @@ def defect_chain(M: FiniteSet) -> np.ndarray:
     return Traversal(M).radii
 
 
-def orbit_tob_verdict(f, ext: Extension, tol: float = DEFAULT_TOL) -> bool:
+def orbit_tob_verdict(f, ext: Extension) -> bool:
     """Pointwise (order) convergence of the orbit's defect chain to zero.
 
     Distinct from the uniform pipeline: this checks that the chain of
     defects over increasing witnesses is pointwise decreasing and ends at
     zero, with no uniformity requirement along the way.
     """
-    return _tob_verdict(defect_chain(orbit(f, ext, tol)), tol)
+    return _tob_verdict(defect_chain(orbit(f, ext)))
 
 
-def _tob_verdict(U: np.ndarray, tol: float) -> bool:
-    """Whether the chain U decreases pointwise, within tol, to zero."""
-    return bool(np.all(U[1:] <= U[:-1] + tol) and np.all(U[-1] <= tol))
+def _tob_verdict(U: np.ndarray) -> bool:
+    """Whether the chain U decreases pointwise, within ``DEFAULT_TOL``, to zero."""
+    return bool(np.all(U[1:] <= U[:-1] + DEFAULT_TOL) and np.all(U[-1] <= DEFAULT_TOL))
 
 
 # ---------------------------------------------------------------------------
@@ -189,23 +171,23 @@ class SubmoduleBasis:
         return FiniteSet(self.module.space, stacks, len(X))
 
 
-def generated_submodule(f, ext: Extension, tol: float = DEFAULT_TOL) -> SubmoduleBasis:
+def generated_submodule(f, ext: Extension) -> SubmoduleBasis:
     """Fiberwise orthonormalization of the module spanned by the orbit of f.
 
     Per fiber the orbit vectors are stacked and reduced by SVD; singular
-    values below tol times the fiber dimension times the largest singular
-    value are treated as rank defects. The cut is relative because orbit
-    points share a weight: a point holding a tiny share of its fiber's
-    weight still generates its line. The result is invariant under the
-    action because the orbit is.
+    values below ``DEFAULT_TOL`` times the fiber dimension times the
+    largest singular value are treated as rank defects. The cut is relative
+    because orbit points share a weight: a point holding a tiny share of its
+    fiber's weight still generates its line. The result is invariant under
+    the action because the orbit is.
     """
-    return _submodule(orbit(f, ext, tol), ext, tol)
+    return _submodule(orbit(f, ext), ext)
 
 
-def _submodule(orb: FiniteSet, ext: Extension, tol: float) -> SubmoduleBasis:
+def _submodule(orb: FiniteSet, ext: Extension) -> SubmoduleBasis:
     """``generated_submodule`` of the encoded orbit orb."""
     fiber_bases = [
-        vh[: int(np.sum(sv > tol * d * np.max(sv, initial=0.0)))]
+        vh[: int(np.sum(sv > DEFAULT_TOL * d * np.max(sv, initial=0.0)))]
         for (sv, vh), d in zip(_svd_by_shape(orb.stacks), orb.space.dims)
     ]
     ranks = np.array([len(b) for b in fiber_bases], dtype=int)
@@ -248,12 +230,14 @@ def projector(basis: np.ndarray) -> np.ndarray:
 class KroneckerReport:
     """One orthonormal ``(r_y, |fiber y|)`` row block per downstairs fiber,
     columns in ``fiber_points[y]`` order. Module and weighted coordinates
-    differ by one scalar per fiber, so the projector is the same in both."""
+    differ by one scalar per fiber, so the projector is the same in both.
+    ``orbits`` holds ``(traversal, points)`` per point orbit, as walked."""
 
     dim: int
     blocks: list[np.ndarray]
     fiber_points: list[np.ndarray]
     seed_ranks: list[int]
+    orbits: list[tuple]
 
     def projector(self) -> np.ndarray:
         """The block-diagonal ``(n_x, n_x)`` projector."""
@@ -264,7 +248,7 @@ class KroneckerReport:
         return P
 
 
-def kronecker_subspace(ext: Extension, tol: float = DEFAULT_TOL) -> KroneckerReport:
+def kronecker_subspace(ext: Extension) -> KroneckerReport:
     """Span of the invariant modules generated by every point indicator.
 
     One module per point orbit; per fiber, its basis rows (by orbit, then
@@ -275,8 +259,9 @@ def kronecker_subspace(ext: Extension, tol: float = DEFAULT_TOL) -> KroneckerRep
     """
     rows = [[] for _ in range(ext.downstairs.size)]
     seed_ranks = np.zeros(ext.upstairs.size, dtype=int)
-    for trav, xs in _point_orbits(ext, tol):
-        sb = _submodule(trav.M, ext, tol)
+    orbits = _point_orbits(ext)
+    for trav, xs in orbits:
+        sb = _submodule(trav.M, ext)
         for y, (s, r) in enumerate(zip(sb.vectors.stacks, sb.ranks)):
             rows[y].append(s[:r])
         seed_ranks[xs] = len(sb)
@@ -285,7 +270,7 @@ def kronecker_subspace(ext: Extension, tol: float = DEFAULT_TOL) -> KroneckerRep
         for sv, vh in _svd_by_shape([np.concatenate(r) for r in rows])
     ]
     dim = sum(map(len, blocks))
-    return KroneckerReport(dim, blocks, ext.rel.fiber_points, seed_ranks.tolist())
+    return KroneckerReport(dim, blocks, ext.rel.fiber_points, seed_ranks.tolist(), orbits)
 
 
 # ---------------------------------------------------------------------------
@@ -402,6 +387,13 @@ def theorem_cross_check(
     Each point orbit is visited once, with one AP probe, one TOB verdict and
     one localization per delta. The localized indicator ``1_kept * e_x`` is
     e_x over a kept point and the zero function, probed once, over a cut one.
+
+    An orbit's localization reads the chain of its first point's traversal,
+    so ``egoroff_thresholds`` holds the threshold of that one chain per
+    orbit. The traversal of the same orbit listed from another point can
+    reach it later, so a maximum over every indicator's own chain can read
+    higher (the 26th ``random_extension`` draw of ``default_rng(42)``, delta
+    0.5: 4 here, 5 from points 6 and 7).
     """
     n_x = ext.upstairs.size
     kron = kronecker_subspace(ext)
@@ -412,12 +404,12 @@ def theorem_cross_check(
     eps_ref = min(eps_values)
     thresholds: dict[float, int | None] = {d: 0 for d in delta_values}
     cut = False  # whether a localization cut a point
-    for trav, xs in _point_orbits(ext, DEFAULT_TOL):
-        verdicts, witnesses = _ap_probe(trav, eps_values, DEFAULT_TOL)
+    for trav, xs in kron.orbits:
+        verdicts, witnesses = _ap_probe(trav, eps_values)
         passes = all(verdicts)
         ap_ok[xs] = passes
         ap_sizes[xs] = [len(wit) for wit in witnesses]
-        tob_ok[xs] = _tob_verdict(trav.radii, DEFAULT_TOL)
+        tob_ok[xs] = _tob_verdict(trav.radii)
         for delta in delta_values:
             loc = egoroff_localize(
                 trav.radii, ext.downstairs.weights, delta, eps_values=[eps_ref]

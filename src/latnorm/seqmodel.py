@@ -137,7 +137,7 @@ class EgoroffDemo:
     defect_value: StoneElement
 
 
-def egoroff_demo(n: int, delta: float, tol: float = DEFAULT_TOL) -> EgoroffDemo:
+def egoroff_demo(n: int, delta: float) -> EgoroffDemo:
     """Cut the model down to a prefix whose complement mass fits the budget.
 
     Keeps A = {1..m} for the smallest m with 2^{-m} <= delta; the cut probe

@@ -37,8 +37,9 @@ class PointSet:
         return len(self.labels)
 
     @staticmethod
-    def of_size(n: int, prefix: str = "w") -> "PointSet":
-        return PointSet(tuple(f"{prefix}{i}" for i in range(n)))
+    def of_size(n: int) -> "PointSet":
+        """The points ``w0, ..., w{n-1}``."""
+        return PointSet(tuple(f"w{i}" for i in range(n)))
 
 
 def _check_base(a, b):
@@ -259,30 +260,24 @@ class PartitionOfUnity:
         return self.parts[0].base
 
 
-def exhaustion(
-    cover: Sequence[Idempotent], priority: Sequence[int] | None = None
-) -> PartitionOfUnity:
+def exhaustion(cover: Sequence[Idempotent]) -> PartitionOfUnity:
     """Disjointify a covering family of idempotents.
 
     Each point is assigned to the first idempotent that covers it, scanning
-    the family in ``priority`` order (list order by default). The result is a
-    partition of unity with part i below cover i.
+    the family in list order. The result is a partition of unity with part
+    i below cover i.
     """
     cover = list(cover)
     if not cover:
         raise IncompleteCoverError("empty cover")
     base = cover[0].base
-    order = list(priority) if priority is not None else list(range(len(cover)))
-    if sorted(order) != list(range(len(cover))):
-        raise ValueError("priority must be a permutation of the cover indices")
     assigned = np.zeros(base.size, dtype=bool)
-    masks = [np.zeros(base.size, dtype=bool) for _ in cover]
-    for i in order:
-        p = cover[i]
+    masks = []
+    for p in cover:
         if p.base != base:
             raise DimensionMismatchError("cover elements on different point sets")
         take = p.mask & ~assigned
-        masks[i] = take
+        masks.append(take)
         assigned |= take
     if not np.all(assigned):
         bad = [base.labels[i] for i in np.nonzero(~assigned)[0]]

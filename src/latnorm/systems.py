@@ -30,7 +30,7 @@ class FiniteProbabilitySpace:
 
     __slots__ = ("labels", "weights")
 
-    def __init__(self, labels, weights, tol: float = DEFAULT_TOL):
+    def __init__(self, labels, weights):
         labels = tuple(str(l) for l in labels)
         weights = np.asarray(weights, dtype=float)
         if weights.shape != (len(labels),):
@@ -39,7 +39,7 @@ class FiniteProbabilitySpace:
             raise ValueError("point labels must be distinct")
         if np.any(weights <= 0):
             raise ValueError("weights must be strictly positive")
-        if abs(float(np.sum(weights)) - 1.0) > max(tol, 1e-9):
+        if abs(float(np.sum(weights)) - 1.0) > DEFAULT_TOL:
             raise ValueError(f"weights sum to {float(np.sum(weights))}, not 1")
         self.labels = labels
         self.weights = weights
@@ -213,8 +213,6 @@ class Extension:
         # the last report of validate_extension at DEFAULT_TOL, which
         # RelModule reads rather than validating again
         self._validation = None
-        # the relative layer's point orbits per tol, (traversal, points) each
-        self._point_orbits = {}
 
     @property
     def rel(self) -> "RelModule":

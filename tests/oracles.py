@@ -92,16 +92,17 @@ def frontier_group_closure(gens, cap=10**5):
     return tuple(closure)
 
 
-def closure_orbit_functions(f, ext, tol=1e-9):
+def closure_orbit_functions(f, ext):
     """Orbit of f by walking the whole group closure of the frontier oracle:
     the Koopman image ``g[t] = f`` under every element t in closure order,
-    deduplicated by rounded key (the first image of each key is kept)."""
+    deduplicated by key rounded at ``DEFAULT_TOL`` (the first image of each
+    key is kept)."""
     f = np.asarray(f, dtype=complex)
     seen = {}
     for t in frontier_group_closure(ext.upstairs_gens, ext.cap):
         g = np.empty_like(f)
         g[list(t)] = f
-        key = np.round(g.view(float) / max(tol, 1e-300)).astype(np.int64).tobytes()
+        key = np.round(g.view(float) / DEFAULT_TOL).astype(np.int64).tobytes()
         if key not in seen:
             seen[key] = g
     return np.array(list(seen.values()), dtype=complex)
@@ -176,16 +177,16 @@ def indicator(n, x0):
     return f
 
 
-def per_indicator_submodule(f, ext, tol=1e-9):
+def per_indicator_submodule(f, ext):
     """Generated module of f from its own orbit walk: per fiber, the SVD of
-    the encoded orbit, rows with singular values above tol times the fiber
-    dimension, zero-padded to the largest fiber rank. Returns the padded
-    ``FiniteSet`` of basis vectors."""
-    orb = orbit(f, ext, tol)
+    the encoded orbit, rows with singular values above ``DEFAULT_TOL`` times
+    the fiber dimension, zero-padded to the largest fiber rank. Returns the
+    padded ``FiniteSet`` of basis vectors."""
+    orb = orbit(f, ext)
     fiber_bases = []
     for stack, d in zip(orb.stacks, orb.space.dims):
         _, sv, vh = np.linalg.svd(stack, full_matrices=False)
-        fiber_bases.append(vh[: int(np.sum(sv > tol * d))])
+        fiber_bases.append(vh[: int(np.sum(sv > DEFAULT_TOL * d))])
     n_basis = max(len(b) for b in fiber_bases)
     stacks = []
     for b, d in zip(fiber_bases, orb.space.dims):
@@ -263,7 +264,7 @@ def _kronecker_report(rows, seed_ranks, ext):
     return DenseKronecker(basis.shape[0], basis, seed_ranks)
 
 
-def per_cut_kronecker_subspace(ext, tol=1e-9):
+def per_cut_kronecker_subspace(ext):
     """Kronecker subspace from one generated module per point orbit: the
     module of the first indicator of each orbit (orbits found by their own
     walks), decoded and cut one element at a time."""
@@ -274,34 +275,34 @@ def per_cut_kronecker_subspace(ext, tol=1e-9):
         if orbit_of[x0] is not None:
             continue
         f = indicator(n_x, x0)
-        for x in np.nonzero(orbit_functions(f, ext, tol))[1]:
+        for x in np.nonzero(orbit_functions(f, ext))[1]:
             orbit_of[x] = len(modules)
-        modules.append(per_indicator_submodule(f, ext, tol))
+        modules.append(per_indicator_submodule(f, ext))
         rows += _cut_rows(modules[-1], ext)
     return _kronecker_report(rows, [len(modules[k]) for k in orbit_of], ext)
 
 
-def per_indicator_kronecker_subspace(ext, tol=1e-9):
+def per_indicator_kronecker_subspace(ext):
     """Kronecker subspace with every indicator's orbit walked and its module
     built on its own, all of their cuts stacked."""
     n_x = ext.upstairs.size
     rows, seed_ranks = [], []
     for x0 in range(n_x):
-        vectors = per_indicator_submodule(indicator(n_x, x0), ext, tol)
+        vectors = per_indicator_submodule(indicator(n_x, x0), ext)
         seed_ranks.append(len(vectors))
         rows += _cut_rows(vectors, ext)
     return _kronecker_report(rows, seed_ranks, ext)
 
 
-def per_indicator_ap(ext, eps_values, tol=1e-9):
+def per_indicator_ap(ext, eps_values):
     """AP verdicts and witness sizes per indicator, each from its own orbit
     walk and its own ``Traversal``."""
     n_x = ext.upstairs.size
     verdicts, sizes = [], []
     for x0 in range(n_x):
-        M = orbit(indicator(n_x, x0), ext, tol)
+        M = orbit(indicator(n_x, x0), ext)
         trav = Traversal(M)
-        reps = [is_utob(M, eps, tol, traversal=trav) for eps in eps_values]
+        reps = [is_utob(M, eps, DEFAULT_TOL, traversal=trav) for eps in eps_values]
         verdicts.append(all(bool(r.verdict) for r in reps))
         sizes.append([len(r.witness) for r in reps])
     return verdicts, sizes
@@ -331,8 +332,8 @@ def per_indicator_cross_check(ext, eps_values=(0.5, 0.25), delta_values=(0.25, 0
             tob_members.append(f)
         # every point of an orbit localizes by the orbit's chain listed from
         # its first point, whose indicator's traversal the cross-check keeps
-        first = int(np.nonzero(orbit_functions(f, ext, DEFAULT_TOL))[1].min())
-        trav = Traversal(orbit(indicator(n_x, first), ext, DEFAULT_TOL))
+        first = int(np.nonzero(orbit_functions(f, ext))[1].min())
+        trav = Traversal(orbit(indicator(n_x, first), ext))
         for delta in delta_values:
             loc = egoroff_localize(
                 trav.radii, ext.downstairs.weights, delta, eps_values=[eps_ref]

@@ -85,7 +85,7 @@ REPORTS = {
     },
     "counterexample": {
         **_ENVELOPE,
-        "config": _config("n", "delta?", "tol"),
+        "config": _config("n", "delta?"),
         "n": None,
         "set_size": None,
         "defect_table": None,

@@ -260,7 +260,7 @@ def test_ac8_egoroff_localization():
     t0 = time.perf_counter()
     n = 16
     for delta in (0.25, 0.05):
-        demo = egoroff_demo(n, delta, TOL)
+        demo = egoroff_demo(n, delta)
         assert 2.0 ** -demo.m <= delta + 1e-15
         kept = demo.kept.mask
         assert kept[: demo.m].all() and not kept[demo.m :].any()

@@ -298,7 +298,7 @@ class TestCommands:
             (["analyze", "{ext}", "--tol", "-1"], "argument --tol: '-1' is not nonnegative"),
             (["tob", "{sets}", "--tol", "-1"], "argument --tol: '-1' is not nonnegative"),
             (["cyclic", "{sets}", "--tol", "-1"], "argument --tol: '-1' is not nonnegative"),
-            (["counterexample", "--n", "4", "--tol", "-0.5"], "argument --tol: '-0.5' is not nonnegative"),
+            (["counterexample", "--n", "4", "--tol", "1e-9"], "unrecognized arguments: --tol"),
         ],
     )
     def test_bad_option_values_exit_2(self, ext_doc, sets_doc, argv, message, capsys):

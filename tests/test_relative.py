@@ -1,5 +1,5 @@
-import itertools
 import json
+import pickle
 import sys
 from dataclasses import asdict
 
@@ -266,7 +266,7 @@ class TestKronecker:
                 a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
                 blocks.append(np.linalg.qr(a)[0][:, :r].T)
             kr = relative.KroneckerReport(
-                sum(len(B) for B in blocks), blocks, fiber_points, []
+                sum(len(B) for B in blocks), blocks, fiber_points, [], []
             )
             dense = np.zeros((kr.dim, n_x), dtype=complex)
             row = 0
@@ -470,7 +470,7 @@ def test_egoroff_localize_equals_per_link_oracle():
 def test_orbit_tob_verdict_equals_per_link_oracle():
     verdicts = set()
     for chain, _, _ in random_chains(32):
-        got = relative._tob_verdict(chain, TOL)
+        got = relative._tob_verdict(chain)
         assert got == per_link_orbit_tob_verdict(elements(chain))
         verdicts.add(got)
     assert verdicts == {True, False}
@@ -491,7 +491,7 @@ def test_egoroff_rejects_misshapen_chains():
 
 def test_traversal_radii_are_read_only():
     ext = rotation_extension(4, 2)
-    trav = relative._point_orbits(ext, TOL)[0][0]
+    trav = kronecker_subspace(ext).orbits[0][0]
     with pytest.raises(ValueError):
         trav.radii += 1.0
     assert orbit_tob_verdict(np.eye(ext.upstairs.size, dtype=complex)[1], ext)
@@ -607,13 +607,15 @@ class TestSharedOrbits:
             assert function_walks in ([], [zero])
             # one traversal per walk
             assert len(traversals) == len(point_walks) + len(function_walks)
-            n_traversals, n_walks = len(traversals), len(function_walks)
-            # a second cross-check walks no point orbit, and walks and
-            # traverses at most the zero function once more
+            # a second cross-check keeps nothing from the first: it repeats
+            # exactly the same walks and traversals
+            first = [list(log) for log in (point_walks, function_walks)]
+            n_traversals = len(traversals)
             point_walks.clear()
+            function_walks.clear()
             theorem_cross_check(ext, delta_values=deltas)
-            assert point_walks == [] and function_walks[n_walks:] in ([], [zero])
-            assert len(traversals) - n_traversals == len(function_walks) - n_walks
+            assert [point_walks, function_walks] == first
+            assert len(traversals) == 2 * n_traversals
 
 
 class TestPointOrbits:
@@ -630,19 +632,17 @@ class TestPointOrbits:
             yield symmetric_extension(k, q)
 
     def test_walks_and_files_as_the_indicators_do(self):
-        # at tol 3, 1 and 0 round alike, so every indicator is its own orbit
-        for ext, tol in itertools.product(self.cases(), (TOL, 3.0)):
+        for ext in self.cases():
             n = ext.upstairs.size
-            orbits = relative._point_orbits(ext, tol)
-            assert relative._point_orbits(ext, tol) is orbits  # kept
+            orbits = relative._point_orbits(ext)
             covered = []
             for trav, points in orbits:
                 f = delta(n, points[0])
-                walked = orbit_functions(f, ext, tol)
+                walked = orbit_functions(f, ext)
                 assert np.nonzero(walked)[1].tolist() == points
                 assert walked[0].tobytes() == f.tobytes()
                 # the traversal of the first point's indicator
-                ref = Traversal(orbit(f, ext, tol))
+                ref = Traversal(orbit(f, ext))
                 assert [s.tobytes() for s in trav.M.stacks] == [s.tobytes() for s in ref.M.stacks]
                 assert trav.order == ref.order
                 assert trav.radii.tobytes() == ref.radii.tobytes()
@@ -678,22 +678,32 @@ class TestPointOrbits:
                 )
                 assert results(delta(n, x), ext) == results(delta(n, x), fresh)
 
+    def test_no_orbit_state_is_left_behind(self):
+        # the analyses leave the module and the validation report on the
+        # extension, and nothing else: every other attribute is the object
+        # it was and pickles to the same bytes
+        for ext in self.cases():
+            before = {k: (v, pickle.dumps(v)) for k, v in vars(ext).items()}
+            kronecker_subspace(ext)
+            theorem_cross_check(ext)
+            assert set(vars(ext)) == set(before)
+            for k, (obj, dumped) in before.items():
+                if k not in ("_rel", "_validation"):
+                    assert vars(ext)[k] is obj and pickle.dumps(obj) == dumped, k
+
     def test_same_cap_as_the_function_walk(self):
         for ext in self.cases():
-            orbits = relative._point_orbits(ext, TOL)
+            orbits = relative._point_orbits(ext)
             points = max((points for _, points in orbits), key=len)
             size, f = len(points), delta(ext.upstairs.size, points[0])
-            # a new walk each time, not the kept orbits
             ext.cap = size
-            ext._point_orbits.clear()
-            assert len(relative._point_orbits(ext, TOL)) == len(orbits)
+            assert len(relative._point_orbits(ext)) == len(orbits)
             assert len(orbit_functions(f, ext)) == size
             if size == 1:
                 continue
             ext.cap = size - 1
-            ext._point_orbits.clear()
             with pytest.raises(CapExceededError) as by_points:
-                relative._point_orbits(ext, TOL)
+                relative._point_orbits(ext)
             with pytest.raises(CapExceededError) as by_function:
                 orbit_functions(f, ext)
             assert str(by_points.value) == str(by_function.value) == f"orbit exceeds cap {size - 1}"

@@ -86,11 +86,12 @@ class TestExhaustion:
         assert part[1].mask.tolist() == [False, False, True]
 
     def test_priority_reorders(self):
+        # the cover listed in the other order: the first listed takes the overlap
         ps = PointSet.of_size(3)
-        cover = [Idempotent(ps, [1, 1, 0]), Idempotent(ps, [0, 1, 1])]
-        part = exhaustion(cover, priority=[1, 0])
-        assert part[0].mask.tolist() == [True, False, False]
-        assert part[1].mask.tolist() == [False, True, True]
+        cover = [Idempotent(ps, [0, 1, 1]), Idempotent(ps, [1, 1, 0])]
+        part = exhaustion(cover)
+        assert part[0].mask.tolist() == [False, True, True]
+        assert part[1].mask.tolist() == [True, False, False]
 
     def test_incomplete_cover(self):
         ps = PointSet.of_size(2)
