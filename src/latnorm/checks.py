@@ -661,8 +661,9 @@ def check_seq_counterexample(rng):
             i, n0 = verify_not_utob(big, F)
             assert n0 > d
     demo_prev = 0
+    model = build_counterexample(n)
     for delta in (0.5, 0.25, 0.1, 0.05):
-        demo = egoroff_demo(n, delta)
+        demo = egoroff_demo(model, delta)
         assert demo.m >= demo_prev, "shrinking budget must grow the prefix"
         demo_prev = demo.m
         assert 2.0**-demo.m <= delta + 1e-15

@@ -255,8 +255,10 @@ def cmd_cyclic(args) -> int:
     r = args.radius if args.radius is not None else M.norm_sup().sup_norm() + args.tol
     results = {}
     ok_all = True
+    # one traversal serves every eps: the default radius's ball holds M
+    traversal = Traversal(M) if args.radius is None else None
     for eps in args.eps:
-        w = cyclic_witness(M, eps, r, args.tol)
+        w = cyclic_witness(M, eps, r, args.tol, traversal)
         ok = verify_cyclic(M, eps, w, args.tol)
         ok_all = ok_all and ok
         parts = [
@@ -277,7 +279,8 @@ def cmd_cyclic(args) -> int:
 
 def cmd_counterexample(args) -> int:
     n = args.n
-    _, M, F_n = build_counterexample(n)
+    model = build_counterexample(n)
+    _, M, F_n = model
     # F_m is the first m + 1 elements of F_n, so column m - 1 is row m
     table = prefix_defects(M, F_n)[1:].T
     labels = [str(k) for k in range(1, n + 1)] + ["tail"]
@@ -294,7 +297,7 @@ def cmd_counterexample(args) -> int:
     if args.delta:
         demos = {}
         for delta in args.delta:
-            demo = egoroff_demo(n, delta)
+            demo = egoroff_demo(model, delta)
             kept = demo.kept.mask
             demos[str(delta)] = {
                 "m": demo.m,

@@ -190,11 +190,23 @@ def _pair_dist(stack_a: np.ndarray, stack_b: np.ndarray) -> np.ndarray:
     lose ~1e-8 of absolute accuracy near zero, which the exact-coincidence
     checks cannot afford. Chunks of 2**16 differences keep the temporaries in
     cache, without which a traversal's |M| x |M| tables are memory-bound.
+    A stack of more than 48 rows paired with itself is computed by blocks of
+    at most 32 rows, each from its own first row on and mirrored below it:
+    |a - b| and |b - a| are one float, so each unordered pair is computed
+    once. On fewer rows the blocks cost more than they save.
     """
     n_a, d = stack_a.shape
     n_b = stack_b.shape[0]
     out = np.empty((n_a, n_b))
     chunk = max(1, (1 << 16) // max(n_b * max(d, 1), 1))
+    if stack_a is stack_b and n_a > 48:
+        rows = min(chunk, 32)
+        for i0 in range(0, n_a, rows):
+            i1 = min(i0 + rows, n_a)
+            block = _dist(stack_a[i0:i1, None, :] - stack_a[None, i0:, :])
+            out[i0:i1, i0:] = block
+            out[i1:, i0:i1] = block[:, i1 - i0 :].T
+        return out
     for i0 in range(0, n_a, chunk):
         out[i0 : i0 + chunk] = _dist(
             stack_a[i0 : i0 + chunk, None, :] - stack_b[None, :, :]
@@ -202,11 +214,29 @@ def _pair_dist(stack_a: np.ndarray, stack_b: np.ndarray) -> np.ndarray:
     return out
 
 
+_SCAN = 1 << 13  # differences below which ``_row_dist`` compares every row
+
+
+def _row_dist(s: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray | slice]:
+    """The ``_pair_dist`` table from the rows of s to the rows of t, with the
+    rows of s that are exactly zero (-0.0 entries included) sharing one row
+    of the table: their distances are the norms ``_dist(t)`` bit for bit,
+    since 0 - y is -y or a signed zero. Returns the table and the table row
+    of each row of s. Below ``_SCAN`` differences the search for zero rows
+    costs more than it saves, and every row is compared."""
+    if s.size * len(t) < _SCAN or (live := s.any(axis=1)).all():
+        return _pair_dist(s, t), slice(None)
+    table = np.concatenate([_pair_dist(s[live], t), _dist(t)[None]])
+    return table, np.where(live, np.cumsum(live) - 1, len(table) - 1)
+
+
 def defect(M: FiniteSet, F: FiniteSet) -> DefectReport:
     """Pointwise worst-case distance from M to its nearest candidate in F.
 
-    Against a ``GridNet`` (a ``heine_borel_net``) only the rows that can be
-    nearest are compared; value and argmin equal the dense computation.
+    On tables large enough (``_row_dist``) only the rows of M that are
+    nonzero at a point are compared there, and against a ``GridNet`` (a
+    ``heine_borel_net``) only the net rows that can be nearest; value and
+    argmin equal the dense computation.
     """
     _check_space(M, F)
     if len(M) == 0 or len(F) == 0:
@@ -218,8 +248,8 @@ def defect(M: FiniteSet, F: FiniteSet) -> DefectReport:
         if isinstance(F, GridNet):
             mins, argmin[:, w] = F.nearest(w, M.stacks[w])
         else:
-            dist = _pair_dist(M.stacks[w], F.stacks[w])
-            mins, argmin[:, w] = np.min(dist, axis=1), np.argmin(dist, axis=1)
+            dist, rows = _row_dist(M.stacks[w], F.stacks[w])
+            mins, argmin[:, w] = np.min(dist, axis=1)[rows], np.argmin(dist, axis=1)[rows]
         value[w] = float(np.max(mins))
     return DefectReport(StoneElement(M.space.base, value), F, argmin)
 
@@ -234,7 +264,7 @@ def prefix_defects(M: FiniteSet, F: FiniteSet) -> np.ndarray:
         raise ValueError("defect requires nonempty M and F")
     out = np.empty((len(F), M.space.n_points))
     for w in range(M.space.n_points):
-        dist = _pair_dist(M.stacks[w], F.stacks[w])
+        dist, _ = _row_dist(M.stacks[w], F.stacks[w])
         out[:, w] = np.minimum.accumulate(dist, axis=1).max(axis=0)
     return out
 

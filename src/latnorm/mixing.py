@@ -20,7 +20,7 @@ import numpy as np
 from .errors import ConstructionError, DimensionMismatchError
 from .stone import DEFAULT_TOL, Idempotent, PartitionOfUnity
 from .fibered import (
-    FiniteSet, _pair_dist, defect, greedy_order, prefix_defects,
+    FiniteSet, Traversal, _pair_dist, defect, greedy_order, prefix_defects,
     truncate_to_ball,
 )
 
@@ -93,7 +93,11 @@ class CyclicWitness:
 
 
 def cyclic_witness(
-    M: FiniteSet, eps: float, r: float, tol: float = DEFAULT_TOL
+    M: FiniteSet,
+    eps: float,
+    r: float,
+    tol: float = DEFAULT_TOL,
+    traversal: Traversal | None = None,
 ) -> CyclicWitness:
     """Constructive cyclic-compactness witness for a finite set.
 
@@ -103,16 +107,30 @@ def cyclic_witness(
     point to the smallest candidate already eps-covering it there, and the
     candidates are glued along that partition, one part per candidate size
     that some point uses.
+
+    When truncation leaves M as it is (it may change signs of zeros, which
+    no distance sees), a ``Traversal`` of M (``traversal``, shared across
+    eps, or a new one) gives the prefixes and their covers; otherwise the
+    truncated set is traversed and M's defect against each of its prefixes
+    is computed.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
     if len(M) == 0:
         raise ValueError("cyclic witness needs a nonempty set")
+    if traversal is not None and traversal.M is not M:
+        raise ValueError("the traversal belongs to another set")
     truncated = truncate_to_ball(M, r, tol)
-    order = greedy_order(truncated)
+    if all(np.array_equal(a, b) for a, b in zip(truncated.stacks, M.stacks)):
+        if traversal is None:
+            traversal = Traversal(M)
+        order, radii = traversal.order, traversal.radii
+    else:
+        order = greedy_order(truncated)
+        radii = prefix_defects(M, truncated.subset(order))
     # covered[n-1] is where the size-n prefix reaches defect <= eps; the
     # covers only grow with n, so a point's first cover is its first true row
-    covered = prefix_defects(M, truncated.subset(order)) <= eps + tol
+    covered = radii <= eps + tol
     if not covered[-1].all():
         raise ConstructionError(
             f"no candidate of size <= {len(M)} reaches defect <= {eps} "

@@ -290,7 +290,6 @@ def egoroff_localize(
     weights: np.ndarray,
     delta: float,
     eps_values: Sequence[float] = (0.5, 0.25, 0.1, 0.05),
-    tol: float = DEFAULT_TOL,
 ) -> EgoroffReport:
     """Trade a mass budget for uniform convergence of a decreasing chain.
 
@@ -298,9 +297,10 @@ def egoroff_localize(
     pointwise (defects against increasing witness sets do). Points are
     ranked by how slowly their values decay (late values first, ties toward
     the larger index) and greedily removed while the removed mass stays
-    within delta; points whose whole profile is already below tol are never
-    spent on. Thresholds report, per epsilon, the first chain index that is
-    uniformly below epsilon on the kept set, whose mask is ``kept``.
+    within delta; points whose whole profile is already below ``DEFAULT_TOL``
+    (1e-9, the tolerance of every comparison here) are never spent on.
+    Thresholds report, per epsilon, the first chain index that is uniformly
+    below epsilon on the kept set, whose mask is ``kept``.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
@@ -308,10 +308,10 @@ def egoroff_localize(
     weights = np.asarray(weights, dtype=float)
     if U.ndim != 2 or len(U) == 0 or U.shape[1:] != weights.shape:
         raise ValueError("need a nonempty (K, n_points) chain and one weight per point")
-    if not np.all(U[1:] <= U[:-1] + tol):
+    if not np.all(U[1:] <= U[:-1] + DEFAULT_TOL):
         raise ValueError("chain is not pointwise decreasing")
     slow_order = np.lexsort(tuple(U))[::-1]  # last chain element is primary
-    slow_order = slow_order[~np.all(U[:, slow_order] <= tol, axis=0)]
+    slow_order = slow_order[~np.all(U[:, slow_order] <= DEFAULT_TOL, axis=0)]
     removed = []
     removed_mass = 0.0
     for idx in slow_order.tolist():
@@ -322,7 +322,7 @@ def egoroff_localize(
     kept[removed] = False
     thresholds: dict[float, int | None] = {}
     for eps in eps_values:
-        below = np.all(U[:, kept] <= eps + tol, axis=1)
+        below = np.all(U[:, kept] <= eps + DEFAULT_TOL, axis=1)
         thresholds[eps] = int(below.argmax()) + 1 if below.any() else None
     return EgoroffReport(kept, sorted(removed), removed_mass, thresholds)
 
@@ -455,7 +455,6 @@ def ap_closure_properties(
     g,
     h,
     eps: float,
-    tol: float = DEFAULT_TOL,
 ) -> dict[str, bool]:
     """Verify closure of the almost periodic part under the module structure.
 
@@ -463,17 +462,20 @@ def ap_closure_properties(
     f+g is approximated by sums of the two witnesses at 2*eps, the module
     product (lifted h times f) by coefficient multiples of f's witness at
     eps * max|h|, and conjugate/modulus by the transformed witness at eps.
+    Witnesses are found at ``DEFAULT_TOL`` and each law holds within
+    10 * ``DEFAULT_TOL``.
     """
+    slack = 10 * DEFAULT_TOL
     f = np.asarray(f, dtype=complex)
     g = np.asarray(g, dtype=complex)
     h = np.asarray(h, dtype=complex)
-    wit_f = is_utob(orbit(f, ext), eps, tol).witness
-    wit_g = is_utob(orbit(g, ext), eps, tol).witness
+    wit_f = is_utob(orbit(f, ext), eps).witness
+    wit_g = is_utob(orbit(g, ext), eps).witness
     space = wit_f.space
 
     out = {}
     sum_orbit = orbit(f + g, ext)
-    out["sum"] = defect(sum_orbit, set_sum(wit_f, wit_g)).value.le(2 * eps, 10 * tol)
+    out["sum"] = defect(sum_orbit, set_sum(wit_f, wit_g)).value.le(2 * eps, slack)
 
     # every coefficient of h's orbit times every element of f's witness,
     # coefficient-major
@@ -489,15 +491,15 @@ def ap_closure_properties(
     )
     mod_orbit = orbit(embed_J(h, ext) * f, ext)
     bound = eps * float(np.max(np.abs(h)))
-    out["module_action"] = defect(mod_orbit, wit_mod).value.le(bound, 10 * tol)
+    out["module_action"] = defect(mod_orbit, wit_mod).value.le(bound, slack)
 
     conj_orbit = orbit(np.conj(f), ext)
     wit_conj = FiniteSet(space, [np.conj(s) for s in wit_f.stacks], len(wit_f))
-    out["conjugation"] = defect(conj_orbit, wit_conj).value.le(eps, 10 * tol)
+    out["conjugation"] = defect(conj_orbit, wit_conj).value.le(eps, slack)
 
     abs_orbit = orbit(np.abs(f).astype(complex), ext)
     wit_abs = FiniteSet(
         space, [np.abs(s).astype(complex) for s in wit_f.stacks], len(wit_f)
     )
-    out["modulus"] = defect(abs_orbit, wit_abs).value.le(eps, 10 * tol)
+    out["modulus"] = defect(abs_orbit, wit_abs).value.le(eps, slack)
     return out

@@ -137,17 +137,23 @@ class EgoroffDemo:
     defect_value: StoneElement
 
 
-def egoroff_demo(n: int, delta: float) -> EgoroffDemo:
-    """Cut the model down to a prefix whose complement mass fits the budget.
+def egoroff_demo(
+    model: tuple[TruncatedSeqSpace, FiniteSet, FiniteSet], delta: float
+) -> EgoroffDemo:
+    """Cut the model ``build_counterexample(n)`` down to a prefix whose
+    complement mass fits the budget.
 
     Keeps A = {1..m} for the smallest m with 2^{-m} <= delta; the cut probe
     set 1_A M is then uniformly totally order-bounded at every level, with
     witness 1_A F_m of defect zero. Budgets below the tail mass 2^{-n} are
-    not representable at this truncation.
+    not representable at this truncation. The cut set shares M's stacks on
+    A and takes fresh zeros elsewhere, which equal ``kept * M`` bit for bit
+    (M's entries are +0.0 and 1.0) without writing a copy of the model.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
-    space, M, F_n = build_counterexample(n)
+    space, M, F_n = model
+    n = space.n
     m = 0
     while 2.0 ** -m > delta:
         m += 1
@@ -162,7 +168,8 @@ def egoroff_demo(n: int, delta: float) -> EgoroffDemo:
     kept = Idempotent(base, mask)
     removed_mass = float(np.sum(space.weights()[~mask]))
 
-    masked_set = kept * M
+    stacks = [s if keep else np.zeros(s.shape, dtype=complex) for s, keep in zip(M.stacks, mask)]
+    masked_set = FiniteSet(M.space, stacks, len(M))
     witness = kept * F_n.subset(range(m + 1))
     value = defect(masked_set, witness).value
     return EgoroffDemo(m, kept, removed_mass, masked_set, witness, value)

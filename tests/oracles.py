@@ -22,6 +22,7 @@ from latnorm import (
     orbit_functions,
     truncate_to_ball,
 )
+from latnorm.fibered import _pair_dist
 from latnorm.fixtures import random_extension, rotation_extension, symmetric_extension
 from latnorm.relative import (
     CrossCheckReport,
@@ -403,6 +404,29 @@ def brute_force_greedy_order(M):
         scores[order] = -1.0
         order.append(int(np.argmax(scores)))
     return order
+
+
+def dense_defect(M, F):
+    """``defect`` with every row of M compared with every row of F at every
+    point: one whole ``_pair_dist`` table per fiber, its row minima and
+    first argmins, and their max. Returns ``(value, argmin)`` arrays."""
+    value = np.empty(M.space.n_points)
+    argmin = np.empty((len(M), M.space.n_points), dtype=int)
+    for w in range(M.space.n_points):
+        dist = _pair_dist(M.stacks[w], F.stacks[w])
+        argmin[:, w] = np.argmin(dist, axis=1)
+        value[w] = float(np.max(np.min(dist, axis=1)))
+    return value, argmin
+
+
+def dense_prefix_defects(M, F):
+    """``prefix_defects`` from whole ``_pair_dist`` tables: per point, the
+    running minimum of every row of M along F, then the max over M."""
+    out = np.empty((len(F), M.space.n_points))
+    for w in range(M.space.n_points):
+        dist = _pair_dist(M.stacks[w], F.stacks[w])
+        out[:, w] = np.minimum.accumulate(dist, axis=1).max(axis=0)
+    return out
 
 
 def brute_force_defect_chain(M, order):

@@ -258,9 +258,9 @@ def test_ac7_subspace_cross_check():
 
 def test_ac8_egoroff_localization():
     t0 = time.perf_counter()
-    n = 16
+    model = build_counterexample(16)
     for delta in (0.25, 0.05):
-        demo = egoroff_demo(n, delta)
+        demo = egoroff_demo(model, delta)
         assert 2.0 ** -demo.m <= delta + 1e-15
         kept = demo.kept.mask
         assert kept[: demo.m].all() and not kept[demo.m :].any()

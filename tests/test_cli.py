@@ -915,3 +915,31 @@ def test_counterexample_too_large_exits_3_with_one_line(tmp_path):
     assert len(lines) == 1 and lines[0].startswith("cap exceeded: "), proc.stderr
     size = n * (n + 1) // 2
     assert f"n = {n} " in lines[0] and str(16 * (n + 1) * size * n) in lines[0]
+
+
+@pytest.mark.skipif(not hasattr(resource, "RLIMIT_AS"), reason="no RLIMIT_AS here")
+def test_counterexample_delta_writes_no_copy_of_the_model(tmp_path):
+    """Under a 3 GB address-space limit, the peak RSS that ``--n 100 --delta
+    0.05`` adds stays a fraction of the model's 816 MB, which a dense copy
+    ``kept * M`` of the cut set would add whole; then the cut set's bytes
+    equal that copy's at small n."""
+    n = 100
+    model_bytes = 16 * (n + 1) * (n * (n + 1) // 2) * n
+    proc = _run_limited(
+        tmp_path,
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        f"argv = ['counterexample', '--n', '{n}', '--delta', '0.05', '--out', 'out.json']\n"
+        "assert latnorm.cli.main(argv) == 0\n"
+        "print(1024 * (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before))\n"
+        "for n in (5, 9, 24):\n"
+        "    model = latnorm.build_counterexample(n)\n"
+        "    for delta in (0.5, 0.05, 2.0**-n):\n"
+        "        demo = latnorm.egoroff_demo(model, delta)\n"
+        "        dense = demo.kept * model[1]\n"
+        "        got = [s.tobytes() for s in demo.masked_set.stacks]\n"
+        "        assert got == [s.tobytes() for s in dense.stacks], (n, delta)\n",
+        limit=3 << 30,
+    )
+    assert proc.returncode == 0, proc.stderr
+    added = int(proc.stdout)
+    assert added < model_bytes / 4, (added, model_bytes)

@@ -33,6 +33,8 @@ from latnorm import (
     zonotope_net,
     zonotope_report,
 )
+from latnorm.fibered import _pair_dist
+from latnorm.seqmodel import build_counterexample
 from latnorm.fixtures import (
     random_extension,
     random_fiber_space,
@@ -42,6 +44,8 @@ from latnorm.fixtures import (
 from oracles import (
     brute_force_defect_chain,
     brute_force_greedy_order,
+    dense_defect,
+    dense_prefix_defects,
     grid_zonotope_oracle,
     product_grid_image,
     ring_loop_disc_grid,
@@ -164,7 +168,8 @@ class TestUtob:
 
 def _traversal_cases():
     """Random sets, then sets with many exact distance ties: repeated
-    elements and encoded orbits of point indicators."""
+    elements and encoded orbits of point indicators; last, a random set of
+    100 elements, whose traversal tables are filled by row blocks."""
     rng = np.random.default_rng(40)
     for n in (1, 2, 7, 30):
         yield random_finite_set(rng, random_fiber_space(rng), n)
@@ -175,6 +180,7 @@ def _traversal_cases():
             f = np.zeros(ext.upstairs.size, dtype=complex)
             f[x0] = 1.0
             yield orbit(f, ext)
+    yield random_finite_set(rng, random_fiber_space(rng), 100)
 
 
 def _nonfinite_cases():
@@ -332,6 +338,110 @@ class TestDistanceFormula:
                 # the traversal reads rows where ``defect`` reads columns
                 assert np.array_equal(got, got.T)
                 assert got[0, -1] == got[-1, 0] == 0.0
+
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf
+    def test_a_stack_paired_with_itself_equals_the_unshared_table(self):
+        # one block up to 48 rows, blocks of 32 rows (fewer for wide fibers)
+        # above: each pair is computed once and mirrored
+        rng = np.random.default_rng(47)
+        specials = [np.nan, np.inf, -np.inf, complex(0, -np.inf), 0.0, -0.0,
+                    complex(-0.0, -0.0)]
+        sizes = [1, 2, 3, 31, 32, 33, 47, 48, 49, 50, 63, 64, 65, 96, 97, 100, 129, 200, 257, 300]
+        for n in sizes:
+            for d in (1, 3, 6, 24):
+                s = rng.normal(size=(n, d)) + 1j * rng.normal(size=(n, d))
+                for _ in range(min(n, 6)):
+                    s[rng.integers(n)] = rng.choice(specials)  # whole rows
+                    s[rng.integers(n), rng.integers(d)] = rng.choice(specials)
+                s[n // 2] = s[0]  # a repeated row
+                got = _pair_dist(s, s)
+                assert got.tobytes() == _pair_dist(s, s.copy()).tobytes(), (n, d)
+
+
+class TestZeroRows:
+    """``defect`` and ``prefix_defects`` compare only the rows of M that are
+    nonzero at a point; value, argmin and prefix bytes equal the dense
+    tables of ``oracles``. Small tables skip the search for zero rows, so
+    here every table takes it."""
+
+    @pytest.fixture(autouse=True)
+    def _every_table_scans(self, monkeypatch):
+        import latnorm.fibered as fibered
+
+        monkeypatch.setattr(fibered, "_SCAN", 0)
+
+    @staticmethod
+    def _assert_dense(M, F):
+        value, argmin = dense_defect(M, F)
+        rep = defect(M, F)
+        assert rep.value.values.tobytes() == value.tobytes()
+        assert np.array_equal(rep.argmin, argmin)
+        assert prefix_defects(M, F).tobytes() == dense_prefix_defects(M, F).tobytes()
+
+    @staticmethod
+    def _zeroed(rng, X, share):
+        """X with rows zeroed at random per point: +0.0, -0.0 and mixed
+        signs, and now and then a whole fiber."""
+        zeros = [0.0, -0.0, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)]
+        stacks = []
+        for s in X.stacks:
+            s = s.copy()
+            cut = rng.random(len(X)) < (1.0 if rng.random() < 0.15 else share)
+            s[cut] = rng.choice(zeros, size=(int(cut.sum()), s.shape[1]))
+            stacks.append(s)
+        return FiniteSet(X.space, stacks, len(X))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf
+    def test_random_zeroed_rows_equal_dense(self):
+        for seed, M in enumerate(_uneven_sets()):
+            rng = np.random.default_rng(3000 + seed)
+            F = random_finite_set(rng, M.space, int(rng.integers(1, 20)))
+            for share in (0.3, 0.9):
+                Z = self._zeroed(rng, M, share)
+                self._assert_dense(Z, F)
+                self._assert_dense(Z, self._zeroed(rng, F, share))
+                self._assert_dense(Z, Z)
+        for M in _nonfinite_cases():
+            rng = np.random.default_rng(len(M))
+            Z = self._zeroed(rng, M, 0.5)
+            self._assert_dense(Z, M)
+            self._assert_dense(M, Z)
+
+    def test_one_row_and_all_zero_sets(self):
+        rng = np.random.default_rng(48)
+        space = random_fiber_space(rng)
+        X = random_finite_set(rng, space, 4)
+        zero = FiniteSet.zero(space)
+        negative = FiniteSet(space, [-s for s in zero.stacks], 1)
+        for M in (zero, negative, X.subset([2]), self._zeroed(rng, X, 1.0)):
+            for F in (X, X.subset([1]), zero, negative):
+                self._assert_dense(M, F)
+        # a zero row's nearest candidate is the first of least norm
+        F = FiniteSet(space, [np.stack([s[1], s[0], s[1]]) for s in X.stacks], 3)
+        assert (defect(zero, F).argmin == (X.norms()[0] < X.norms()[1])).all()
+
+    def test_counterexample_equals_dense(self):
+        for n in (24, 48):
+            _, M, F_n = build_counterexample(n)
+            self._assert_dense(M, F_n)
+            self._assert_dense(M, F_n.subset(range(n // 2)))
+
+    def test_counterexample_at_100(self):
+        # the dense table at 100 takes seconds per point: closed form for the
+        # whole table, dense columns at four points
+        n = 100
+        _, M, F_n = build_counterexample(n)
+        table = prefix_defects(M, F_n)
+        k = np.arange(1, n + 2)[None, :]
+        m = np.arange(n + 1)[:, None]
+        assert table.tobytes() == ((k > m) & (k <= n)).astype(float).tobytes()
+        for w in (0, 49, 99, 100):
+            dist = _pair_dist(M.stacks[w], F_n.stacks[w])
+            dense = np.minimum.accumulate(dist, axis=1).max(axis=0)
+            assert table[:, w].tobytes() == dense.tobytes()
+        rep = defect(M, F_n)
+        assert not rep.value.values.any() and not rep.argmin[: n * (n - 1) // 2, -2].any()
 
 
 class TestStackLayout:

@@ -3,12 +3,14 @@ import pytest
 
 from latnorm import (
     ConstructionError,
+    CyclicWitness,
     FiberSpace,
     FiniteSet,
     Idempotent,
     PartitionOfUnity,
     PointSet,
     StoneElement,
+    Traversal,
     cyclic_witness,
     defect,
     eq_idempotent,
@@ -255,6 +257,70 @@ def test_cyclic_witness_matches_per_prefix_oracle():
                         assert s.tobytes() == s_ref.tobytes()
                 built[truncating] += 1
     assert built[True] > 0 and built[False] > 0
+
+
+def _signed_zero_sets():
+    """Random sets whose entries are now and then a zero of either sign in
+    either component, whole rows and whole fibers included."""
+    rng = np.random.default_rng(14)
+    zeros = [0.0, -0.0, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)]
+    for _ in range(30):
+        space = random_fiber_space(rng, max_points=6, max_dim=6)
+        M = random_finite_set(rng, space, int(rng.integers(1, 26)))
+        stacks = []
+        for s in M.stacks:
+            s = s.copy()
+            s.real[rng.random(s.shape) < 0.2] = rng.choice([0.0, -0.0])
+            s.imag[rng.random(s.shape) < 0.2] = rng.choice([0.0, -0.0])
+            s[rng.random(len(M)) < 0.2] = rng.choice(zeros)
+            stacks.append(s if rng.random() < 0.9 else 0 * s)
+        yield FiniteSet(space, stacks, len(M))
+
+
+def _part_bytes(w):
+    return [(q.mask.tobytes(), [s.tobytes() for s in F.stacks]) for q, F in w.parts]
+
+
+def test_shared_traversal_equals_fresh_witness():
+    for M in _signed_zero_sets():
+        sup = M.norm_sup().sup_norm()
+        shared = Traversal(M)
+        for eps in (1.2 * sup, 0.6 * sup, 0.2 * sup, 1e-6):
+            if eps <= 0:
+                continue
+            for r in (sup + 0.1, sup + TOL):
+                got = cyclic_witness(M, eps, r, TOL, traversal=shared)
+                assert _part_bytes(got) == _part_bytes(cyclic_witness(M, eps, r, TOL))
+                expected = per_prefix_cyclic_witness(M, eps, r)
+                assert _part_bytes(got) == _part_bytes(
+                    CyclicWitness([(q, F) for q, F in expected if not q.is_zero()], eps)
+                )
+    with pytest.raises(ValueError, match="another set"):
+        cyclic_witness(M, 0.5, 1.0, traversal=Traversal(M.subset(range(len(M)))))
+
+
+def test_only_a_truncating_radius_computes_prefix_defects(monkeypatch):
+    import latnorm.mixing as mixing
+
+    calls = []
+    real = mixing.prefix_defects
+    monkeypatch.setattr(mixing, "prefix_defects", lambda M, F: calls.append(len(F)) or real(M, F))
+    rng = np.random.default_rng(15)
+    space = random_fiber_space(rng, max_points=6, max_dim=6)
+    M = random_finite_set(rng, space, 12)
+    sup = M.norm_sup().sup_norm()
+    shared = Traversal(M)
+    for eps in (0.6 * sup, 0.3 * sup):
+        cyclic_witness(M, eps, sup / 2 + TOL, TOL, shared)  # the ball holds M
+    assert calls == []
+    # a radius whose ball cuts an element down: the truncated set is
+    # traversed and M's defect is computed against each of its prefixes
+    r = 0.45 * sup
+    assert np.any(M.norm_sup().values > 2 * r)
+    got = cyclic_witness(M, 1.2 * sup, r, TOL, shared)
+    assert calls == [12]
+    expected = [(q, F) for q, F in per_prefix_cyclic_witness(M, 1.2 * sup, r) if not q.is_zero()]
+    assert _part_bytes(got) == _part_bytes(CyclicWitness(expected, 1.2 * sup))
 
 
 def test_cyclic_parts_are_nonempty_and_partition_the_points():

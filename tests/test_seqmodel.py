@@ -115,27 +115,28 @@ class TestNotUtob:
 
 class TestEgoroffDemo:
     def test_budget_quarter(self):
-        demo = egoroff_demo(10, 0.25)
+        demo = egoroff_demo(build_counterexample(10), 0.25)
         assert demo.m == 2
         assert demo.kept.mask.tolist() == [True] * 2 + [False] * 9
         assert demo.removed_mass <= 0.25 + 1e-15
 
     def test_localized_defect_zero(self):
         for delta in (0.5, 0.25, 0.05):
-            demo = egoroff_demo(10, delta)
+            demo = egoroff_demo(build_counterexample(10), delta)
             assert demo.defect_value.sup_norm() <= TOL
             assert 2.0**-demo.m <= delta + 1e-15
 
     def test_prefix_grows_as_budget_shrinks(self):
-        sizes = [egoroff_demo(12, d).m for d in (0.5, 0.3, 0.1, 0.03, 0.001)]
+        model = build_counterexample(12)
+        sizes = [egoroff_demo(model, d).m for d in (0.5, 0.3, 0.1, 0.03, 0.001)]
         assert sizes == sorted(sizes)
 
     def test_infeasible_budget(self):
         with pytest.raises(InfeasibleTruncationError):
-            egoroff_demo(6, 2.0**-7)
+            egoroff_demo(build_counterexample(6), 2.0**-7)
 
     def test_masked_set_recheck(self):
         # independent recomputation: cut probes against the cut net
-        demo = egoroff_demo(8, 0.1)
+        demo = egoroff_demo(build_counterexample(8), 0.1)
         value = defect(demo.masked_set, demo.witness).value
         assert value.sup_norm() <= TOL
