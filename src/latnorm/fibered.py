@@ -75,8 +75,9 @@ class FiniteSet:
     Stored as one unpadded (n_elements, dim) stack per fiber so that every
     kernel vectorizes. A single module element is a set of length one, and
     ``subset([i])`` takes element i out of a set. ``M + N`` and ``M - N``
-    act elementwise on sets of one length, and ``c * M`` multiplies every
-    element by an idempotent, a coefficient field or a scalar. The stacks
+    act elementwise on sets of one length, ``p * M`` keeps the entries of
+    every element where the idempotent p is 1 and is 0 elsewhere, and
+    ``c * M`` multiplies by a coefficient field or a scalar. The stacks
     are read-only: a set freezes the arrays it is given in place, uncopied.
     """
 
@@ -136,10 +137,14 @@ class FiniteSet:
         if isinstance(other, (Idempotent, ComplexCoefficient)):
             if other.base != self.space.base:
                 raise DimensionMismatchError("coefficient on a different point set")
-            factors = other.mask if isinstance(other, Idempotent) else other.values
-            # factor first: numpy's complex array product is not symmetric
-            # in the last bit, and c * s is the product of c with each row
-            stacks = [c * s for c, s in zip(factors, self.stacks)]
+            if isinstance(other, Idempotent):
+                # a selection, not a product: that would flip zero signs of
+                # kept entries and make a cut inf a nan
+                stacks = [np.where(p, s, 0) for p, s in zip(other.mask, self.stacks)]
+            else:
+                # factor first: numpy's complex array product is not symmetric
+                # in the last bit, and c * s is the product of c with each row
+                stacks = [c * s for c, s in zip(other.values, self.stacks)]
         elif isinstance(other, numbers.Number):
             stacks = [other * s for s in self.stacks]
         else:
@@ -214,7 +219,23 @@ def _pair_dist(stack_a: np.ndarray, stack_b: np.ndarray) -> np.ndarray:
     return out
 
 
-_SCAN = 1 << 13  # differences below which ``_row_dist`` compares every row
+# Differences below which ``_nearest`` and ``_row_dist`` compare every row,
+# where the searches cost more than they save: against the same code with
+# the gate at 0, the ``extension`` bench (seed 1, --seconds 20, 10 rotating
+# rounds, 2-vCPU VM) read job_p90_s 2.85 -> 3.27 ms (+14.6%, 10 of 10),
+# job_p50_s +10.0% and jobs_per_s -9.2% (9 of 10 each) without it, while a
+# second copy of the gated code read within 1.0% (5 of 10) of the first.
+_SCAN = 1 << 13
+_TINY = 2.0**-480  # least nonzero |re|, |im| of candidates searched by row key
+
+
+def _exact(a: np.ndarray) -> bool:
+    """Whether every |re|, |im| of a is finite and 0 or at least ``_TINY``.
+    Two distinct such floats differ by at least 2**-532, whose square does
+    not underflow, so between rows of such floats (a probe row equal to a
+    row of a is one) a ``_dist`` is 0 exactly when they are equal as floats."""
+    v = np.abs(a.view(float))
+    return bool(np.all((v == 0) | ((v >= _TINY) & (v < np.inf))))
 
 
 def _row_dist(s: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray | slice]:
@@ -222,21 +243,52 @@ def _row_dist(s: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray | sl
     rows of s that are exactly zero (-0.0 entries included) sharing one row
     of the table: their distances are the norms ``_dist(t)`` bit for bit,
     since 0 - y is -y or a signed zero. Returns the table and the table row
-    of each row of s. Below ``_SCAN`` differences the search for zero rows
-    costs more than it saves, and every row is compared."""
+    of each row of s. Below ``_SCAN`` differences every row is compared."""
     if s.size * len(t) < _SCAN or (live := s.any(axis=1)).all():
         return _pair_dist(s, t), slice(None)
     table = np.concatenate([_pair_dist(s[live], t), _dist(t)[None]])
     return table, np.where(live, np.cumsum(live) - 1, len(table) - 1)
 
 
+def _nearest(s: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.min`` and ``np.argmin`` along the rows of ``_pair_dist(s, t)``,
+    bit for bit. On tables of at least ``_SCAN`` differences with ``_exact``
+    candidates t, zero rows of s take the norms of t (as in ``_row_dist``)
+    and stay out of the search, where their long equal keys would be
+    compared byte by byte. A nonzero row found in t is at 0 from its first
+    copy, and only the other rows are compared. Rows are found by sorting
+    byte keys of ``t + 0.0`` (-0.0 folds into +0.0), and each hit is
+    confirmed on the floats."""
+    if s.size * len(t) < _SCAN or not _exact(t):
+        dist, rows = _row_dist(s, t)
+        return np.min(dist, axis=1)[rows], np.argmin(dist, axis=1)[rows]
+    norms = _dist(t)
+    mins, argmin = np.full(len(s), norms.min()), np.full(len(s), norms.argmin())
+    live = np.flatnonzero(s.any(axis=1))
+    key = np.dtype((np.void, t.itemsize * t.shape[1]))
+    t_keys = (t + 0.0).view(key).ravel()
+    by = np.argsort(t_keys, kind="stable")  # copies in index order
+    ts, x = t[by], s[live]
+    pos = np.minimum(np.searchsorted(t_keys[by], (x + 0.0).view(key).ravel()), len(t) - 1)
+    member = (ts[pos] == x).all(axis=1)
+    mins[live[member]], argmin[live[member]] = 0.0, by[pos[member]]
+    if not member.all():
+        rest = live[~member]
+        dist = _pair_dist(s[rest], t)
+        mins[rest], argmin[rest] = np.min(dist, axis=1), np.argmin(dist, axis=1)
+    return mins, argmin
+
+
 def defect(M: FiniteSet, F: FiniteSet) -> DefectReport:
     """Pointwise worst-case distance from M to its nearest candidate in F.
 
-    On tables large enough (``_row_dist``) only the rows of M that are
-    nonzero at a point are compared there, and against a ``GridNet`` (a
-    ``heine_borel_net``) only the net rows that can be nearest; value and
-    argmin equal the dense computation.
+    On tables of at least ``_SCAN`` differences, ``_nearest`` gives zero
+    rows of M the norms of F, puts a row of M that also occurs in F at 0
+    from its first copy (where every entry of F at the point is finite and
+    0 or of modulus at least 2**-480), and compares only the other rows.
+    Against a ``GridNet`` (a ``heine_borel_net``) only the net rows that can
+    be nearest are compared. Value and argmin equal the dense computation
+    bit for bit.
     """
     _check_space(M, F)
     if len(M) == 0 or len(F) == 0:
@@ -248,8 +300,7 @@ def defect(M: FiniteSet, F: FiniteSet) -> DefectReport:
         if isinstance(F, GridNet):
             mins, argmin[:, w] = F.nearest(w, M.stacks[w])
         else:
-            dist, rows = _row_dist(M.stacks[w], F.stacks[w])
-            mins, argmin[:, w] = np.min(dist, axis=1)[rows], np.argmin(dist, axis=1)[rows]
+            mins, argmin[:, w] = _nearest(M.stacks[w], F.stacks[w])
         value[w] = float(np.max(mins))
     return DefectReport(StoneElement(M.space.base, value), F, argmin)
 
@@ -343,7 +394,11 @@ def is_utob(
     with defect zero); the value of this routine is the witness it returns:
     the shortest prefix of the farthest-point traversal of M whose running
     radius is pointwise within eps + tol (all of M when none is, as with NaN
-    entries), with the defect recomputed independently for the verdict.
+    entries), with the defect recomputed independently for the verdict: the
+    recheck ``defect(M, witness)`` reads only M and the witness, never the
+    traversal's table. The witness's elements are elements of M, so where
+    ``defect`` finds member rows they are at 0 without a distance computed,
+    and only the elements left out of the witness are compared.
     ``traversal``, a ``Traversal`` of M, is the way to share one traversal,
     and one recheck per distinct witness, across several eps.
     """
@@ -371,14 +426,16 @@ def greedy_order(M: FiniteSet) -> list[int]:
 def truncate_to_ball(F: FiniteSet, r: float, tol: float = DEFAULT_TOL) -> FiniteSet:
     """Cut every element down to the ball of radius 2r.
 
-    Each y is replaced by p*y where p is the idempotent of {|y| <= 2r}. For
-    any probe set inside the ball of radius r this never increases pointwise
-    nearest distances. r = 0 is allowed: the ball is then the zero set.
+    Each y is replaced by p*y where p is the idempotent of {|y| <= 2r}: a
+    kept fiber keeps its bytes and a cut one is 0. For any probe set inside
+    the ball of radius r this never increases pointwise nearest distances.
+    r = 0 is allowed: the ball is then the zero set.
     """
     if r < 0:
         raise ValueError("r must be nonnegative")
     keep = F.norms() <= 2.0 * r + tol
-    return FiniteSet(F.space, [s * keep[:, w, None] for w, s in enumerate(F.stacks)], len(F))
+    stacks = [np.where(keep[:, w, None], s, 0) for w, s in enumerate(F.stacks)]
+    return FiniteSet(F.space, stacks, len(F))
 
 
 def set_sum(M: FiniteSet, N: FiniteSet) -> FiniteSet:

@@ -108,11 +108,11 @@ def cyclic_witness(
     candidates are glued along that partition, one part per candidate size
     that some point uses.
 
-    When truncation leaves M as it is (it may change signs of zeros, which
-    no distance sees), a ``Traversal`` of M (``traversal``, shared across
-    eps, or a new one) gives the prefixes and their covers; otherwise the
-    truncated set is traversed and M's defect against each of its prefixes
-    is computed.
+    When truncation leaves M as it is, a ``Traversal`` of M (``traversal``,
+    shared across eps, or a new one) gives the prefixes and their covers;
+    otherwise the truncated set is traversed and M's defect against each of
+    its prefixes is computed. Truncation and the parts' idempotents select
+    entries, so every kept entry of a witness has M's bytes.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")

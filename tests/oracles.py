@@ -453,7 +453,7 @@ def per_prefix_cyclic_witness(M, eps, r, tol=1e-9):
     parts = []
     for p, F in zip(exhaustion(covers), order_sets):
         glued = FiniteSet(
-            F.space, [s * p.mask[w] for w, s in enumerate(F.stacks)], len(F)
+            F.space, [np.where(p.mask[w], s, 0) for w, s in enumerate(F.stacks)], len(F)
         )
         parts.append((p, glued))
     return parts

@@ -359,17 +359,20 @@ class TestDistanceFormula:
                 assert got.tobytes() == _pair_dist(s, s.copy()).tobytes(), (n, d)
 
 
+@pytest.fixture
+def every_table_scans(monkeypatch):
+    """Tables of any size take the searches that ``_SCAN`` gates."""
+    import latnorm.fibered as fibered
+
+    monkeypatch.setattr(fibered, "_SCAN", 0)
+
+
+@pytest.mark.usefixtures("every_table_scans")
 class TestZeroRows:
     """``defect`` and ``prefix_defects`` compare only the rows of M that are
     nonzero at a point; value, argmin and prefix bytes equal the dense
     tables of ``oracles``. Small tables skip the search for zero rows, so
     here every table takes it."""
-
-    @pytest.fixture(autouse=True)
-    def _every_table_scans(self, monkeypatch):
-        import latnorm.fibered as fibered
-
-        monkeypatch.setattr(fibered, "_SCAN", 0)
 
     @staticmethod
     def _assert_dense(M, F):
@@ -442,6 +445,143 @@ class TestZeroRows:
             assert table[:, w].tobytes() == dense.tobytes()
         rep = defect(M, F_n)
         assert not rep.value.values.any() and not rep.argmin[: n * (n - 1) // 2, -2].any()
+
+
+@pytest.mark.usefixtures("every_table_scans")
+class TestMemberRows:
+    """``defect`` gives a row of M that occurs among the candidates 0 and
+    the index of its first copy, and compares only the other rows, where
+    every entry of the candidates at the point is finite and 0 or of
+    modulus at least 2**-480. Value, argmin and the sign of each value
+    equal the dense table of ``oracles``; here every table is large enough
+    for the search."""
+
+    @staticmethod
+    def _assert_dense(M, F):
+        value, argmin = dense_defect(M, F)
+        rep = defect(M, F)
+        assert rep.value.values.tobytes() == value.tobytes()
+        assert np.array_equal(np.signbit(rep.value.values), np.signbit(value))
+        assert np.array_equal(rep.argmin, argmin)
+
+    @staticmethod
+    def _pooled(rng, space, n, pool):
+        """n elements whose entries are drawn from pool, so rows repeat."""
+        stacks = [rng.choice(pool, size=(n, d)) for d in space.dims]
+        return FiniteSet(space, stacks, n)
+
+    @staticmethod
+    def _flipped(X):
+        """X with the sign of every zero real and imaginary part flipped."""
+        stacks = []
+        for s in X.stacks:
+            v = s.copy().view(float)
+            v[v == 0] = np.where(np.signbit(v[v == 0]), 0.0, -0.0)
+            stacks.append(v.view(complex))
+        return FiniteSet(X.space, stacks, len(X))
+
+    @staticmethod
+    def _pair_dist_rows(monkeypatch):
+        """Record the (rows, columns) of every ``_pair_dist`` table."""
+        import latnorm.fibered as fibered
+
+        shapes, inner = [], fibered._pair_dist
+        monkeypatch.setattr(
+            fibered, "_pair_dist", lambda a, b: shapes.append((len(a), len(b))) or inner(a, b)
+        )
+        return shapes
+
+    def test_member_rows_with_flipped_zero_signs(self):
+        pool = np.array([0.0, 1.0, -1.0, 1j, complex(0.5, -0.0), complex(-0.0, 2.0)])
+        for seed in range(40):
+            rng = np.random.default_rng(4000 + seed)
+            space = random_fiber_space(rng, max_points=4, max_dim=3)
+            F = self._pooled(rng, space, int(rng.integers(1, 25)), pool)
+            M = self._pooled(rng, space, int(rng.integers(1, 25)), pool)
+            for probe in (M, self._flipped(M), self._flipped(F), F.subset([0])):
+                self._assert_dense(probe, F)
+                self._assert_dense(probe, self._flipped(F))
+
+    def test_repeated_candidates(self):
+        rng = np.random.default_rng(49)
+        space = FiberSpace(PointSet.of_size(1), (3,))
+        X = random_finite_set(rng, space, 6)
+        F = X.subset([3, 1, 3, 3, 5, 1, 0])
+        self._assert_dense(random_finite_set(rng, space, 4), F)
+        self._assert_dense(X, F)
+        # a probe at equal distance from two distinct rows takes the first
+        F = FiniteSet(space, [np.array([[2, 0, 0], [0, 2, 0], [2, 0, 0]], dtype=complex)], 3)
+        M = FiniteSet(space, [np.array([[1, 1, 0], [0, 2, 0]], dtype=complex)], 2)
+        assert defect(M, F).argmin[:, 0].tolist() == [0, 1]
+        self._assert_dense(M, F)
+
+    def test_a_set_against_itself_and_reversed(self, monkeypatch):
+        for M in _uneven_sets():
+            R = M.subset(range(len(M) - 1, -1, -1))
+            D = M.subset(list(range(len(M))) * 2)  # every row twice
+            for F in (M, R, D, self._flipped(R)):
+                self._assert_dense(M, F)
+                self._assert_dense(F, M)
+            rep = defect(M, R)
+            assert not rep.value.values.any()
+            assert (rep.argmin == len(M) - 1 - np.arange(len(M))[:, None]).all()
+            assert (defect(D, M).argmin == np.tile(np.arange(len(M)), 2)[:, None]).all()
+        shapes = self._pair_dist_rows(monkeypatch)
+        defect(M, R)
+        assert shapes == []  # every row of M is a candidate: nothing compared
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf
+    def test_nonfinite_entries_and_one_row_sets(self):
+        for M in _nonfinite_cases():
+            R = M.subset(range(len(M) - 1, -1, -1))
+            for F in (M, R, M.subset([0]), M.subset([len(M) - 1])):
+                self._assert_dense(M, F)
+                self._assert_dense(F, M)
+                self._assert_dense(M.subset([0]), F)
+            # non-finite probes against the finite rows, whose search it is
+            rows = [i for i in range(len(M)) if all(np.isfinite(s[i]).all() for s in M.stacks)]
+            if rows:
+                self._assert_dense(M, M.subset(rows[::-1]))
+        space = FiberSpace(PointSet.of_size(2), (2, 1))
+        one = element(space, [np.inf, 1.0], [np.nan])
+        self._assert_dense(one, one)
+        self._assert_dense(one, FiniteSet.zero(space))
+
+    def test_rows_equal_in_distance_but_not_in_floats(self):
+        # 3e-170 and its neighbour differ by 4e-186, whose square underflows:
+        # the rows are at computed distance 0, so the first of them is the
+        # nearest, not the probe's own copy; from 2**-480 on they are apart
+        space = FiberSpace(PointSet.of_size(1), (2,))
+        for tiny in (3e-170, 2.0**-490, 2.0**-480):
+            near = np.nextafter(tiny, 1.0)
+            F = FiniteSet(space, [np.array([[5, 0], [tiny, 1], [near, 1]], dtype=complex)], 3)
+            M = F.subset([2, 1])
+            self._assert_dense(M, F)
+            assert defect(M, F).argmin[:, 0].tolist() == ([2, 1] if tiny == 2.0**-480 else [1, 1])
+        # a probe off the candidates can still be at computed distance 0
+        F = FiniteSet(space, [np.array([[5, 0], [0, 1], [3e-170, 1]], dtype=complex)[[0, 1, 1]]], 3)
+        self._assert_dense(F.subset([1]) + FiniteSet(space, [np.array([[3e-170, 0]])], 1), F)
+        pool = np.array([0.0, -0.0, 3e-170, np.nextafter(3e-170, 1.0), -3e-170, 1.0,
+                         complex(3e-170, 1.0), 2.0**-480, np.nextafter(2.0**-480, 1.0)])
+        for seed in range(2000):
+            rng = np.random.default_rng(5000 + seed)
+            space = random_fiber_space(rng, max_points=2, max_dim=2)
+            # every other F is exact: probes near 3e-170 then miss the search
+            # but can be at computed distance 0 from a candidate
+            F = self._pooled(rng, space, int(rng.integers(1, 8)), pool[[0, 1, 5, 7, 8]] if seed % 2 else pool)
+            M = self._pooled(rng, space, int(rng.integers(1, 8)), pool)
+            self._assert_dense(M, F)
+            self._assert_dense(F, F.subset(range(len(F) - 1, -1, -1)))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf
+    def test_recheck_equals_the_dense_defect_of_the_prefix(self):
+        for M in itertools.chain(_uneven_sets(), _nonfinite_cases()):
+            trav = Traversal(M)
+            for k in sorted({1, (len(M) + 1) // 2, len(M)}):
+                value, argmin = dense_defect(M, M.subset(trav.order[:k]))
+                rep = trav.recheck(k)
+                assert rep.value.values.tobytes() == value.tobytes()
+                assert np.array_equal(rep.argmin, argmin)
 
 
 class TestStackLayout:
@@ -1050,6 +1190,27 @@ class TestTruncate:
         with pytest.raises(ValueError):
             truncate_to_ball(scalars(space, 1.0), r=-1.0)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the norm of inf
+    def test_selects_entries(self):
+        # a kept entry keeps its bytes, and a cut infinite one reads exactly 0
+        # (a product by the mask gave 0 - 1j and nan + nanj)
+        space = FiberSpace(PointSet.of_size(2), (2, 1))
+        F = FiniteSet(
+            space,
+            [np.array([[complex(-0.0, -1.0), complex(1.0, -0.0)], [np.inf, 0.0]]),
+             np.array([[complex(-0.0, -0.0)], [complex(-np.inf, 1.0)]])],
+            2,
+        )
+        out = truncate_to_ball(F, r=1.0)
+        assert out.stacks[0][0].tobytes() == F.stacks[0][0].tobytes()
+        assert out.stacks[1][0].tobytes() == F.stacks[1][0].tobytes()
+        for s in (out.stacks[0][1], out.stacks[1][1]):
+            assert s.tobytes() == np.zeros_like(s).tobytes()
+        p = Idempotent(space.base, [False, True])
+        pF = p * F
+        assert pF.stacks[0].tobytes() == np.zeros_like(F.stacks[0]).tobytes()
+        assert pF.stacks[1].tobytes() == F.stacks[1].tobytes()
+
     def test_oversized_scalar_zeroed(self):
         space = single_fiber_space()
         out = truncate_to_ball(scalars(space, 5.0), r=1.0)
@@ -1129,7 +1290,8 @@ class TestElementwise:
             cases = [
                 (M + N, lambda w, i: M.stacks[w][i] + N.stacks[w][i]),
                 (M - N, lambda w, i: M.stacks[w][i] - N.stacks[w][i]),
-                (p * M, lambda w, i: M.stacks[w][i] * bool(p.mask[w])),
+                # an idempotent selects: M's bytes where it is 1, +0 elsewhere
+                (p * M, lambda w, i: M.stacks[w][i] if p.mask[w] else np.zeros_like(M.stacks[w][i])),
                 (lam * M, lambda w, i: lam.values[w] * M.stacks[w][i]),
                 (M * lam, lambda w, i: lam.values[w] * M.stacks[w][i]),
                 (c * M, lambda w, i: c * M.stacks[w][i]),

@@ -14,6 +14,7 @@ from latnorm import (
     cyclic_witness,
     defect,
     eq_idempotent,
+    greedy_order,
     mix,
     mix_membership,
     verify_cyclic,
@@ -215,6 +216,21 @@ class TestCyclic:
         # radius too small: truncation empties the ball, defect stays at 5
         with pytest.raises(ConstructionError):
             cyclic_witness(M, eps=0.1, r=0.5)
+
+    def test_kept_entries_keep_the_input_bytes(self):
+        # truncation and the parts' idempotents select entries: where a part
+        # is 1 its candidate rows are M's rows, zero signs included, and
+        # where it is 0 they are +0
+        for M in _signed_zero_sets():
+            sup = M.norm_sup().sup_norm()
+            order = greedy_order(M)
+            for eps in (0.6 * sup, 0.2 * sup):
+                if eps <= 0:
+                    continue
+                for q, F in cyclic_witness(M, eps, sup + TOL).parts:
+                    for w, (s, m) in enumerate(zip(F.stacks, M.stacks)):
+                        kept = m[list(order[: len(F)])] if q.mask[w] else np.zeros_like(s)
+                        assert s.tobytes() == kept.tobytes()
 
     def test_localized_defect_bound(self):
         # a passing witness forces the localized defect below eps
