@@ -75,8 +75,8 @@ class FiniteSet:
     Stored as one unpadded (n_elements, dim) stack per fiber so that every
     kernel vectorizes. A single module element is a set of length one, and
     ``subset([i])`` takes element i out of a set. ``M + N`` and ``M - N``
-    act elementwise on sets of one length, ``p * M`` keeps the entries of
-    every element where the idempotent p is 1 and is 0 elsewhere, and
+    act elementwise on sets of one length, ``p * M`` shares M's stack at
+    every point where the idempotent p is 1 and is 0 elsewhere, and
     ``c * M`` multiplies by a coefficient field or a scalar. The stacks
     are read-only: a set freezes the arrays it is given in place, uncopied.
     """
@@ -139,8 +139,10 @@ class FiniteSet:
                 raise DimensionMismatchError("coefficient on a different point set")
             if isinstance(other, Idempotent):
                 # a selection, not a product: that would flip zero signs of
-                # kept entries and make a cut inf a nan
-                stacks = [np.where(p, s, 0) for p, s in zip(other.mask, self.stacks)]
+                # kept entries and make a cut inf a nan. A kept stack is
+                # shared; a cut one is ``np.zeros``, untouched pages until read
+                stacks = [s if p else np.zeros(s.shape, complex)
+                          for p, s in zip(other.mask, self.stacks)]
             else:
                 # factor first: numpy's complex array product is not symmetric
                 # in the last bit, and c * s is the product of c with each row
@@ -154,8 +156,8 @@ class FiniteSet:
     __mul__ = __rmul__
 
     def norms(self) -> np.ndarray:
-        """(n_elements, n_points) table of the lattice norms of the elements."""
-        return np.stack([np.linalg.norm(s, axis=1) for s in self.stacks], axis=1)
+        """(n_elements, n_points) lattice norms, by ``_dist`` as every distance."""
+        return np.stack([_dist(s) for s in self.stacks], axis=1)
 
     def norm_sup(self) -> StoneElement:
         """Pointwise supremum of the lattice norms of the elements."""
@@ -219,8 +221,8 @@ def _pair_dist(stack_a: np.ndarray, stack_b: np.ndarray) -> np.ndarray:
     return out
 
 
-# Differences below which ``_nearest`` and ``_row_dist`` compare every row,
-# where the searches cost more than they save: against the same code with
+# Differences below which ``_nearest`` compares every row, where the
+# searches cost more than they save: against the same code with
 # the gate at 0, the ``extension`` bench (seed 1, --seconds 20, 10 rotating
 # rounds, 2-vCPU VM) read job_p90_s 2.85 -> 3.27 ms (+14.6%, 10 of 10),
 # job_p50_s +10.0% and jobs_per_s -9.2% (9 of 10 each) without it, while a
@@ -238,42 +240,31 @@ def _exact(a: np.ndarray) -> bool:
     return bool(np.all((v == 0) | ((v >= _TINY) & (v < np.inf))))
 
 
-def _row_dist(s: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray | slice]:
-    """The ``_pair_dist`` table from the rows of s to the rows of t, with the
-    rows of s that are exactly zero (-0.0 entries included) sharing one row
-    of the table: their distances are the norms ``_dist(t)`` bit for bit,
-    since 0 - y is -y or a signed zero. Returns the table and the table row
-    of each row of s. Below ``_SCAN`` differences every row is compared."""
-    if s.size * len(t) < _SCAN or (live := s.any(axis=1)).all():
-        return _pair_dist(s, t), slice(None)
-    table = np.concatenate([_pair_dist(s[live], t), _dist(t)[None]])
-    return table, np.where(live, np.cumsum(live) - 1, len(table) - 1)
-
-
 def _nearest(s: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``np.min`` and ``np.argmin`` along the rows of ``_pair_dist(s, t)``,
-    bit for bit. On tables of at least ``_SCAN`` differences with ``_exact``
-    candidates t, zero rows of s take the norms of t (as in ``_row_dist``)
-    and stay out of the search, where their long equal keys would be
-    compared byte by byte. A nonzero row found in t is at 0 from its first
-    copy, and only the other rows are compared. Rows are found by sorting
-    byte keys of ``t + 0.0`` (-0.0 folds into +0.0), and each hit is
-    confirmed on the floats."""
-    if s.size * len(t) < _SCAN or not _exact(t):
-        dist, rows = _row_dist(s, t)
-        return np.min(dist, axis=1)[rows], np.argmin(dist, axis=1)[rows]
+    bit for bit. On tables of at least ``_SCAN`` differences, zero rows of s
+    (-0.0 entries included) take the norms ``_dist(t)``, their distances bit
+    for bit since 0 - y is -y or a signed zero. With ``_exact`` candidates
+    t, a nonzero row found in t is then at 0 from its first copy. Only the
+    other rows are compared. Rows are found by sorting byte keys of
+    ``t + 0.0`` (-0.0 folds into +0.0), and each hit is confirmed on the
+    floats."""
+    if s.size * len(t) < _SCAN:
+        dist = _pair_dist(s, t)
+        return np.min(dist, axis=1), np.argmin(dist, axis=1)
     norms = _dist(t)
     mins, argmin = np.full(len(s), norms.min()), np.full(len(s), norms.argmin())
-    live = np.flatnonzero(s.any(axis=1))
-    key = np.dtype((np.void, t.itemsize * t.shape[1]))
-    t_keys = (t + 0.0).view(key).ravel()
-    by = np.argsort(t_keys, kind="stable")  # copies in index order
-    ts, x = t[by], s[live]
-    pos = np.minimum(np.searchsorted(t_keys[by], (x + 0.0).view(key).ravel()), len(t) - 1)
-    member = (ts[pos] == x).all(axis=1)
-    mins[live[member]], argmin[live[member]] = 0.0, by[pos[member]]
-    if not member.all():
-        rest = live[~member]
+    rest = np.flatnonzero(s.any(axis=1))
+    if _exact(t):
+        key = np.dtype((np.void, t.itemsize * t.shape[1]))
+        t_keys = (t + 0.0).view(key).ravel()
+        by = np.argsort(t_keys, kind="stable")  # copies in index order
+        ts, x = t[by], s[rest]
+        pos = np.minimum(np.searchsorted(t_keys[by], (x + 0.0).view(key).ravel()), len(t) - 1)
+        member = (ts[pos] == x).all(axis=1)
+        mins[rest[member]], argmin[rest[member]] = 0.0, by[pos[member]]
+        rest = rest[~member]
+    if len(rest):
         dist = _pair_dist(s[rest], t)
         mins[rest], argmin[rest] = np.min(dist, axis=1), np.argmin(dist, axis=1)
     return mins, argmin
@@ -314,9 +305,12 @@ def prefix_defects(M: FiniteSet, F: FiniteSet) -> np.ndarray:
     if len(M) == 0 or len(F) == 0:
         raise ValueError("defect requires nonempty M and F")
     out = np.empty((len(F), M.space.n_points))
-    for w in range(M.space.n_points):
-        dist, _ = _row_dist(M.stacks[w], F.stacks[w])
-        out[:, w] = np.minimum.accumulate(dist, axis=1).max(axis=0)
+    for w, (s, t) in enumerate(zip(M.stacks, F.stacks)):
+        # zero rows (-0.0 entries included) share one distance row, so the
+        # first stands for all; with none, argmin is 0, a compared row
+        rows = s.any(axis=1)
+        rows[rows.argmin()] = True
+        out[:, w] = np.minimum.accumulate(_pair_dist(s[rows], t), axis=1).max(axis=0)
     return out
 
 
@@ -427,13 +421,16 @@ def truncate_to_ball(F: FiniteSet, r: float, tol: float = DEFAULT_TOL) -> Finite
     """Cut every element down to the ball of radius 2r.
 
     Each y is replaced by p*y where p is the idempotent of {|y| <= 2r}: a
-    kept fiber keeps its bytes and a cut one is 0. For any probe set inside
-    the ball of radius r this never increases pointwise nearest distances.
-    r = 0 is allowed: the ball is then the zero set.
+    kept fiber keeps its bytes, a cut one is 0, and when nothing is cut the
+    result is F itself. For any probe set inside the ball of radius r this
+    never increases pointwise nearest distances. r = 0 is allowed: the ball
+    is then the zero set.
     """
     if r < 0:
         raise ValueError("r must be nonnegative")
     keep = F.norms() <= 2.0 * r + tol
+    if keep.all():
+        return F
     stacks = [np.where(keep[:, w, None], s, 0) for w, s in enumerate(F.stacks)]
     return FiniteSet(F.space, stacks, len(F))
 

@@ -108,11 +108,11 @@ def cyclic_witness(
     candidates are glued along that partition, one part per candidate size
     that some point uses.
 
-    When truncation leaves M as it is, a ``Traversal`` of M (``traversal``,
-    shared across eps, or a new one) gives the prefixes and their covers;
-    otherwise the truncated set is traversed and M's defect against each of
-    its prefixes is computed. Truncation and the parts' idempotents select
-    entries, so every kept entry of a witness has M's bytes.
+    When truncation cuts nothing it returns M itself, and a ``Traversal`` of
+    M (``traversal``, shared across eps, or a new one) gives the prefixes and
+    their covers; otherwise the truncated set is traversed and M's defect
+    against each prefix is computed. Truncation and the parts' idempotents
+    select entries, so every kept witness entry has M's bytes.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -121,7 +121,7 @@ def cyclic_witness(
     if traversal is not None and traversal.M is not M:
         raise ValueError("the traversal belongs to another set")
     truncated = truncate_to_ball(M, r, tol)
-    if all(np.array_equal(a, b) for a, b in zip(truncated.stacks, M.stacks)):
+    if truncated is M:
         if traversal is None:
             traversal = Traversal(M)
         order, radii = traversal.order, traversal.radii

@@ -146,9 +146,9 @@ def egoroff_demo(
     Keeps A = {1..m} for the smallest m with 2^{-m} <= delta; the cut probe
     set 1_A M is then uniformly totally order-bounded at every level, with
     witness 1_A F_m of defect zero. Budgets below the tail mass 2^{-n} are
-    not representable at this truncation. The cut set shares M's stacks on
-    A and takes fresh zeros elsewhere, which equal ``kept * M`` bit for bit
-    (M's entries are +0.0 and 1.0) without writing a copy of the model.
+    not representable at this truncation. The cut set ``kept * M`` shares
+    M's stacks on A and takes fresh zeros elsewhere, so it writes no copy
+    of the model.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
@@ -167,9 +167,7 @@ def egoroff_demo(
     mask[:m] = True
     kept = Idempotent(base, mask)
     removed_mass = float(np.sum(space.weights()[~mask]))
-
-    stacks = [s if keep else np.zeros(s.shape, dtype=complex) for s, keep in zip(M.stacks, mask)]
-    masked_set = FiniteSet(M.space, stacks, len(M))
+    masked_set = kept * M
     witness = kept * F_n.subset(range(m + 1))
     value = defect(masked_set, witness).value
     return EgoroffDemo(m, kept, removed_mass, masked_set, witness, value)

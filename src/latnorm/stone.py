@@ -92,7 +92,8 @@ class StoneElement:
             return StoneElement(self.base, self.values * other.values)
         if isinstance(other, Idempotent):
             _check_base(self, other)
-            return StoneElement(self.base, self.values * other.mask)
+            # a selection, as ``p * M``: a product would make a cut inf a nan
+            return StoneElement(self.base, np.where(other.mask, self.values, 0.0))
         return StoneElement(self.base, self.values * float(other))
 
     __rmul__ = __mul__

@@ -92,6 +92,23 @@ class TestLatticeNorm:
         rhs = mu.modulus() * y.norm_sup()
         assert lhs.eq(rhs, TOL)
 
+    # the distance of an infinite entry from itself is inf - inf, a NaN
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in subtract")
+    def test_infinite_entries_have_infinite_norms(self):
+        # no 0 * inf is formed, so nothing warns: the norm of inf is inf
+        space = FiberSpace(PointSet.of_size(2), (2, 1))
+        F = FiniteSet(
+            space,
+            [np.array([[np.inf, 1.0], [0.5, 0.0]]),
+             np.array([[complex(1.0, -np.inf)], [2.0]])],
+            2,
+        )
+        assert F.norms().tolist() == [[np.inf, np.inf], [0.5, 2.0]]
+        assert F.norm_sup().values.tolist() == [np.inf, np.inf]
+        out = truncate_to_ball(F, r=1.0)
+        assert [s.tolist() for s in out.stacks] == [[[0j, 0j], [0.5, 0j]], [[0j], [2.0]]]
+        assert Traversal(F).order == (0, 1)  # seeded by the infinite norm
+
 
 class TestDefect:
     def test_self_defect_vanishes(self):
@@ -338,6 +355,25 @@ class TestDistanceFormula:
                 # the traversal reads rows where ``defect`` reads columns
                 assert np.array_equal(got, got.T)
                 assert got[0, -1] == got[-1, 0] == 0.0
+
+    def test_norm_sup_is_the_defect_against_zero(self):
+        # sizes 1..400 and dims 1..24, with signed zeros and NaN planted
+        rng = np.random.default_rng(61)
+        specials = [0.0, -0.0, complex(-0.0, 0.0), complex(0.0, -0.0), np.nan]
+        for _ in range(300):
+            space = random_fiber_space(rng, max_points=3, max_dim=24)
+            n = int(np.exp(rng.uniform(0.0, np.log(400.0))))
+            M = random_finite_set(rng, space, n)
+            stacks = [s.copy() for s in M.stacks]
+            for s in stacks:
+                for _ in range(int(rng.integers(0, 4))):
+                    s[rng.integers(n), rng.integers(s.shape[1])] = rng.choice(specials)
+                s[rng.random(n) < 0.1] = rng.choice(specials[:4])  # whole rows
+            M = FiniteSet(space, stacks, n)
+            zero = FiniteSet.zero(space)
+            sup = M.norm_sup().values.tobytes()
+            assert defect(M, zero).value.values.tobytes() == sup
+            assert prefix_defects(M, zero)[0].tobytes() == sup
 
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf
@@ -1179,9 +1215,11 @@ class TestTruncate:
         rng = np.random.default_rng(20)
         space = random_fiber_space(rng)
         F = random_finite_set(rng, space, 3, scale=0.1)
-        out = truncate_to_ball(F, r=10.0)
-        for a, b in zip(out.stacks, F.stacks):
-            assert np.allclose(a, b)
+        assert truncate_to_ball(F, r=10.0) is F
+        # a norm of exactly 2r + tol is not cut either
+        edge = scalars(single_fiber_space(), 2.0, -0.0, 1j)
+        assert truncate_to_ball(edge, r=1.0, tol=0.0) is edge
+        assert truncate_to_ball(edge, r=0.5, tol=0.0) is not edge
 
     def test_zero_radius_keeps_only_zero_fibers(self):
         space = single_fiber_space()
@@ -1190,7 +1228,6 @@ class TestTruncate:
         with pytest.raises(ValueError):
             truncate_to_ball(scalars(space, 1.0), r=-1.0)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the norm of inf
     def test_selects_entries(self):
         # a kept entry keeps its bytes, and a cut infinite one reads exactly 0
         # (a product by the mask gave 0 - 1j and nan + nanj)
@@ -1270,6 +1307,9 @@ class TestSetOps:
             for i in range(len(M)):
                 x, y = M.subset([i]), Mc.subset([i])
                 assert all(np.array_equal(a, b) for a, b in zip((c * x).stacks, y.stacks))
+        # a kept stack is M's own, a cut one is +0.0 zeros
+        for keep, a, b in zip(p.mask, (p * M).stacks, M.stacks):
+            assert a is b if keep else a.tobytes() == np.zeros(b.shape, complex).tobytes()
         other = Idempotent(PointSet.of_size(space.n_points + 1), [True] * (space.n_points + 1))
         with pytest.raises(DimensionMismatchError):
             other * M

@@ -135,6 +135,12 @@ class TestEgoroffDemo:
         with pytest.raises(InfeasibleTruncationError):
             egoroff_demo(build_counterexample(6), 2.0**-7)
 
+    def test_masked_set_shares_the_kept_stacks(self):
+        model = build_counterexample(8)
+        demo = egoroff_demo(model, 0.1)
+        for keep, a, b in zip(demo.kept.mask, demo.masked_set.stacks, model[1].stacks):
+            assert a is b if keep else not a.any()
+
     def test_masked_set_recheck(self):
         # independent recomputation: cut probes against the cut net
         demo = egoroff_demo(build_counterexample(8), 0.1)

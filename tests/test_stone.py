@@ -35,6 +35,13 @@ class TestLatticeOps:
         out = se(2, 3) * se(1, 0)
         assert np.allclose(out.values, [2, 0])
 
+    def test_idempotent_selects(self):
+        # a cut inf reads 0, not the nan of 0 * inf, and a kept -0.0 stays
+        p = Idempotent(PointSet.of_size(3), [False, True, True])
+        out = se(np.inf, 1, -0.0) * p
+        assert out.values.tobytes() == np.array([0.0, 1.0, -0.0]).tobytes()
+        assert (p * se(np.inf, 1, -0.0)).values.tobytes() == out.values.tobytes()
+
     def test_add_scalar_mul(self):
         out = 2.0 * se(1, -1) + se(0, 3)
         assert np.allclose(out.values, [2, 1])
