@@ -406,8 +406,7 @@ def check_cyclic_roundtrip(rng, n=15):
     for _ in range(n):
         M = _instance(rng, int(rng.integers(1, 6)))
         r = M.norm_sup().sup_norm() + 0.1
-        for eps in (0.5, 0.1):
-            w = cyclic_witness(M, eps, r)
+        for eps, w in zip((0.5, 0.1), cyclic_witness(M, (0.5, 0.1), r)):
             assert verify_cyclic(M, eps, w), "round trip failed"
             for _, Fn in w.parts:
                 assert Fn.norm_sup().le(2 * r, TOL), "mixed generators escape"

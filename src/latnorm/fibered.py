@@ -270,6 +270,14 @@ def _nearest(s: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mins, argmin
 
 
+def _nearest_at(s: np.ndarray, F: FiniteSet, w: int) -> tuple[np.ndarray, np.ndarray]:
+    """Min and argmin of each row of s over F's candidates at point w: by
+    ``GridNet.nearest`` for a net, else by ``_nearest``."""
+    if isinstance(F, GridNet):
+        return F.nearest(w, s)
+    return _nearest(s, F.stacks[w])
+
+
 def defect(M: FiniteSet, F: FiniteSet) -> DefectReport:
     """Pointwise worst-case distance from M to its nearest candidate in F.
 
@@ -288,10 +296,7 @@ def defect(M: FiniteSet, F: FiniteSet) -> DefectReport:
     value = np.empty(n_pts)
     argmin = np.empty((len(M), n_pts), dtype=int)
     for w in range(n_pts):
-        if isinstance(F, GridNet):
-            mins, argmin[:, w] = F.nearest(w, M.stacks[w])
-        else:
-            mins, argmin[:, w] = _nearest(M.stacks[w], F.stacks[w])
+        mins, argmin[:, w] = _nearest_at(M.stacks[w], F, w)
         value[w] = float(np.max(mins))
     return DefectReport(StoneElement(M.space.base, value), F, argmin)
 

@@ -14,14 +14,15 @@ argument (greedy witness chain plus exhaustion) is executable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ConstructionError, DimensionMismatchError
-from .stone import DEFAULT_TOL, Idempotent, PartitionOfUnity
+from .stone import DEFAULT_TOL, Idempotent, PartitionOfUnity, StoneElement
 from .fibered import (
-    FiniteSet, Traversal, _pair_dist, defect, greedy_order, prefix_defects,
-    truncate_to_ball,
+    FiniteSet, Traversal, _check_space, _nearest_at, _pair_dist, greedy_order,
+    prefix_defects, truncate_to_ball,
 )
 
 
@@ -94,12 +95,12 @@ class CyclicWitness:
 
 def cyclic_witness(
     M: FiniteSet,
-    eps: float,
+    eps_values: Sequence[float],
     r: float,
     tol: float = DEFAULT_TOL,
-    traversal: Traversal | None = None,
-) -> CyclicWitness:
-    """Constructive cyclic-compactness witness for a finite set.
+) -> list[CyclicWitness]:
+    """Constructive cyclic-compactness witnesses for a finite set, one per
+    eps of ``eps_values``, in order.
 
     Candidates are the greedy order-boundedness witness prefixes of M after
     truncation to the ball of radius 2r, taken at every size 1..|M|; the
@@ -108,41 +109,43 @@ def cyclic_witness(
     candidates are glued along that partition, one part per candidate size
     that some point uses.
 
-    When truncation cuts nothing it returns M itself, and a ``Traversal`` of
-    M (``traversal``, shared across eps, or a new one) gives the prefixes and
-    their covers; otherwise the truncated set is traversed and M's defect
-    against each prefix is computed. Truncation and the parts' idempotents
-    select entries, so every kept witness entry has M's bytes.
+    One truncation and one chain serve every eps: when truncation cuts
+    nothing it returns M itself, and one ``Traversal`` of M gives the
+    prefixes and their covers; otherwise the truncated set is traversed once
+    and M's defect against each of its prefixes is computed once. So every
+    part of every returned witness keeps, at each of its points, a prefix of
+    that one chain. Truncation and the parts' idempotents select entries,
+    so every kept witness entry has M's bytes.
     """
-    if eps <= 0:
+    if any(eps <= 0 for eps in eps_values):
         raise ValueError("eps must be positive")
     if len(M) == 0:
         raise ValueError("cyclic witness needs a nonempty set")
-    if traversal is not None and traversal.M is not M:
-        raise ValueError("the traversal belongs to another set")
     truncated = truncate_to_ball(M, r, tol)
     if truncated is M:
-        if traversal is None:
-            traversal = Traversal(M)
+        traversal = Traversal(M)
         order, radii = traversal.order, traversal.radii
     else:
         order = greedy_order(truncated)
         radii = prefix_defects(M, truncated.subset(order))
-    # covered[n-1] is where the size-n prefix reaches defect <= eps; the
-    # covers only grow with n, so a point's first cover is its first true row
-    covered = radii <= eps + tol
-    if not covered[-1].all():
-        raise ConstructionError(
-            f"no candidate of size <= {len(M)} reaches defect <= {eps} "
-            "everywhere; the set is not order-precompact at this level over "
-            "the truncation ball"
-        )
-    first = covered.argmax(axis=0) + 1
-    parts = []
-    for n in np.unique(first).tolist():
-        q = Idempotent(M.space.base, first == n)
-        parts.append((q, q * truncated.subset(order[:n])))
-    return CyclicWitness(parts, eps)
+    witnesses = []
+    for eps in eps_values:
+        # covered[n-1] is where the size-n prefix reaches defect <= eps; the
+        # covers only grow with n, so a point's first cover is its first true row
+        covered = radii <= eps + tol
+        if not covered[-1].all():
+            raise ConstructionError(
+                f"no candidate of size <= {len(M)} reaches defect <= {eps} "
+                "everywhere; the set is not order-precompact at this level over "
+                "the truncation ball"
+            )
+        first = covered.argmax(axis=0) + 1
+        parts = []
+        for n in np.unique(first).tolist():
+            q = Idempotent(M.space.base, first == n)
+            parts.append((q, q * truncated.subset(order[:n])))
+        witnesses.append(CyclicWitness(parts, eps))
+    return witnesses
 
 
 def verify_cyclic(
@@ -153,7 +156,9 @@ def verify_cyclic(
     For each element x and each part (q_n, F_n) the fiberwise nearest
     selection z_n from F_n is a mixing of F_n, and the check is
     q_n |x - z_n| <= eps pointwise, which simultaneously bounds
-    q_n inf_{y in F_n} |x - y|.
+    q_n inf_{y in F_n} |x - y|. A part's defect is computed only at its
+    own points: elsewhere ``q_n`` selects 0, so the verdict is that of
+    ``(defect(M, F_n).value * q_n).le(eps, tol)``.
     """
     if len(M) == 0:
         return True
@@ -163,7 +168,10 @@ def verify_cyclic(
             continue
         if len(F) == 0:
             return False
-        localized = defect(M, F).value * q
-        if not localized.le(eps, tol):
+        _check_space(M, F)
+        localized = np.zeros(M.space.n_points)
+        for p in np.flatnonzero(q.mask).tolist():
+            localized[p] = np.max(_nearest_at(M.stacks[p], F, p)[0])
+        if not StoneElement(M.space.base, localized).le(eps, tol):
             return False
     return True

@@ -1,6 +1,7 @@
 """Independent oracles shared by the unit and acceptance tests."""
 
 import itertools
+import json
 import math
 from dataclasses import dataclass
 
@@ -12,6 +13,7 @@ from latnorm import (
     FiberSpace,
     FiniteSet,
     Idempotent,
+    PartitionOfUnity,
     Traversal,
     defect,
     disc_grid,
@@ -457,6 +459,40 @@ def per_prefix_cyclic_witness(M, eps, r, tol=1e-9):
         )
         parts.append((p, glued))
     return parts
+
+
+def dense_verify_cyclic(M, eps, w, tol=1e-9):
+    """``verify_cyclic`` by a full ``defect`` of M against each part's set at
+    every point, localized afterwards by the part's idempotent."""
+    if len(M) == 0:
+        return True
+    PartitionOfUnity([q for q, _ in w.parts])
+    for q, F in w.parts:
+        if q.is_zero():
+            continue
+        if len(F) == 0:
+            return False
+        if not (defect(M, F).value * q).le(eps, tol):
+            return False
+    return True
+
+
+def per_part_cyclic_report(report, witnesses, verdicts):
+    """A ``cyclic`` JSON report line whose results are rendered one part at
+    a time: each stack by ``tolist``, and the complex entries written by the
+    encoder's ``default=str``. ``report`` gives every other key."""
+    results = {}
+    for w, ok in zip(witnesses, verdicts):
+        parts = [
+            {
+                "mask": q.mask.astype(int).tolist(),
+                "set_size": len(F),
+                "set": [list(e) for e in zip(*(s.tolist() for s in F.stacks))],
+            }
+            for q, F in w.parts
+        ]
+        results[str(w.epsilon)] = {"verified": ok, "witness": {"epsilon": w.epsilon, "parts": parts}}
+    return json.dumps({**report, "results": results}, default=str)
 
 
 def masked_sum_mix(partition, family):

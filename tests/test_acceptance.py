@@ -189,8 +189,7 @@ def test_ac5_mixing_cyclic():
         space = random_fiber_space(rng, max_points=6, max_dim=3)
         M = random_finite_set(rng, space, int(rng.integers(1, 6)))
         r = M.norm_sup().sup_norm() + 0.1
-        for eps in (0.5, 0.1):
-            w = cyclic_witness(M, eps, r, TOL)
+        for eps, w in zip((0.5, 0.1), cyclic_witness(M, (0.5, 0.1), r, TOL)):
             assert verify_cyclic(M, eps, w, TOL)
             for q, Fn in w.parts:
                 assert Fn.norm_sup().le(2 * r, TOL)

@@ -24,10 +24,11 @@ from latnorm.fixtures import (
 )
 from latnorm.serialize import parse_extension_doc, parse_finite_set_doc
 from latnorm.errors import SchemaError
-from latnorm.fibered import defect
+from latnorm.fibered import FiniteSet, defect
+from latnorm.mixing import cyclic_witness, verify_cyclic
 from latnorm.seqmodel import build_counterexample
 from documents import extension_to_json, finite_set_to_json
-from oracles import per_scalar_sets
+from oracles import per_part_cyclic_report, per_scalar_sets
 from report_keys import check_keys
 
 
@@ -839,6 +840,79 @@ class TestSharedTobTraversal:
         assert built == [30]  # one traversal for every eps
         assert sorted(defects) == sorted(set(sizes))
 
+
+
+# the CI document: element 2 has norm sqrt(2) at b, so a ball of radius 1.2
+# cuts it there
+CI_SETS = {
+    "space": {"points": ["a", "b"], "dims": [1, 2]},
+    "sets": {"M": [[[1.0], [0.5, [0, 1]]], [[-0.5], [0, 0.25]], [[0.25], [[1, -1], 0]]]},
+}
+
+
+class TestCyclicReport:
+    def test_bytes_equal_the_per_part_rendering(self, tmp_path, capsys):
+        rng = np.random.default_rng(63)
+        seen = {"reports": 0, "cut": 0, "zero fibers": 0, "part counts": 0}
+        for trial in range(60):
+            space = random_fiber_space(rng, 5, 4)
+            M = random_finite_set(rng, space, int(rng.integers(1, 16)))
+            stacks = []
+            for s in M.stacks:
+                s = s.copy()
+                s.real[rng.random(s.shape) < 0.2] = rng.choice([0.0, -0.0])
+                s.imag[rng.random(s.shape) < 0.2] = rng.choice([0.0, -0.0])
+                s[rng.random(len(M)) < 0.2] = rng.choice([0.0, complex(-0.0, -0.0)])
+                stacks.append(s)
+            M = FiniteSet(space, stacks, len(M))
+            doc = finite_set_to_json(M)
+            path = _write(tmp_path, "m.json", json.dumps({"space": doc["space"], "sets": {"M": doc["elements"]}}))
+            sup = M.norm_sup().sup_norm()
+            # a truncating radius: levels that its ball's candidates can reach
+            levels = [1.2, 1.0, 0.9] if trial % 2 else [1.5, 0.6, 0.3, 0.15]
+            eps_values = [float(e) * sup for e in rng.choice(levels, int(rng.integers(1, 4)), replace=False)]
+            argv = ["cyclic", path] + [a for e in eps_values for a in ("--eps", repr(e))]
+            if trial % 2:
+                argv += ["--radius", repr(0.45 * sup)]
+            rc = main(argv)
+            captured = capsys.readouterr()
+            if rc == 1 and captured.err.startswith("cyclic: "):
+                continue  # no truncated candidate covers at some eps
+            assert rc in (0, 1)
+            report = json.loads(captured.out)
+            results = report.pop("results")
+            M = parse_finite_set_doc(json.loads(Path(path).read_text()))[1]["M"]
+            tol = report["config"]["tol"]
+            witnesses = cyclic_witness(M, eps_values, report["radius"], tol)
+            verdicts = [verify_cyclic(M, w.epsilon, w, tol) for w in witnesses]
+            assert captured.out == per_part_cyclic_report(report, witnesses, verdicts) + "\n"
+            assert len(results) == len(eps_values)
+            seen["reports"] += 1
+            seen["cut"] += bool(np.any(M.norms() > 2 * report["radius"] + tol))
+            seen["zero fibers"] += any(not q.mask.all() for w in witnesses for q, _ in w.parts)
+            seen["part counts"] += len({len(w.parts) for w in witnesses}) > 1
+        assert min(seen.values()) > 0, seen
+
+    def test_one_chain_per_command(self, tmp_path, monkeypatch, capsys):
+        import latnorm.fibered as fibered
+        import latnorm.mixing as mixing
+
+        path = _write(tmp_path, "sets.json", json.dumps(CI_SETS))
+        built, orders, prefixes = [], [], []
+        real_init, real_order, real_prefix = fibered.Traversal.__init__, mixing.greedy_order, mixing.prefix_defects
+        monkeypatch.setattr(fibered.Traversal, "__init__", lambda t, M: built.append(len(M)) or real_init(t, M))
+        monkeypatch.setattr(mixing, "greedy_order", lambda M: orders.append(len(M)) or real_order(M))
+        monkeypatch.setattr(mixing, "prefix_defects", lambda M, F: prefixes.append(len(F)) or real_prefix(M, F))
+        # the ball of radius 10 holds M: one traversal for every eps
+        assert main(["cyclic", path, "--radius", "5", "--eps", "0.5", "--eps", "0.25", "--eps", "0.1"]) == 0
+        assert (built, orders, prefixes) == ([3], [], [])
+        built.clear()
+        # a truncating radius: one traversal of the truncated set, one table
+        # of M's prefix defects, for both eps
+        assert main(["cyclic", path, "--radius", "0.6", "--eps", "2", "--eps", "1.5"]) == 0
+        assert (built, orders, prefixes) == ([3], [3], [3])
+        results = _report(capsys.readouterr().out.splitlines()[-1])["results"]
+        assert all(r["verified"] is True for r in results.values())
 
 
 def _run_limited(tmp_path, body, limit=1536 * 2**20):

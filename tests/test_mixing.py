@@ -10,7 +10,6 @@ from latnorm import (
     PartitionOfUnity,
     PointSet,
     StoneElement,
-    Traversal,
     cyclic_witness,
     defect,
     eq_idempotent,
@@ -20,7 +19,7 @@ from latnorm import (
     verify_cyclic,
 )
 from latnorm.fixtures import random_fiber_space, random_finite_set
-from oracles import masked_sum_mix, per_prefix_cyclic_witness
+from oracles import dense_verify_cyclic, masked_sum_mix, per_prefix_cyclic_witness
 
 TOL = 1e-9
 
@@ -181,8 +180,7 @@ class TestCyclic:
             space = random_fiber_space(rng, max_points=4, max_dim=3)
             M = random_finite_set(rng, space, int(rng.integers(1, 6)))
             r = M.norm_sup().sup_norm() + 0.1
-            for eps in (0.5, 0.1):
-                w = cyclic_witness(M, eps, r)
+            for eps, w in zip((0.5, 0.1), cyclic_witness(M, (0.5, 0.1), r)):
                 assert verify_cyclic(M, eps, w)
                 for q, Fn in w.parts:
                     assert Fn.norm_sup().le(2 * r, TOL)
@@ -190,7 +188,7 @@ class TestCyclic:
     def test_zero_defect_single_part(self):
         space = FiberSpace(PointSet.of_size(2), (1, 1))
         M = scalar_set(space, [0.5, 0.5])
-        w = cyclic_witness(M, eps=0.25, r=1.0)
+        w, = cyclic_witness(M, [0.25], r=1.0)
         assert w.parts[0][0].is_one()
         assert verify_cyclic(M, 0.25, w)
 
@@ -199,7 +197,7 @@ class TestCyclic:
         # same witness cannot survive a halved tolerance
         space = FiberSpace(PointSet.of_size(2), (1, 1))
         M = scalar_set(space, [0.0, 0.0], [0.4, 0.4])
-        w = cyclic_witness(M, eps=0.5, r=1.0)
+        w, = cyclic_witness(M, [0.5], r=1.0)
         assert verify_cyclic(M, 0.5, w)
         assert len(w.parts[0][1]) == 1  # the size-1 candidate covered everything
         assert not verify_cyclic(M, 0.25, w)
@@ -207,7 +205,7 @@ class TestCyclic:
     def test_empty_probe_vacuous(self):
         space = FiberSpace(PointSet.of_size(2), (1, 1))
         empty = FiniteSet(space, [np.zeros((0, 1), complex)] * 2, 0)
-        w = cyclic_witness(FiniteSet.zero(space), 0.5, 1.0)
+        w, = cyclic_witness(FiniteSet.zero(space), [0.5], 1.0)
         assert verify_cyclic(empty, 0.5, w)
 
     def test_unreachable_level_raises(self):
@@ -215,7 +213,7 @@ class TestCyclic:
         M = scalar_set(space, [5.0, 5.0])
         # radius too small: truncation empties the ball, defect stays at 5
         with pytest.raises(ConstructionError):
-            cyclic_witness(M, eps=0.1, r=0.5)
+            cyclic_witness(M, [0.1], r=0.5)
 
     def test_kept_entries_keep_the_input_bytes(self):
         # truncation and the parts' idempotents select entries: where a part
@@ -224,12 +222,12 @@ class TestCyclic:
         for M in _signed_zero_sets():
             sup = M.norm_sup().sup_norm()
             order = greedy_order(M)
-            for eps in (0.6 * sup, 0.2 * sup):
-                if eps <= 0:
-                    continue
-                for q, F in cyclic_witness(M, eps, sup + TOL).parts:
-                    for w, (s, m) in enumerate(zip(F.stacks, M.stacks)):
-                        kept = m[list(order[: len(F)])] if q.mask[w] else np.zeros_like(s)
+            if sup == 0:
+                continue
+            for w in cyclic_witness(M, (0.6 * sup, 0.2 * sup), sup + TOL):
+                for q, F in w.parts:
+                    for p, (s, m) in enumerate(zip(F.stacks, M.stacks)):
+                        kept = m[list(order[: len(F)])] if q.mask[p] else np.zeros_like(s)
                         assert s.tobytes() == kept.tobytes()
 
     def test_localized_defect_bound(self):
@@ -238,7 +236,7 @@ class TestCyclic:
         space = random_fiber_space(rng)
         M = random_finite_set(rng, space, 4)
         eps = 0.5
-        w = cyclic_witness(M, eps, M.norm_sup().sup_norm() + 0.1)
+        w, = cyclic_witness(M, [eps], M.norm_sup().sup_norm() + 0.1)
         assert verify_cyclic(M, eps, w)
         for q, Fn in w.parts:
             if q.is_zero():
@@ -260,9 +258,9 @@ def test_cyclic_witness_matches_per_prefix_oracle():
                     expected = per_prefix_cyclic_witness(M, eps, r)
                 except ConstructionError:
                     with pytest.raises(ConstructionError):
-                        cyclic_witness(M, eps, r)
+                        cyclic_witness(M, [eps], r)
                     continue
-                got = cyclic_witness(M, eps, r).parts
+                got = cyclic_witness(M, [eps], r)[0].parts
                 # the witness keeps only the parts that some point uses
                 expected = [(q, F) for q, F in expected if not q.is_zero()]
                 assert len(got) == len(expected)
@@ -297,46 +295,150 @@ def _part_bytes(w):
     return [(q.mask.tobytes(), [s.tobytes() for s in F.stacks]) for q, F in w.parts]
 
 
-def test_shared_traversal_equals_fresh_witness():
+def test_one_chain_serves_every_eps():
+    # witnesses for several eps at once equal one call per eps and the
+    # per-prefix oracle, and the parts holding a point keep prefixes of one
+    # chain there, at radii whose ball holds M and at one that cuts
     for M in _signed_zero_sets():
         sup = M.norm_sup().sup_norm()
-        shared = Traversal(M)
-        for eps in (1.2 * sup, 0.6 * sup, 0.2 * sup, 1e-6):
-            if eps <= 0:
-                continue
-            for r in (sup + 0.1, sup + TOL):
-                got = cyclic_witness(M, eps, r, TOL, traversal=shared)
-                assert _part_bytes(got) == _part_bytes(cyclic_witness(M, eps, r, TOL))
-                expected = per_prefix_cyclic_witness(M, eps, r)
-                assert _part_bytes(got) == _part_bytes(
-                    CyclicWitness([(q, F) for q, F in expected if not q.is_zero()], eps)
+        eps_values = [e for e in (1.2 * sup, 0.6 * sup, 0.2 * sup, 1e-6) if e > 0]
+        for r in (sup + 0.1, sup + TOL, 0.45 * sup):
+            singles, failed = [], []
+            for eps in eps_values:
+                try:
+                    singles += cyclic_witness(M, [eps], r, TOL)
+                except ConstructionError as exc:
+                    failed.append(str(exc))
+            if failed:
+                with pytest.raises(ConstructionError) as exc:
+                    cyclic_witness(M, eps_values, r, TOL)
+                assert str(exc.value) == failed[0]
+            got = cyclic_witness(M, [w.epsilon for w in singles], r, TOL)
+            assert [_part_bytes(w) for w in got] == [_part_bytes(w) for w in singles]
+            for w in got:
+                expected = per_prefix_cyclic_witness(M, w.epsilon, r)
+                assert _part_bytes(w) == _part_bytes(
+                    CyclicWitness([(q, F) for q, F in expected if not q.is_zero()], w.epsilon)
                 )
-    with pytest.raises(ValueError, match="another set"):
-        cyclic_witness(M, 0.5, 1.0, traversal=Traversal(M.subset(range(len(M)))))
+            for p in range(M.space.n_points):
+                kept = [F.stacks[p] for w in got for q, F in w.parts if q.mask[p]]
+                longest = max(kept, key=len, default=None)
+                assert all(s.tobytes() == longest[: len(s)].tobytes() for s in kept)
+    with pytest.raises(ValueError, match="positive"):
+        cyclic_witness(M, [0.5, 0.0], 1.0)
+    assert cyclic_witness(M, [], 1.0) == []
 
 
 def test_only_a_truncating_radius_computes_prefix_defects(monkeypatch):
+    import latnorm.fibered as fibered
     import latnorm.mixing as mixing
 
-    calls = []
-    real = mixing.prefix_defects
+    calls, orders, built = [], [], []
+    real, real_order, real_init = mixing.prefix_defects, mixing.greedy_order, fibered.Traversal.__init__
     monkeypatch.setattr(mixing, "prefix_defects", lambda M, F: calls.append(len(F)) or real(M, F))
+    monkeypatch.setattr(mixing, "greedy_order", lambda M: orders.append(len(M)) or real_order(M))
+    monkeypatch.setattr(fibered.Traversal, "__init__", lambda t, M: built.append(len(M)) or real_init(t, M))
     rng = np.random.default_rng(15)
     space = random_fiber_space(rng, max_points=6, max_dim=6)
     M = random_finite_set(rng, space, 12)
     sup = M.norm_sup().sup_norm()
-    shared = Traversal(M)
-    for eps in (0.6 * sup, 0.3 * sup):
-        cyclic_witness(M, eps, sup / 2 + TOL, TOL, shared)  # the ball holds M
-    assert calls == []
+    # the ball holds M: one traversal of M serves both eps
+    cyclic_witness(M, (0.6 * sup, 0.3 * sup), sup / 2 + TOL, TOL)
+    assert (calls, orders, built) == ([], [], [12])
     # a radius whose ball cuts an element down: the truncated set is
-    # traversed and M's defect is computed against each of its prefixes
+    # traversed once and M's defect is computed against its prefixes once
     r = 0.45 * sup
     assert np.any(M.norm_sup().values > 2 * r)
-    got = cyclic_witness(M, 1.2 * sup, r, TOL, shared)
-    assert calls == [12]
-    expected = [(q, F) for q, F in per_prefix_cyclic_witness(M, 1.2 * sup, r) if not q.is_zero()]
-    assert _part_bytes(got) == _part_bytes(CyclicWitness(expected, 1.2 * sup))
+    got = cyclic_witness(M, (1.5 * sup, 1.2 * sup), r, TOL)
+    assert (calls, orders, built) == ([12], [12], [12, 12])
+    for w in got:
+        expected = [(q, F) for q, F in per_prefix_cyclic_witness(M, w.epsilon, r) if not q.is_zero()]
+        assert _part_bytes(w) == _part_bytes(CyclicWitness(expected, w.epsilon))
+
+
+def _with_stack(F, p, stack):
+    """F with its stack at point p replaced."""
+    return FiniteSet(F.space, [stack if w == p else s for w, s in enumerate(F.stacks)], len(F))
+
+
+def _witness_cases():
+    """(M, witness) pairs of random sets, at levels from one part of one
+    row to several parts."""
+    rng = np.random.default_rng(16)
+    for _ in range(40):
+        space = random_fiber_space(rng, max_points=6, max_dim=4)
+        M = random_finite_set(rng, space, int(rng.integers(1, 16)))
+        sup = M.norm_sup().sup_norm()
+        for w in cyclic_witness(M, (2.5 * sup, 0.6 * sup, 0.2 * sup), sup + TOL):
+            yield M, w
+
+
+class TestVerifyCyclic:
+    """``verify_cyclic`` against ``dense_verify_cyclic``, which computes each
+    part's defect at every point before localizing it."""
+
+    def test_valid_witnesses(self):
+        for M, w in _witness_cases():
+            assert verify_cyclic(M, w.epsilon, w) is dense_verify_cyclic(M, w.epsilon, w) is True
+
+    def test_row_perturbed_at_a_kept_point(self):
+        rng = np.random.default_rng(17)
+        outcomes = {True: 0, False: 0}
+        for M, w in _witness_cases():
+            far = 10 * (M.norm_sup().sup_norm() + w.epsilon) + 1
+            for a, (q, F) in enumerate(w.parts):
+                p = int(rng.choice(np.flatnonzero(q.mask)))
+                s = F.stacks[p].copy()
+                s[int(rng.integers(len(F)))] += far
+                parts = list(w.parts)
+                parts[a] = (q, _with_stack(F, p, s))
+                bad = CyclicWitness(parts, w.epsilon)
+                got = verify_cyclic(M, w.epsilon, bad)
+                assert got is dense_verify_cyclic(M, w.epsilon, bad)
+                if len(F) == 1:  # the one candidate is out of reach
+                    assert got is False
+                outcomes[got] += 1
+        assert outcomes[True] > 0 and outcomes[False] > 0
+
+    def test_row_perturbed_at_a_cut_point(self):
+        checked = 0
+        for M, w in _witness_cases():
+            for a, (q, F) in enumerate(w.parts):
+                for p in np.flatnonzero(~q.mask).tolist():
+                    for junk in (1e6, np.nan):
+                        parts = list(w.parts)
+                        parts[a] = (q, _with_stack(F, p, F.stacks[p] + junk))
+                        bad = CyclicWitness(parts, w.epsilon)
+                        assert verify_cyclic(M, w.epsilon, bad) is dense_verify_cyclic(M, w.epsilon, bad) is True
+                        checked += 1
+        assert checked > 0
+
+    def test_nan_entries(self):
+        for M, w in _witness_cases():
+            p = M.space.n_points - 1
+            s = M.stacks[p].copy()
+            s[0, 0] = complex(np.nan, 0.0)
+            M_nan = _with_stack(M, p, s)
+            assert verify_cyclic(M_nan, w.epsilon, w) is dense_verify_cyclic(M_nan, w.epsilon, w) is False
+            a = next(a for a, (q, _) in enumerate(w.parts) if q.mask[p])
+            q, F = w.parts[a]
+            parts = list(w.parts)
+            parts[a] = (q, _with_stack(F, p, F.stacks[p] * np.nan))
+            bad = CyclicWitness(parts, w.epsilon)
+            assert verify_cyclic(M, w.epsilon, bad) is dense_verify_cyclic(M, w.epsilon, bad) is False
+
+    def test_no_distance_outside_a_part(self, monkeypatch):
+        import latnorm.fibered as fibered
+
+        seen = []
+        real = fibered._pair_dist
+        monkeypatch.setattr(fibered, "_pair_dist", lambda a, b: seen.append(id(b)) or real(a, b))
+        for M, w in _witness_cases():
+            seen.clear()
+            assert verify_cyclic(M, w.epsilon, w)
+            held = {id(F.stacks[p]) for q, F in w.parts for p in np.flatnonzero(q.mask).tolist()}
+            assert seen and set(seen) <= held
+            assert len(seen) == M.space.n_points  # one table per point
 
 
 def test_cyclic_parts_are_nonempty_and_partition_the_points():
@@ -345,8 +447,7 @@ def test_cyclic_parts_are_nonempty_and_partition_the_points():
         space = random_fiber_space(rng, max_points=6, max_dim=6)
         M = random_finite_set(rng, space, int(rng.integers(1, 26)))
         sup = M.norm_sup().sup_norm()
-        for eps in (0.2 * sup, 0.6 * sup, 1.2 * sup):
-            w = cyclic_witness(M, eps, sup + 0.1)
+        for w in cyclic_witness(M, (0.2 * sup, 0.6 * sup, 1.2 * sup), sup + 0.1):
             masks = np.array([q.mask for q, _ in w.parts])
             assert masks.any(axis=1).all()
             assert np.array_equal(masks.sum(axis=0), np.ones(space.n_points))
