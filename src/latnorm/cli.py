@@ -46,7 +46,6 @@ from .mixing import cyclic_witness, verify_cyclic
 from .relative import theorem_cross_check
 from .seqmodel import build_counterexample, egoroff_demo
 from .serialize import parse_extension_doc, parse_finite_set_doc
-from .stone import DEFAULT_TOL
 from .systems import cond_expectation, validate_extension
 
 EXIT_OK = 0
@@ -128,9 +127,7 @@ def _defect_json(rep: DefectReport) -> dict:
 def cmd_analyze(args) -> int:
     doc = _load_json(args.input)
     ext = parse_extension_doc(doc, cap=args.cap)
-    # the analysis encodes through RelModule, which admits only extensions
-    # valid at the default tolerance, so a larger --tol cannot loosen this
-    validation = validate_extension(ext, min(args.tol, DEFAULT_TOL))
+    validation = validate_extension(ext)
     if not validation.valid:
         for v in validation.violations:
             print(f"invalid extension: {v}", file=sys.stderr)
@@ -254,25 +251,24 @@ def cmd_cyclic(args) -> int:
     M = sets["M"]
     r = args.radius if args.radius is not None else M.norm_sup().sup_norm() + args.tol
     witnesses = cyclic_witness(M, args.eps, r, args.tol)
-    # every part keeps, at each of its points, a prefix of one chain: each
-    # fiber's entries are rendered once, up to the longest prefix any part
-    # keeps there, and a cut fiber repeats one row of "0j", the str of the
-    # +0 entries of its np.zeros stack. The payload holds only strings
-    chains = {}
-    for q, F in (part for w in witnesses for part in w.parts):
-        for p in np.flatnonzero(q.mask).tolist():
-            if len(F) > len(chains.get(p, ())):
-                chains[p] = F.stacks[p]
-    chains = {p: [list(map(str, row)) for row in s.tolist()] for p, s in chains.items()}
+    # every witness shares one chain: each fiber of it is rendered once, up
+    # to the longest prefix at that point, and a point outside a part
+    # repeats one row of "0j", the str of a +0 entry. The payload holds
+    # only strings
+    longest = np.max([w.prefix for w in witnesses], axis=0).tolist()
+    chain = [
+        [list(map(str, row)) for row in s[:n].tolist()]
+        for s, n in zip(witnesses[0].chain.stacks, longest)
+    ]
     zero = [["0j"] * d for d in M.space.dims]
     results = {}
     for w in witnesses:
         parts = []
-        for q, F in w.parts:
-            n = len(F)
-            fibers = [chains[p][:n] if m else [zero[p]] * n for p, m in enumerate(q.mask.tolist())]
+        for n in np.unique(w.prefix).tolist():
+            mask = (w.prefix == n).tolist()
+            fibers = [chain[p][:n] if m else [zero[p]] * n for p, m in enumerate(mask)]
             parts.append({
-                "mask": q.mask.astype(int).tolist(), "set_size": n,
+                "mask": list(map(int, mask)), "set_size": n,
                 "set": [list(e) for e in zip(*fibers)],
             })
         ok = verify_cyclic(M, w.epsilon, w, args.tol)
@@ -392,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--cap", type=_int_at_least(1), default=10**5,
         help="largest orbit size allowed (exit 3 beyond it)",
     )
-    _add_common(p)
+    _add_common(p, tol=False)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("tob", help="defect table and order-boundedness witnesses")

@@ -8,7 +8,9 @@ mixing picks, at each point, the family row whose part holds that point.
 Relative cyclic compactness of a set is certified by a countable partition
 (q_n) and finite sets F_n whose mixings epsilon-approximate every element
 on the corresponding component; at finite scale the constructive existence
-argument (greedy witness chain plus exhaustion) is executable.
+argument (greedy witness chain plus exhaustion) is executable, and every F_n
+is q_n times a prefix of one greedy chain, so a witness is that chain and
+one prefix length per point.
 """
 
 from __future__ import annotations
@@ -21,8 +23,7 @@ import numpy as np
 from .errors import ConstructionError, DimensionMismatchError
 from .stone import DEFAULT_TOL, Idempotent, PartitionOfUnity, StoneElement
 from .fibered import (
-    FiniteSet, Traversal, _check_space, _nearest_at, _pair_dist, greedy_order,
-    prefix_defects, truncate_to_ball,
+    FiniteSet, Traversal, _nearest, _pair_dist, prefix_defects, truncate_to_ball,
 )
 
 
@@ -87,9 +88,15 @@ def mix_membership(
 
 @dataclass
 class CyclicWitness:
-    """Partition (q_n) with finite sets F_n whose mixings approximate a set."""
+    """Partition (q_n) with finite sets F_n whose mixings approximate a set.
 
-    parts: list[tuple[Idempotent, FiniteSet]]
+    ``chain`` holds the candidates in greedy order and ``prefix`` one
+    integer per point: the part q_n is {prefix == n}, and F_n is q_n times
+    the first n elements of ``chain``.
+    """
+
+    chain: FiniteSet
+    prefix: np.ndarray
     epsilon: float
 
 
@@ -105,29 +112,24 @@ def cyclic_witness(
     Candidates are the greedy order-boundedness witness prefixes of M after
     truncation to the ball of radius 2r, taken at every size 1..|M|; the
     exhaustion principle (first fit, ascending cardinality) assigns each
-    point to the smallest candidate already eps-covering it there, and the
-    candidates are glued along that partition, one part per candidate size
-    that some point uses.
+    point to the smallest candidate already eps-covering it there, so a
+    point's prefix is the size of its first cover.
 
-    One truncation and one chain serve every eps: when truncation cuts
-    nothing it returns M itself, and one ``Traversal`` of M gives the
-    prefixes and their covers; otherwise the truncated set is traversed once
-    and M's defect against each of its prefixes is computed once. So every
-    part of every returned witness keeps, at each of its points, a prefix of
-    that one chain. Truncation and the parts' idempotents select entries,
-    so every kept witness entry has M's bytes.
+    One truncation and one ``Traversal`` of the truncated set give the
+    chain that every returned witness shares. When truncation cuts nothing
+    it returns M itself, and the traversal's radii are the covers;
+    otherwise M's defect against each prefix of the chain is computed once.
+    Truncation selects entries, so every chain entry that it keeps has M's
+    bytes.
     """
     if any(eps <= 0 for eps in eps_values):
         raise ValueError("eps must be positive")
     if len(M) == 0:
         raise ValueError("cyclic witness needs a nonempty set")
     truncated = truncate_to_ball(M, r, tol)
-    if truncated is M:
-        traversal = Traversal(M)
-        order, radii = traversal.order, traversal.radii
-    else:
-        order = greedy_order(truncated)
-        radii = prefix_defects(M, truncated.subset(order))
+    traversal = Traversal(truncated)
+    chain = truncated.subset(traversal.order)
+    radii = traversal.radii if truncated is M else prefix_defects(M, chain)
     witnesses = []
     for eps in eps_values:
         # covered[n-1] is where the size-n prefix reaches defect <= eps; the
@@ -139,12 +141,7 @@ def cyclic_witness(
                 "everywhere; the set is not order-precompact at this level over "
                 "the truncation ball"
             )
-        first = covered.argmax(axis=0) + 1
-        parts = []
-        for n in np.unique(first).tolist():
-            q = Idempotent(M.space.base, first == n)
-            parts.append((q, q * truncated.subset(order[:n])))
-        witnesses.append(CyclicWitness(parts, eps))
+        witnesses.append(CyclicWitness(chain, covered.argmax(axis=0) + 1, eps))
     return witnesses
 
 
@@ -156,22 +153,26 @@ def verify_cyclic(
     For each element x and each part (q_n, F_n) the fiberwise nearest
     selection z_n from F_n is a mixing of F_n, and the check is
     q_n |x - z_n| <= eps pointwise, which simultaneously bounds
-    q_n inf_{y in F_n} |x - y|. A part's defect is computed only at its
-    own points: elsewhere ``q_n`` selects 0, so the verdict is that of
-    ``(defect(M, F_n).value * q_n).le(eps, tol)``.
+    q_n inf_{y in F_n} |x - y|. One part holds each point, so each point
+    takes one distance table against the first ``prefix`` chain rows there,
+    and the verdict is that of ``(defect(M, F_n).value * q_n).le(eps, tol)``
+    over every part.
+
+    Raises ``ValueError`` when the chain lives on another fiber space than
+    M, or when ``prefix`` is not one integer in 1..len(chain) per point.
     """
+    chain, prefix = w.chain, np.asarray(w.prefix)
+    if chain.space != M.space:
+        raise ValueError("witness chain on a different fiber space")
+    if (
+        prefix.shape != (M.space.n_points,)
+        or prefix.dtype.kind not in "iu"
+        or not np.all((1 <= prefix) & (prefix <= len(chain)))
+    ):
+        raise ValueError(f"prefix must hold one integer in 1..{len(chain)} per point")
     if len(M) == 0:
         return True
-    PartitionOfUnity([q for q, _ in w.parts])  # validates the masks
-    for q, F in w.parts:
-        if q.is_zero():
-            continue
-        if len(F) == 0:
-            return False
-        _check_space(M, F)
-        localized = np.zeros(M.space.n_points)
-        for p in np.flatnonzero(q.mask).tolist():
-            localized[p] = np.max(_nearest_at(M.stacks[p], F, p)[0])
-        if not StoneElement(M.space.base, localized).le(eps, tol):
-            return False
-    return True
+    localized = [
+        np.max(_nearest(s, t[:n])[0]) for s, t, n in zip(M.stacks, chain.stacks, prefix.tolist())
+    ]
+    return StoneElement(M.space.base, np.array(localized)).le(eps, tol)

@@ -94,10 +94,10 @@ class MPMap:
         inv[self.perm] = np.arange(len(self.perm))
         return MPMap(inv)
 
-    def preserves(self, space: FiniteProbabilitySpace, tol: float = DEFAULT_TOL) -> bool:
+    def preserves(self, space: FiniteProbabilitySpace) -> bool:
         if len(self.perm) != space.size:
             return False
-        return bool(np.all(np.abs(space.weights[self.perm] - space.weights) <= tol))
+        return bool(np.all(np.abs(space.weights[self.perm] - space.weights) <= DEFAULT_TOL))
 
 
 def _generator_steps(gens: Sequence[MPMap]) -> list[np.ndarray]:
@@ -210,8 +210,8 @@ class Extension:
             raise ValueError("factor map image out of range")
         self.cap = cap
         self._rel = None
-        # the last report of validate_extension at DEFAULT_TOL, which
-        # RelModule reads rather than validating again
+        # the last report of validate_extension, which RelModule reads
+        # rather than validating again
         self._validation = None
 
     @property
@@ -237,29 +237,30 @@ class Extension:
         ]
 
 
-def validate_extension(ext: Extension, tol: float = DEFAULT_TOL) -> ValidationReport:
-    """Diagnostic check of measure preservation, pushforward and intertwining.
+def validate_extension(ext: Extension) -> ValidationReport:
+    """Diagnostic check of measure preservation, pushforward and intertwining
+    at ``DEFAULT_TOL``.
 
-    A report at ``DEFAULT_TOL`` is kept on the extension, whose ``RelModule``
-    reads it rather than validating again.
+    The report is kept on the extension, whose ``RelModule`` reads it rather
+    than validating again.
     """
     violations = []
     for i, g in enumerate(ext.upstairs_gens):
         if len(g) != ext.upstairs.size:
             violations.append(f"upstairs generator {i} has wrong size")
-        elif not g.preserves(ext.upstairs, tol):
+        elif not g.preserves(ext.upstairs):
             violations.append(f"upstairs generator {i} does not preserve the measure")
     for i, g in enumerate(ext.downstairs_gens):
         if len(g) != ext.downstairs.size:
             violations.append(f"downstairs generator {i} has wrong size")
-        elif not g.preserves(ext.downstairs, tol):
+        elif not g.preserves(ext.downstairs):
             violations.append(
                 f"downstairs generator {i} does not preserve the measure"
             )
     push = np.zeros(ext.downstairs.size)
     np.add.at(push, ext.factor, ext.upstairs.weights)
     for y in range(ext.downstairs.size):
-        if abs(push[y] - ext.downstairs.weights[y]) > tol:
+        if abs(push[y] - ext.downstairs.weights[y]) > DEFAULT_TOL:
             violations.append(
                 f"pushforward mass {push[y]:.12g} at point "
                 f"{ext.downstairs.labels[y]} != weight "
@@ -279,10 +280,8 @@ def validate_extension(ext: Extension, tol: float = DEFAULT_TOL) -> ValidationRe
         rhs = sigma.perm[ext.factor]
         if not np.array_equal(lhs, rhs):
             violations.append(f"generator pair {i} does not intertwine the factor map")
-    report = ValidationReport(valid=not violations, violations=violations)
-    if tol == DEFAULT_TOL:
-        ext._validation = report
-    return report
+    ext._validation = ValidationReport(valid=not violations, violations=violations)
+    return ext._validation
 
 
 def cond_expectation(f: np.ndarray, ext: Extension) -> np.ndarray:
@@ -318,8 +317,8 @@ class RelModule:
     the Euclidean fiber norm of an encoded function equals its relative
     norm. Functions travel as ``(k, n_x)`` arrays, one per row, and module
     elements as ``FiniteSet`` stacks. Only a valid extension has a module:
-    the last ``validate_extension`` report at ``DEFAULT_TOL`` decides, or a
-    new one when there is none.
+    the last ``validate_extension`` report decides, or a new one when there
+    is none.
     """
 
     def __init__(self, ext: Extension):

@@ -13,7 +13,6 @@ from latnorm import (
     FiberSpace,
     FiniteSet,
     Idempotent,
-    PartitionOfUnity,
     Traversal,
     defect,
     disc_grid,
@@ -439,7 +438,8 @@ def brute_force_defect_chain(M, order):
 
 def per_prefix_cyclic_witness(M, eps, r, tol=1e-9):
     """Parts of a cyclic witness whose candidate covers each come from a
-    full ``defect`` of M against the greedy prefix of the truncated set."""
+    full ``defect`` of M against the greedy prefix of the truncated set;
+    only the parts that some point uses are kept."""
     truncated = truncate_to_ball(M, r, tol)
     order = greedy_order(truncated)
     order_sets = [truncated.subset(order[:n]) for n in range(1, len(order) + 1)]
@@ -454,6 +454,8 @@ def per_prefix_cyclic_witness(M, eps, r, tol=1e-9):
         raise ConstructionError("no candidate covers every point")
     parts = []
     for p, F in zip(exhaustion(covers), order_sets):
+        if p.is_zero():
+            continue
         glued = FiniteSet(
             F.space, [np.where(p.mask[w], s, 0) for w, s in enumerate(F.stacks)], len(F)
         )
@@ -461,37 +463,42 @@ def per_prefix_cyclic_witness(M, eps, r, tol=1e-9):
     return parts
 
 
-def dense_verify_cyclic(M, eps, w, tol=1e-9):
-    """``verify_cyclic`` by a full ``defect`` of M against each part's set at
-    every point, localized afterwards by the part's idempotent."""
+def witness_parts(w):
+    """The paper's form of a cyclic witness: one pair (q_n, F_n) per prefix
+    length n that some point takes, ascending, with q_n = {prefix == n} and
+    F_n = q_n times the first n elements of the chain."""
+    parts = []
+    for n in np.unique(w.prefix).tolist():
+        q = Idempotent(w.chain.space.base, w.prefix == n)
+        parts.append((q, q * w.chain.subset(range(n))))
+    return parts
+
+
+def dense_verify_cyclic(M, eps, parts, tol=1e-9):
+    """``verify_cyclic`` of a witness in the paper's form (``witness_parts``)
+    by a full ``defect`` of M against each part's set at every point,
+    localized afterwards by the part's idempotent."""
     if len(M) == 0:
         return True
-    PartitionOfUnity([q for q, _ in w.parts])
-    for q, F in w.parts:
-        if q.is_zero():
-            continue
-        if len(F) == 0:
-            return False
-        if not (defect(M, F).value * q).le(eps, tol):
-            return False
-    return True
+    return all((defect(M, F).value * q).le(eps, tol) for q, F in parts)
 
 
 def per_part_cyclic_report(report, witnesses, verdicts):
     """A ``cyclic`` JSON report line whose results are rendered one part at
     a time: each stack by ``tolist``, and the complex entries written by the
-    encoder's ``default=str``. ``report`` gives every other key."""
+    encoder's ``default=str``. ``witnesses`` holds ``(epsilon, parts)``
+    pairs, each in the paper's form; ``report`` gives every other key."""
     results = {}
-    for w, ok in zip(witnesses, verdicts):
-        parts = [
+    for (eps, parts), ok in zip(witnesses, verdicts):
+        rendered = [
             {
                 "mask": q.mask.astype(int).tolist(),
                 "set_size": len(F),
                 "set": [list(e) for e in zip(*(s.tolist() for s in F.stacks))],
             }
-            for q, F in w.parts
+            for q, F in parts
         ]
-        results[str(w.epsilon)] = {"verified": ok, "witness": {"epsilon": w.epsilon, "parts": parts}}
+        results[str(eps)] = {"verified": ok, "witness": {"epsilon": eps, "parts": rendered}}
     return json.dumps({**report, "results": results}, default=str)
 
 

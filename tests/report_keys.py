@@ -22,7 +22,7 @@ def _config(*keys):
 REPORTS = {
     "analyze": {
         **_ENVELOPE,
-        "config": _config("input", "eps", "delta", "cap", "tol"),
+        "config": _config("input", "eps", "delta", "cap"),
         "validation": {"valid": None, "violations": None},
         "cond_expectation": None,
         "ap_verdicts": None,

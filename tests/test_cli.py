@@ -25,10 +25,14 @@ from latnorm.fixtures import (
 from latnorm.serialize import parse_extension_doc, parse_finite_set_doc
 from latnorm.errors import SchemaError
 from latnorm.fibered import FiniteSet, defect
-from latnorm.mixing import cyclic_witness, verify_cyclic
 from latnorm.seqmodel import build_counterexample
 from documents import extension_to_json, finite_set_to_json
-from oracles import per_part_cyclic_report, per_scalar_sets
+from oracles import (
+    dense_verify_cyclic,
+    per_part_cyclic_report,
+    per_prefix_cyclic_witness,
+    per_scalar_sets,
+)
 from report_keys import check_keys
 
 
@@ -107,8 +111,9 @@ class TestCommands:
         assert main(["analyze", str(path)]) == 2
         assert "intertwine" in capsys.readouterr().err
 
-    def test_analyze_loose_tol_still_needs_a_valid_encoding(self, tmp_path, capsys):
-        # valid at --tol 1e-3, but the module encoding requires 1e-9
+    def test_analyze_takes_no_tol(self, tmp_path, capsys):
+        # validation compares at 1e-9, the tolerance the module encoding
+        # needs: weights 2e-6 apart are not preserved, and no option loosens it
         doc = {
             "space": {"points": ["x0", "x1"], "weights": [0.500001, 0.499999]},
             "generators": [[1, 0]],
@@ -120,11 +125,13 @@ class TestCommands:
         }
         path = tmp_path / "loose.json"
         path.write_text(json.dumps(doc))
-        assert main(["analyze", str(path), "--tol", "1e-3"]) == 2
-        err = capsys.readouterr().err
-        assert err.splitlines() == [
+        assert main(["analyze", str(path)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
             "invalid extension: upstairs generator 0 does not preserve the measure"
         ]
+        assert main(["analyze", str(path), "--tol", "1e-3"]) == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --tol" in err and "Traceback" not in err
 
     def test_tob_defect_and_witness(self, sets_doc, capsys):
         assert main(["tob", sets_doc, "--eps", "0.5"]) == 0
@@ -279,8 +286,9 @@ class TestCommands:
 
     @pytest.mark.parametrize("flag", ["--eps", "--delta", "--tol"])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-    def test_non_finite_values_rejected(self, ext_doc, flag, value, capsys):
-        assert main(["analyze", ext_doc, f"{flag}={value}"]) == 2
+    def test_non_finite_values_rejected(self, ext_doc, sets_doc, flag, value, capsys):
+        command = ["tob", sets_doc] if flag == "--tol" else ["analyze", ext_doc]
+        assert main(command + [f"{flag}={value}"]) == 2
         assert "finite" in capsys.readouterr().err
 
     def test_cap_below_one_rejected(self, ext_doc):
@@ -296,7 +304,7 @@ class TestCommands:
             (["zonotope", "{sets}", "--max-iter", "0"], "argument --max-iter: '0' is not an integer >= 1"),
             (["zonotope", "{sets}", "--tol", "1e-9"], "unrecognized arguments: --tol"),
             (["selftest", "--tol", "1e-9"], "unrecognized arguments: --tol"),
-            (["analyze", "{ext}", "--tol", "-1"], "argument --tol: '-1' is not nonnegative"),
+            (["tob", "{sets}", "--eps", "0.5", "--tol=-1"], "argument --tol: '-1' is not nonnegative"),
             (["tob", "{sets}", "--tol", "-1"], "argument --tol: '-1' is not nonnegative"),
             (["cyclic", "{sets}", "--tol", "-1"], "argument --tol: '-1' is not nonnegative"),
             (["counterexample", "--n", "4", "--tol", "1e-9"], "unrecognized arguments: --tol"),
@@ -364,21 +372,17 @@ class TestCommands:
         import latnorm.cli as cli
         import latnorm.systems as systems
 
-        tols = []
+        calls = []
         real = systems.validate_extension
 
-        def counted(ext, tol=1e-9):
-            tols.append(tol)
-            return real(ext, tol)
+        def counted(ext):
+            calls.append(ext)
+            return real(ext)
 
         monkeypatch.setattr(cli, "validate_extension", counted)
         monkeypatch.setattr(systems, "validate_extension", counted)
         assert main(["analyze", ext_doc]) == 0
-        assert tols == [1e-9]
-        # validated below the default tolerance, the module validates again
-        tols.clear()
-        assert main(["analyze", ext_doc, "--tol", "1e-12"]) == 0
-        assert tols == [1e-12, 1e-9]
+        assert len(calls) == 1
         capsys.readouterr()
 
     def test_group_cap_exit_code(self, ext_doc, capsys):
@@ -883,14 +887,16 @@ class TestCyclicReport:
             results = report.pop("results")
             M = parse_finite_set_doc(json.loads(Path(path).read_text()))[1]["M"]
             tol = report["config"]["tol"]
-            witnesses = cyclic_witness(M, eps_values, report["radius"], tol)
-            verdicts = [verify_cyclic(M, w.epsilon, w, tol) for w in witnesses]
+            witnesses = [
+                (eps, per_prefix_cyclic_witness(M, eps, report["radius"], tol)) for eps in eps_values
+            ]
+            verdicts = [dense_verify_cyclic(M, eps, parts, tol) for eps, parts in witnesses]
             assert captured.out == per_part_cyclic_report(report, witnesses, verdicts) + "\n"
             assert len(results) == len(eps_values)
             seen["reports"] += 1
             seen["cut"] += bool(np.any(M.norms() > 2 * report["radius"] + tol))
-            seen["zero fibers"] += any(not q.mask.all() for w in witnesses for q, _ in w.parts)
-            seen["part counts"] += len({len(w.parts) for w in witnesses}) > 1
+            seen["zero fibers"] += any(not q.mask.all() for _, parts in witnesses for q, _ in parts)
+            seen["part counts"] += len({len(parts) for _, parts in witnesses}) > 1
         assert min(seen.values()) > 0, seen
 
     def test_one_chain_per_command(self, tmp_path, monkeypatch, capsys):
@@ -898,19 +904,18 @@ class TestCyclicReport:
         import latnorm.mixing as mixing
 
         path = _write(tmp_path, "sets.json", json.dumps(CI_SETS))
-        built, orders, prefixes = [], [], []
-        real_init, real_order, real_prefix = fibered.Traversal.__init__, mixing.greedy_order, mixing.prefix_defects
+        built, prefixes = [], []
+        real_init, real_prefix = fibered.Traversal.__init__, mixing.prefix_defects
         monkeypatch.setattr(fibered.Traversal, "__init__", lambda t, M: built.append(len(M)) or real_init(t, M))
-        monkeypatch.setattr(mixing, "greedy_order", lambda M: orders.append(len(M)) or real_order(M))
         monkeypatch.setattr(mixing, "prefix_defects", lambda M, F: prefixes.append(len(F)) or real_prefix(M, F))
         # the ball of radius 10 holds M: one traversal for every eps
         assert main(["cyclic", path, "--radius", "5", "--eps", "0.5", "--eps", "0.25", "--eps", "0.1"]) == 0
-        assert (built, orders, prefixes) == ([3], [], [])
+        assert (built, prefixes) == ([3], [])
         built.clear()
         # a truncating radius: one traversal of the truncated set, one table
         # of M's prefix defects, for both eps
         assert main(["cyclic", path, "--radius", "0.6", "--eps", "2", "--eps", "1.5"]) == 0
-        assert (built, orders, prefixes) == ([3], [3], [3])
+        assert (built, prefixes) == ([3], [3])
         results = _report(capsys.readouterr().out.splitlines()[-1])["results"]
         assert all(r["verified"] is True for r in results.values())
 

@@ -19,7 +19,7 @@ from latnorm import (
     verify_cyclic,
 )
 from latnorm.fixtures import random_fiber_space, random_finite_set
-from oracles import dense_verify_cyclic, masked_sum_mix, per_prefix_cyclic_witness
+from oracles import dense_verify_cyclic, masked_sum_mix, per_prefix_cyclic_witness, witness_parts
 
 TOL = 1e-9
 
@@ -182,14 +182,14 @@ class TestCyclic:
             r = M.norm_sup().sup_norm() + 0.1
             for eps, w in zip((0.5, 0.1), cyclic_witness(M, (0.5, 0.1), r)):
                 assert verify_cyclic(M, eps, w)
-                for q, Fn in w.parts:
+                for q, Fn in witness_parts(w):
                     assert Fn.norm_sup().le(2 * r, TOL)
 
     def test_zero_defect_single_part(self):
         space = FiberSpace(PointSet.of_size(2), (1, 1))
         M = scalar_set(space, [0.5, 0.5])
         w, = cyclic_witness(M, [0.25], r=1.0)
-        assert w.parts[0][0].is_one()
+        assert witness_parts(w)[0][0].is_one()
         assert verify_cyclic(M, 0.25, w)
 
     def test_halved_eps_fails_on_slack_witness(self):
@@ -199,7 +199,7 @@ class TestCyclic:
         M = scalar_set(space, [0.0, 0.0], [0.4, 0.4])
         w, = cyclic_witness(M, [0.5], r=1.0)
         assert verify_cyclic(M, 0.5, w)
-        assert len(w.parts[0][1]) == 1  # the size-1 candidate covered everything
+        assert len(witness_parts(w)[0][1]) == 1  # the size-1 candidate covered everything
         assert not verify_cyclic(M, 0.25, w)
 
     def test_empty_probe_vacuous(self):
@@ -225,7 +225,7 @@ class TestCyclic:
             if sup == 0:
                 continue
             for w in cyclic_witness(M, (0.6 * sup, 0.2 * sup), sup + TOL):
-                for q, F in w.parts:
+                for q, F in witness_parts(w):
                     for p, (s, m) in enumerate(zip(F.stacks, M.stacks)):
                         kept = m[list(order[: len(F)])] if q.mask[p] else np.zeros_like(s)
                         assert s.tobytes() == kept.tobytes()
@@ -238,9 +238,7 @@ class TestCyclic:
         eps = 0.5
         w, = cyclic_witness(M, [eps], M.norm_sup().sup_norm() + 0.1)
         assert verify_cyclic(M, eps, w)
-        for q, Fn in w.parts:
-            if q.is_zero():
-                continue
+        for q, Fn in witness_parts(w):
             assert (defect(M, Fn).value * q).le(eps, TOL)
 
 
@@ -260,9 +258,7 @@ def test_cyclic_witness_matches_per_prefix_oracle():
                     with pytest.raises(ConstructionError):
                         cyclic_witness(M, [eps], r)
                     continue
-                got = cyclic_witness(M, [eps], r)[0].parts
-                # the witness keeps only the parts that some point uses
-                expected = [(q, F) for q, F in expected if not q.is_zero()]
+                got = witness_parts(cyclic_witness(M, [eps], r)[0])
                 assert len(got) == len(expected)
                 for (q, F), (q_ref, F_ref) in zip(got, expected):
                     assert np.array_equal(q.mask, q_ref.mask)
@@ -291,14 +287,15 @@ def _signed_zero_sets():
         yield FiniteSet(space, stacks, len(M))
 
 
-def _part_bytes(w):
-    return [(q.mask.tobytes(), [s.tobytes() for s in F.stacks]) for q, F in w.parts]
+def _part_bytes(parts):
+    return [(q.mask.tobytes(), [s.tobytes() for s in F.stacks]) for q, F in parts]
+
 
 
 def test_one_chain_serves_every_eps():
     # witnesses for several eps at once equal one call per eps and the
-    # per-prefix oracle, and the parts holding a point keep prefixes of one
-    # chain there, at radii whose ball holds M and at one that cuts
+    # per-prefix oracle, and share one chain, at radii whose ball holds M
+    # and at one that cuts
     for M in _signed_zero_sets():
         sup = M.norm_sup().sup_norm()
         eps_values = [e for e in (1.2 * sup, 0.6 * sup, 0.2 * sup, 1e-6) if e > 0]
@@ -314,16 +311,12 @@ def test_one_chain_serves_every_eps():
                     cyclic_witness(M, eps_values, r, TOL)
                 assert str(exc.value) == failed[0]
             got = cyclic_witness(M, [w.epsilon for w in singles], r, TOL)
-            assert [_part_bytes(w) for w in got] == [_part_bytes(w) for w in singles]
+            assert [_part_bytes(witness_parts(w)) for w in got] == [
+                _part_bytes(witness_parts(w)) for w in singles
+            ]
             for w in got:
-                expected = per_prefix_cyclic_witness(M, w.epsilon, r)
-                assert _part_bytes(w) == _part_bytes(
-                    CyclicWitness([(q, F) for q, F in expected if not q.is_zero()], w.epsilon)
-                )
-            for p in range(M.space.n_points):
-                kept = [F.stacks[p] for w in got for q, F in w.parts if q.mask[p]]
-                longest = max(kept, key=len, default=None)
-                assert all(s.tobytes() == longest[: len(s)].tobytes() for s in kept)
+                assert w.chain is got[0].chain
+                assert _part_bytes(witness_parts(w)) == _part_bytes(per_prefix_cyclic_witness(M, w.epsilon, r))
     with pytest.raises(ValueError, match="positive"):
         cyclic_witness(M, [0.5, 0.0], 1.0)
     assert cyclic_witness(M, [], 1.0) == []
@@ -333,10 +326,9 @@ def test_only_a_truncating_radius_computes_prefix_defects(monkeypatch):
     import latnorm.fibered as fibered
     import latnorm.mixing as mixing
 
-    calls, orders, built = [], [], []
-    real, real_order, real_init = mixing.prefix_defects, mixing.greedy_order, fibered.Traversal.__init__
+    calls, built = [], []
+    real, real_init = mixing.prefix_defects, fibered.Traversal.__init__
     monkeypatch.setattr(mixing, "prefix_defects", lambda M, F: calls.append(len(F)) or real(M, F))
-    monkeypatch.setattr(mixing, "greedy_order", lambda M: orders.append(len(M)) or real_order(M))
     monkeypatch.setattr(fibered.Traversal, "__init__", lambda t, M: built.append(len(M)) or real_init(t, M))
     rng = np.random.default_rng(15)
     space = random_fiber_space(rng, max_points=6, max_dim=6)
@@ -344,21 +336,25 @@ def test_only_a_truncating_radius_computes_prefix_defects(monkeypatch):
     sup = M.norm_sup().sup_norm()
     # the ball holds M: one traversal of M serves both eps
     cyclic_witness(M, (0.6 * sup, 0.3 * sup), sup / 2 + TOL, TOL)
-    assert (calls, orders, built) == ([], [], [12])
+    assert (calls, built) == ([], [12])
     # a radius whose ball cuts an element down: the truncated set is
     # traversed once and M's defect is computed against its prefixes once
     r = 0.45 * sup
     assert np.any(M.norm_sup().values > 2 * r)
     got = cyclic_witness(M, (1.5 * sup, 1.2 * sup), r, TOL)
-    assert (calls, orders, built) == ([12], [12], [12, 12])
+    assert (calls, built) == ([12], [12, 12])
     for w in got:
-        expected = [(q, F) for q, F in per_prefix_cyclic_witness(M, w.epsilon, r) if not q.is_zero()]
-        assert _part_bytes(w) == _part_bytes(CyclicWitness(expected, w.epsilon))
+        assert _part_bytes(witness_parts(w)) == _part_bytes(per_prefix_cyclic_witness(M, w.epsilon, r))
 
 
 def _with_stack(F, p, stack):
     """F with its stack at point p replaced."""
     return FiniteSet(F.space, [stack if w == p else s for w, s in enumerate(F.stacks)], len(F))
+
+
+def _with_chain(w, p, stack):
+    """w with its chain's stack at point p replaced."""
+    return CyclicWitness(_with_stack(w.chain, p, stack), w.prefix, w.epsilon)
 
 
 def _witness_cases():
@@ -379,39 +375,25 @@ class TestVerifyCyclic:
 
     def test_valid_witnesses(self):
         for M, w in _witness_cases():
-            assert verify_cyclic(M, w.epsilon, w) is dense_verify_cyclic(M, w.epsilon, w) is True
+            assert verify_cyclic(M, w.epsilon, w) is dense_verify_cyclic(M, w.epsilon, witness_parts(w)) is True
 
     def test_row_perturbed_at_a_kept_point(self):
+        # one row of a part's set moved far at one of the part's points
         rng = np.random.default_rng(17)
         outcomes = {True: 0, False: 0}
         for M, w in _witness_cases():
             far = 10 * (M.norm_sup().sup_norm() + w.epsilon) + 1
-            for a, (q, F) in enumerate(w.parts):
-                p = int(rng.choice(np.flatnonzero(q.mask)))
-                s = F.stacks[p].copy()
-                s[int(rng.integers(len(F)))] += far
-                parts = list(w.parts)
-                parts[a] = (q, _with_stack(F, p, s))
-                bad = CyclicWitness(parts, w.epsilon)
+            for n in np.unique(w.prefix).tolist():
+                p = int(rng.choice(np.flatnonzero(w.prefix == n)))
+                s = w.chain.stacks[p].copy()
+                s[int(rng.integers(n))] += far
+                bad = _with_chain(w, p, s)
                 got = verify_cyclic(M, w.epsilon, bad)
-                assert got is dense_verify_cyclic(M, w.epsilon, bad)
-                if len(F) == 1:  # the one candidate is out of reach
+                assert got is dense_verify_cyclic(M, w.epsilon, witness_parts(bad))
+                if n == 1:  # the one candidate is out of reach
                     assert got is False
                 outcomes[got] += 1
         assert outcomes[True] > 0 and outcomes[False] > 0
-
-    def test_row_perturbed_at_a_cut_point(self):
-        checked = 0
-        for M, w in _witness_cases():
-            for a, (q, F) in enumerate(w.parts):
-                for p in np.flatnonzero(~q.mask).tolist():
-                    for junk in (1e6, np.nan):
-                        parts = list(w.parts)
-                        parts[a] = (q, _with_stack(F, p, F.stacks[p] + junk))
-                        bad = CyclicWitness(parts, w.epsilon)
-                        assert verify_cyclic(M, w.epsilon, bad) is dense_verify_cyclic(M, w.epsilon, bad) is True
-                        checked += 1
-        assert checked > 0
 
     def test_nan_entries(self):
         for M, w in _witness_cases():
@@ -419,40 +401,54 @@ class TestVerifyCyclic:
             s = M.stacks[p].copy()
             s[0, 0] = complex(np.nan, 0.0)
             M_nan = _with_stack(M, p, s)
-            assert verify_cyclic(M_nan, w.epsilon, w) is dense_verify_cyclic(M_nan, w.epsilon, w) is False
-            a = next(a for a, (q, _) in enumerate(w.parts) if q.mask[p])
-            q, F = w.parts[a]
-            parts = list(w.parts)
-            parts[a] = (q, _with_stack(F, p, F.stacks[p] * np.nan))
-            bad = CyclicWitness(parts, w.epsilon)
-            assert verify_cyclic(M, w.epsilon, bad) is dense_verify_cyclic(M, w.epsilon, bad) is False
+            assert verify_cyclic(M_nan, w.epsilon, w) is dense_verify_cyclic(M_nan, w.epsilon, witness_parts(w)) is False
+            bad = _with_chain(w, p, w.chain.stacks[p] * np.nan)
+            assert verify_cyclic(M, w.epsilon, bad) is dense_verify_cyclic(M, w.epsilon, witness_parts(bad)) is False
 
     def test_no_distance_outside_a_part(self, monkeypatch):
+        # exactly one distance table per point, against a prefix of the chain
         import latnorm.fibered as fibered
 
         seen = []
         real = fibered._pair_dist
-        monkeypatch.setattr(fibered, "_pair_dist", lambda a, b: seen.append(id(b)) or real(a, b))
+        monkeypatch.setattr(fibered, "_pair_dist", lambda a, b: seen.append(b) or real(a, b))
         for M, w in _witness_cases():
             seen.clear()
             assert verify_cyclic(M, w.epsilon, w)
-            held = {id(F.stacks[p]) for q, F in w.parts for p in np.flatnonzero(q.mask).tolist()}
-            assert seen and set(seen) <= held
-            assert len(seen) == M.space.n_points  # one table per point
+            assert len(seen) == M.space.n_points
+            for t, s, n in zip(seen, w.chain.stacks, w.prefix.tolist()):
+                assert t.tobytes() == s[:n].tobytes()
+
+    def test_malformed_witness_raises(self):
+        M, w = next(_witness_cases())
+        n_pts, size = M.space.n_points, len(w.chain)
+        for prefix in (
+            np.zeros(n_pts, dtype=int),  # below 1
+            np.full(n_pts, size + 1),  # beyond the chain
+            np.ones(n_pts + 1, dtype=int),  # one too many
+            np.ones((1, n_pts), dtype=int),  # not one per point
+            np.ones(n_pts),  # not integers
+            np.ones(n_pts, dtype=bool),
+        ):
+            with pytest.raises(ValueError, match="prefix must hold one integer"):
+                verify_cyclic(M, w.epsilon, CyclicWitness(w.chain, prefix, w.epsilon))
+        other = FiberSpace(M.space.base, tuple(d + 1 for d in M.space.dims))
+        chain = FiniteSet(other, [np.zeros((1, d), complex) for d in other.dims], 1)
+        with pytest.raises(ValueError, match="different fiber space"):
+            verify_cyclic(M, w.epsilon, CyclicWitness(chain, np.ones(n_pts, dtype=int), w.epsilon))
 
 
 def test_cyclic_parts_are_nonempty_and_partition_the_points():
+    # one prefix of the chain per point: each point lies in exactly one part
+    # q_n = {prefix == n}, and each F_n holds n >= 1 elements
     rng = np.random.default_rng(13)
     for _ in range(40):
         space = random_fiber_space(rng, max_points=6, max_dim=6)
         M = random_finite_set(rng, space, int(rng.integers(1, 26)))
         sup = M.norm_sup().sup_norm()
         for w in cyclic_witness(M, (0.2 * sup, 0.6 * sup, 1.2 * sup), sup + 0.1):
-            masks = np.array([q.mask for q, _ in w.parts])
-            assert masks.any(axis=1).all()
-            assert np.array_equal(masks.sum(axis=0), np.ones(space.n_points))
-            sizes = [len(F) for _, F in w.parts]
-            assert sizes == sorted(set(sizes))  # one part per candidate size
+            assert w.prefix.shape == (space.n_points,) and w.prefix.dtype.kind == "i"
+            assert np.all((1 <= w.prefix) & (w.prefix <= len(w.chain)))
 
 
 def test_defect_is_mix_invariant():
