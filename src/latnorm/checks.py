@@ -47,6 +47,7 @@ from .relative import (
 )
 from .seqmodel import SQRT2, build_counterexample, egoroff_demo, verify_not_utob, verify_tob_bound
 from .stone import (
+    DEFAULT_TOL,
     ComplexCoefficient,
     Idempotent,
     PartitionOfUnity,
@@ -63,8 +64,6 @@ from .systems import (
     rel_norm,
     validate_extension,
 )
-
-TOL = 1e-9
 
 
 def _random_stone(rng, ps):
@@ -88,9 +87,9 @@ def check_stone_lattice_axioms(rng, n=50):
         ps = PointSet.of_size(int(rng.integers(1, 5)))
         a, b = _random_stone(rng, ps), _random_stone(rng, ps)
         assert (a.abs().sup_norm() == 0.0) == bool(np.all(a.values == 0))
-        assert (a + b).abs().le(a.abs() + b.abs(), TOL), "triangle inequality"
+        assert (a + b).abs().le(a.abs() + b.abs()), "triangle inequality"
         pos_a, pos_b = a.abs(), a.abs() + b.abs()
-        assert pos_a.sup_norm() <= pos_b.sup_norm() + TOL, "monotone norm"
+        assert pos_a.sup_norm() <= pos_b.sup_norm() + DEFAULT_TOL, "monotone norm"
         assert a.inf(a).eq(a) and a.sup(b).eq(b.sup(a))
 
 
@@ -120,7 +119,7 @@ def check_stone_support_identity(rng, n=50):
         vals = rng.standard_normal(ps.size)
         vals[np.abs(vals) < 0.1] = 0.0  # all nonzero values exceed tol
         a = StoneElement(ps, vals)
-        assert (a.support(TOL) * a).eq(a)
+        assert (a.support() * a).eq(a)
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +146,7 @@ def check_defect_oracle(rng, n=25):
                 for i in range(len(M))
             )
             assert abs(best - rep.value.values[w]) <= 1e-12, "brute force mismatch"
-        assert defect(M, M).value.le(0.0, TOL), "defect(M, M) must vanish"
+        assert defect(M, M).value.le(0.0), "defect(M, M) must vanish"
 
 
 def check_defect_subadditive(rng, n=50):
@@ -157,7 +156,7 @@ def check_defect_subadditive(rng, n=50):
         G, H = _instance(rng, 2, space=space), _instance(rng, 2, space=space)
         lhs = defect(set_sum(M, N), set_sum(G, H)).value
         rhs = defect(M, G).value + defect(N, H).value
-        assert lhs.le(rhs, TOL), "sum-set defect bound"
+        assert lhs.le(rhs), "sum-set defect bound"
 
 
 def _hadamard(M, N):
@@ -179,7 +178,7 @@ def check_defect_product_bound(rng, n=50):
         A, B = M.norm_sup(), N.norm_sup()
         dMG, dNH = defect(M, G).value, defect(N, H).value
         bound = A * dNH + dMG * dNH + B * dMG
-        assert defect(mMN, mGH).value.le(bound, TOL), "product defect bound"
+        assert defect(mMN, mGH).value.le(bound), "product defect bound"
 
 
 def check_defect_enlargement(rng, n=50):
@@ -197,7 +196,7 @@ def check_defect_enlargement(rng, n=50):
         M = FiniteSet.concat(rows)
         lhs = defect(M, F).value
         rhs = StoneElement.constant(space.base, t) + defect(Mt, F).value
-        assert lhs.le(rhs, TOL), "enlargement defect bound"
+        assert lhs.le(rhs), "enlargement defect bound"
 
 
 def check_defect_linear_map(rng, n=50):
@@ -212,7 +211,7 @@ def check_defect_linear_map(rng, n=50):
         M, F = _instance(rng, 3, space=space), _instance(rng, 2, space=space)
         lhs = defect(set_image(T, M), set_image(T, F)).value
         rhs = c * defect(M, F).value
-        assert lhs.le(rhs, TOL), "bounded map defect bound"
+        assert lhs.le(rhs), "bounded map defect bound"
 
 
 def check_defect_truncation(rng, n=50):
@@ -225,8 +224,8 @@ def check_defect_truncation(rng, n=50):
         M = (r / max(cap, r)) * M
         F = fixtures.random_finite_set(rng, space, 3, scale=3.0)
         Ft = truncate_to_ball(F, r)
-        assert Ft.norm_sup().le(2 * r, TOL), "truncated set leaves the ball"
-        assert defect(M, Ft).value.le(defect(M, F).value, TOL), "truncation bound"
+        assert Ft.norm_sup().le(2 * r), "truncated set leaves the ball"
+        assert defect(M, Ft).value.le(defect(M, F).value), "truncation bound"
 
 
 def check_lipschitz_surrogate(rng, n=50):
@@ -236,7 +235,7 @@ def check_lipschitz_surrogate(rng, n=50):
         F = _instance(rng, 3, space=space)
         pert = fixtures.random_finite_set(rng, space, 3, scale=0.2)
         diff = defect(M, F).value - defect(M, F + pert).value
-        assert diff.abs().le(pert.norm_sup(), TOL), "matched-list Lipschitz bound"
+        assert diff.abs().le(pert.norm_sup()), "matched-list Lipschitz bound"
 
 
 def _suborthonormal_basis(rng, space, d):
@@ -268,7 +267,7 @@ def check_heine_borel(rng, n_samples=200, eps=0.5, c=1.0):
                 lam = lam / nrm * c * rng.random()
             stacks[w][i] = lam @ basis.stacks[w]
     M = FiniteSet(space, stacks, n_samples)
-    assert defect(M, net).value.le(eps, TOL), "net misses a bounded element"
+    assert defect(M, net).value.le(eps), "net misses a bounded element"
 
 
 def check_heine_borel_structured(rng, n_samples=50, eps=0.5):
@@ -297,7 +296,7 @@ def check_utob_witness(rng, n=20):
         eps = float(rng.uniform(0.3, 2.0))
         rep = is_utob(M, eps)
         assert rep.verdict
-        assert defect(M, rep.witness).value.le(eps, TOL), "witness recheck"
+        assert defect(M, rep.witness).value.le(eps), "witness recheck"
         assert len(rep.witness) <= len(M)
 
 
@@ -324,7 +323,7 @@ def check_zonotope_equivalence(rng, n=10):
         for i, pou in enumerate(wit.selections):
             for j, p in enumerate(pou):
                 gap = (M.subset([i]) - wit.witness.subset([j])).norm_sup() * p
-                assert gap.le(eps, TOL), "selection misses the bound"
+                assert gap.le(eps), "selection misses the bound"
         assert cp_check(M, wit.witness, eps, tol=1e-6, max_iter=50_000)
 
         # converse: containment in a fattened zonotope gives a uniform witness
@@ -351,8 +350,8 @@ def check_bounded_chain(rng, n=20):
         value = defect(M, FiniteSet.zero(M.space)).value.values
         assert value.tobytes() == M.norm_sup().values.tobytes(), "defect vs {0}"
         chain = defect_chain(M)
-        assert np.all(chain[1:] <= chain[:-1] + TOL), "chain must decrease"
-        assert np.all(chain[-1] <= TOL)
+        assert np.all(chain[1:] <= chain[:-1] + DEFAULT_TOL), "chain must decrease"
+        assert np.all(chain[-1] <= DEFAULT_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +385,7 @@ def check_bset_map_law(rng, n=50):
         rhs = StoneElement.zeros(space.base)
         for a, p in enumerate(pou):
             rhs = rhs + (z - fam.subset([a])).norm_sup() * p
-        assert lhs.eq(rhs, TOL), "mixing law for distances"
+        assert lhs.eq(rhs), "mixing law for distances"
         wit = mix_membership(glued, fam)
         assert wit is not None, "mixing must be recognized"
 
@@ -395,11 +394,11 @@ def check_mix_membership_perturbation(rng, n=25):
     for _ in range(n):
         space = fixtures.random_fiber_space(rng)
         M = fixtures.random_finite_set(rng, space, 3)
-        tol = 1e-9
         x = M.subset([int(rng.integers(0, 3))])
         w0 = int(rng.integers(0, space.n_points))
-        x = FiniteSet(space, [s + 10 * tol if w == w0 else s for w, s in enumerate(x.stacks)], 1)
-        assert mix_membership(x, M, tol) is None, "perturbed point accepted"
+        stacks = [s + 10 * DEFAULT_TOL if w == w0 else s for w, s in enumerate(x.stacks)]
+        x = FiniteSet(space, stacks, 1)
+        assert mix_membership(x, M) is None, "perturbed point accepted"
 
 
 def check_cyclic_roundtrip(rng, n=15):
@@ -409,7 +408,7 @@ def check_cyclic_roundtrip(rng, n=15):
         for eps, w in zip((0.5, 0.1), cyclic_witness(M, (0.5, 0.1), r)):
             assert verify_cyclic(M, eps, w), "round trip failed"
             # every F_n is a selection from a prefix of the chain
-            assert w.chain.norm_sup().le(2 * r, TOL), "mixed generators escape"
+            assert w.chain.norm_sup().le(2 * r), "mixed generators escape"
 
 
 def check_defect_mix_invariance(rng, n=25):
@@ -425,7 +424,7 @@ def check_defect_mix_invariance(rng, n=25):
             pou = PartitionOfUnity([Idempotent(space.base, m) for m in masks])
             mixes.append(mix(pou, M))
         enlarged = FiniteSet.concat([M, *mixes])
-        assert defect(enlarged, F).value.eq(base_val, TOL), "mixing moved the sup"
+        assert defect(enlarged, F).value.eq(base_val), "mixing moved the sup"
 
 
 # ---------------------------------------------------------------------------
@@ -490,19 +489,19 @@ def check_adjoint_tower_isometry(rng, n=25):
         g = fixtures.random_function(rng, ext.downstairs.size)
         lhs = ext.upstairs.inner(embed_J(g, ext), f)
         rhs = ext.downstairs.inner(g, cond_expectation(f, ext))
-        assert abs(lhs - rhs) <= TOL, "adjointness"
+        assert abs(lhs - rhs) <= DEFAULT_TOL, "adjointness"
         assert (
             abs(
                 ext.downstairs.integral(cond_expectation(f, ext))
                 - ext.upstairs.integral(f)
             )
-            <= TOL
+            <= DEFAULT_TOL
         ), "tower identity"
         f2 = fixtures.random_function(rng, ext.upstairs.size)
         for t in _generator_perms(ext):
             lhs2 = rel_inner(koopman(t, f), koopman(t, f2), ext)
             rhs2 = koopman(ext.downstairs_perm(t), rel_inner(f, f2, ext))
-            assert np.max(np.abs(lhs2 - rhs2)) <= TOL, "relative isometry"
+            assert np.max(np.abs(lhs2 - rhs2)) <= DEFAULT_TOL, "relative isometry"
 
 
 def check_encode_decode(rng, n=25):
@@ -513,12 +512,12 @@ def check_encode_decode(rng, n=25):
         g = fixtures.random_function(rng, ext.downstairs.size)
         V = rel.encode(np.array([f, embed_J(g, ext) * f]))
         assert np.allclose(rel.decode(V)[0], f), "decode round trip"
-        assert V.subset([0]).norm_sup().eq(rel_norm(f, ext), TOL), "encode isometry"
+        assert V.subset([0]).norm_sup().eq(rel_norm(f, ext)), "encode isometry"
         assert all(
             np.allclose(s[1], g_w * s[0]) for g_w, s in zip(g, V.stacks)
         ), "module action through encode"
         total = ext.downstairs.integral(np.real(rel_inner(f, f, ext)))
-        assert abs(total - ext.upstairs.norm2(f) ** 2) <= TOL
+        assert abs(total - ext.upstairs.norm2(f) ** 2) <= DEFAULT_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -550,7 +549,7 @@ def check_conditional_ap(rng, n=10):
         eps = float(rng.uniform(0.2, 1.0))
         rep = is_conditionally_ap(f, ext, [eps])
         assert rep.verdicts[0]
-        assert defect(orbit(f, ext), rep.witnesses[0]).value.le(eps, TOL)
+        assert defect(orbit(f, ext), rep.witnesses[0]).value.le(eps)
 
 
 def check_generated_submodule(rng, n=8):
@@ -602,7 +601,7 @@ def check_ap_module_closure(rng, n=6):
         # reverse triangle for the relative norm
         lhs = rel_norm(np.abs(f) - np.abs(g), ext)
         rhs = rel_norm(f - g, ext)
-        assert lhs.le(rhs, TOL), "reverse triangle"
+        assert lhs.le(rhs), "reverse triangle"
 
 
 def check_orbit_in_submodule_net(rng, n=5):
@@ -613,7 +612,7 @@ def check_orbit_in_submodule_net(rng, n=5):
         c = rel_norm(f, ext).sup_norm()
         eps = 0.5
         net = heine_borel_net(sb.vectors, c + 1e-9, eps, cap=10**7)
-        assert defect(orbit(f, ext), net).value.le(eps, TOL), "orbit escapes net"
+        assert defect(orbit(f, ext), net).value.le(eps), "orbit escapes net"
 
 
 def check_egoroff_localize(rng):
@@ -652,9 +651,9 @@ def check_seq_counterexample(rng):
         ok, value = verify_tob_bound(n, m)
         assert ok
         if prev is not None:
-            assert value.le(prev, TOL), "defect chain must decrease"
+            assert value.le(prev), "defect chain must decrease"
         prev = value
-        assert value.sup_norm() >= SQRT2 / 2 - TOL or m == n
+        assert value.sup_norm() >= SQRT2 / 2 - DEFAULT_TOL or m == n
     for d in (1, 2, 3):
         for big in (d + 2, n):
             F = build_counterexample(big)[2].subset(range(1, d + 1))
@@ -667,7 +666,7 @@ def check_seq_counterexample(rng):
         assert demo.m >= demo_prev, "shrinking budget must grow the prefix"
         demo_prev = demo.m
         assert 2.0**-demo.m <= delta + 1e-15
-        assert demo.defect_value.sup_norm() <= TOL
+        assert demo.defect_value.sup_norm() <= DEFAULT_TOL
 
 
 # ---------------------------------------------------------------------------

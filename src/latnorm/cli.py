@@ -46,6 +46,7 @@ from .mixing import cyclic_witness, verify_cyclic
 from .relative import theorem_cross_check
 from .seqmodel import build_counterexample, egoroff_demo
 from .serialize import parse_extension_doc, parse_finite_set_doc
+from .stone import DEFAULT_TOL
 from .systems import cond_expectation, validate_extension
 
 EXIT_OK = 0
@@ -207,7 +208,7 @@ def cmd_tob(args) -> int:
     traversal = Traversal(M)
     utob = {}
     for eps in args.eps:
-        r = is_utob(M, eps, args.tol, traversal=traversal)
+        r = is_utob(M, eps, traversal=traversal)
         utob[str(eps)] = {
             "verdict": r.verdict,
             "epsilon": r.epsilon,
@@ -249,8 +250,8 @@ def cmd_cyclic(args) -> int:
     if "M" not in sets or len(sets["M"]) == 0:
         raise SchemaError(["$.sets.M: a nonempty probe set M is required"])
     M = sets["M"]
-    r = args.radius if args.radius is not None else M.norm_sup().sup_norm() + args.tol
-    witnesses = cyclic_witness(M, args.eps, r, args.tol)
+    r = args.radius if args.radius is not None else M.norm_sup().sup_norm() + DEFAULT_TOL
+    witnesses = cyclic_witness(M, args.eps, r)
     # every witness shares one chain: each fiber of it is rendered once, up
     # to the longest prefix at that point, and a point outside a part
     # repeats one row of "0j", the str of a +0 entry. The payload holds
@@ -271,7 +272,7 @@ def cmd_cyclic(args) -> int:
                 "mask": list(map(int, mask)), "set_size": n,
                 "set": [list(e) for e in zip(*fibers)],
             })
-        ok = verify_cyclic(M, w.epsilon, w, args.tol)
+        ok = verify_cyclic(M, w.epsilon, w)
         results[str(w.epsilon)] = {"verified": ok, "witness": {"epsilon": w.epsilon, "parts": parts}}
     report = {"radius": r, "results": results}
     text = "\n".join(f"eps={e}: verified={v['verified']}" for e, v in results.items())
@@ -352,16 +353,13 @@ def _checked(convert, ok, what):
 
 
 _POSITIVE = _checked(float, lambda v: math.isfinite(v) and v > 0, "positive and finite")
-_NONNEGATIVE = _checked(float, lambda v: math.isfinite(v) and v >= 0, "nonnegative and finite")
 
 
 def _int_at_least(low):
     return _checked(int, lambda v: v >= low, f"an integer >= {low}")
 
 
-def _add_common(p, *, tol=True, csv=True):
-    if tol:
-        p.add_argument("--tol", type=_NONNEGATIVE, default=1e-9, help="comparison tolerance")
+def _add_common(p, *, csv=True):
     formats = ("json", "csv", "text") if csv else ("json", "text")
     p.add_argument("--format", choices=formats, default="json")
     p.add_argument("--out", help="write the report to this file")
@@ -388,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--cap", type=_int_at_least(1), default=10**5,
         help="largest orbit size allowed (exit 3 beyond it)",
     )
-    _add_common(p, tol=False)
+    _add_common(p)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("tob", help="defect table and order-boundedness witnesses")
@@ -402,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=_POSITIVE, action="append", default=None)
     p.add_argument("--solver-tol", type=_POSITIVE, default=1e-7)
     p.add_argument("--max-iter", type=_int_at_least(1), default=10_000)
-    _add_common(p, tol=False, csv=False)
+    _add_common(p, csv=False)
     p.set_defaults(func=cmd_zonotope)
 
     p = sub.add_parser("cyclic", help="cyclic-compactness witness and check")
@@ -420,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--delta", type=_POSITIVE, action="append", default=None,
         help="also run the mass-budget localization at this delta",
     )
-    _add_common(p, tol=False)
+    _add_common(p)
     p.set_defaults(func=cmd_counterexample)
 
     p = sub.add_parser("selftest", help="run the named invariant suite")

@@ -270,14 +270,6 @@ def _nearest(s: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mins, argmin
 
 
-def _nearest_at(s: np.ndarray, F: FiniteSet, w: int) -> tuple[np.ndarray, np.ndarray]:
-    """Min and argmin of each row of s over F's candidates at point w: by
-    ``GridNet.nearest`` for a net, else by ``_nearest``."""
-    if isinstance(F, GridNet):
-        return F.nearest(w, s)
-    return _nearest(s, F.stacks[w])
-
-
 def defect(M: FiniteSet, F: FiniteSet) -> DefectReport:
     """Pointwise worst-case distance from M to its nearest candidate in F.
 
@@ -295,8 +287,9 @@ def defect(M: FiniteSet, F: FiniteSet) -> DefectReport:
     n_pts = M.space.n_points
     value = np.empty(n_pts)
     argmin = np.empty((len(M), n_pts), dtype=int)
-    for w in range(n_pts):
-        mins, argmin[:, w] = _nearest_at(M.stacks[w], F, w)
+    net = isinstance(F, GridNet)
+    for w, s in enumerate(M.stacks):
+        mins, argmin[:, w] = F.nearest(w, s) if net else _nearest(s, F.stacks[w])
         value[w] = float(np.max(mins))
     return DefectReport(StoneElement(M.space.base, value), F, argmin)
 
@@ -381,20 +374,16 @@ class Traversal:
         return self._rechecks[k]
 
 
-def is_utob(
-    M: FiniteSet,
-    eps: float,
-    tol: float = DEFAULT_TOL,
-    traversal: Traversal | None = None,
-) -> UtobReport:
+def is_utob(M: FiniteSet, eps: float, *, traversal: Traversal | None = None) -> UtobReport:
     """Check uniform total order-boundedness of M at level eps.
 
     Any finite M is uniformly totally order-bounded (M itself is a witness
     with defect zero); the value of this routine is the witness it returns:
     the shortest prefix of the farthest-point traversal of M whose running
-    radius is pointwise within eps + tol (all of M when none is, as with NaN
-    entries), with the defect recomputed independently for the verdict: the
-    recheck ``defect(M, witness)`` reads only M and the witness, never the
+    radius is pointwise within eps + ``DEFAULT_TOL`` (all of M when none is,
+    as with NaN entries), with the defect recomputed independently for the
+    verdict, compared with eps at ``DEFAULT_TOL`` too: the recheck
+    ``defect(M, witness)`` reads only M and the witness, never the
     traversal's table. The witness's elements are elements of M, so where
     ``defect`` finds member rows they are at 0 without a distance computed,
     and only the elements left out of the witness are compared.
@@ -409,11 +398,11 @@ def is_utob(
         raise ValueError("the traversal belongs to another set")
     if len(M) == 0:
         return UtobReport(True, FiniteSet(M.space, [s[:0] for s in M.stacks], 0), None, eps)
-    within = traversal.radii.max(axis=1) <= eps + tol
+    within = traversal.radii.max(axis=1) <= eps + DEFAULT_TOL
     first = int(within.argmax())  # 0 when no row is within
     k = first + 1 if within[first] else len(M)
     report = traversal.recheck(k)
-    verdict = report.value.le(eps, tol)
+    verdict = report.value.le(eps)
     return UtobReport(verdict, report.witness, report, eps)
 
 
@@ -422,18 +411,19 @@ def greedy_order(M: FiniteSet) -> list[int]:
     return list(Traversal(M).order)
 
 
-def truncate_to_ball(F: FiniteSet, r: float, tol: float = DEFAULT_TOL) -> FiniteSet:
+def truncate_to_ball(F: FiniteSet, r: float) -> FiniteSet:
     """Cut every element down to the ball of radius 2r.
 
-    Each y is replaced by p*y where p is the idempotent of {|y| <= 2r}: a
-    kept fiber keeps its bytes, a cut one is 0, and when nothing is cut the
-    result is F itself. For any probe set inside the ball of radius r this
-    never increases pointwise nearest distances. r = 0 is allowed: the ball
-    is then the zero set.
+    Each y is replaced by p*y where p is the idempotent of
+    {|y| <= 2r + ``DEFAULT_TOL``}: a kept fiber keeps its bytes, a cut one
+    is 0, and when nothing is cut the result is F itself. For any probe set
+    inside the ball of radius r this never increases pointwise nearest
+    distances. r = 0 is allowed: the ball is then the zero set, and only
+    fibers of norm at most ``DEFAULT_TOL`` are kept.
     """
     if r < 0:
         raise ValueError("r must be nonnegative")
-    keep = F.norms() <= 2.0 * r + tol
+    keep = F.norms() <= 2.0 * r + DEFAULT_TOL
     if keep.all():
         return F
     stacks = [np.where(keep[:, w, None], s, 0) for w, s in enumerate(F.stacks)]
@@ -507,19 +497,19 @@ def disc_grid(radius: float, mesh: float) -> np.ndarray:
     return np.concatenate(([0j], rho[ring] * np.exp(1j * angles)))
 
 
-def check_suborthonormal(basis: FiniteSet, tol: float = 1e-7) -> None:
+def check_suborthonormal(basis: FiniteSet) -> None:
     """Raise unless the basis is finite and pairwise orthogonal with
-    idempotent norms."""
+    idempotent norms, each Gram entry within 1e-7."""
     d = len(basis)
     for w, s in enumerate(basis.stacks):
         if not np.all(np.isfinite(s)):
             raise ValueError(f"basis not finite at point {w}")
         gram = s @ np.conj(s.T)
         off = gram - np.diag(np.diag(gram))
-        if d > 1 and float(np.max(np.abs(off))) > tol:
+        if d > 1 and float(np.max(np.abs(off))) > 1e-7:
             raise ValueError(f"basis not fiberwise orthogonal at point {w}")
         diag = np.real(np.diag(gram))
-        if float(np.max(np.minimum(np.abs(diag), np.abs(diag - 1.0)))) > tol:
+        if float(np.max(np.minimum(np.abs(diag), np.abs(diag - 1.0)))) > 1e-7:
             raise ValueError(f"basis norms not idempotent-valued at point {w}")
 
 
@@ -672,13 +662,7 @@ class GridNet(FiniteSet):
         return mins, argmin
 
 
-def heine_borel_net(
-    basis: FiniteSet,
-    c: float,
-    eps: float,
-    cap: int = 10**6,
-    tol: float = 1e-7,
-) -> FiniteSet:
+def heine_borel_net(basis: FiniteSet, c: float, eps: float, cap: int = 10**6) -> FiniteSet:
     """Finite eps-net for the ball of radius c in the module spanned by a
     suborthonormal basis.
 
@@ -693,7 +677,7 @@ def heine_borel_net(
         raise ValueError("c must be nonnegative")
     if eps <= 0:
         raise ValueError("eps must be positive")
-    check_suborthonormal(basis, tol)
+    check_suborthonormal(basis)
     space = basis.space
     if c == 0 or len(basis) == 0:
         return FiniteSet.zero(space)
@@ -858,12 +842,10 @@ class CpWitness:
     selections: tuple[PartitionOfUnity, ...]
 
 
-def cp_witness_from_utob(
-    M: FiniteSet, eps: float, tol: float = DEFAULT_TOL
-) -> CpWitness:
+def cp_witness_from_utob(M: FiniteSet, eps: float) -> CpWitness:
     """Turn a uniform total order-boundedness witness into idempotent
     selections placing each element of M inside Z_F + eps-ball."""
-    utob = is_utob(M, eps, tol)
+    utob = is_utob(M, eps)
     if not utob.verdict or utob.report is None:
         raise ValueError(f"M is not uniformly totally order-bounded at eps={eps}")
     F0 = utob.witness

@@ -32,12 +32,12 @@ def _check_element(x: FiniteSet) -> None:
         raise ValueError(f"expected a one-element set, got {len(x)} elements")
 
 
-def eq_idempotent(x: FiniteSet, y: FiniteSet, tol: float = DEFAULT_TOL) -> Idempotent:
+def eq_idempotent(x: FiniteSet, y: FiniteSet) -> Idempotent:
     """Boolean-valued equality of two elements (one-element sets): the
-    component where x and y agree within tol."""
+    component where x and y agree within ``DEFAULT_TOL``."""
     _check_element(x)
     _check_element(y)
-    return (x - y).norm_sup().support(tol).complement()
+    return (x - y).norm_sup().support().complement()
 
 
 def mix(partition: PartitionOfUnity, family: FiniteSet) -> FiniteSet:
@@ -65,19 +65,17 @@ class MixWitness:
     assignment: tuple[int, ...]
 
 
-def mix_membership(
-    x: FiniteSet, M: FiniteSet, tol: float = DEFAULT_TOL
-) -> MixWitness | None:
+def mix_membership(x: FiniteSet, M: FiniteSet) -> MixWitness | None:
     """Exhibit the element x (a one-element set) as a mixing of elements of
     M, or report that none exists.
 
     Fiberwise characterization: a witness exists iff at every point some
-    element of M matches x within tol; the lowest such index is chosen.
+    element of M matches x within ``DEFAULT_TOL``; the lowest such index is chosen.
     """
     _check_element(x)
     if x.space != M.space:
         raise DimensionMismatchError("element and set on different fiber spaces")
-    hits = np.stack([_pair_dist(a, s)[0] for a, s in zip(x.stacks, M.stacks)]) <= tol
+    hits = np.stack([_pair_dist(a, s)[0] for a, s in zip(x.stacks, M.stacks)]) <= DEFAULT_TOL
     if not np.all(hits.any(axis=1)):
         return None
     pick = hits.argmax(axis=1)
@@ -100,20 +98,15 @@ class CyclicWitness:
     epsilon: float
 
 
-def cyclic_witness(
-    M: FiniteSet,
-    eps_values: Sequence[float],
-    r: float,
-    tol: float = DEFAULT_TOL,
-) -> list[CyclicWitness]:
+def cyclic_witness(M: FiniteSet, eps_values: Sequence[float], r: float) -> list[CyclicWitness]:
     """Constructive cyclic-compactness witnesses for a finite set, one per
     eps of ``eps_values``, in order.
 
     Candidates are the greedy order-boundedness witness prefixes of M after
     truncation to the ball of radius 2r, taken at every size 1..|M|; the
     exhaustion principle (first fit, ascending cardinality) assigns each
-    point to the smallest candidate already eps-covering it there, so a
-    point's prefix is the size of its first cover.
+    point to the smallest candidate already eps-covering it there (within
+    ``DEFAULT_TOL``), so a point's prefix is the size of its first cover.
 
     One truncation and one ``Traversal`` of the truncated set give the
     chain that every returned witness shares. When truncation cuts nothing
@@ -126,7 +119,7 @@ def cyclic_witness(
         raise ValueError("eps must be positive")
     if len(M) == 0:
         raise ValueError("cyclic witness needs a nonempty set")
-    truncated = truncate_to_ball(M, r, tol)
+    truncated = truncate_to_ball(M, r)
     traversal = Traversal(truncated)
     chain = truncated.subset(traversal.order)
     radii = traversal.radii if truncated is M else prefix_defects(M, chain)
@@ -134,7 +127,7 @@ def cyclic_witness(
     for eps in eps_values:
         # covered[n-1] is where the size-n prefix reaches defect <= eps; the
         # covers only grow with n, so a point's first cover is its first true row
-        covered = radii <= eps + tol
+        covered = radii <= eps + DEFAULT_TOL
         if not covered[-1].all():
             raise ConstructionError(
                 f"no candidate of size <= {len(M)} reaches defect <= {eps} "
@@ -145,9 +138,7 @@ def cyclic_witness(
     return witnesses
 
 
-def verify_cyclic(
-    M: FiniteSet, eps: float, w: CyclicWitness, tol: float = DEFAULT_TOL
-) -> bool:
+def verify_cyclic(M: FiniteSet, eps: float, w: CyclicWitness) -> bool:
     """Check a cyclic-compactness witness against every element of M.
 
     For each element x and each part (q_n, F_n) the fiberwise nearest
@@ -155,7 +146,7 @@ def verify_cyclic(
     q_n |x - z_n| <= eps pointwise, which simultaneously bounds
     q_n inf_{y in F_n} |x - y|. One part holds each point, so each point
     takes one distance table against the first ``prefix`` chain rows there,
-    and the verdict is that of ``(defect(M, F_n).value * q_n).le(eps, tol)``
+    and the verdict is that of ``(defect(M, F_n).value * q_n).le(eps)``
     over every part.
 
     Raises ``ValueError`` when the chain lives on another fiber space than
@@ -175,4 +166,4 @@ def verify_cyclic(
     localized = [
         np.max(_nearest(s, t[:n])[0]) for s, t, n in zip(M.stacks, chain.stacks, prefix.tolist())
     ]
-    return StoneElement(M.space.base, np.array(localized)).le(eps, tol)
+    return StoneElement(M.space.base, np.array(localized)).le(eps)

@@ -78,30 +78,25 @@ def build_counterexample(n: int) -> tuple[TruncatedSeqSpace, FiniteSet, FiniteSe
     return space, M, F_n
 
 
-def verify_tob_bound(
-    n: int, m: int, tol: float = DEFAULT_TOL
-) -> tuple[bool, StoneElement]:
-    """Defect of the probe set against F_m: zero on 1..m, at most sqrt(2) after."""
+def verify_tob_bound(n: int, m: int) -> tuple[bool, StoneElement]:
+    """Defect of the probe set against F_m: zero on 1..m, at most sqrt(2)
+    after, each within ``DEFAULT_TOL``."""
     if not 1 <= m <= n:
         raise ValueError("net index out of range")
     _, M, F_n = build_counterexample(n)
     value = defect(M, F_n.subset(range(m + 1))).value
-    ok = bool(
-        np.all(value.values[:m] <= tol) and np.all(value.values <= SQRT2 + tol)
-    )
+    ok = bool(np.all(value.values[:m] <= DEFAULT_TOL)) and value.le(SQRT2)
     return ok, value
 
 
-def verify_not_utob(
-    n: int, F: FiniteSet | None, tol: float = DEFAULT_TOL
-) -> tuple[int, int]:
+def verify_not_utob(n: int, F: FiniteSet | None) -> tuple[int, int]:
     """Exhibit the uniform failure against an arbitrary candidate set.
 
     For |F| = d < n there are a coordinate index n0 > d and a basis index
     i <= n0 whose indicator stays at distance >= sqrt(2)/2 from every
     candidate at coordinate n0; counting the basis vectors against the d
-    balls of radius sqrt(2)/2 guarantees one exists. Returns (i, n0),
-    1-based.
+    balls of radius sqrt(2)/2 guarantees one exists (the distance is compared
+    within ``DEFAULT_TOL``). Returns (i, n0), 1-based.
     """
     space = TruncatedSeqSpace.build(n)
     if F is None or len(F) == 0:
@@ -117,7 +112,7 @@ def verify_not_utob(
     for n0 in range(d + 1, n + 1):
         # distance from each e_i, i <= n0, to its nearest candidate at n0
         dist = _pair_dist(basis[:n0], F.stacks[n0 - 1]).min(axis=1)
-        far = np.nonzero(dist >= SQRT2 / 2.0 - tol)[0]
+        far = np.nonzero(dist >= SQRT2 / 2.0 - DEFAULT_TOL)[0]
         if far.size:
             return int(far[0]) + 1, n0
     raise RuntimeError(

@@ -304,7 +304,7 @@ def per_indicator_ap(ext, eps_values):
     for x0 in range(n_x):
         M = orbit(indicator(n_x, x0), ext)
         trav = Traversal(M)
-        reps = [is_utob(M, eps, DEFAULT_TOL, traversal=trav) for eps in eps_values]
+        reps = [is_utob(M, eps, traversal=trav) for eps in eps_values]
         verdicts.append(all(bool(r.verdict) for r in reps))
         sizes.append([len(r.witness) for r in reps])
     return verdicts, sizes
@@ -440,7 +440,7 @@ def per_prefix_cyclic_witness(M, eps, r, tol=1e-9):
     """Parts of a cyclic witness whose candidate covers each come from a
     full ``defect`` of M against the greedy prefix of the truncated set;
     only the parts that some point uses are kept."""
-    truncated = truncate_to_ball(M, r, tol)
+    truncated = truncate_to_ball(M, r)
     order = greedy_order(truncated)
     order_sets = [truncated.subset(order[:n]) for n in range(1, len(order) + 1)]
     covers = [

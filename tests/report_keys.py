@@ -50,7 +50,7 @@ REPORTS = {
     },
     "tob": {
         **_ENVELOPE,
-        "config": _config("input", "eps", "tol"),
+        "config": _config("input", "eps"),
         "defect?": DEFECT,
         "utob": {
             NUMBER: {"verdict": None, "epsilon": None, "witness_size": None, "defect": DEFECT}
@@ -71,7 +71,7 @@ REPORTS = {
     },
     "cyclic": {
         **_ENVELOPE,
-        "config": _config("input", "eps", "radius?", "tol"),
+        "config": _config("input", "eps", "radius?"),
         "radius": None,
         "results": {
             NUMBER: {

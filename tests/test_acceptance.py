@@ -68,7 +68,7 @@ def test_ac1_counterexample_bounds():
     n = 16
     space, M, F_n = build_counterexample(n)
     for m in range(1, n):
-        ok, value = verify_tob_bound(n, m, TOL)
+        ok, value = verify_tob_bound(n, m)
         assert ok
         assert np.all(value.values[:m] <= TOL)
         assert np.all(value.values <= SQRT2 + TOL)
@@ -91,7 +91,7 @@ def test_ac1_counterexample_bounds():
         ]
         adversaries.append(FiniteSet(fs, stacks, d))
         for F in adversaries:
-            i, n0 = verify_not_utob(n, F, TOL)
+            i, n0 = verify_not_utob(n, F)
             assert d < n0 <= n and 1 <= i <= n0
             e = space.basis_vector(i)
             dist = float(
@@ -189,8 +189,8 @@ def test_ac5_mixing_cyclic():
         space = random_fiber_space(rng, max_points=6, max_dim=3)
         M = random_finite_set(rng, space, int(rng.integers(1, 6)))
         r = M.norm_sup().sup_norm() + 0.1
-        for eps, w in zip((0.5, 0.1), cyclic_witness(M, (0.5, 0.1), r, TOL)):
-            assert verify_cyclic(M, eps, w, TOL)
+        for eps, w in zip((0.5, 0.1), cyclic_witness(M, (0.5, 0.1), r)):
+            assert verify_cyclic(M, eps, w)
             for q, Fn in witness_parts(w):
                 assert Fn.norm_sup().le(2 * r, TOL)
                 assert (defect(M, Fn).value * q).le(eps, TOL)
@@ -267,6 +267,6 @@ def test_ac8_egoroff_localization():
         value = defect(demo.masked_set, demo.witness).value
         assert np.all(value.values[kept] <= TOL)
         assert value.sup_norm() <= TOL
-        rep = is_utob(demo.masked_set, 1e-6, TOL)
+        rep = is_utob(demo.masked_set, 1e-6)
         assert rep.verdict
     _report(8, "Egoroff localization", t0, 30.0)

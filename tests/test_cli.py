@@ -170,15 +170,16 @@ class TestCommands:
         out = _report(capsys.readouterr().out)
         assert out["results"]["0.5"]["verified"] is True
 
-    def test_cyclic_zero_element_at_zero_tol_has_radius_zero(self, tmp_path, capsys):
+    def test_cyclic_zero_element_verifies_at_default_radius(self, tmp_path, capsys):
+        # the default radius is sup_norm + 1e-9: 1e-9 for the zero element
         path = tmp_path / "zero.json"
         path.write_text(
             json.dumps({"space": {"points": ["a"], "dims": [1]}, "sets": {"M": [[[0.0]]]}})
         )
-        assert main(["cyclic", str(path), "--tol", "0"]) == 0
+        assert main(["cyclic", str(path)]) == 0
         captured = capsys.readouterr()
         out = _report(captured.out)
-        assert out["radius"] == 0.0 and captured.err == ""
+        assert out["radius"] == 1e-9 and captured.err == ""
         assert all(r["verified"] is True for r in out["results"].values())
 
     def test_analyze_config_holds_the_effective_delta(self, ext_doc, capsys):
@@ -284,10 +285,10 @@ class TestCommands:
     def test_bad_eps_rejected(self, sets_doc):
         assert main(["tob", sets_doc, "--eps", "-1"]) == 2
 
-    @pytest.mark.parametrize("flag", ["--eps", "--delta", "--tol"])
+    @pytest.mark.parametrize("flag", ["--eps", "--delta", "--radius"])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_values_rejected(self, ext_doc, sets_doc, flag, value, capsys):
-        command = ["tob", sets_doc] if flag == "--tol" else ["analyze", ext_doc]
+        command = ["cyclic", sets_doc] if flag == "--radius" else ["analyze", ext_doc]
         assert main(command + [f"{flag}={value}"]) == 2
         assert "finite" in capsys.readouterr().err
 
@@ -304,10 +305,12 @@ class TestCommands:
             (["zonotope", "{sets}", "--max-iter", "0"], "argument --max-iter: '0' is not an integer >= 1"),
             (["zonotope", "{sets}", "--tol", "1e-9"], "unrecognized arguments: --tol"),
             (["selftest", "--tol", "1e-9"], "unrecognized arguments: --tol"),
-            (["tob", "{sets}", "--eps", "0.5", "--tol=-1"], "argument --tol: '-1' is not nonnegative"),
-            (["tob", "{sets}", "--tol", "-1"], "argument --tol: '-1' is not nonnegative"),
-            (["cyclic", "{sets}", "--tol", "-1"], "argument --tol: '-1' is not nonnegative"),
+            (["cyclic", "{sets}", "--eps", "0.5", "--radius=-1"], "argument --radius: '-1' is not positive"),
+            (["cyclic", "{sets}", "--radius", "0"], "argument --radius: '0' is not positive"),
+            (["cyclic", "{sets}", "--radius", "1e999"], "argument --radius: '1e999' is not positive"),
             (["counterexample", "--n", "4", "--tol", "1e-9"], "unrecognized arguments: --tol"),
+            (["tob", "{sets}", "--tol", "1e-3"], "unrecognized arguments: --tol"),
+            (["cyclic", "{sets}", "--tol", "0"], "unrecognized arguments: --tol"),
         ],
     )
     def test_bad_option_values_exit_2(self, ext_doc, sets_doc, argv, message, capsys):
@@ -886,15 +889,12 @@ class TestCyclicReport:
             report = json.loads(captured.out)
             results = report.pop("results")
             M = parse_finite_set_doc(json.loads(Path(path).read_text()))[1]["M"]
-            tol = report["config"]["tol"]
-            witnesses = [
-                (eps, per_prefix_cyclic_witness(M, eps, report["radius"], tol)) for eps in eps_values
-            ]
-            verdicts = [dense_verify_cyclic(M, eps, parts, tol) for eps, parts in witnesses]
+            witnesses = [(eps, per_prefix_cyclic_witness(M, eps, report["radius"])) for eps in eps_values]
+            verdicts = [dense_verify_cyclic(M, eps, parts) for eps, parts in witnesses]
             assert captured.out == per_part_cyclic_report(report, witnesses, verdicts) + "\n"
             assert len(results) == len(eps_values)
             seen["reports"] += 1
-            seen["cut"] += bool(np.any(M.norms() > 2 * report["radius"] + tol))
+            seen["cut"] += bool(np.any(M.norms() > 2 * report["radius"] + 1e-9))
             seen["zero fibers"] += any(not q.mask.all() for _, parts in witnesses for q, _ in parts)
             seen["part counts"] += len({len(parts) for _, parts in witnesses}) > 1
         assert min(seen.values()) > 0, seen

@@ -53,8 +53,6 @@ def invocations(draw):
         argv += ["--eps", repr(draw(POSITIVE))]
     if command == "zonotope":
         argv += ["--max-iter", str(draw(st.integers(1, 200)))]
-    elif draw(st.booleans()):
-        argv += ["--tol", repr(draw(st.floats(0.0, 1e3)))]
     if command == "cyclic" and draw(st.booleans()):
         argv += ["--radius", repr(draw(POSITIVE))]
     return argv

@@ -257,8 +257,8 @@ class TestTraversal:
             ):
                 shared = Traversal(M)
                 for eps in eps_order:
-                    got = is_utob(M, eps, TOL, traversal=shared)
-                    ref = is_utob(M, eps, TOL)
+                    got = is_utob(M, eps, traversal=shared)
+                    ref = is_utob(M, eps)
                     assert got.verdict == ref.verdict
                     assert [s.tobytes() for s in got.witness.stacks] == [
                         s.tobytes() for s in ref.witness.stacks
@@ -288,7 +288,7 @@ class TestTraversal:
         assert list(trav.order) == list(Traversal(M).order) == greedy_order(M)
         assert defect_chain(M).tolist() == radii
         assert trav.recheck(3) is trav.recheck(3)
-        shared = [is_utob(M, 0.5, TOL, traversal=trav) for _ in range(2)]
+        shared = [is_utob(M, 0.5, traversal=trav) for _ in range(2)]
         assert shared[0].report is shared[1].report
         with pytest.raises(ValueError):
             is_utob(M.subset(range(12)), 0.5, traversal=trav)
@@ -1216,14 +1216,15 @@ class TestTruncate:
         space = random_fiber_space(rng)
         F = random_finite_set(rng, space, 3, scale=0.1)
         assert truncate_to_ball(F, r=10.0) is F
-        # a norm of exactly 2r + tol is not cut either
+        # a norm of exactly 2r is not cut either, nor one within 1e-9 above
         edge = scalars(single_fiber_space(), 2.0, -0.0, 1j)
-        assert truncate_to_ball(edge, r=1.0, tol=0.0) is edge
-        assert truncate_to_ball(edge, r=0.5, tol=0.0) is not edge
+        assert truncate_to_ball(edge, r=1.0) is edge
+        assert truncate_to_ball(edge, r=1.0 - 2.5e-10) is edge
+        assert truncate_to_ball(edge, r=0.5) is not edge
 
     def test_zero_radius_keeps_only_zero_fibers(self):
         space = single_fiber_space()
-        out = truncate_to_ball(scalars(space, 0.0, 5.0), r=0.0, tol=0.0)
+        out = truncate_to_ball(scalars(space, 0.0, 5.0), r=0.0)
         assert out.stacks[0].tolist() == [[0j], [0j]]
         with pytest.raises(ValueError):
             truncate_to_ball(scalars(space, 1.0), r=-1.0)

@@ -155,10 +155,9 @@ class TestMixMembership:
 
     def test_perturbation_refused(self):
         _, space, M = rng_sets(8)
-        tol = 1e-9
         x = M.subset([0])
-        x = FiniteSet(space, [x.stacks[0] + 10 * tol] + x.stacks[1:], 1)
-        assert mix_membership(x, M, tol) is None
+        x = FiniteSet(space, [x.stacks[0] + 10 * TOL] + x.stacks[1:], 1)
+        assert mix_membership(x, M) is None
 
 
 def test_elements_are_one_element_sets():
@@ -303,14 +302,14 @@ def test_one_chain_serves_every_eps():
             singles, failed = [], []
             for eps in eps_values:
                 try:
-                    singles += cyclic_witness(M, [eps], r, TOL)
+                    singles += cyclic_witness(M, [eps], r)
                 except ConstructionError as exc:
                     failed.append(str(exc))
             if failed:
                 with pytest.raises(ConstructionError) as exc:
-                    cyclic_witness(M, eps_values, r, TOL)
+                    cyclic_witness(M, eps_values, r)
                 assert str(exc.value) == failed[0]
-            got = cyclic_witness(M, [w.epsilon for w in singles], r, TOL)
+            got = cyclic_witness(M, [w.epsilon for w in singles], r)
             assert [_part_bytes(witness_parts(w)) for w in got] == [
                 _part_bytes(witness_parts(w)) for w in singles
             ]
@@ -335,13 +334,13 @@ def test_only_a_truncating_radius_computes_prefix_defects(monkeypatch):
     M = random_finite_set(rng, space, 12)
     sup = M.norm_sup().sup_norm()
     # the ball holds M: one traversal of M serves both eps
-    cyclic_witness(M, (0.6 * sup, 0.3 * sup), sup / 2 + TOL, TOL)
+    cyclic_witness(M, (0.6 * sup, 0.3 * sup), sup / 2 + TOL)
     assert (calls, built) == ([], [12])
     # a radius whose ball cuts an element down: the truncated set is
     # traversed once and M's defect is computed against its prefixes once
     r = 0.45 * sup
     assert np.any(M.norm_sup().values > 2 * r)
-    got = cyclic_witness(M, (1.5 * sup, 1.2 * sup), r, TOL)
+    got = cyclic_witness(M, (1.5 * sup, 1.2 * sup), r)
     assert (calls, built) == ([12], [12, 12])
     for w in got:
         assert _part_bytes(witness_parts(w)) == _part_bytes(per_prefix_cyclic_witness(M, w.epsilon, r))
@@ -449,6 +448,15 @@ def test_cyclic_parts_are_nonempty_and_partition_the_points():
         for w in cyclic_witness(M, (0.2 * sup, 0.6 * sup, 1.2 * sup), sup + 0.1):
             assert w.prefix.shape == (space.n_points,) and w.prefix.dtype.kind == "i"
             assert np.all((1 <= w.prefix) & (w.prefix <= len(w.chain)))
+
+
+def test_zero_element_at_radius_zero():
+    # r = 0: the ball is the zero set, which holds the zero element, so
+    # nothing is cut and its one-element chain covers every point at once
+    zero = FiniteSet.zero(FiberSpace(PointSet.of_size(3), (1, 2, 3)))
+    (w,) = cyclic_witness(zero, [0.5], 0.0)
+    assert len(w.chain) == 1 and w.prefix.tolist() == [1, 1, 1]
+    assert verify_cyclic(zero, 0.5, w)
 
 
 def test_defect_is_mix_invariant():
