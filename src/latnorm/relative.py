@@ -12,15 +12,15 @@ the independent pipelines agree instead of assuming it.
 The orbit routines walk and traverse the orbit they are given, so their
 results depend on their arguments alone; orbits are deduplicated at
 ``DEFAULT_TOL``. The Kronecker subspace walks each point orbit once on
-point indices and returns the traversals, which the cross-check reads. A
-defect chain is one ``(K, n_points)`` array, a traversal's read-only radii,
-and Egoroff localization reads it as it is.
+point indices and returns the encoded orbits, which the cross-check
+traverses. A defect chain is one ``(K, n_points)`` array, a traversal's
+read-only radii, and Egoroff localization reads it as it is.
 
 An invariant submodule is closed under band projections, so the Kronecker
 subspace is the direct sum of its fiber parts, one orthonormal block per
-downstairs fiber; the AP and TOB spans are point masks. The cross-check's
-linear algebra therefore costs the sum of |fiber|^3, not n_x^3, in one
-batched SVD call per distinct fiber shape.
+downstairs fiber; the AP and TOB spans are point masks. Its SVDs cost the
+sum of |fiber|^3, not n_x^3, one batched call per distinct fiber shape,
+and the span distances are spectral norms of the blocks' columns.
 """
 
 from __future__ import annotations
@@ -63,10 +63,9 @@ def orbit(f, ext: Extension) -> FiniteSet:
 
 
 def _point_orbits(ext: Extension) -> list[tuple]:
-    """``(traversal, points)`` per point orbit, in order of the orbit's first
-    point, with ``points`` in discovery order: the traversal of
-    ``orbit(e_x, ext)`` for the indicator e_x of the first point x, walked
-    on point indices.
+    """``(orbit, points)`` per point orbit, in order of the orbit's first
+    point, with ``points`` in discovery order: ``orbit(e_x, ext)`` for the
+    indicator e_x of the first point x, walked on point indices.
 
     The step s of ``orbit_functions`` sends the indicator of y to that of
     ``argsort(s)[y]``, so the point walk lists the points in the order in
@@ -84,7 +83,7 @@ def _point_orbits(ext: Extension) -> list[tuple]:
             seen.update(points)
             images = np.zeros((len(points), n), dtype=complex)
             images[np.arange(len(points)), points] = 1.0
-            orbits.append((Traversal(ext.rel.encode(images)), points))
+            orbits.append((ext.rel.encode(images), points))
     return orbits
 
 
@@ -200,9 +199,9 @@ def _submodule(orb: FiniteSet, ext: Extension) -> SubmoduleBasis:
     return SubmoduleBasis(ext.rel, FiniteSet(orb.space, stacks, n_basis), ranks)
 
 
-def _svd_by_shape(mats: Sequence[np.ndarray], compute_uv: bool = True) -> list:
-    """``np.linalg.svd(m, full_matrices=False, compute_uv=compute_uv)`` of
-    every matrix m, in order: ``(sv, vh)`` per matrix, or ``sv`` alone.
+def _svd_by_shape(mats: Sequence[np.ndarray]) -> list:
+    """``(sv, vh)`` of ``np.linalg.svd(m, full_matrices=False)`` for every
+    matrix m, in order.
 
     One call per distinct shape on the stacked matrices. The gufunc runs the
     same LAPACK routine on each matrix of a stack, so every result equals
@@ -213,17 +212,10 @@ def _svd_by_shape(mats: Sequence[np.ndarray], compute_uv: bool = True) -> list:
         by_shape.setdefault(m.shape, []).append(i)
     out = [None] * len(mats)
     for idx in by_shape.values():
-        res = np.linalg.svd(
-            np.stack([mats[i] for i in idx]), full_matrices=False, compute_uv=compute_uv
-        )
-        for i, r in zip(idx, zip(res[1], res[2]) if compute_uv else res):
+        _, sv, vh = np.linalg.svd(np.stack([mats[i] for i in idx]), full_matrices=False)
+        for i, r in zip(idx, zip(sv, vh)):
             out[i] = r
     return out
-
-
-def projector(basis: np.ndarray) -> np.ndarray:
-    """Orthogonal projector onto the span of the orthonormal rows of basis."""
-    return basis.T @ np.conj(basis)
 
 
 @dataclass
@@ -231,7 +223,8 @@ class KroneckerReport:
     """One orthonormal ``(r_y, |fiber y|)`` row block per downstairs fiber,
     columns in ``fiber_points[y]`` order. Module and weighted coordinates
     differ by one scalar per fiber, so the projector is the same in both.
-    ``orbits`` holds ``(traversal, points)`` per point orbit, as walked."""
+    ``orbits`` holds ``(orbit, points)`` per point orbit, as walked: the
+    encoded ``FiniteSet`` and its points."""
 
     dim: int
     blocks: list[np.ndarray]
@@ -244,7 +237,7 @@ class KroneckerReport:
         n_x = sum(len(pts) for pts in self.fiber_points)
         P = np.zeros((n_x, n_x), dtype=complex)
         for B, pts in zip(self.blocks, self.fiber_points):
-            P[np.ix_(pts, pts)] = projector(B)
+            P[np.ix_(pts, pts)] = B.T @ np.conj(B)
         return P
 
 
@@ -260,8 +253,8 @@ def kronecker_subspace(ext: Extension) -> KroneckerReport:
     rows = [[] for _ in range(ext.downstairs.size)]
     seed_ranks = np.zeros(ext.upstairs.size, dtype=int)
     orbits = _point_orbits(ext)
-    for trav, xs in orbits:
-        sb = _submodule(trav.M, ext)
+    for orb, xs in orbits:
+        sb = _submodule(orb, ext)
         for y, (s, r) in enumerate(zip(sb.vectors.stacks, sb.ranks)):
             rows[y].append(s[:r])
         seed_ranks[xs] = len(sb)
@@ -353,17 +346,18 @@ class CrossCheckReport:
 
 def _fiber_distances(kron: KroneckerReport, ap: np.ndarray, tob: np.ndarray):
     """Distances and inclusion residuals of the three spans, AP and TOB given
-    by point masks (projectors ``diag(mask)``). Every projector is block
+    by point masks (projectors Q = ``diag(mask)``). Every projector is block
     diagonal, so each spectral norm is the largest over the fibers, and two
-    coordinate projectors are 1 apart where their masks differ, else 0."""
-    diffs = []
+    coordinate projectors are 1 apart where their masks differ, else 0. On a
+    fiber with block B, ||P - QP|| = ||B[:, ~mask]|| (0 when empty), and
+    ||P - Q|| is that where rank P = sum(mask), else 1 (Kato, ch. I)."""
+    fm_ap = fm_tob = fm_in_ap = 0.0
     for B, pts in zip(kron.blocks, kron.fiber_points):
-        P = projector(B)
-        a = ap[pts]
-        diffs += [P - np.diag(a), P - np.diag(tob[pts]), P - a[:, None] * P]
-    # the spectral norm, as np.linalg.norm(., 2) takes it, of each difference
-    norms = [float(sv.max()) for sv in _svd_by_shape(diffs, compute_uv=False)]
-    fm_ap, fm_tob, fm_in_ap = (max([0.0, *norms[i::3]]) for i in range(3))
+        a, t = ap[pts], tob[pts]
+        na, nt = (float(np.linalg.norm(X, 2)) if X.size else 0.0 for X in (B[:, ~a], B[:, ~t]))
+        fm_ap = max(fm_ap, na if len(B) == a.sum() else 1.0)
+        fm_tob = max(fm_tob, nt if len(B) == t.sum() else 1.0)
+        fm_in_ap = max(fm_in_ap, na)
     distances = {"fm_ap": fm_ap, "fm_tob": fm_tob, "ap_tob": float(np.any(ap != tob))}
     inclusions = {"fm_in_ap": fm_in_ap, "ap_in_tob": float(np.any(ap & ~tob))}
     return distances, inclusions
@@ -404,7 +398,8 @@ def theorem_cross_check(
     eps_ref = min(eps_values)
     thresholds: dict[float, int | None] = {d: 0 for d in delta_values}
     cut = False  # whether a localization cut a point
-    for trav, xs in kron.orbits:
+    for orb, xs in kron.orbits:
+        trav = Traversal(orb)
         verdicts, witnesses = _ap_probe(trav, eps_values)
         passes = all(verdicts)
         ap_ok[xs] = passes

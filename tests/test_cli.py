@@ -983,6 +983,31 @@ class TestTraversalTable:
 
 
 @pytest.mark.skipif(not hasattr(resource, "RLIMIT_AS"), reason="no RLIMIT_AS here")
+def test_rotation_over_itself_at_1000_points(tmp_path):
+    """The rotation on 1,000 points over itself, under a 1.5 GB address-space
+    limit: ``kronecker_subspace`` traverses nothing and finds all 1,000
+    dimensions, and ``analyze`` on its document exits 0, or exits 3 with one
+    ``cap exceeded:`` line, where its (1000, 1000, 1000) traversal table
+    cannot be allocated. It is never killed and prints no traceback."""
+    n = 1000
+    ext = rotation_extension(n, n)
+    (tmp_path / "ext.json").write_text(json.dumps(extension_to_json(ext)))
+    proc = _run_limited(
+        tmp_path,
+        "from latnorm.fixtures import rotation_extension\n"
+        f"print(latnorm.kronecker_subspace(rotation_extension({n}, {n})).dim)\n",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{n}\n"
+    proc = _run_limited(tmp_path, "sys.exit(latnorm.cli.main(['analyze', 'ext.json']))\n")
+    assert proc.returncode in (0, 3), proc.stderr
+    assert "Traceback" not in proc.stderr
+    if proc.returncode == 3:
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("cap exceeded: "), proc.stderr
+
+
+@pytest.mark.skipif(not hasattr(resource, "RLIMIT_AS"), reason="no RLIMIT_AS here")
 def test_counterexample_too_large_exits_3_with_one_line(tmp_path):
     """``--n 100000`` asks for 8.0e20 bytes: refused at once, under a 1.5 GB
     address-space limit too, as ``SizeCapError`` naming n and the bytes."""

@@ -289,6 +289,30 @@ class TestKronecker:
         # fm_ap, fm_tob and fm_in_ap each fall strictly between 0 and 1
         assert np.all(strict[[0, 1, 3]] > 0)
 
+    def test_fiber_distances_are_exact_on_full_rank_blocks(self):
+        # full-rank unitary blocks on uneven, interleaved fibers: every span
+        # is the whole space, so each value is exactly 0.0; with one AP point
+        # dropped, the ranks differ on its fiber and fm_ap is exactly 1.0
+        rng = np.random.default_rng(29)
+        for _ in range(200):
+            dims = rng.integers(1, 7, size=int(rng.integers(1, 5)))
+            n_x = int(dims.sum())
+            fiber_points = np.split(rng.permutation(n_x), np.cumsum(dims)[:-1])
+            blocks = [
+                np.linalg.qr(
+                    rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+                )[0].T
+                for d in dims
+            ]
+            kr = relative.KroneckerReport(n_x, blocks, fiber_points, [], [])
+            full = np.ones(n_x, dtype=bool)
+            distances, inclusions = relative._fiber_distances(kr, full, full)
+            assert [*distances.values(), *inclusions.values()] == [0.0] * 5
+            ap = full.copy()
+            ap[rng.integers(n_x)] = False
+            distances, inclusions = relative._fiber_distances(kr, ap, full)
+            assert distances["fm_ap"] == 1.0 and distances["fm_tob"] == 0.0
+
 
 def _commutes(P, perm):
     """Whether the projector P (in phi coordinates) commutes with the
@@ -491,7 +515,7 @@ def test_egoroff_rejects_misshapen_chains():
 
 def test_traversal_radii_are_read_only():
     ext = rotation_extension(4, 2)
-    trav = kronecker_subspace(ext).orbits[0][0]
+    trav = Traversal(kronecker_subspace(ext).orbits[0][0])
     with pytest.raises(ValueError):
         trav.radii += 1.0
     assert orbit_tob_verdict(np.eye(ext.upstairs.size, dtype=complex)[1], ext)
@@ -636,16 +660,14 @@ class TestPointOrbits:
             n = ext.upstairs.size
             orbits = relative._point_orbits(ext)
             covered = []
-            for trav, points in orbits:
+            for orb, points in orbits:
                 f = delta(n, points[0])
                 walked = orbit_functions(f, ext)
                 assert np.nonzero(walked)[1].tolist() == points
                 assert walked[0].tobytes() == f.tobytes()
-                # the traversal of the first point's indicator
-                ref = Traversal(orbit(f, ext))
-                assert [s.tobytes() for s in trav.M.stacks] == [s.tobytes() for s in ref.M.stacks]
-                assert trav.order == ref.order
-                assert trav.radii.tobytes() == ref.radii.tobytes()
+                # the encoded orbit of the first point's indicator
+                ref = orbit(f, ext)
+                assert [s.tobytes() for s in orb.stacks] == [s.tobytes() for s in ref.stacks]
                 covered += points
             assert sorted(covered) == list(range(n))
             assert [points[0] for _, points in orbits] == sorted(
@@ -712,23 +734,42 @@ class TestPointOrbits:
         batched = relative._svd_by_shape
         calls = []
 
-        def checked(mats, compute_uv=True):
-            out = batched(mats, compute_uv)
+        def checked(mats):
+            out = batched(mats)
             assert len(out) == len(mats)
             for m, got in zip(mats, out):
-                want = np.linalg.svd(m, full_matrices=False, compute_uv=compute_uv)
-                want = want[1:] if compute_uv else (want,)
-                got = got if compute_uv else (got,)
+                want = np.linalg.svd(m, full_matrices=False)[1:]
                 assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
-            calls.append((compute_uv, len({m.shape for m in mats}), len(mats)))
+            calls.append((len({m.shape for m in mats}), len(mats)))
             return out
 
         monkeypatch.setattr(relative, "_svd_by_shape", checked)
         for ext in self.cases():
             theorem_cross_check(ext)
-        # both kinds of batch ran, and some batched several matrices per call
-        assert {uv for uv, _, _ in calls} == {True, False}
-        assert any(shapes < mats for _, shapes, mats in calls)
+        # some call batched several matrices
+        assert any(shapes < mats for shapes, mats in calls)
+
+    def test_traversals_are_built_by_the_cross_check_alone(self, monkeypatch):
+        # kronecker_subspace traverses nothing; the cross-check traverses
+        # each point orbit once, and the zero function's orbit at most once
+        built = []
+        init = Traversal.__init__
+        monkeypatch.setattr(
+            Traversal, "__init__", lambda self, M: built.append(M) or init(self, M)
+        )
+        for ext in self.cases():
+            n = ext.upstairs.size
+            point_orbits = {
+                frozenset(int(np.asarray(t)[x]) for t in enumerate_group(ext.upstairs_gens))
+                for x in range(n)
+            }
+            kr = kronecker_subspace(ext)
+            assert built == []
+            assert all(isinstance(orb, FiniteSet) for orb, _ in kr.orbits)
+            theorem_cross_check(ext)
+            nonzero = sum(any(s.any() for s in M.stacks) for M in built)
+            assert nonzero == len(point_orbits) and len(built) - nonzero <= 1
+            built.clear()
 
 
 class TestSharedOrbitOracles:
