@@ -288,9 +288,10 @@ def defect(M: FiniteSet, F: FiniteSet) -> DefectReport:
     value = np.empty(n_pts)
     argmin = np.empty((len(M), n_pts), dtype=int)
     net = isinstance(F, GridNet)
-    for w, s in enumerate(M.stacks):
-        mins, argmin[:, w] = F.nearest(w, s) if net else _nearest(s, F.stacks[w])
-        value[w] = float(np.max(mins))
+    with np.errstate(invalid="ignore"):  # inf - inf is a NaN distance
+        for w, s in enumerate(M.stacks):
+            mins, argmin[:, w] = F.nearest(w, s) if net else _nearest(s, F.stacks[w])
+            value[w] = float(np.max(mins))
     return DefectReport(StoneElement(M.space.base, value), F, argmin)
 
 
@@ -303,12 +304,13 @@ def prefix_defects(M: FiniteSet, F: FiniteSet) -> np.ndarray:
     if len(M) == 0 or len(F) == 0:
         raise ValueError("defect requires nonempty M and F")
     out = np.empty((len(F), M.space.n_points))
-    for w, (s, t) in enumerate(zip(M.stacks, F.stacks)):
-        # zero rows (-0.0 entries included) share one distance row, so the
-        # first stands for all; with none, argmin is 0, a compared row
-        rows = s.any(axis=1)
-        rows[rows.argmin()] = True
-        out[:, w] = np.minimum.accumulate(_pair_dist(s[rows], t), axis=1).max(axis=0)
+    with np.errstate(invalid="ignore"):  # inf - inf is a NaN distance
+        for w, (s, t) in enumerate(zip(M.stacks, F.stacks)):
+            # zero rows (-0.0 entries included) share one distance row, so
+            # the first stands for all; with none, argmin is 0, a compared row
+            rows = s.any(axis=1)
+            rows[rows.argmin()] = True
+            out[:, w] = np.minimum.accumulate(_pair_dist(s[rows], t), axis=1).max(axis=0)
     return out
 
 
@@ -346,8 +348,9 @@ class Traversal:
         self._rechecks: dict[int, DefectReport] = {}
         try:
             tables = np.empty((n_pts, n, n))
-            for w, s in enumerate(M.stacks):
-                tables[w] = _pair_dist(s, s)
+            with np.errstate(invalid="ignore"):  # inf - inf is a NaN distance
+                for w, s in enumerate(M.stacks):
+                    tables[w] = _pair_dist(s, s)
         except MemoryError:
             raise SizeCapError(
                 f"the traversal of |M| = {n} over P = {n_pts} points needs a "
@@ -502,14 +505,14 @@ def check_suborthonormal(basis: FiniteSet) -> None:
     idempotent norms, each Gram entry within 1e-7."""
     d = len(basis)
     for w, s in enumerate(basis.stacks):
-        if not np.all(np.isfinite(s)):
+        if not np.isfinite(s).all():
             raise ValueError(f"basis not finite at point {w}")
-        gram = s @ np.conj(s.T)
-        off = gram - np.diag(np.diag(gram))
-        if d > 1 and float(np.max(np.abs(off))) > 1e-7:
+        gram = s @ s.conj().T
+        diag = gram.diagonal()
+        if d > 1 and float(np.abs(gram - np.diag(diag)).max()) > 1e-7:
             raise ValueError(f"basis not fiberwise orthogonal at point {w}")
-        diag = np.real(np.diag(gram))
-        if float(np.max(np.minimum(np.abs(diag), np.abs(diag - 1.0)))) > 1e-7:
+        n2 = diag.real
+        if float(np.minimum(np.abs(n2), np.abs(n2 - 1.0)).max()) > 1e-7:
             raise ValueError(f"basis norms not idempotent-valued at point {w}")
 
 
@@ -558,11 +561,12 @@ class GridNet(FiniteSet):
     dense computation.
 
     The net holds only the factorization: ``len(net)`` is ``len(grid)**m``,
-    ``nearest`` builds the kept rows from it, and the stacks of every row are
-    computed on first access, then frozen. The basis (the caller's set) and
-    the grid are read-only, so the factorization stays true. ``subset``,
-    ``p * net``, ``set_image`` and every other operation read the stacks and
-    build a plain ``FiniteSet``.
+    ``nearest`` builds the kept rows from their picks (one array of g_j per
+    coordinate j) and the index above only for each sample's nearest row,
+    and every row's stacks are computed on first access, then frozen. The
+    basis (the caller's set) and the grid are read-only, so the
+    factorization stays true. ``subset``, ``p * net``, ``set_image`` and
+    every other operation read the stacks and build a plain ``FiniteSet``.
     """
 
     __slots__ = ("basis", "grid", "_stacks")
@@ -585,23 +589,23 @@ class GridNet(FiniteSet):
     def stacks(self) -> list[np.ndarray]:
         """Every net row, per fiber: built on first access, then frozen."""
         if self._stacks is None:
-            index = np.arange(self._n)
-            self._stacks = [self._rows(w, index) for w in range(self.space.n_points)]
+            picks = np.unravel_index(np.arange(self._n), (len(self.grid),) * len(self.basis))
+            self._stacks = [self._rows(w, picks) for w in range(self.space.n_points)]
             for s in self._stacks:
                 s.flags.writeable = False
         return self._stacks
 
-    def _rows(self, w: int, index: np.ndarray) -> np.ndarray:
-        """The net rows ``index`` at point w: the C-ordered rows of grid
-        coefficients times the basis stack. Any index set gives the bytes of
-        the same rows of the whole product, because the coefficients get at
-        least two rows: numpy multiplies a single row by gemv, which need not
-        round like gemm."""
-        m, size = len(self.basis), len(self.grid)
-        coeffs = np.zeros((max(len(index), 2), m), dtype=complex)
-        for j in range(m):
-            coeffs[: len(index), j] = self.grid[index // size ** (m - 1 - j) % size]
-        return (coeffs @ self.basis.stacks[w])[: len(index)]
+    def _rows(self, w: int, picks: Sequence[np.ndarray]) -> np.ndarray:
+        """The net rows at point w whose coordinate j takes grid index
+        ``picks[j][i]`` (row i): the rows of grid coefficients times the
+        basis stack. Any index set gives the bytes of the same rows of the
+        whole product, because the coefficients get at least two rows: numpy
+        multiplies a single row by gemv, which need not round like gemm."""
+        n = len(picks[0])
+        coeffs = np.zeros((max(n, 2), len(picks)), dtype=complex)
+        for j, pick in enumerate(picks):
+            coeffs[:n, j] = self.grid[pick]
+        return (coeffs @ self.basis.stacks[w])[:n]
 
     def _kept(self, w: int, X: np.ndarray) -> np.ndarray:
         """(n, m, len(grid)) mask of the grid indices kept per sample row of
@@ -612,16 +616,19 @@ class GridNet(FiniteSet):
         gram = s @ s.conj().T
         n2 = gram.diagonal().real
         live = n2 > _LIVE
-        finite = np.all(np.isfinite(X), axis=1)
+        finite = np.isfinite(X).all(axis=1)
         X = np.where(finite[:, None], X, 0)
         t = (X @ s.conj().T)[:, :, None] - grid * n2[:, None]
-        scale = np.where(live, n2, 1.0)[:, None]
-        q = np.where(live[:, None], (t.real**2 + t.imag**2) / scale, 0.0)
-        R = float(np.max(np.abs(grid)))
-        off = float(np.max(np.abs(gram - np.diag(gram.diagonal()))))
-        Z = np.linalg.norm(X, axis=1) + m * R * math.sqrt(float(np.max(n2)))
+        q = t.real**2
+        q += t.imag**2
+        q /= np.where(live, n2, 1.0)[:, None]
+        q[:, ~live] = 0.0
+        R = float(np.abs(grid).max())
+        off = float(np.abs(gram - np.diag(gram.diagonal())).max())
+        Z = np.linalg.norm(X, axis=1) + m * R * math.sqrt(float(n2.max()))
         slack = 2.0 * (off * (m * R) ** 2 + 32 * (d + m + 1) * _U * Z**2) + 1e-300
-        keep = ~(q > q.min(axis=2, keepdims=True) + slack[:, None, None])
+        keep = np.greater(q, q.min(axis=2, keepdims=True) + slack[:, None, None])
+        np.logical_not(keep, out=keep)
         if np.isfinite(R):  # a finite grid value times a zero row is a zero
             keep[:, ~s.any(axis=1), 1:] = False
         keep[~finite] = True
@@ -634,30 +641,31 @@ class GridNet(FiniteSet):
         keep = self._kept(w, X)
         n, m, size = keep.shape
         counts = keep.sum(axis=2)
-        firsts = np.cumsum(counts, axis=0) - counts  # per coordinate offsets
-        kept = [np.nonzero(keep[:, j])[1] for j in range(m)]
+        kept = np.nonzero(keep)[2]  # by sample, then coordinate
+        firsts = (counts.cumsum() - counts.ravel()).reshape(n, m)
         rows_per = counts.prod(axis=1)
-        ends = np.cumsum(rows_per)
+        ends = rows_per.cumsum()
         mins = np.empty(n)
         argmin = np.empty(n, dtype=int)
         a = 0
         while a < n:
-            b = max(a + 1, int(np.searchsorted(ends, ends[a] - rows_per[a] + _PAIRS, "right")))
-            # ascending net indices of each sample's kept product
-            sample, index = np.arange(a, b), np.zeros(b - a, dtype=int)
+            b = max(a + 1, int(ends.searchsorted(ends[a] - rows_per[a] + _PAIRS, "right")))
+            # each sample's kept product, in ascending net index order
+            sample, picks = np.arange(a, b), []
             for j in range(m):
                 rep = counts[sample, j]
-                pos = np.arange(int(rep.sum())) - np.repeat(np.cumsum(rep) - rep, rep)
-                pick = kept[j][np.repeat(firsts[sample, j], rep) + pos]
-                sample = np.repeat(sample, rep)
-                index = np.repeat(index, rep) * size + pick
-            dist = _dist(X[sample] - self._rows(w, index))
-            starts = np.cumsum(rows_per[a:b]) - rows_per[a:b]
+                pos = (firsts[sample, j] - rep.cumsum() + rep).repeat(rep)
+                picks = [p.repeat(rep) for p in picks]
+                picks.append(kept[pos + np.arange(len(pos))])
+                sample = sample.repeat(rep)
+            dist = _dist(X[sample] - self._rows(w, picks))
+            per = rows_per[a:b]
+            starts = per.cumsum() - per
             mins[a:b] = np.minimum.reduceat(dist, starts)
-            # np.argmin's tie rule: the first minimum, or the first NaN
-            hit = (dist == np.repeat(mins[a:b], rows_per[a:b])) | np.isnan(dist)
-            at = np.flatnonzero(hit)
-            argmin[a:b] = index[at[np.r_[True, sample[at[1:]] != sample[at[:-1]]]]]
+            # np.argmin's tie rule: the first minimum, or the first NaN (one exists)
+            hit = np.flatnonzero((dist == mins[a:b].repeat(per)) | np.isnan(dist))
+            win = hit[hit.searchsorted(starts)]
+            argmin[a:b] = np.ravel_multi_index([p[win] for p in picks], (size,) * m)
             a = b
         return mins, argmin
 

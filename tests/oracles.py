@@ -23,7 +23,7 @@ from latnorm import (
     orbit_functions,
     truncate_to_ball,
 )
-from latnorm.fibered import _pair_dist
+from latnorm.fibered import _LIVE, _PAIRS, _U, _dist, _pair_dist
 from latnorm.fixtures import random_extension, rotation_extension, symmetric_extension
 from latnorm.relative import (
     CrossCheckReport,
@@ -517,6 +517,75 @@ def product_grid_image(F, grid):
     ``itertools.product`` (last coefficient fastest)."""
     combos = np.array(list(itertools.product(grid, repeat=len(F))), dtype=complex)
     return FiniteSet(F.space, [combos @ s for s in F.stacks], combos.shape[0])
+
+
+def flat_index_rows(net, w, index):
+    """The rows of a ``GridNet`` at flat net indices: each index split into
+    its grid indices by integer division, the coefficients padded to at
+    least two rows so that numpy multiplies by gemm."""
+    m, size = len(net.basis), len(net.grid)
+    coeffs = np.zeros((max(len(index), 2), m), dtype=complex)
+    for j in range(m):
+        coeffs[: len(index), j] = net.grid[index // size ** (m - 1 - j) % size]
+    return (coeffs @ net.basis.stacks[w])[: len(index)]
+
+
+def grid_net_kept(net, w, X):
+    """``GridNet._kept`` as first written: q formed whole, the non-live
+    coordinates zeroed by ``np.where`` and the mask negated from ``>``."""
+    s = net.basis.stacks[w]
+    m, d = s.shape
+    grid = net.grid
+    gram = s @ s.conj().T
+    n2 = gram.diagonal().real
+    live = n2 > _LIVE
+    finite = np.all(np.isfinite(X), axis=1)
+    X = np.where(finite[:, None], X, 0)
+    t = (X @ s.conj().T)[:, :, None] - grid * n2[:, None]
+    scale = np.where(live, n2, 1.0)[:, None]
+    q = np.where(live[:, None], (t.real**2 + t.imag**2) / scale, 0.0)
+    R = float(np.max(np.abs(grid)))
+    off = float(np.max(np.abs(gram - np.diag(gram.diagonal()))))
+    Z = np.linalg.norm(X, axis=1) + m * R * math.sqrt(float(np.max(n2)))
+    slack = 2.0 * (off * (m * R) ** 2 + 32 * (d + m + 1) * _U * Z**2) + 1e-300
+    keep = ~(q > q.min(axis=2, keepdims=True) + slack[:, None, None])
+    if np.isfinite(R):
+        keep[:, ~s.any(axis=1), 1:] = False
+    keep[~finite] = True
+    return keep
+
+
+def grid_net_nearest(net, w, X):
+    """``GridNet.nearest`` as first written: the kept products enumerated as
+    flat net indices, their rows built by ``flat_index_rows``, and each
+    sample's first minimum found by comparing neighbouring hits."""
+    keep = grid_net_kept(net, w, X)
+    n, m, size = keep.shape
+    counts = keep.sum(axis=2)
+    firsts = np.cumsum(counts, axis=0) - counts
+    kept = [np.nonzero(keep[:, j])[1] for j in range(m)]
+    rows_per = counts.prod(axis=1)
+    ends = np.cumsum(rows_per)
+    mins = np.empty(n)
+    argmin = np.empty(n, dtype=int)
+    a = 0
+    while a < n:
+        b = max(a + 1, int(np.searchsorted(ends, ends[a] - rows_per[a] + _PAIRS, "right")))
+        sample, index = np.arange(a, b), np.zeros(b - a, dtype=int)
+        for j in range(m):
+            rep = counts[sample, j]
+            pos = np.arange(int(rep.sum())) - np.repeat(np.cumsum(rep) - rep, rep)
+            pick = kept[j][np.repeat(firsts[sample, j], rep) + pos]
+            sample = np.repeat(sample, rep)
+            index = np.repeat(index, rep) * size + pick
+        dist = _dist(X[sample] - flat_index_rows(net, w, index))
+        starts = np.cumsum(rows_per[a:b]) - rows_per[a:b]
+        mins[a:b] = np.minimum.reduceat(dist, starts)
+        hit = (dist == np.repeat(mins[a:b], rows_per[a:b])) | np.isnan(dist)
+        at = np.flatnonzero(hit)
+        argmin[a:b] = index[at[np.r_[True, sample[at[1:]] != sample[at[:-1]]]]]
+        a = b
+    return mins, argmin
 
 
 def ring_loop_disc_grid(radius, mesh):

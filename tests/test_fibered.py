@@ -46,6 +46,9 @@ from oracles import (
     brute_force_greedy_order,
     dense_defect,
     dense_prefix_defects,
+    flat_index_rows,
+    grid_net_kept,
+    grid_net_nearest,
     grid_zonotope_oracle,
     product_grid_image,
     ring_loop_disc_grid,
@@ -92,10 +95,10 @@ class TestLatticeNorm:
         rhs = mu.modulus() * y.norm_sup()
         assert lhs.eq(rhs, TOL)
 
-    # the distance of an infinite entry from itself is inf - inf, a NaN
-    @pytest.mark.filterwarnings("ignore:invalid value encountered in subtract")
     def test_infinite_entries_have_infinite_norms(self):
-        # no 0 * inf is formed, so nothing warns: the norm of inf is inf
+        # no 0 * inf is formed, so nothing warns: the norm of inf is inf.
+        # The distance of an infinite entry from itself is inf - inf, a NaN,
+        # which traversals, defects and prefix defects read without a warning
         space = FiberSpace(PointSet.of_size(2), (2, 1))
         F = FiniteSet(
             space,
@@ -108,6 +111,11 @@ class TestLatticeNorm:
         out = truncate_to_ball(F, r=1.0)
         assert [s.tolist() for s in out.stacks] == [[[0j, 0j], [0.5, 0j]], [[0j], [2.0]]]
         assert Traversal(F).order == (0, 1)  # seeded by the infinite norm
+        rep = defect(F, F)
+        assert np.isnan(rep.value.values).all() and rep.argmin.tolist() == [[0, 0], [1, 1]]
+        assert np.isnan(prefix_defects(F, F)).all()
+        utob = is_utob(F, 1.0)  # no prefix is within eps: all of F, rechecked NaN
+        assert not utob.verdict and len(utob.witness) == 2
 
 
 class TestDefect:
@@ -891,6 +899,46 @@ class TestGridNet:
             "midpoint", "net row", "non-finite",
         }
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf * 0
+    def test_kept_nearest_and_stacks_equal_the_first_version(self):
+        # the mask, (mins, argmin) and rows equal those of the first version
+        # kept in ``oracles`` byte for byte, on the structured cases, on
+        # zonotope nets with NaN or inf generators, and on draws shaped like
+        # the benchmark's net_cover jobs: dims (2, 3), the rank-2 basis
+        # dropping to rank 1 at the second point, in-ball samples
+        rng = np.random.default_rng(47)
+        cases = [(net, M) for net, M, _ in _structured_cases(rng, 60)]
+        for bad in (np.nan, np.inf, complex(1.0, -np.inf)) * 2:
+            space = random_fiber_space(rng)
+            stacks = [s.copy() for s in random_finite_set(rng, space, 2).stacks]
+            stacks[0][0, 0] = bad
+            net, _ = zonotope_net(FiniteSet(space, stacks, 2), 0.5)
+            cases.append((net, random_finite_set(rng, space, 12)))
+        space = FiberSpace(PointSet.of_size(2), (2, 3))
+        for eps in (0.5, 0.35, 0.25) * 3:
+            n = int(rng.integers(10, 81))
+            basis, samples = [], []
+            for rank, d in zip((2, 1), space.dims):
+                q, _ = np.linalg.qr(_cnormal(rng, (d, 2)))
+                b = np.zeros((2, d), dtype=complex)
+                b[:rank] = q.T[:rank]
+                lam = np.zeros((n, 2), dtype=complex)
+                lam[:, :rank] = _cnormal(rng, (n, rank))
+                lam *= rng.random((n, 1)) / np.linalg.norm(lam, axis=1, keepdims=True)
+                basis.append(b)
+                samples.append(lam @ b)
+            net = heine_borel_net(FiniteSet(space, basis, 2), 1.0, eps)
+            cases.append((net, FiniteSet(space, samples, n)))
+        for net, M in cases:
+            assert isinstance(net, GridNet)
+            for w, X in enumerate(M.stacks):
+                keep, ref = net._kept(w, X), grid_net_kept(net, w, X)
+                assert keep.shape == ref.shape and keep.tobytes() == ref.tobytes()
+                got, want = net.nearest(w, X), grid_net_nearest(net, w, X)
+                assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+                rows = flat_index_rows(net, w, np.arange(len(net)))
+                assert net.stacks[w].tobytes() == rows.tobytes()
+
     def test_blocks_of_samples(self):
         # rows of norm 1e-80 (below _LIVE) keep their whole grid, so at the
         # second point every sample keeps the whole net and the kept pairs
@@ -985,8 +1033,9 @@ class TestGridNet:
             assert rep.argmin.tobytes() == expected.argmin.tobytes()
 
     def test_rows_equal_product_rows(self):
-        # the rows nearest builds from (basis, grid) are the product's rows
-        # byte for byte, on fibers of dims 1 to 4 and for one row as well
+        # the rows nearest builds from (basis, grid) and per-coordinate grid
+        # indices are the product's rows byte for byte, on fibers of dims 1
+        # to 4 and for one row as well
         rng = np.random.default_rng(44)
         dims = (1, 2, 3, 4)
         space = FiberSpace(PointSet.of_size(len(dims)), dims)
@@ -1012,8 +1061,9 @@ class TestGridNet:
                 ]
                 for idx in index_sets:
                     idx = np.asarray(idx)
+                    picks = np.unravel_index(idx, (len(net.grid),) * m)
                     for w in range(len(dims)):
-                        got = net._rows(w, idx)
+                        got = net._rows(w, picks)
                         assert got.tobytes() == ref.stacks[w][idx].tobytes(), (m, dims[w], len(idx))
 
     def test_construction_builds_no_rows(self):
