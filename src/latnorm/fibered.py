@@ -502,7 +502,7 @@ def disc_grid(radius: float, mesh: float) -> np.ndarray:
 
 def check_suborthonormal(basis: FiniteSet) -> None:
     """Raise unless the basis is finite and pairwise orthogonal with
-    idempotent norms, each Gram entry within 1e-7."""
+    idempotent norms, each Gram entry within 1e-7. An empty basis passes."""
     d = len(basis)
     for w, s in enumerate(basis.stacks):
         if not np.isfinite(s).all():
@@ -512,7 +512,7 @@ def check_suborthonormal(basis: FiniteSet) -> None:
         if d > 1 and float(np.abs(gram - np.diag(diag)).max()) > 1e-7:
             raise ValueError(f"basis not fiberwise orthogonal at point {w}")
         n2 = diag.real
-        if float(np.minimum(np.abs(n2), np.abs(n2 - 1.0)).max()) > 1e-7:
+        if float(np.minimum(np.abs(n2), np.abs(n2 - 1.0)).max(initial=0.0)) > 1e-7:
             raise ValueError(f"basis norms not idempotent-valued at point {w}")
 
 
@@ -535,9 +535,15 @@ class GridNet(FiniteSet):
         |cross(g)| <= X = max|offdiag Gram| (m R)^2,  R = max|grid|.
 
     ``nearest`` keeps, per coordinate, every k with computed q_j(k) within
-    ``slack`` of that coordinate's minimum q_j(k_j*), and compares x with the
-    product of the kept indices only. A pruned g is strictly worse than the
-    kept g' that sets each of its pruned coordinates to k_j*:
+    ``slack`` of that coordinate's minimum q_j(k_j*), then works in two
+    steps. First, one row per sample: the lowest kept index of each
+    coordinate gives a row, and all these rows are built and compared at
+    once. Where the product of the kept indices holds that row alone, it is
+    the nearest. Second, the samples whose kept product holds more rows
+    (near-ties, non-finite samples, rows below ``_LIVE``) are compared with
+    every row of that product, which overwrites their first answer. A
+    pruned g is strictly worse than the kept g' that sets each of its
+    pruned coordinates to k_j*:
     |x - y(g)|^2 - |x - y(g')|^2 > slack - 2 X - 2 err_q. With
 
         slack = 2 (X + 32 (d + m + 1) u Z^2) + 1e-300,  Z = |x| + m R max_j n_j,
@@ -561,8 +567,8 @@ class GridNet(FiniteSet):
     dense computation.
 
     The net holds only the factorization: ``len(net)`` is ``len(grid)**m``,
-    ``nearest`` builds the kept rows from their picks (one array of g_j per
-    coordinate j) and the index above only for each sample's nearest row,
+    ``nearest`` builds kept rows only, from their picks (one array of g_j
+    per coordinate j), and the index above only for each sample's nearest row,
     and every row's stacks are computed on first access, then frozen. The
     basis (the caller's set) and the grid are read-only, so the
     factorization stays true. ``subset``, ``p * net``, ``set_image`` and
@@ -613,22 +619,24 @@ class GridNet(FiniteSet):
         s = self.basis.stacks[w]
         m, d = s.shape
         grid = self.grid
-        gram = s @ s.conj().T
+        sh = s.conj().T
+        gram = s @ sh
         n2 = gram.diagonal().real
         live = n2 > _LIVE
         finite = np.isfinite(X).all(axis=1)
         X = np.where(finite[:, None], X, 0)
-        t = (X @ s.conj().T)[:, :, None] - grid * n2[:, None]
+        # q of the live rows only: every other row keeps its whole grid
+        t = (X @ sh)[:, live, None] - grid * n2[live, None]
         q = t.real**2
         q += t.imag**2
-        q /= np.where(live, n2, 1.0)[:, None]
-        q[:, ~live] = 0.0
+        q /= n2[live, None]
         R = float(np.abs(grid).max())
         off = float(np.abs(gram - np.diag(gram.diagonal())).max())
         Z = np.linalg.norm(X, axis=1) + m * R * math.sqrt(float(n2.max()))
         slack = 2.0 * (off * (m * R) ** 2 + 32 * (d + m + 1) * _U * Z**2) + 1e-300
-        keep = np.greater(q, q.min(axis=2, keepdims=True) + slack[:, None, None])
-        np.logical_not(keep, out=keep)
+        far = np.greater(q, q.min(axis=2, keepdims=True) + slack[:, None, None])
+        keep = np.ones((len(X), m, len(grid)), dtype=bool)
+        keep[:, live] = np.logical_not(far, out=far)
         if np.isfinite(R):  # a finite grid value times a zero row is a zero
             keep[:, ~s.any(axis=1), 1:] = False
         keep[~finite] = True
@@ -640,15 +648,23 @@ class GridNet(FiniteSet):
         ``_pair_dist`` table, bit for bit, from the kept rows alone."""
         keep = self._kept(w, X)
         n, m, size = keep.shape
+        # each sample's lowest kept row: its nearest where it keeps no other
+        first = keep.argmax(axis=2).T
+        mins = _dist(X - self._rows(w, first))
+        argmin = np.ravel_multi_index(first, (size,) * m)
+        # every coordinate keeps one index at least: n * m kept is one row each
+        if np.count_nonzero(keep) == n * m:
+            return mins, argmin
+        # the samples whose kept product holds more rows: compare them all
+        multi = np.flatnonzero(keep.sum(axis=2).prod(axis=1) > 1)
+        keep, X = keep[multi], X[multi]
         counts = keep.sum(axis=2)
         kept = np.nonzero(keep)[2]  # by sample, then coordinate
-        firsts = (counts.cumsum() - counts.ravel()).reshape(n, m)
+        firsts = (counts.cumsum() - counts.ravel()).reshape(len(multi), m)
         rows_per = counts.prod(axis=1)
         ends = rows_per.cumsum()
-        mins = np.empty(n)
-        argmin = np.empty(n, dtype=int)
         a = 0
-        while a < n:
+        while a < len(multi):
             b = max(a + 1, int(ends.searchsorted(ends[a] - rows_per[a] + _PAIRS, "right")))
             # each sample's kept product, in ascending net index order
             sample, picks = np.arange(a, b), []
@@ -661,11 +677,12 @@ class GridNet(FiniteSet):
             dist = _dist(X[sample] - self._rows(w, picks))
             per = rows_per[a:b]
             starts = per.cumsum() - per
-            mins[a:b] = np.minimum.reduceat(dist, starts)
+            low = np.minimum.reduceat(dist, starts)
+            mins[multi[a:b]] = low
             # np.argmin's tie rule: the first minimum, or the first NaN (one exists)
-            hit = np.flatnonzero((dist == mins[a:b].repeat(per)) | np.isnan(dist))
+            hit = np.flatnonzero((dist == low.repeat(per)) | np.isnan(dist))
             win = hit[hit.searchsorted(starts)]
-            argmin[a:b] = np.ravel_multi_index([p[win] for p in picks], (size,) * m)
+            argmin[multi[a:b]] = np.ravel_multi_index([p[win] for p in picks], (size,) * m)
             a = b
         return mins, argmin
 
@@ -678,8 +695,8 @@ def heine_borel_net(basis: FiniteSet, c: float, eps: float, cap: int = 10**6) ->
     eps/sqrt(d)) under the basis: every x with |x| <= c pointwise in the
     spanned module has pointwise nearest distance at most eps to the net.
     The net is a ``GridNet``: it holds that factorization and builds no
-    rows, and ``defect`` against it builds and compares each sample's
-    candidate nearest rows only.
+    rows, and ``defect`` against it builds and compares one row per sample,
+    and more only where the pruning keeps more.
     """
     if c < 0:
         raise ValueError("c must be nonnegative")

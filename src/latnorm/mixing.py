@@ -37,7 +37,8 @@ def eq_idempotent(x: FiniteSet, y: FiniteSet) -> Idempotent:
     component where x and y agree within ``DEFAULT_TOL``."""
     _check_element(x)
     _check_element(y)
-    return (x - y).norm_sup().support().complement()
+    with np.errstate(invalid="ignore"):  # inf - inf is a NaN distance
+        return (x - y).norm_sup().support().complement()
 
 
 def mix(partition: PartitionOfUnity, family: FiniteSet) -> FiniteSet:
@@ -75,7 +76,8 @@ def mix_membership(x: FiniteSet, M: FiniteSet) -> MixWitness | None:
     _check_element(x)
     if x.space != M.space:
         raise DimensionMismatchError("element and set on different fiber spaces")
-    hits = np.stack([_pair_dist(a, s)[0] for a, s in zip(x.stacks, M.stacks)]) <= DEFAULT_TOL
+    with np.errstate(invalid="ignore"):  # inf - inf is a NaN distance
+        hits = np.stack([_pair_dist(a, s)[0] for a, s in zip(x.stacks, M.stacks)]) <= DEFAULT_TOL
     if not np.all(hits.any(axis=1)):
         return None
     pick = hits.argmax(axis=1)

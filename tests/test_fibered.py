@@ -22,9 +22,11 @@ from latnorm import (
     defect,
     defect_chain,
     disc_grid,
+    eq_idempotent,
     greedy_order,
     heine_borel_net,
     is_utob,
+    mix_membership,
     orbit,
     prefix_defects,
     set_image,
@@ -98,7 +100,8 @@ class TestLatticeNorm:
     def test_infinite_entries_have_infinite_norms(self):
         # no 0 * inf is formed, so nothing warns: the norm of inf is inf.
         # The distance of an infinite entry from itself is inf - inf, a NaN,
-        # which traversals, defects and prefix defects read without a warning
+        # which traversals, defects, prefix defects and the mixing checks
+        # read without a warning
         space = FiberSpace(PointSet.of_size(2), (2, 1))
         F = FiniteSet(
             space,
@@ -116,6 +119,11 @@ class TestLatticeNorm:
         assert np.isnan(prefix_defects(F, F)).all()
         utob = is_utob(F, 1.0)  # no prefix is within eps: all of F, rechecked NaN
         assert not utob.verdict and len(utob.witness) == 2
+        # |x - x| is NaN at both points: no support, so x agrees with itself
+        # everywhere, yet it matches no member of F within a tolerance
+        x = F.subset([0])
+        assert eq_idempotent(x, x).mask.tolist() == [True, True]
+        assert mix_membership(x, F) is None
 
 
 class TestDefect:
@@ -752,6 +760,16 @@ class TestHeineBorel:
         M = FiniteSet.concat(samples)
         assert defect(M, net).value.le(0.5, TOL)
 
+    def test_empty_basis_gives_the_zero_set(self):
+        # a basis of no elements is vacuously suborthonormal: its ball is {0}
+        space = FiberSpace(PointSet.of_size(2), (2, 1))
+        empty = FiniteSet(space, [np.zeros((0, 2)), np.zeros((0, 1))], 0)
+        zero = FiniteSet.zero(space)
+        for c in (0.0, 1.0):
+            net = heine_borel_net(empty, c, 0.5)
+            assert type(net) is FiniteSet
+            assert [s.tobytes() for s in net.stacks] == [s.tobytes() for s in zero.stacks]
+
     def test_suborthonormality_enforced(self):
         space = single_fiber_space(2)
         skew = FiniteSet(
@@ -951,6 +969,46 @@ class TestGridNet:
         pairs = net._kept(1, M.stacks[1]).sum(axis=2).prod(axis=1).sum()
         assert pairs == 100 * len(net) > 2 * (1 << 18)
         rep, ref = defect(M, net), defect(M, net.subset(range(len(net))))
+        assert rep.value.values.tobytes() == ref.value.values.tobytes()
+        assert rep.argmin.tobytes() == ref.argmin.tobytes()
+
+    def test_one_row_and_multi_row_samples_in_one_call(self):
+        # one nearest call answers most samples from their one kept row and
+        # enumerates the rest (ties at grid midpoints, a NaN sample), which
+        # lie between them; at the third point a basis row of norm 1e-80
+        # keeps its whole grid, so every sample there is enumerated
+        rng = np.random.default_rng(48)
+        space = FiberSpace(PointSet.of_size(3), (2, 3, 2))
+        stacks = []
+        for d in space.dims:
+            q, _ = np.linalg.qr(_cnormal(rng, (d, 2)))
+            stacks.append(q.T.copy())
+        stacks[2][1] = 1e-80 * stacks[2][1]
+        net = heine_borel_net(FiniteSet(space, stacks, 2), 1.0, 0.5)
+        dense, grid = net.subset(range(len(net))), net.grid
+        order = rng.permutation(25)
+        samples = []
+        for w, d in enumerate(space.dims):
+            i, k = rng.integers(0, len(grid), (2, 8, 2))
+            X = np.concatenate([
+                dense.stacks[w][rng.integers(0, len(net), 8)],  # exact net rows
+                0.5 * (grid[i] + grid[k]) @ stacks[w],  # midpoints
+                0.5 * _cnormal(rng, (8, d)),
+                np.full((1, d), np.nan),
+            ])
+            samples.append(X[order])
+        M = FiniteSet(space, samples, 25)
+        kinds = []
+        for w, X in enumerate(M.stacks):
+            rows = net._kept(w, X).sum(axis=2).prod(axis=1)
+            kinds.append(rows > 1)
+            got, want = net.nearest(w, X), grid_net_nearest(net, w, X)
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+        for multi in kinds[:2]:
+            # multi-row samples sit between one-row samples
+            assert 0 < multi.sum() < 25 and not multi[0] and not multi[-1]
+        assert kinds[2].all()
+        rep, ref = defect(M, net), defect(M, dense)
         assert rep.value.values.tobytes() == ref.value.values.tobytes()
         assert rep.argmin.tobytes() == ref.argmin.tobytes()
 
