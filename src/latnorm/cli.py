@@ -182,11 +182,17 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def cmd_tob(args) -> int:
-    doc = _load_json(args.input)
-    _, sets = parse_finite_set_doc(doc)
-    if "M" not in sets or len(sets["M"]) == 0:
+def _load_sets(path: str, probe: bool = True) -> dict:
+    """The sets of the finite-set document at path; with ``probe``, a
+    nonempty probe set M must be one of them."""
+    _, sets = parse_finite_set_doc(_load_json(path))
+    if probe and len(sets.get("M", ())) == 0:
         raise SchemaError(["$.sets.M: a nonempty probe set M is required"])
+    return sets
+
+
+def cmd_tob(args) -> int:
+    sets = _load_sets(args.input)
     M = sets["M"]
     F = sets.get("F")
     if args.format == "csv" and (F is None or len(F) == 0):
@@ -224,8 +230,7 @@ def cmd_tob(args) -> int:
 
 
 def cmd_zonotope(args) -> int:
-    doc = _load_json(args.input)
-    _, sets = parse_finite_set_doc(doc)
+    sets = _load_sets(args.input, probe=False)
     if "M" not in sets or "F" not in sets:
         raise SchemaError(["$.sets: zonotope analysis needs both M and F"])
     M, F = sets["M"], sets["F"]
@@ -245,11 +250,7 @@ def cmd_zonotope(args) -> int:
 
 
 def cmd_cyclic(args) -> int:
-    doc = _load_json(args.input)
-    _, sets = parse_finite_set_doc(doc)
-    if "M" not in sets or len(sets["M"]) == 0:
-        raise SchemaError(["$.sets.M: a nonempty probe set M is required"])
-    M = sets["M"]
+    M = _load_sets(args.input)["M"]
     r = args.radius if args.radius is not None else M.norm_sup().sup_norm() + DEFAULT_TOL
     witnesses = cyclic_witness(M, args.eps, r)
     # every witness shares one chain: each fiber of it is rendered once, up

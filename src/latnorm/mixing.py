@@ -34,11 +34,14 @@ def _check_element(x: FiniteSet) -> None:
 
 def eq_idempotent(x: FiniteSet, y: FiniteSet) -> Idempotent:
     """Boolean-valued equality of two elements (one-element sets): the
-    component where x and y agree within ``DEFAULT_TOL``."""
+    component where x and y agree within ``DEFAULT_TOL``. Each fiber
+    distance is the ``_dist`` of ``mix_membership``'s ``_pair_dist``, and
+    agreement is ``<= DEFAULT_TOL`` as there, so a NaN distance (``inf -
+    inf``) is disagreement."""
     _check_element(x)
     _check_element(y)
     with np.errstate(invalid="ignore"):  # inf - inf is a NaN distance
-        return (x - y).norm_sup().support().complement()
+        return Idempotent(x.space.base, (x - y).norms()[0] <= DEFAULT_TOL)
 
 
 def mix(partition: PartitionOfUnity, family: FiniteSet) -> FiniteSet:

@@ -68,13 +68,12 @@ def _point_orbits(ext: Extension) -> list[tuple]:
     indicator e_x of the first point x, walked on point indices.
 
     The step s of ``orbit_functions`` sends the indicator of y to that of
-    ``argsort(s)[y]``, so the point walk lists the points in the order in
+    ``argsort(s)[y]``, so the point walk takes the argsorts of the
+    ``_generator_steps`` in their order and lists the points in the order in
     which ``orbit_functions`` lists their indicators, under the same cap.
     """
     n = ext.upstairs.size
-    steps = []
-    for g in ext.upstairs_gens:  # the argsorts of the ``_generator_steps``
-        steps += [g.perm.tolist(), np.argsort(g.perm).tolist()]
+    steps = [np.argsort(s).tolist() for s in _generator_steps(ext.upstairs_gens)]
     seen: set[int] = set()
     orbits = []
     for x in range(n):

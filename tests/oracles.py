@@ -110,10 +110,66 @@ def closure_orbit_functions(f, ext):
     return np.array(list(seen.values()), dtype=complex)
 
 
+def per_point_fibers(ext):
+    """``Extension.fibers`` by one scan of the factor map per downstairs
+    point."""
+    return [np.nonzero(ext.factor == y)[0] for y in range(ext.downstairs.size)]
+
+
+def per_point_violations(ext):
+    """The violation list of ``validate_extension``: one generator loop per
+    side, and one scan of the factor map per downstairs point for the
+    pushforward and for empty fibers."""
+    violations = []
+    for i, g in enumerate(ext.upstairs_gens):
+        if len(g) != ext.upstairs.size:
+            violations.append(f"upstairs generator {i} has wrong size")
+        elif not g.preserves(ext.upstairs):
+            violations.append(f"upstairs generator {i} does not preserve the measure")
+    for i, g in enumerate(ext.downstairs_gens):
+        if len(g) != ext.downstairs.size:
+            violations.append(f"downstairs generator {i} has wrong size")
+        elif not g.preserves(ext.downstairs):
+            violations.append(f"downstairs generator {i} does not preserve the measure")
+    push = np.zeros(ext.downstairs.size)
+    np.add.at(push, ext.factor, ext.upstairs.weights)
+    for y in range(ext.downstairs.size):
+        if abs(push[y] - ext.downstairs.weights[y]) > DEFAULT_TOL:
+            violations.append(
+                f"pushforward mass {push[y]:.12g} at point "
+                f"{ext.downstairs.labels[y]} != weight "
+                f"{ext.downstairs.weights[y]:.12g}"
+            )
+    empty = [
+        ext.downstairs.labels[y]
+        for y in range(ext.downstairs.size)
+        if not np.any(ext.factor == y)
+    ]
+    if empty:
+        violations.append(f"empty fibers over {empty}")
+    for i, (tau, sigma) in enumerate(zip(ext.upstairs_gens, ext.downstairs_gens)):
+        if len(tau) != ext.upstairs.size or len(sigma) != ext.downstairs.size:
+            continue
+        if not np.array_equal(ext.factor[tau.perm], sigma.perm[ext.factor]):
+            violations.append(f"generator pair {i} does not intertwine the factor map")
+    return violations
+
+
+def scattered_generator_steps(gens):
+    """``_generator_steps`` with each inverse scattered from the image
+    array and checked as an ``MPMap``: per generator, g^-1 and then g."""
+    steps = []
+    for g in gens:
+        inv = np.empty_like(g.perm)
+        inv[g.perm] = np.arange(len(g.perm))
+        steps += [MPMap(inv).perm, g.perm]
+    return steps
+
+
 def _fiber_encoding(ext):
     """Fiber point lists, fiber space and square-root conditional weights
     of the module encoding, from the extension alone."""
-    points = ext.fibers()
+    points = per_point_fibers(ext)
     space = FiberSpace(ext.downstairs.point_set(), tuple(len(p) for p in points))
     sqrt_w = [
         np.sqrt(ext.upstairs.weights[p] / ext.downstairs.weights[y])

@@ -119,11 +119,16 @@ class TestLatticeNorm:
         assert np.isnan(prefix_defects(F, F)).all()
         utob = is_utob(F, 1.0)  # no prefix is within eps: all of F, rechecked NaN
         assert not utob.verdict and len(utob.witness) == 2
-        # |x - x| is NaN at both points: no support, so x agrees with itself
-        # everywhere, yet it matches no member of F within a tolerance
+        # |x - x| is NaN at both points, which is not within a tolerance:
+        # x agrees with itself nowhere and matches no member of F. An inf or
+        # a NaN in one fiber leaves agreement in the others
         x = F.subset([0])
-        assert eq_idempotent(x, x).mask.tolist() == [True, True]
+        assert eq_idempotent(x, x).mask.tolist() == [False, False]
         assert mix_membership(x, F) is None
+        for bad in (np.inf, np.nan):
+            y = FiniteSet(space, [np.array([[bad, 1.0]]), np.array([[2.0]])], 1)
+            assert eq_idempotent(y, y).mask.tolist() == [False, True]
+            assert mix_membership(y, y) is None
 
 
 class TestDefect:

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -24,11 +29,15 @@ from latnorm.fixtures import (
     rotation_extension,
     symmetric_extension,
 )
+from latnorm.systems import _generator_steps
 from oracles import (
     encoding_cases,
     frontier_group_closure,
     per_function_decode,
     per_function_encode,
+    per_point_fibers,
+    per_point_violations,
+    scattered_generator_steps,
 )
 
 TOL = 1e-9
@@ -76,6 +85,91 @@ class TestValidation:
         ext = Extension(top, [tau], base, [sigma], [0, 1, 0, 1])
         report = validate_extension(ext)
         assert any("intertwine" in v for v in report.violations)
+
+    # (upstairs weights, downstairs labels and weights, upstairs generators,
+    # downstairs generators, factor map): each carries two or more wrong-size
+    # and non-preserving generators on each side, pushforward mismatches,
+    # empty fibers and pairs that do not intertwine
+    BROKEN = [
+        (
+            [0.1, 0.1, 0.2, 0.2, 0.2, 0.2],
+            (["y0", "y'1", "y 2", "y3", "y4"], [0.1, 0.2, 0.3, 0.2, 0.2]),
+            [[1, 0, 2], [2, 1, 0, 3, 4, 5], [0, 1, 4, 3, 2, 5], list(range(6)),
+             [0, 1, 2, 3], [0, 2, 1, 3, 4, 5]],
+            [[1, 0, 2, 3, 4], [0, 1], list(range(5)), [0, 2, 1, 3, 4], [0, 1, 2],
+             [0, 1, 2, 4, 3]],
+            [0, 0, 1, 1, 2, 2],
+        ),
+        (
+            [0.4, 0.3, 0.1, 0.1, 0.1],
+            ([f"u{y}" for y in range(6)], [0.5, 0.1, 0.1, 0.1, 0.1, 0.1]),
+            [[0, 1], [1, 0, 2, 3, 4], list(range(7)), [0, 1, 3, 2, 4],
+             [0, 2, 1, 3, 4], [0, 1, 2, 4, 3]],
+            [list(range(6)), [1, 0, 2, 3, 4, 5], [0, 1], list(range(5)),
+             list(range(6)), [1, 0, 2, 3, 4, 5]],
+            [0, 0, 2, 2, 4],
+        ),
+    ]
+
+    @pytest.mark.parametrize("case", range(len(BROKEN)))
+    def test_every_violation_in_order(self, case):
+        top_w, (labels, base_w), up, down, factor = self.BROKEN[case]
+        top = FiniteProbabilitySpace([f"x{i}" for i in range(len(top_w))], top_w)
+        base = FiniteProbabilitySpace(labels, base_w)
+        ext = Extension(
+            top, [MPMap(g) for g in up], base, [MPMap(g) for g in down], factor
+        )
+        violations = validate_extension(ext).violations
+        assert violations == per_point_violations(ext)
+        for side in ("upstairs", "downstairs"):
+            for kind in ("has wrong size", "does not preserve the measure"):
+                assert sum(v.startswith(side) and v.endswith(kind) for v in violations) >= 2
+        assert sum(v.startswith("pushforward") for v in violations) >= 4
+        assert sum(v.endswith("does not intertwine the factor map") for v in violations) >= 2
+        empty = [v for v in violations if v.startswith("empty fibers")]
+        assert len(empty) == 1 and empty[0].count(",") >= 1
+        assert [p.tolist() for p in ext.fibers()] == [p.tolist() for p in per_point_fibers(ext)]
+
+    def test_array_passes_match_per_point_oracles(self):
+        # fibers (bytes and dtype), generator steps and violation lists of 200
+        # random extensions, and of each again under a random factor map with
+        # its downstairs generators reversed, which mostly breaks it
+        rng = np.random.default_rng(32)
+        for _ in range(200):
+            ext = random_extension(rng)
+            n_y = ext.downstairs.size
+            broken = Extension(
+                ext.upstairs, ext.upstairs_gens, ext.downstairs,
+                ext.downstairs_gens[::-1], rng.integers(0, n_y, ext.upstairs.size),
+            )
+            for e in (ext, broken):
+                assert validate_extension(e).violations == per_point_violations(e)
+                got, want = e.fibers(), per_point_fibers(e)
+                assert [(p.dtype, p.tobytes()) for p in got] == [
+                    (p.dtype, p.tobytes()) for p in want
+                ]
+            assert validate_extension(ext).valid
+            for gens in (ext.upstairs_gens, ext.downstairs_gens):
+                got, want = _generator_steps(gens), scattered_generator_steps(gens)
+                assert [(s.dtype, s.tobytes()) for s in got] == [
+                    (s.dtype, s.tobytes()) for s in want
+                ]
+
+    def test_scale(self):
+        # one point per fiber over 200,000 base points: a scan of the factor
+        # map per base point would take quadratic time
+        script = (
+            "from latnorm import validate_extension\n"
+            "from latnorm.fixtures import rotation_extension\n"
+            "ext = rotation_extension(200_000, 200_000)\n"
+            "assert validate_extension(ext).valid\n"
+            "fibers = ext.fibers()\n"
+            "assert len(fibers) == 200_000 and all(len(p) == 1 for p in fibers)\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+        subprocess.run([sys.executable, "-c", script], env=env, check=True, timeout=10)
 
 
 class TestKoopman:
