@@ -19,6 +19,7 @@ value is a ``StoneElement``.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -475,6 +476,16 @@ def set_image(T: FiberwiseMap, M: FiniteSet) -> FiniteSet:
 # epsilon-nets
 
 
+def _check_finite(**args: float) -> None:
+    """Raise a ``ValueError`` naming the first argument that is NaN or infinite."""
+    for name, value in args.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, not {value}")
+
+
+_GRIDS = 8  # disc grids kept by disc_grid's memo
+
+
 def disc_grid(radius: float, mesh: float) -> np.ndarray:
     """Finite mesh-net of the closed complex disc of the given radius.
 
@@ -483,42 +494,103 @@ def disc_grid(radius: float, mesh: float) -> np.ndarray:
     then within mesh of a grid point. The origin comes first, then each
     ring from the inside out, counterclockwise from the positive real axis,
     all rings built in one pass of array operations.
+
+    Grids are memoized per (radius, mesh), read as floats, and the memo
+    keeps the 8 used last. Each call returns a new read-only array over the
+    memo's immutable bytes, which no caller can make writable, so no caller
+    can change the grid a later call returns.
     """
+    _check_finite(radius=radius, mesh=mesh)
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     if mesh <= 0:
         raise ValueError("mesh must be positive")
+    return np.frombuffer(_grid_bytes(float(radius), float(mesh)), dtype=complex)
+
+
+def _rings(radius: float, mesh: float) -> float:
+    """The number of rings of ``disc_grid(radius, mesh)``, before rounding up."""
+    return radius / (mesh / math.sqrt(2.0))
+
+
+@functools.lru_cache(maxsize=_GRIDS)
+def _grid_bytes(radius: float, mesh: float) -> bytes:
+    """The bytes of ``disc_grid(radius, mesh)``, built once per memo entry."""
     if radius == 0:
-        return np.zeros(1, dtype=complex)
+        return np.zeros(1, dtype=complex).tobytes()
     step = mesh / math.sqrt(2.0)
-    n_rings = max(1, math.ceil(radius / step))
+    n_rings = max(1, math.ceil(_rings(radius, mesh)))
     rho = radius * np.arange(1, n_rings + 1) / n_rings
     n_theta = np.maximum(1, np.ceil(2.0 * math.pi * rho / step)).astype(int)
     ring = np.repeat(np.arange(n_rings), n_theta)
     k = np.arange(len(ring)) - (np.cumsum(n_theta) - n_theta)[ring]
     angles = 2.0 * math.pi * k / n_theta[ring]
-    return np.concatenate(([0j], rho[ring] * np.exp(1j * angles)))
+    return np.concatenate(([0j], rho[ring] * np.exp(1j * angles))).tobytes()
 
 
-def check_suborthonormal(basis: FiniteSet) -> None:
-    """Raise unless the basis is finite and pairwise orthogonal with
-    idempotent norms, each Gram entry within 1e-7. An empty basis passes."""
-    d = len(basis)
-    for w, s in enumerate(basis.stacks):
-        if not np.isfinite(s).all():
-            raise ValueError(f"basis not finite at point {w}")
-        gram = s @ s.conj().T
-        diag = gram.diagonal()
-        if d > 1 and float(np.abs(gram - np.diag(diag)).max()) > 1e-7:
-            raise ValueError(f"basis not fiberwise orthogonal at point {w}")
-        n2 = diag.real
-        if float(np.minimum(np.abs(n2), np.abs(n2 - 1.0)).max(initial=0.0)) > 1e-7:
-            raise ValueError(f"basis norms not idempotent-valued at point {w}")
+def _net_grid(m: int, radius: float, mesh: float, cap: int) -> np.ndarray:
+    """``disc_grid(radius, mesh)`` for a net on m >= 1 elements, radius > 0.
+
+    A grid holds the origin and a point on each ring at least, so the net
+    has at least m (n_rings + 1)^m rows. When that exceeds the cap, the net
+    is refused with ``SizeCapError`` before the grid is built.
+    """
+    rings = _rings(radius, mesh)
+    low = max(1, math.ceil(rings)) + 1 if math.isfinite(rings) else math.inf
+    if low > cap or m * low**m > cap:
+        raise SizeCapError(
+            f"net would need at least {m}*{low}^{m} > cap {cap}; "
+            "raise the cap or loosen the mesh"
+        )
+    return disc_grid(radius, mesh)
 
 
 _U = 2.0**-53  # unit roundoff of float64
 _LIVE = 1e-150  # basis rows with a smaller squared norm keep their whole grid
 _PAIRS = 1 << 18  # (sample, row) pairs compared per block in GridNet.nearest
+
+
+class _Gram:
+    """The Gram of a basis stack s at one point, formed once per net: the
+    conjugate transpose ``sh`` of s, the Gram diagonal ``n2`` (the squared
+    row norms), the ``live`` rows (n2 > ``_LIVE``), the rows that are
+    exactly ``zero``, and ``off``, the largest modulus off the diagonal."""
+
+    __slots__ = ("sh", "n2", "live", "zero", "off")
+
+    def __init__(self, s: np.ndarray):
+        self.sh = s.conj().T
+        gram = s @ self.sh
+        self.n2 = gram.diagonal().real
+        self.live = self.n2 > _LIVE
+        self.zero = ~s.any(axis=1)
+        self.off = float(np.abs(gram - np.diag(gram.diagonal())).max(initial=0.0))
+
+
+def _suborthonormal_grams(basis: FiniteSet) -> list[_Gram]:
+    """``check_suborthonormal``, returning the ``_Gram`` of each point."""
+    grams = []
+    for w, s in enumerate(basis.stacks):
+        if not np.isfinite(s).all():
+            raise ValueError(f"basis not finite at point {w}")
+        g = _Gram(s)
+        if g.off > 1e-7:
+            raise ValueError(f"basis not fiberwise orthogonal at point {w}")
+        if any(min(abs(x), abs(x - 1.0)) > 1e-7 for x in g.n2.tolist()):
+            raise ValueError(f"basis norms not idempotent-valued at point {w}")
+        grams.append(g)
+    return grams
+
+
+def check_suborthonormal(basis: FiniteSet) -> None:
+    """Raise unless the basis is finite and pairwise orthogonal with
+    idempotent norms, each Gram entry within 1e-7. An empty basis passes.
+
+    The points are checked in order, each for all three in that order.
+    ``heine_borel_net`` hands the Grams formed here to its ``GridNet``, so
+    each point's Gram is formed once per net.
+    """
+    _suborthonormal_grams(basis)
 
 
 class GridNet(FiniteSet):
@@ -570,14 +642,21 @@ class GridNet(FiniteSet):
     ``nearest`` builds kept rows only, from their picks (one array of g_j
     per coordinate j), and the index above only for each sample's nearest row,
     and every row's stacks are computed on first access, then frozen. The
-    basis (the caller's set) and the grid are read-only, so the
-    factorization stays true. ``subset``, ``p * net``, ``set_image`` and
-    every other operation read the stacks and build a plain ``FiniteSet``.
+    basis (the caller's set) is read-only, and the grid lies over immutable
+    bytes (a ``disc_grid`` is kept as it is, any other grid is copied), so
+    the factorization stays true. What does not depend on the samples is
+    formed once per net, not per ``nearest`` call: the basis Grams
+    (``heine_borel_net`` hands over those its suborthonormality check
+    formed), R, and at each point ``grid * n_j^2`` of the live rows.
+    ``subset``, ``p * net``, ``set_image`` and every other operation read
+    the stacks and build a plain ``FiniteSet``.
     """
 
-    __slots__ = ("basis", "grid", "_stacks")
+    __slots__ = ("basis", "grid", "_R", "_grams", "_scaled", "_stacks")
 
-    def __init__(self, basis: FiniteSet, grid: np.ndarray, cap: int):
+    def __init__(
+        self, basis: FiniteSet, grid: np.ndarray, cap: int, *, _grams: list[_Gram] | None = None
+    ):
         m, n = len(basis), len(grid) ** len(basis)
         if m * n > cap:
             raise SizeCapError(
@@ -587,8 +666,11 @@ class GridNet(FiniteSet):
         self.space = basis.space
         self._n = n
         self.basis = basis
-        self.grid = np.array(grid, dtype=complex)
-        self.grid.flags.writeable = False
+        grid = np.asarray(grid, dtype=complex)
+        self.grid = grid if isinstance(grid.base, bytes) else np.frombuffer(grid.tobytes(), complex)
+        self._R = float(np.abs(self.grid).max(initial=0.0))
+        self._grams = [_Gram(s) for s in basis.stacks] if _grams is None else _grams
+        self._scaled = [self.grid * g.n2[g.live, None] for g in self._grams]
         self._stacks = None
 
     @property
@@ -616,29 +698,23 @@ class GridNet(FiniteSet):
     def _kept(self, w: int, X: np.ndarray) -> np.ndarray:
         """(n, m, len(grid)) mask of the grid indices kept per sample row of
         X and coordinate, at point w."""
-        s = self.basis.stacks[w]
-        m, d = s.shape
-        grid = self.grid
-        sh = s.conj().T
-        gram = s @ sh
-        n2 = gram.diagonal().real
-        live = n2 > _LIVE
+        g, R = self._grams[w], self._R
+        sh, n2, live = g.sh, g.n2, g.live
+        d, m = sh.shape
         finite = np.isfinite(X).all(axis=1)
         X = np.where(finite[:, None], X, 0)
         # q of the live rows only: every other row keeps its whole grid
-        t = (X @ sh)[:, live, None] - grid * n2[live, None]
+        t = (X @ sh)[:, live, None] - self._scaled[w]
         q = t.real**2
         q += t.imag**2
         q /= n2[live, None]
-        R = float(np.abs(grid).max())
-        off = float(np.abs(gram - np.diag(gram.diagonal())).max())
         Z = np.linalg.norm(X, axis=1) + m * R * math.sqrt(float(n2.max()))
-        slack = 2.0 * (off * (m * R) ** 2 + 32 * (d + m + 1) * _U * Z**2) + 1e-300
+        slack = 2.0 * (g.off * (m * R) ** 2 + 32 * (d + m + 1) * _U * Z**2) + 1e-300
         far = np.greater(q, q.min(axis=2, keepdims=True) + slack[:, None, None])
-        keep = np.ones((len(X), m, len(grid)), dtype=bool)
+        keep = np.ones((len(X), m, len(self.grid)), dtype=bool)
         keep[:, live] = np.logical_not(far, out=far)
-        if np.isfinite(R):  # a finite grid value times a zero row is a zero
-            keep[:, ~s.any(axis=1), 1:] = False
+        if math.isfinite(R):  # a finite grid value times a zero row is a zero
+            keep[:, g.zero, 1:] = False
         keep[~finite] = True
         return keep
 
@@ -696,17 +772,21 @@ def heine_borel_net(basis: FiniteSet, c: float, eps: float, cap: int = 10**6) ->
     spanned module has pointwise nearest distance at most eps to the net.
     The net is a ``GridNet``: it holds that factorization and builds no
     rows, and ``defect`` against it builds and compares one row per sample,
-    and more only where the pruning keeps more.
+    and more only where the pruning keeps more. Its grid comes from
+    ``disc_grid``'s memo, and each point's Gram is formed once, by the
+    suborthonormality check, which hands it to the net. A net over the cap
+    is refused before its grid is built.
     """
+    _check_finite(c=c, eps=eps)
     if c < 0:
         raise ValueError("c must be nonnegative")
     if eps <= 0:
         raise ValueError("eps must be positive")
-    check_suborthonormal(basis)
-    space = basis.space
-    if c == 0 or len(basis) == 0:
-        return FiniteSet.zero(space)
-    return GridNet(basis, disc_grid(c, eps / math.sqrt(len(basis))), cap)
+    grams = _suborthonormal_grams(basis)
+    m = len(basis)
+    if c == 0 or m == 0:
+        return FiniteSet.zero(basis.space)
+    return GridNet(basis, _net_grid(m, c, eps / math.sqrt(m), cap), cap, _grams=grams)
 
 
 def zonotope_net(F: FiniteSet, mesh: float, cap: int = 10**6):
@@ -715,14 +795,20 @@ def zonotope_net(F: FiniteSet, mesh: float, cap: int = 10**6):
 
     Returns ``(net, slack)`` where every element of the zonotope is within
     the StoneElement ``slack = mesh * sum_y |y|`` of the net, pointwise. The
-    net is a ``GridNet`` on the generators and a disc grid of radius 1.
+    net is a ``GridNet`` on the generators and a disc grid of radius 1,
+    refused before the grid is built when it would exceed the cap.
     """
+    _check_finite(mesh=mesh)
+    if mesh <= 0:
+        raise ValueError("mesh must be positive")
     space = F.space
     if len(F) == 0:
         return FiniteSet.zero(space), StoneElement.zeros(space.base)
     norm_sum = np.sum(F.norms(), axis=0)
     slack = StoneElement(space.base, mesh * norm_sum)
-    return GridNet(F, disc_grid(1.0, mesh), cap), slack
+    grid = _net_grid(len(F), 1.0, mesh, cap)
+    with np.errstate(invalid="ignore"):  # the Grams of non-finite generators
+        return GridNet(F, grid, cap), slack
 
 
 # ---------------------------------------------------------------------------

@@ -644,6 +644,23 @@ def grid_net_nearest(net, w, X):
     return mins, argmin
 
 
+def per_point_check_suborthonormal(basis):
+    """``check_suborthonormal`` as first written: at each point in turn, the
+    finiteness, orthogonality and idempotent-norm checks, each on a Gram
+    formed there."""
+    d = len(basis)
+    for w, s in enumerate(basis.stacks):
+        if not np.isfinite(s).all():
+            raise ValueError(f"basis not finite at point {w}")
+        gram = s @ s.conj().T
+        diag = gram.diagonal()
+        if d > 1 and float(np.abs(gram - np.diag(diag)).max()) > 1e-7:
+            raise ValueError(f"basis not fiberwise orthogonal at point {w}")
+        n2 = diag.real
+        if float(np.minimum(np.abs(n2), np.abs(n2 - 1.0)).max(initial=0.0)) > 1e-7:
+            raise ValueError(f"basis norms not idempotent-valued at point {w}")
+
+
 def ring_loop_disc_grid(radius, mesh):
     """``disc_grid`` built one ring at a time: the origin, then each ring's
     points appended in angle order."""

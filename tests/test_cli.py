@@ -983,6 +983,27 @@ class TestTraversalTable:
 
 
 @pytest.mark.skipif(not hasattr(resource, "RLIMIT_AS"), reason="no RLIMIT_AS here")
+def test_net_over_the_cap_is_refused_before_its_grid(tmp_path):
+    """``heine_borel_net(basis, 10.0, 1e-3)`` on a rank-2 basis needs a disc
+    grid of 20,000 rings, 9 GiB, and 2 * 20001^2 rows at least, over the
+    default cap of 10^6. Under a 1.5 GB address-space limit it raises
+    ``SizeCapError`` before the grid is built: no ``MemoryError``, no kill."""
+    proc = _run_limited(
+        tmp_path,
+        "space = latnorm.FiberSpace(latnorm.PointSet(['a']), (2,))\n"
+        "basis = latnorm.FiniteSet(space, [np.eye(2, dtype=complex)], 2)\n"
+        "try:\n"
+        "    latnorm.heine_borel_net(basis, 10.0, 1e-3)\n"
+        "except latnorm.SizeCapError as exc:\n"
+        "    print(exc)\n"
+        "    sys.exit(0)\n"
+        "sys.exit('no SizeCapError')\n",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("net would need at least 2*20001^2 > cap 1000000;"), proc.stdout
+
+
+@pytest.mark.skipif(not hasattr(resource, "RLIMIT_AS"), reason="no RLIMIT_AS here")
 def test_rotation_over_itself_at_1000_points(tmp_path):
     """The rotation on 1,000 points over itself, under a 1.5 GB address-space
     limit: ``kronecker_subspace`` traverses nothing and finds all 1,000

@@ -35,7 +35,7 @@ from latnorm import (
     zonotope_net,
     zonotope_report,
 )
-from latnorm.fibered import _pair_dist
+from latnorm.fibered import _GRIDS, _grid_bytes, _pair_dist, check_suborthonormal
 from latnorm.seqmodel import build_counterexample
 from latnorm.fixtures import (
     random_extension,
@@ -52,6 +52,7 @@ from oracles import (
     grid_net_kept,
     grid_net_nearest,
     grid_zonotope_oracle,
+    per_point_check_suborthonormal,
     product_grid_image,
     ring_loop_disc_grid,
 )
@@ -800,6 +801,103 @@ class TestHeineBorel:
         with pytest.raises(SizeCapError):
             zonotope_net(basis, mesh=0.01, cap=100)
 
+    def test_non_finite_arguments_rejected(self):
+        # a NaN or infinite radius, mesh, c or eps is a ValueError naming the
+        # argument, raised before disc_grid's memo is read and before
+        # zonotope_net's slack multiplies the mesh by a zero norm sum
+        space = single_fiber_space(2)
+        basis = FiniteSet(space, [np.eye(2, dtype=complex)], 2)
+        empty = FiniteSet(space, [np.zeros((0, 2))], 0)
+        zero_rows = FiniteSet(space, [np.zeros((2, 2))], 2)
+        before = _grid_bytes.cache_info()
+        for bad in (np.nan, np.inf, -np.inf, np.float64(np.nan)):
+            calls = [
+                ("radius", lambda: disc_grid(bad, 0.5)),
+                ("mesh", lambda: disc_grid(1.0, bad)),
+                ("radius", lambda: disc_grid(bad, bad)),
+                ("c", lambda: heine_borel_net(basis, bad, 0.5)),
+                ("eps", lambda: heine_borel_net(basis, 1.0, bad)),
+                ("c", lambda: heine_borel_net(empty, bad, bad)),
+                ("mesh", lambda: zonotope_net(basis, bad)),
+                ("mesh", lambda: zonotope_net(zero_rows, bad)),
+                ("mesh", lambda: zonotope_net(empty, bad)),
+            ]
+            for name, call in calls:
+                with pytest.raises(ValueError, match=f"^{name} must be finite, not {bad}$"):
+                    call()
+        after = _grid_bytes.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses)
+
+    def test_net_over_the_cap_refused_before_its_grid(self):
+        # the grid has n_rings + 1 points at least, so m (n_rings + 1)^m rows
+        # over the cap refuse the net before disc_grid builds the grid:
+        # 2 * 20001^2 rows here, whose 9 GiB grid is never asked for
+        space = single_fiber_space(2)
+        basis = FiniteSet(space, [np.eye(2, dtype=complex)], 2)
+        before = _grid_bytes.cache_info()
+        with pytest.raises(SizeCapError, match=r"^net would need at least 2\*20001\^2 > cap 1000000;"):
+            heine_borel_net(basis, 10.0, 1e-3)
+        with pytest.raises(SizeCapError, match=r"at least 2\*inf\^2 > cap 1000000;"):
+            heine_borel_net(basis, 1e300, 1e-300)  # a ring count past float range
+        with pytest.raises(SizeCapError, match=r"at least 2\*14144\^2 > cap 100;"):
+            zonotope_net(basis, 1e-4, cap=100)
+        after = _grid_bytes.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses)
+
+    def test_cap_bound_never_refuses_a_net_within_the_cap(self):
+        # a cap of exactly m * len(grid)^m builds the net and one less
+        # refuses it, wherever the refusal comes from
+        rng = np.random.default_rng(17)
+        space = FiberSpace(PointSet.of_size(2), (3, 3))
+        for _ in range(40):
+            m = int(rng.integers(1, 4))
+            basis = FiniteSet(space, [np.eye(m, 3, dtype=complex)] * 2, m)
+            c = float(rng.uniform(0.01, 3.0))
+            eps = float(c * np.exp(rng.uniform(-1.5, 2.0)))
+            size = m * len(disc_grid(c, eps / np.sqrt(m))) ** m
+            assert len(heine_borel_net(basis, c, eps, cap=size)) * m == size
+            with pytest.raises(SizeCapError):
+                heine_borel_net(basis, c, eps, cap=size - 1)
+            mesh = float(np.exp(rng.uniform(-1.5, 1.0)))
+            size = m * len(disc_grid(1.0, mesh)) ** m
+            assert len(zonotope_net(basis, mesh, cap=size)[0]) * m == size
+            with pytest.raises(SizeCapError):
+                zonotope_net(basis, mesh, cap=size - 1)
+
+    def test_check_suborthonormal_names_the_first_failing_point(self):
+        # each of the three checks failing at point 0 or a later one, alone
+        # or with another failure at the same or a later point: the message
+        # of the per-point version, from check_suborthonormal and from
+        # heine_borel_net alike
+        dims = (2, 3, 2)
+        space = FiberSpace(PointSet.of_size(len(dims)), dims)
+
+        def nan(s):
+            s[1, 0] = np.nan
+
+        def skew(s):
+            s[1] += 1e-6 * s[0]  # <e_1, e_0> = 1e-6
+
+        def scaled(s):
+            s[0] *= 1.001  # |e_0|^2 = 1.002
+
+        faults = [nan, skew, scaled]
+        cases = [[(f, w)] for f in faults for w in (0, 2)]
+        cases += [[(f, w), (g, v)] for f in faults for g in faults for w, v in ((0, 0), (0, 1), (1, 2))]
+        for case in cases:
+            stacks = [np.eye(2, d, dtype=complex) for d in dims]
+            for fault, w in case:
+                fault(stacks[w])
+            basis = FiniteSet(space, stacks, 2)
+            with pytest.raises(ValueError) as want:
+                per_point_check_suborthonormal(basis)
+            for check in (check_suborthonormal, lambda b: heine_borel_net(b, 1.0, 0.5)):
+                with pytest.raises(ValueError) as got:
+                    check(basis)
+                assert str(got.value) == str(want.value), [(f.__name__, w) for f, w in case]
+        ok = FiniteSet(space, [np.eye(2, d, dtype=complex) for d in dims], 2)
+        assert per_point_check_suborthonormal(ok) is None and check_suborthonormal(ok) is None
+
     def test_nets_equal_product_oracle(self):
         # grids of 81, 127 and 257 points, as the benchmark's nets use
         space = FiberSpace(PointSet.of_size(2), (2, 3))
@@ -1157,6 +1255,62 @@ class TestGridNet:
         assert rep.value.values.tobytes() == ref.value.values.tobytes()
         assert rep.argmin.tobytes() == ref.argmin.tobytes()
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf * 0
+    def test_repeated_calls_on_one_net_equal_the_first_version(self):
+        # the Grams, R and scaled grids are formed once per net: every
+        # _kept and nearest call on one net, at every point and in any order,
+        # equals the first version, on Heine-Borel nets and on zonotope
+        # nets with non-orthogonal, vanishing or non-finite generators
+        rng = np.random.default_rng(49)
+        dims = (2, 3, 1, 2)
+        space = FiberSpace(PointSet.of_size(len(dims)), dims)
+        nets = []
+        for m in (1, 2, 3):
+            ortho = []
+            for d in dims:
+                b = np.zeros((m, d), dtype=complex)
+                q, _ = np.linalg.qr(_cnormal(rng, (d, min(m, d))))
+                b[: min(m, d)] = q.T
+                ortho.append(b)
+            eps = {1: 0.25, 2: 0.5, 3: 1.0}[m]
+            nets.append(heine_borel_net(FiniteSet(space, ortho, m), 1.0, eps))
+            generic = [s.copy() for s in random_finite_set(rng, space, m).stacks]
+            generic[1][0] = 0.0
+            nets.append(zonotope_net(FiniteSet(space, generic, m), {1: 0.2, 2: 0.5, 3: 0.9}[m])[0])
+        generic = [s.copy() for s in random_finite_set(rng, space, 2).stacks]
+        generic[3][1, 0] = np.inf
+        nets.append(zonotope_net(FiniteSet(space, generic, 2), 0.5)[0])
+        for net in nets:
+            assert isinstance(net, GridNet)
+            m, grid = len(net.basis), net.grid
+            for _ in range(3):
+                for w in rng.permutation(len(dims)):
+                    i, k = rng.integers(0, len(grid), (2, 6, m))
+                    X = np.concatenate([
+                        0.5 * (grid[i] + grid[k]) @ net.basis.stacks[w],  # midpoints
+                        _cnormal(rng, (6, dims[w])),
+                    ])
+                    keep, ref = net._kept(w, X), grid_net_kept(net, w, X)
+                    assert keep.shape == ref.shape and keep.tobytes() == ref.tobytes()
+                    got, want = net.nearest(w, X), grid_net_nearest(net, w, X)
+                    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+    def test_grid_kept_or_copied(self):
+        # a disc_grid is kept uncopied; any other grid is copied onto
+        # immutable bytes, so the caller's array stays the caller's
+        space = single_fiber_space(2)
+        basis = FiniteSet(space, [np.eye(2, dtype=complex)], 2)
+        net = heine_borel_net(basis, 1.0, 0.5)
+        assert np.shares_memory(net.grid, disc_grid(1.0, 0.5 / np.sqrt(2)))
+        mine = ring_loop_disc_grid(1.0, 0.5)
+        ref = mine.copy()
+        net = GridNet(basis, mine, 10**6)
+        assert not np.shares_memory(net.grid, mine) and isinstance(net.grid.base, bytes)
+        mine[:] = 0
+        assert net.grid.tobytes() == ref.tobytes()
+        with pytest.raises(ValueError):
+            net.grid.flags.writeable = True
+
     def test_factorization_is_read_only(self):
         space = single_fiber_space(2)
         stacks = [np.eye(2, dtype=complex)]
@@ -1187,6 +1341,43 @@ def test_disc_grid_equals_ring_loop():
     for radius, mesh in pairs:
         got, ref = disc_grid(float(radius), float(mesh)), ring_loop_disc_grid(float(radius), float(mesh))
         assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), (radius, mesh)
+
+
+def test_disc_grid_memo_cannot_be_written():
+    # each call returns a new read-only array over the memo's bytes: writing
+    # to it, re-enabling writes on it or on a view of it all fail, and a
+    # later call still gives the ring-by-ring grid
+    for radius, mesh in ((1.0, 0.3), (2.0, 0.5), (0.0, 1.0)):
+        ref = ring_loop_disc_grid(radius, mesh)
+        grid = disc_grid(radius, mesh)
+        assert isinstance(grid.base, bytes) and not grid.flags.writeable
+        for a in (grid, grid.view(), grid[::2], np.asarray(grid)):
+            with pytest.raises(ValueError):
+                a[0] = 1.0
+            with pytest.raises(ValueError):
+                a.flags.writeable = True
+        with pytest.raises(ValueError):
+            np.copyto(grid, 0)
+        again = disc_grid(radius, mesh)
+        assert again is not grid and again.tobytes() == ref.tobytes()
+        assert again.dtype == ref.dtype and again.shape == ref.shape
+
+
+def test_disc_grid_memo_is_bounded():
+    # the memo keys on (float(radius), float(mesh)) and keeps the last
+    # _GRIDS grids: an int, a numpy float and a float of one value share one
+    # entry, and many pairs leave at most _GRIDS entries, each grid still
+    # equal to the ring-by-ring one
+    assert _grid_bytes.cache_info().maxsize == _GRIDS
+    disc_grid(1.0, 0.75)
+    hits = _grid_bytes.cache_info().hits
+    for radius, mesh in ((1, 0.75), (np.float64(1.0), np.float64(0.75)), (1.0, 0.75)):
+        assert disc_grid(radius, mesh).tobytes() == ring_loop_disc_grid(1.0, 0.75).tobytes()
+    assert _grid_bytes.cache_info().hits == hits + 3
+    for k in range(3 * _GRIDS):
+        mesh = 0.1 + k / 10
+        assert disc_grid(1.5, mesh).tobytes() == ring_loop_disc_grid(1.5, mesh).tobytes()
+        assert _grid_bytes.cache_info().currsize <= _GRIDS
 
 
 class TestZonotope:
