@@ -476,14 +476,14 @@ def set_image(T: FiberwiseMap, M: FiniteSet) -> FiniteSet:
 # epsilon-nets
 
 
-def _check_finite(**args: float) -> None:
-    """Raise a ``ValueError`` naming the first argument that is NaN or infinite."""
-    for name, value in args.items():
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, not {value}")
+def _check_finite(name: str, value: float) -> None:
+    """Raise a ``ValueError`` naming the argument when it is NaN or infinite."""
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, not {value}")
 
 
 _GRIDS = 8  # disc grids kept by disc_grid's memo
+_GRID_RINGS = 32  # grids of more rings are built anew on each call
 
 
 def disc_grid(radius: float, mesh: float) -> np.ndarray:
@@ -495,17 +495,24 @@ def disc_grid(radius: float, mesh: float) -> np.ndarray:
     ring from the inside out, counterclockwise from the positive real axis,
     all rings built in one pass of array operations.
 
-    Grids are memoized per (radius, mesh), read as floats, and the memo
-    keeps the 8 used last. Each call returns a new read-only array over the
-    memo's immutable bytes, which no caller can make writable, so no caller
-    can change the grid a later call returns.
+    Grids of at most 32 rings (3,334 points, 53 KB) are memoized per
+    (radius, mesh), read as floats, and the memo keeps the 8 used last;
+    larger grids are built anew on each call and not kept. Each call returns
+    a new read-only array. A memoized one lies over the memo's immutable
+    bytes, which no caller can make writable, so no caller can change the
+    grid a later call returns. An infinite mesh gives the one-ring grid.
     """
-    _check_finite(radius=radius, mesh=mesh)
+    _check_finite("radius", radius)
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    if mesh <= 0:
+    if not mesh > 0:  # NaN too
         raise ValueError("mesh must be positive")
-    return np.frombuffer(_grid_bytes(float(radius), float(mesh)), dtype=complex)
+    radius, mesh = float(radius), float(mesh)
+    if _rings(radius, mesh) > _GRID_RINGS:
+        grid = _build_grid(radius, mesh)
+        grid.flags.writeable = False
+        return grid
+    return np.frombuffer(_grid_bytes(radius, mesh), dtype=complex)
 
 
 def _rings(radius: float, mesh: float) -> float:
@@ -516,8 +523,13 @@ def _rings(radius: float, mesh: float) -> float:
 @functools.lru_cache(maxsize=_GRIDS)
 def _grid_bytes(radius: float, mesh: float) -> bytes:
     """The bytes of ``disc_grid(radius, mesh)``, built once per memo entry."""
+    return _build_grid(radius, mesh).tobytes()
+
+
+def _build_grid(radius: float, mesh: float) -> np.ndarray:
+    """``disc_grid(radius, mesh)``, built in one pass of array operations."""
     if radius == 0:
-        return np.zeros(1, dtype=complex).tobytes()
+        return np.zeros(1, dtype=complex)
     step = mesh / math.sqrt(2.0)
     n_rings = max(1, math.ceil(_rings(radius, mesh)))
     rho = radius * np.arange(1, n_rings + 1) / n_rings
@@ -525,7 +537,7 @@ def _grid_bytes(radius: float, mesh: float) -> bytes:
     ring = np.repeat(np.arange(n_rings), n_theta)
     k = np.arange(len(ring)) - (np.cumsum(n_theta) - n_theta)[ring]
     angles = 2.0 * math.pi * k / n_theta[ring]
-    return np.concatenate(([0j], rho[ring] * np.exp(1j * angles))).tobytes()
+    return np.concatenate(([0j], rho[ring] * np.exp(1j * angles)))
 
 
 def _net_grid(m: int, radius: float, mesh: float, cap: int) -> np.ndarray:
@@ -551,10 +563,10 @@ _PAIRS = 1 << 18  # (sample, row) pairs compared per block in GridNet.nearest
 
 
 class _Gram:
-    """The Gram of a basis stack s at one point, formed once per net: the
-    conjugate transpose ``sh`` of s, the Gram diagonal ``n2`` (the squared
-    row norms), the ``live`` rows (n2 > ``_LIVE``), the rows that are
-    exactly ``zero``, and ``off``, the largest modulus off the diagonal."""
+    """The Gram of a basis stack s at one point: the conjugate transpose
+    ``sh`` of s, the Gram diagonal ``n2`` (the squared row norms), the
+    ``live`` rows (n2 > ``_LIVE``), the rows that are exactly ``zero``, and
+    ``off``, the largest modulus off the diagonal."""
 
     __slots__ = ("sh", "n2", "live", "zero", "off")
 
@@ -576,7 +588,7 @@ def _suborthonormal_grams(basis: FiniteSet) -> list[_Gram]:
         g = _Gram(s)
         if g.off > 1e-7:
             raise ValueError(f"basis not fiberwise orthogonal at point {w}")
-        if any(min(abs(x), abs(x - 1.0)) > 1e-7 for x in g.n2.tolist()):
+        if float(np.minimum(np.abs(g.n2), np.abs(g.n2 - 1.0)).max(initial=0.0)) > 1e-7:
             raise ValueError(f"basis norms not idempotent-valued at point {w}")
         grams.append(g)
     return grams
@@ -642,17 +654,15 @@ class GridNet(FiniteSet):
     ``nearest`` builds kept rows only, from their picks (one array of g_j
     per coordinate j), and the index above only for each sample's nearest row,
     and every row's stacks are computed on first access, then frozen. The
-    basis (the caller's set) is read-only, and the grid lies over immutable
-    bytes (a ``disc_grid`` is kept as it is, any other grid is copied), so
-    the factorization stays true. What does not depend on the samples is
-    formed once per net, not per ``nearest`` call: the basis Grams
-    (``heine_borel_net`` hands over those its suborthonormality check
-    formed), R, and at each point ``grid * n_j^2`` of the live rows.
+    basis (the caller's set) and the grid are read-only, so the
+    factorization stays true. ``heine_borel_net`` hands the net the basis
+    Grams its suborthonormality check formed, so each point's Gram is formed
+    once per net; a net given none forms it at each ``nearest`` call.
     ``subset``, ``p * net``, ``set_image`` and every other operation read
     the stacks and build a plain ``FiniteSet``.
     """
 
-    __slots__ = ("basis", "grid", "_R", "_grams", "_scaled", "_stacks")
+    __slots__ = ("basis", "grid", "_grams", "_stacks")
 
     def __init__(
         self, basis: FiniteSet, grid: np.ndarray, cap: int, *, _grams: list[_Gram] | None = None
@@ -666,11 +676,9 @@ class GridNet(FiniteSet):
         self.space = basis.space
         self._n = n
         self.basis = basis
-        grid = np.asarray(grid, dtype=complex)
-        self.grid = grid if isinstance(grid.base, bytes) else np.frombuffer(grid.tobytes(), complex)
-        self._R = float(np.abs(self.grid).max(initial=0.0))
-        self._grams = [_Gram(s) for s in basis.stacks] if _grams is None else _grams
-        self._scaled = [self.grid * g.n2[g.live, None] for g in self._grams]
+        self.grid = np.array(grid, dtype=complex)
+        self.grid.flags.writeable = False
+        self._grams = _grams
         self._stacks = None
 
     @property
@@ -698,22 +706,25 @@ class GridNet(FiniteSet):
     def _kept(self, w: int, X: np.ndarray) -> np.ndarray:
         """(n, m, len(grid)) mask of the grid indices kept per sample row of
         X and coordinate, at point w."""
-        g, R = self._grams[w], self._R
+        s = self.basis.stacks[w]
+        m, d = s.shape
+        grid = self.grid
+        g = _Gram(s) if self._grams is None else self._grams[w]
         sh, n2, live = g.sh, g.n2, g.live
-        d, m = sh.shape
         finite = np.isfinite(X).all(axis=1)
         X = np.where(finite[:, None], X, 0)
         # q of the live rows only: every other row keeps its whole grid
-        t = (X @ sh)[:, live, None] - self._scaled[w]
+        t = (X @ sh)[:, live, None] - grid * n2[live, None]
         q = t.real**2
         q += t.imag**2
         q /= n2[live, None]
+        R = float(np.abs(grid).max())
         Z = np.linalg.norm(X, axis=1) + m * R * math.sqrt(float(n2.max()))
         slack = 2.0 * (g.off * (m * R) ** 2 + 32 * (d + m + 1) * _U * Z**2) + 1e-300
         far = np.greater(q, q.min(axis=2, keepdims=True) + slack[:, None, None])
-        keep = np.ones((len(X), m, len(self.grid)), dtype=bool)
+        keep = np.ones((len(X), m, len(grid)), dtype=bool)
         keep[:, live] = np.logical_not(far, out=far)
-        if math.isfinite(R):  # a finite grid value times a zero row is a zero
+        if np.isfinite(R):  # a finite grid value times a zero row is a zero
             keep[:, g.zero, 1:] = False
         keep[~finite] = True
         return keep
@@ -773,14 +784,14 @@ def heine_borel_net(basis: FiniteSet, c: float, eps: float, cap: int = 10**6) ->
     The net is a ``GridNet``: it holds that factorization and builds no
     rows, and ``defect`` against it builds and compares one row per sample,
     and more only where the pruning keeps more. Its grid comes from
-    ``disc_grid``'s memo, and each point's Gram is formed once, by the
-    suborthonormality check, which hands it to the net. A net over the cap
-    is refused before its grid is built.
+    ``disc_grid``'s memo, and each point's Gram is formed once per net, by
+    the suborthonormality check, which hands it to the net. A net over the
+    cap is refused before its grid is built.
     """
-    _check_finite(c=c, eps=eps)
+    _check_finite("c", c)
     if c < 0:
         raise ValueError("c must be nonnegative")
-    if eps <= 0:
+    if not eps > 0:  # NaN too
         raise ValueError("eps must be positive")
     grams = _suborthonormal_grams(basis)
     m = len(basis)
@@ -796,19 +807,17 @@ def zonotope_net(F: FiniteSet, mesh: float, cap: int = 10**6):
     Returns ``(net, slack)`` where every element of the zonotope is within
     the StoneElement ``slack = mesh * sum_y |y|`` of the net, pointwise. The
     net is a ``GridNet`` on the generators and a disc grid of radius 1,
-    refused before the grid is built when it would exceed the cap.
+    refused before the grid is built when it would exceed the cap. The
+    slack is zero where every generator is, an infinite mesh included.
     """
-    _check_finite(mesh=mesh)
-    if mesh <= 0:
+    if not mesh > 0:  # NaN too
         raise ValueError("mesh must be positive")
     space = F.space
     if len(F) == 0:
         return FiniteSet.zero(space), StoneElement.zeros(space.base)
     norm_sum = np.sum(F.norms(), axis=0)
-    slack = StoneElement(space.base, mesh * norm_sum)
-    grid = _net_grid(len(F), 1.0, mesh, cap)
-    with np.errstate(invalid="ignore"):  # the Grams of non-finite generators
-        return GridNet(F, grid, cap), slack
+    slack = np.multiply(mesh, norm_sum, out=np.zeros_like(norm_sum), where=norm_sum != 0)
+    return GridNet(F, _net_grid(len(F), 1.0, mesh, cap), cap), StoneElement(space.base, slack)
 
 
 # ---------------------------------------------------------------------------

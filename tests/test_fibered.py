@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -35,7 +36,7 @@ from latnorm import (
     zonotope_net,
     zonotope_report,
 )
-from latnorm.fibered import _GRIDS, _grid_bytes, _pair_dist, check_suborthonormal
+from latnorm.fibered import _GRID_RINGS, _GRIDS, _grid_bytes, _pair_dist, check_suborthonormal
 from latnorm.seqmodel import build_counterexample
 from latnorm.fixtures import (
     random_extension,
@@ -802,9 +803,9 @@ class TestHeineBorel:
             zonotope_net(basis, mesh=0.01, cap=100)
 
     def test_non_finite_arguments_rejected(self):
-        # a NaN or infinite radius, mesh, c or eps is a ValueError naming the
-        # argument, raised before disc_grid's memo is read and before
-        # zonotope_net's slack multiplies the mesh by a zero norm sum
+        # a NaN or infinite radius or c, and a NaN mesh or eps, is a
+        # ValueError naming the argument, raised before disc_grid's memo is
+        # read and before zonotope_net's slack multiplies the mesh by a norm
         space = single_fiber_space(2)
         basis = FiniteSet(space, [np.eye(2, dtype=complex)], 2)
         empty = FiniteSet(space, [np.zeros((0, 2))], 0)
@@ -813,20 +814,44 @@ class TestHeineBorel:
         for bad in (np.nan, np.inf, -np.inf, np.float64(np.nan)):
             calls = [
                 ("radius", lambda: disc_grid(bad, 0.5)),
-                ("mesh", lambda: disc_grid(1.0, bad)),
                 ("radius", lambda: disc_grid(bad, bad)),
                 ("c", lambda: heine_borel_net(basis, bad, 0.5)),
-                ("eps", lambda: heine_borel_net(basis, 1.0, bad)),
                 ("c", lambda: heine_borel_net(empty, bad, bad)),
+            ]
+            for name, call in calls:
+                with pytest.raises(ValueError, match=f"^{name} must be finite, not {bad}$"):
+                    call()
+        for bad in (np.nan, -np.inf, np.float64(np.nan)):
+            calls = [
+                ("mesh", lambda: disc_grid(1.0, bad)),
+                ("eps", lambda: heine_borel_net(basis, 1.0, bad)),
+                ("eps", lambda: heine_borel_net(empty, 1.0, bad)),
                 ("mesh", lambda: zonotope_net(basis, bad)),
                 ("mesh", lambda: zonotope_net(zero_rows, bad)),
                 ("mesh", lambda: zonotope_net(empty, bad)),
             ]
             for name, call in calls:
-                with pytest.raises(ValueError, match=f"^{name} must be finite, not {bad}$"):
+                with pytest.raises(ValueError, match=f"^{name} must be positive$"):
                     call()
         after = _grid_bytes.cache_info()
         assert (after.hits, after.misses) == (before.hits, before.misses)
+
+    def test_infinite_mesh_gives_the_one_ring_grid(self):
+        # an infinite mesh or eps is a valid coarse net: the grid [0, radius],
+        # and zonotope_net's slack is infinite where a generator is nonzero
+        # and zero where every generator is, with no inf * 0
+        space = FiberSpace(PointSet.of_size(2), (2, 2))
+        assert disc_grid(1.0, np.inf).tolist() == [0j, 1 + 0j]
+        assert disc_grid(0.0, np.inf).tolist() == [0j]
+        basis = FiniteSet(space, [np.eye(2, dtype=complex)] * 2, 2)
+        net = heine_borel_net(basis, 2.0, np.inf)
+        assert net.grid.tolist() == [0j, 2 + 0j] and len(net) == 4
+        F = FiniteSet(space, [np.eye(2, dtype=complex), np.zeros((2, 2))], 2)
+        net, slack = zonotope_net(F, np.inf)
+        assert net.grid.tolist() == [0j, 1 + 0j] and len(net) == 4
+        assert slack.values.tolist() == [np.inf, 0.0]
+        net, slack = zonotope_net(F, 0.5)
+        assert slack.values.tobytes() == (0.5 * np.sum(F.norms(), axis=0)).tobytes()
 
     def test_net_over_the_cap_refused_before_its_grid(self):
         # the grid has n_rings + 1 points at least, so m (n_rings + 1)^m rows
@@ -1257,10 +1282,11 @@ class TestGridNet:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf * 0
     def test_repeated_calls_on_one_net_equal_the_first_version(self):
-        # the Grams, R and scaled grids are formed once per net: every
-        # _kept and nearest call on one net, at every point and in any order,
-        # equals the first version, on Heine-Borel nets and on zonotope
-        # nets with non-orthogonal, vanishing or non-finite generators
+        # a Heine-Borel net keeps the Grams its check formed: every _kept and
+        # nearest call on one net, at every point and in any order, equals
+        # the first version, on Heine-Borel nets and on zonotope nets with
+        # non-orthogonal, vanishing or non-finite generators, built through
+        # zonotope_net or directly, which computes nothing and so never warns
         rng = np.random.default_rng(49)
         dims = (2, 3, 1, 2)
         space = FiberSpace(PointSet.of_size(len(dims)), dims)
@@ -1279,7 +1305,11 @@ class TestGridNet:
             nets.append(zonotope_net(FiniteSet(space, generic, m), {1: 0.2, 2: 0.5, 3: 0.9}[m])[0])
         generic = [s.copy() for s in random_finite_set(rng, space, 2).stacks]
         generic[3][1, 0] = np.inf
-        nets.append(zonotope_net(FiniteSet(space, generic, 2), 0.5)[0])
+        F = FiniteSet(space, generic, 2)
+        nets.append(zonotope_net(F, 0.5)[0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            nets.append(GridNet(F, disc_grid(1.0, 0.3), 10**6))
         for net in nets:
             assert isinstance(net, GridNet)
             m, grid = len(net.basis), net.grid
@@ -1294,22 +1324,6 @@ class TestGridNet:
                     assert keep.shape == ref.shape and keep.tobytes() == ref.tobytes()
                     got, want = net.nearest(w, X), grid_net_nearest(net, w, X)
                     assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
-
-    def test_grid_kept_or_copied(self):
-        # a disc_grid is kept uncopied; any other grid is copied onto
-        # immutable bytes, so the caller's array stays the caller's
-        space = single_fiber_space(2)
-        basis = FiniteSet(space, [np.eye(2, dtype=complex)], 2)
-        net = heine_borel_net(basis, 1.0, 0.5)
-        assert np.shares_memory(net.grid, disc_grid(1.0, 0.5 / np.sqrt(2)))
-        mine = ring_loop_disc_grid(1.0, 0.5)
-        ref = mine.copy()
-        net = GridNet(basis, mine, 10**6)
-        assert not np.shares_memory(net.grid, mine) and isinstance(net.grid.base, bytes)
-        mine[:] = 0
-        assert net.grid.tobytes() == ref.tobytes()
-        with pytest.raises(ValueError):
-            net.grid.flags.writeable = True
 
     def test_factorization_is_read_only(self):
         space = single_fiber_space(2)
@@ -1378,6 +1392,23 @@ def test_disc_grid_memo_is_bounded():
         mesh = 0.1 + k / 10
         assert disc_grid(1.5, mesh).tobytes() == ring_loop_disc_grid(1.5, mesh).tobytes()
         assert _grid_bytes.cache_info().currsize <= _GRIDS
+
+
+def test_disc_grid_memo_keeps_small_grids_only():
+    # a grid of more than _GRID_RINGS rings is built anew on each call and
+    # never enters the memo; it is read-only too and equals the ring-by-ring
+    # grid, and a grid of exactly _GRID_RINGS rings is memoized
+    step = 0.5 / np.sqrt(2.0)
+    small = disc_grid(_GRID_RINGS * step, 0.5)
+    assert isinstance(small.base, bytes)
+    before = _grid_bytes.cache_info()
+    for radius, mesh in ((1.0, 0.01), (_GRID_RINGS * step * 1.01, 0.5)):
+        for _ in range(2):
+            grid = disc_grid(radius, mesh)
+            assert not isinstance(grid.base, bytes) and not grid.flags.writeable
+            assert grid.tobytes() == ring_loop_disc_grid(radius, mesh).tobytes()
+    assert _grid_bytes.cache_info() == before
+    assert len(small) == 3334 and len(disc_grid(1.0, 0.01)) > 60000
 
 
 class TestZonotope:
