@@ -22,6 +22,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -191,13 +192,26 @@ def _dist(diff: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("...k,...k->...", v, v))
 
 
+def _diffs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a[:, None, :] - b[None, :, :]``, bit for bit: each row of a
+    repeated len(b) times, then b subtracted in place, so that numpy's loops
+    run along whole rows of b rather than over one fiber vector per pair.
+    Every entry is the same subtraction into the same C-ordered array."""
+    n_b, d = b.shape
+    diff = np.repeat(a.astype(np.result_type(a, b), copy=False), n_b, axis=0)
+    diff = diff.reshape(len(a), n_b, d)
+    return np.subtract(diff, b, out=diff)
+
+
 def _pair_dist(stack_a: np.ndarray, stack_b: np.ndarray) -> np.ndarray:
     """Euclidean distance matrix between the rows of two complex stacks.
 
-    Computed by ``_dist`` from explicit differences: the Gram identity would
-    lose ~1e-8 of absolute accuracy near zero, which the exact-coincidence
-    checks cannot afford. Chunks of 2**16 differences keep the temporaries in
-    cache, without which a traversal's |M| x |M| tables are memory-bound.
+    Computed by ``_dist`` from explicit differences (``_diffs``: repeated
+    rows of the one stack less the other, the broadcast difference bit for
+    bit): the Gram identity would lose ~1e-8 of absolute accuracy near
+    zero, which the exact-coincidence checks cannot afford. Chunks of 2**16
+    differences keep the temporaries in cache, without which a traversal's
+    |M| x |M| tables are memory-bound.
     A stack of more than 48 rows paired with itself is computed by blocks of
     at most 32 rows, each from its own first row on and mirrored below it:
     |a - b| and |b - a| are one float, so each unordered pair is computed
@@ -211,14 +225,12 @@ def _pair_dist(stack_a: np.ndarray, stack_b: np.ndarray) -> np.ndarray:
         rows = min(chunk, 32)
         for i0 in range(0, n_a, rows):
             i1 = min(i0 + rows, n_a)
-            block = _dist(stack_a[i0:i1, None, :] - stack_a[None, i0:, :])
+            block = _dist(_diffs(stack_a[i0:i1], stack_a[i0:]))
             out[i0:i1, i0:] = block
             out[i1:, i0:i1] = block[:, i1 - i0 :].T
         return out
     for i0 in range(0, n_a, chunk):
-        out[i0 : i0 + chunk] = _dist(
-            stack_a[i0 : i0 + chunk, None, :] - stack_b[None, :, :]
-        )
+        out[i0 : i0 + chunk] = _dist(_diffs(stack_a[i0 : i0 + chunk], stack_b))
     return out
 
 
@@ -331,9 +343,11 @@ class Traversal:
 
     Seeded by the element of largest lattice norm; each step places the
     element farthest (in sup norm of the pointwise distance) from those
-    already placed, ties to the lowest index, reading its row of one
-    ``_pair_dist`` table per fiber (n_points |M|^2 floats, freed once built;
-    ``SizeCapError`` when they cannot be allocated).
+    already placed, ties to the lowest index. The ``_pair_dist`` tables of
+    all fibers are held as one (|M|, n_points, |M|) array (n_points |M|^2
+    floats, freed once built; ``SizeCapError`` when it cannot be
+    allocated), so each step reads the placed element's column of every
+    fiber's table as one contiguous block.
     The tuple ``order`` holds every index of M in placement order, and row
     j of the read-only ``radii`` is the running radius after j + 1
     placements: the pointwise defect of M against ``order[:j + 1]``.
@@ -348,14 +362,16 @@ class Traversal:
         self.radii = np.empty((n, n_pts))
         self._rechecks: dict[int, DefectReport] = {}
         try:
-            tables = np.empty((n_pts, n, n))
+            # tables[i] holds column i of every fiber's table, one contiguous
+            # (P, |M|) block read per step
+            tables = np.empty((n, n_pts, n))
             with np.errstate(invalid="ignore"):  # inf - inf is a NaN distance
                 for w, s in enumerate(M.stacks):
-                    tables[w] = _pair_dist(s, s)
+                    tables[:, w] = _pair_dist(s, s).T
         except MemoryError:
             raise SizeCapError(
                 f"the traversal of |M| = {n} over P = {n_pts} points needs a "
-                f"({n_pts}, {n}, {n}) distance table of {8 * n_pts * n * n} bytes, "
+                f"({n}, {n_pts}, {n}) distance table of {8 * n_pts * n * n} bytes, "
                 "which could not be allocated"
             ) from None
         placed = np.zeros(n, dtype=bool)
@@ -363,11 +379,11 @@ class Traversal:
         scores = M.norms().max(axis=1)  # seed: the largest lattice norm
         for j in range(n):
             nxt = int(scores.argmax())
-            np.minimum(mindist, tables[:, nxt], out=mindist)
+            np.minimum(mindist, tables[nxt], out=mindist)
             placed[nxt] = True
-            self.radii[j] = mindist.max(axis=1)
+            mindist.max(axis=1, out=self.radii[j])
             order.append(nxt)
-            scores = mindist.max(axis=0)
+            mindist.max(axis=0, out=scores)
             scores[placed] = -1.0
         self.order = tuple(order)
         self.radii.flags.writeable = False
@@ -501,6 +517,9 @@ def disc_grid(radius: float, mesh: float) -> np.ndarray:
     a new read-only array. A memoized one lies over the memo's immutable
     bytes, which no caller can make writable, so no caller can change the
     grid a later call returns. An infinite mesh gives the one-ring grid.
+    A ring count that is not finite (radius / mesh overflows) is a
+    ``ValueError`` naming both; a grid that cannot be allocated is a
+    ``SizeCapError`` naming its ring count and bytes.
     """
     _check_finite("radius", radius)
     if radius < 0:
@@ -508,7 +527,12 @@ def disc_grid(radius: float, mesh: float) -> np.ndarray:
     if not mesh > 0:  # NaN too
         raise ValueError("mesh must be positive")
     radius, mesh = float(radius), float(mesh)
-    if _rings(radius, mesh) > _GRID_RINGS:
+    rings = _rings(radius, mesh)
+    if not math.isfinite(rings):
+        raise ValueError(
+            f"radius {radius} and mesh {mesh} give a ring count that is not finite"
+        )
+    if rings > _GRID_RINGS:
         grid = _build_grid(radius, mesh)
         grid.flags.writeable = False
         return grid
@@ -531,13 +555,24 @@ def _build_grid(radius: float, mesh: float) -> np.ndarray:
     if radius == 0:
         return np.zeros(1, dtype=complex)
     step = mesh / math.sqrt(2.0)
-    n_rings = max(1, math.ceil(_rings(radius, mesh)))
-    rho = radius * np.arange(1, n_rings + 1) / n_rings
-    n_theta = np.maximum(1, np.ceil(2.0 * math.pi * rho / step)).astype(int)
-    ring = np.repeat(np.arange(n_rings), n_theta)
-    k = np.arange(len(ring)) - (np.cumsum(n_theta) - n_theta)[ring]
-    angles = 2.0 * math.pi * k / n_theta[ring]
-    return np.concatenate(([0j], rho[ring] * np.exp(1j * angles)))
+    rings = _rings(radius, mesh)
+    n_rings = max(1, math.ceil(rings))
+    # ring k of n holds at least 2 pi k rings / n points: pi rings (n + 1) in all
+    need = min(16 * (1 + math.pi * rings * (n_rings + 1)), sys.float_info.max)
+    if need <= np.iinfo(np.intp).max:  # else larger than any numpy array
+        try:
+            rho = radius * np.arange(1, n_rings + 1) / n_rings
+            n_theta = np.maximum(1, np.ceil(2.0 * math.pi * rho / step)).astype(int)
+            ring = np.repeat(np.arange(n_rings), n_theta)
+            k = np.arange(len(ring)) - (np.cumsum(n_theta) - n_theta)[ring]
+            angles = 2.0 * math.pi * k / n_theta[ring]
+            return np.concatenate(([0j], rho[ring] * np.exp(1j * angles)))
+        except MemoryError:
+            pass
+    raise SizeCapError(
+        f"disc_grid({radius}, {mesh}) needs {n_rings:.6g} rings, a grid of at least "
+        f"{need:.4g} bytes, which could not be allocated"
+    )
 
 
 def _net_grid(m: int, radius: float, mesh: float, cap: int) -> np.ndarray:

@@ -463,6 +463,51 @@ def brute_force_greedy_order(M):
     return order
 
 
+def broadcast_pair_dist(stack_a, stack_b):
+    """``_pair_dist`` as it was before its differences came from repeated
+    rows: ``_dist`` of the broadcast ``a[:, None, :] - b[None, :, :]``, in
+    the same chunks and mirrored self-paired blocks, kept so that the
+    library's kernel can be held to it byte for byte."""
+    n_a, d = stack_a.shape
+    n_b = stack_b.shape[0]
+    out = np.empty((n_a, n_b))
+    chunk = max(1, (1 << 16) // max(n_b * max(d, 1), 1))
+    if stack_a is stack_b and n_a > 48:
+        rows = min(chunk, 32)
+        for i0 in range(0, n_a, rows):
+            i1 = min(i0 + rows, n_a)
+            block = _dist(stack_a[i0:i1, None, :] - stack_a[None, i0:, :])
+            out[i0:i1, i0:] = block
+            out[i1:, i0:i1] = block[:, i1 - i0 :].T
+        return out
+    for i0 in range(0, n_a, chunk):
+        out[i0 : i0 + chunk] = _dist(
+            stack_a[i0 : i0 + chunk, None, :] - stack_b[None, :, :]
+        )
+    return out
+
+
+def farthest_point_traversal(M):
+    """``Traversal(M)``'s order and radii from one ``broadcast_pair_dist``
+    table per fiber, each step recomputed from scratch: every element's
+    distance to the placed set is the min over the placed columns, its
+    score the max of that over points (placed ones -1, lowest index on
+    ties, NaN first as ``np.argmax`` reads it), and the radius after k
+    placements the max over elements per point. Returns ``(order, radii)``."""
+    n, n_pts = len(M), M.space.n_points
+    if n == 0:
+        return [], np.empty((0, n_pts))
+    with np.errstate(invalid="ignore"):  # inf - inf is a NaN distance
+        dist = np.stack([broadcast_pair_dist(s, s) for s in M.stacks])  # (P, n, n)
+    order = [int(np.argmax(M.norms().max(axis=1)))]
+    while len(order) < n:
+        scores = dist[:, :, order].min(axis=2).max(axis=0)
+        scores[order] = -1.0
+        order.append(int(np.argmax(scores)))
+    radii = np.stack([dist[:, :, order[:k]].min(axis=2).max(axis=1) for k in range(1, n + 1)])
+    return order, radii
+
+
 def dense_defect(M, F):
     """``defect`` with every row of M compared with every row of F at every
     point: one whole ``_pair_dist`` table per fiber, its row minima and

@@ -941,6 +941,32 @@ def _run_limited(tmp_path, body, limit=1536 * 2**20):
 
 
 @pytest.mark.skipif(not hasattr(resource, "RLIMIT_AS"), reason="no RLIMIT_AS here")
+def test_disc_grid_too_large_is_a_size_cap_error(tmp_path):
+    """A mesh of 1e-200 asks for 1.4e200 rings and one of 1e-9 for 1.4e9
+    (more bytes than any array holds), one of 1e-5 for 141,422 rings (about
+    1 TB, which fails to allocate under a 1.5 GB address-space limit): each
+    is a ``SizeCapError`` naming the ring count and the bytes, never a
+    ``MemoryError`` or a kill."""
+    proc = _run_limited(
+        tmp_path,
+        "for mesh in (1e-200, 1e-9, 1e-5):\n"
+        "    try:\n"
+        "        latnorm.disc_grid(1.0, mesh)\n"
+        "    except latnorm.SizeCapError as exc:\n"
+        "        print(exc)\n"
+        "    else:\n"
+        "        sys.exit(f'no SizeCapError at mesh {mesh}')\n",
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 3, proc.stdout
+    for line, rings in zip(lines, (math.ceil(1e200 * math.sqrt(2.0)), 1414213563, 141422)):
+        assert f" needs {float(rings):.6g} rings, a grid of at least " in line, line
+        need = float(line.split("at least ")[1].split()[0])
+        assert need >= min(16 * math.pi * float(rings) * rings * 0.999, sys.float_info.max), line
+
+
+@pytest.mark.skipif(not hasattr(resource, "RLIMIT_AS"), reason="no RLIMIT_AS here")
 class TestTraversalTable:
     """|M| = 20,000 over one point of dim 1 asks for a 3.2 GB traversal
     table. Under a 1.5 GB address-space limit, set in a child process once

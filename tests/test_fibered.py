@@ -1,4 +1,5 @@
 import itertools
+import re
 import tracemalloc
 import warnings
 
@@ -45,10 +46,12 @@ from latnorm.fixtures import (
     rotation_extension,
 )
 from oracles import (
+    broadcast_pair_dist,
     brute_force_defect_chain,
     brute_force_greedy_order,
     dense_defect,
     dense_prefix_defects,
+    farthest_point_traversal,
     flat_index_rows,
     grid_net_kept,
     grid_net_nearest,
@@ -416,6 +419,85 @@ class TestDistanceFormula:
                 s[n // 2] = s[0]  # a repeated row
                 got = _pair_dist(s, s)
                 assert got.tobytes() == _pair_dist(s, s.copy()).tobytes(), (n, d)
+
+
+def _planted(rng, n, d, specials, count):
+    """An (n, d) complex stack with count special entries planted."""
+    s = rng.normal(size=(n, d)) + 1j * rng.normal(size=(n, d))
+    for _ in range(count if n else 0):
+        s[rng.integers(n), rng.integers(d)] = rng.choice(specials)
+    return s
+
+
+class TestRepeatedRowDifferences:
+    """``_pair_dist`` builds its differences from repeated rows; its tables
+    equal the broadcast kernel's (``oracles.broadcast_pair_dist``) byte for
+    byte, and the traversal built on them equals the farthest-point oracle."""
+
+    SPECIALS = [np.nan, np.inf, -np.inf, complex(np.inf, -np.inf), complex(0, np.nan),
+                0.0, -0.0, complex(-0.0, -0.0), 5e-324, -2.5e-310, complex(1e-320, -4e-323)]
+
+    def _same(self, a, b):
+        with np.errstate(invalid="ignore"):  # inf - inf is a NaN distance
+            got, ref = _pair_dist(a, b), broadcast_pair_dist(a, b)
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes(), (a.shape, b.shape)
+
+    def test_empty_stacks(self):
+        for d in (1, 3, 22):
+            empty, s = np.zeros((0, d), complex), np.ones((5, d), complex)
+            for a, b in ((empty, empty), (empty, s), (s, empty)):
+                self._same(a, b)
+
+    def test_dims_and_sizes_with_special_entries(self):
+        rng = np.random.default_rng(35)
+        for d in (*range(1, 9), 22):
+            for n_a, n_b in ((1, 1), (3, 7), (17, 5), (48, 48), (49, 60), (120, 31)):
+                a = _planted(rng, n_a, d, self.SPECIALS, 4)
+                b = _planted(rng, n_b, d, self.SPECIALS, 4)
+                b[0] = a[0]  # a repeated row, at 0
+                self._same(a, b)
+                self._same(a, a[::-1].copy())
+
+    def test_self_pairs_at_and_above_48_rows(self):
+        rng = np.random.default_rng(36)
+        for n in (47, 48, 49, 50, 64, 65, 97, 200):
+            for d in (1, 2, 6, 22):
+                s = _planted(rng, n, d, self.SPECIALS, 6)
+                s[n // 2] = s[0]
+                self._same(s, s)  # mirrored blocks
+                self._same(s, s.copy())  # every pair
+
+    def test_chunk_boundaries(self):
+        # chunks of 2**16 // (n_b d) rows: 8 rows for n_b d = 8192, one row
+        # for n_b d = 40000, 2730 rows for n_b d = 24, and mirrored blocks of
+        # 14 rows for 200 rows of dim 22
+        rng = np.random.default_rng(37)
+        b = _planted(rng, 1024, 8, self.SPECIALS, 20)
+        for n_a in (1, 7, 8, 9, 16, 17, 40):
+            self._same(_planted(rng, n_a, 8, self.SPECIALS, 3), b)
+        few = _planted(rng, 3, 8, self.SPECIALS, 2)
+        self._same(few, _planted(rng, 5000, 8, self.SPECIALS, 30))
+        self._same(_planted(rng, 5461, 8, self.SPECIALS, 30), few)
+        s = _planted(rng, 200, 22, self.SPECIALS, 10)
+        self._same(s, s)
+
+    def test_traversal_equals_the_farthest_point_oracle(self):
+        rng = np.random.default_rng(38)
+        for n in (1, 2, 5, 13, 48, 49, 90, 150, 200):
+            space = random_fiber_space(rng, max_points=8, max_dim=22)
+            M = random_finite_set(rng, space, n)
+            stacks = [s.copy() for s in M.stacks]
+            if n % 2:  # NaN and inf entries at odd sizes
+                for _ in range(3):
+                    s = stacks[int(rng.integers(len(stacks)))]
+                    s[rng.integers(n), rng.integers(s.shape[1])] = rng.choice(self.SPECIALS[:5])
+            M = FiniteSet(space, stacks, n)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # the traversal keeps its own errstate
+                trav = Traversal(M)
+            order, radii = farthest_point_traversal(M)
+            assert list(trav.order) == order, n
+            assert trav.radii.tobytes() == radii.tobytes(), n
 
 
 @pytest.fixture
@@ -1355,6 +1437,18 @@ def test_disc_grid_equals_ring_loop():
     for radius, mesh in pairs:
         got, ref = disc_grid(float(radius), float(mesh)), ring_loop_disc_grid(float(radius), float(mesh))
         assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), (radius, mesh)
+
+
+def test_disc_grid_ring_count_not_finite():
+    # radius / (mesh / sqrt 2) overflows: a ValueError naming both, raised
+    # before disc_grid's memo is read
+    before = _grid_bytes.cache_info()
+    for radius, mesh in ((1e300, 1e-300), (1.0, 5e-324), (np.float64(1e200), 1e-200)):
+        message = f"radius {float(radius)} and mesh {float(mesh)} give a ring count that is not finite"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            disc_grid(radius, mesh)
+    assert _grid_bytes.cache_info() == before
+    assert len(disc_grid(0.0, 5e-324)) == 1
 
 
 def test_disc_grid_memo_cannot_be_written():
