@@ -410,7 +410,7 @@ def is_utob(M: FiniteSet, eps: float, *, traversal: Traversal | None = None) -> 
     ``traversal``, a ``Traversal`` of M, is the way to share one traversal,
     and one recheck per distinct witness, across several eps.
     """
-    if eps <= 0:
+    if not eps > 0:  # NaN too
         raise ValueError("eps must be positive")
     if traversal is None:
         traversal = Traversal(M)
@@ -441,7 +441,7 @@ def truncate_to_ball(F: FiniteSet, r: float) -> FiniteSet:
     distances. r = 0 is allowed: the ball is then the zero set, and only
     fibers of norm at most ``DEFAULT_TOL`` are kept.
     """
-    if r < 0:
+    if not r >= 0:  # NaN too
         raise ValueError("r must be nonnegative")
     keep = F.norms() <= 2.0 * r + DEFAULT_TOL
     if keep.all():
@@ -594,7 +594,6 @@ def _net_grid(m: int, radius: float, mesh: float, cap: int) -> np.ndarray:
 
 _U = 2.0**-53  # unit roundoff of float64
 _LIVE = 1e-150  # basis rows with a smaller squared norm keep their whole grid
-_PAIRS = 1 << 18  # (sample, row) pairs compared per block in GridNet.nearest
 
 
 class _Gram:
@@ -658,9 +657,10 @@ class GridNet(FiniteSet):
     steps. First, one row per sample: the lowest kept index of each
     coordinate gives a row, and all these rows are built and compared at
     once. Where the product of the kept indices holds that row alone, it is
-    the nearest. Second, the samples whose kept product holds more rows
-    (near-ties, non-finite samples, rows below ``_LIVE``) are compared with
-    every row of that product, which overwrites their first answer. A
+    the nearest. Second, each sample whose kept product holds more rows
+    (near-ties, non-finite samples, rows below ``_LIVE``) is compared, one
+    at a time, with every row of that product, which overwrites its first
+    answer; no sample of the ``net_cover`` benchmark takes this step. A
     pruned g is strictly worse than the kept g' that sets each of its
     pruned coordinates to k_j*:
     |x - y(g)|^2 - |x - y(g')|^2 > slack - 2 X - 2 err_q. With
@@ -778,34 +778,13 @@ class GridNet(FiniteSet):
         if np.count_nonzero(keep) == n * m:
             return mins, argmin
         # the samples whose kept product holds more rows: compare them all
-        multi = np.flatnonzero(keep.sum(axis=2).prod(axis=1) > 1)
-        keep, X = keep[multi], X[multi]
-        counts = keep.sum(axis=2)
-        kept = np.nonzero(keep)[2]  # by sample, then coordinate
-        firsts = (counts.cumsum() - counts.ravel()).reshape(len(multi), m)
-        rows_per = counts.prod(axis=1)
-        ends = rows_per.cumsum()
-        a = 0
-        while a < len(multi):
-            b = max(a + 1, int(ends.searchsorted(ends[a] - rows_per[a] + _PAIRS, "right")))
-            # each sample's kept product, in ascending net index order
-            sample, picks = np.arange(a, b), []
-            for j in range(m):
-                rep = counts[sample, j]
-                pos = (firsts[sample, j] - rep.cumsum() + rep).repeat(rep)
-                picks = [p.repeat(rep) for p in picks]
-                picks.append(kept[pos + np.arange(len(pos))])
-                sample = sample.repeat(rep)
-            dist = _dist(X[sample] - self._rows(w, picks))
-            per = rows_per[a:b]
-            starts = per.cumsum() - per
-            low = np.minimum.reduceat(dist, starts)
-            mins[multi[a:b]] = low
-            # np.argmin's tie rule: the first minimum, or the first NaN (one exists)
-            hit = np.flatnonzero((dist == low.repeat(per)) | np.isnan(dist))
-            win = hit[hit.searchsorted(starts)]
-            argmin[multi[a:b]] = np.ravel_multi_index([p[win] for p in picks], (size,) * m)
-            a = b
+        for i in np.flatnonzero(keep.sum(axis=2).prod(axis=1) > 1):
+            # its kept product in ascending net index order, so that argmin
+            # breaks ties as the dense table does
+            picks = [p.ravel() for p in np.meshgrid(*map(np.flatnonzero, keep[i]), indexing="ij")]
+            dist = _dist(X[i] - self._rows(w, picks))
+            mins[i] = np.min(dist)  # not dist[argmin]: a NaN's sign bit can differ
+            argmin[i] = np.ravel_multi_index([p[np.argmin(dist)] for p in picks], (size,) * m)
         return mins, argmin
 
 
@@ -954,7 +933,7 @@ def zonotope_report(
     """Pointwise distances of every element of M to the zonotope of F, a
     ``(len(M), n_points)`` array, together with solver diagnostics."""
     _check_space(M, F)
-    if tol <= 0:
+    if not tol > 0:  # NaN too
         raise ValueError("tol must be positive")
     G = _padded(F).transpose(1, 2, 0)
     b = _padded(M)
@@ -981,7 +960,7 @@ def cp_check(
     max_iter: int = 10_000,
 ) -> bool:
     """Is M inside the zonotope of F fattened by an eps-ball, pointwise?"""
-    if eps <= 0:
+    if not eps > 0:  # NaN too
         raise ValueError("eps must be positive")
     dist, _ = zonotope_report(M, F, tol=tol, max_iter=max_iter)
     # a distance certified within tol of eps + tol, compared within tol

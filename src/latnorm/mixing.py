@@ -120,7 +120,7 @@ def cyclic_witness(M: FiniteSet, eps_values: Sequence[float], r: float) -> list[
     Truncation selects entries, so every chain entry that it keeps has M's
     bytes.
     """
-    if any(eps <= 0 for eps in eps_values):
+    if not all(eps > 0 for eps in eps_values):  # NaN too
         raise ValueError("eps must be positive")
     if len(M) == 0:
         raise ValueError("cyclic witness needs a nonempty set")

@@ -294,7 +294,7 @@ def egoroff_localize(
     Thresholds report, per epsilon, the first chain index that is uniformly
     below epsilon on the kept set, whose mask is ``kept``.
     """
-    if delta <= 0:
+    if not delta > 0:  # NaN too
         raise ValueError("delta must be positive")
     U = np.asarray(U, dtype=float)
     weights = np.asarray(weights, dtype=float)

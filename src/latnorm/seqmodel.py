@@ -145,7 +145,7 @@ def egoroff_demo(
     M's stacks on A and takes fresh zeros elsewhere, so it writes no copy
     of the model.
     """
-    if delta <= 0:
+    if not delta > 0:  # NaN too
         raise ValueError("delta must be positive")
     space, M, F_n = model
     n = space.n

@@ -132,7 +132,7 @@ class StoneElement:
 
     def support(self, tol: float = DEFAULT_TOL) -> "Idempotent":
         """Idempotent carried by the points where ``|self| > tol``."""
-        if tol < 0:
+        if not tol >= 0:  # NaN too
             raise ValueError("tol must be nonnegative")
         return Idempotent(self.base, np.abs(self.values) > tol)
 

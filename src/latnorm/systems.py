@@ -40,7 +40,7 @@ class FiniteProbabilitySpace:
             raise ValueError("one weight per point required")
         if len(set(labels)) != len(labels):
             raise ValueError("point labels must be distinct")
-        if np.any(weights <= 0):
+        if not np.all(weights > 0):  # NaN too
             raise ValueError("weights must be strictly positive")
         if abs(float(np.sum(weights)) - 1.0) > DEFAULT_TOL:
             raise ValueError(f"weights sum to {float(np.sum(weights))}, not 1")

@@ -9,6 +9,7 @@ import pytest
 from latnorm import (
     ComplexCoefficient,
     DimensionMismatchError,
+    FiniteProbabilitySpace,
     FiberSpace,
     FiberwiseMap,
     FiniteSet,
@@ -21,9 +22,12 @@ from latnorm import (
     Traversal,
     cp_check,
     cp_witness_from_utob,
+    cyclic_witness,
     defect,
     defect_chain,
     disc_grid,
+    egoroff_demo,
+    egoroff_localize,
     eq_idempotent,
     greedy_order,
     heine_borel_net,
@@ -33,6 +37,7 @@ from latnorm import (
     prefix_defects,
     set_image,
     set_sum,
+    theorem_cross_check,
     truncate_to_ball,
     zonotope_net,
     zonotope_report,
@@ -193,6 +198,15 @@ class TestUtob:
         M = scalars(space, 0.0, 0.1, -0.1, 0.05)
         rep = is_utob(M, eps=1.0)
         assert rep.verdict and len(rep.witness) == 1
+
+    def test_threshold_holds_at_eps_plus_tol(self):
+        # M = {0, x}, eps = 0.5: one element covers the other exactly when
+        # x <= eps + TOL, and a defect of exactly eps + TOL passes the recheck
+        space = single_fiber_space()
+        edge = 0.5 + TOL
+        for x, size in ((edge, 1), (0.5 + 5e-10, 1), (np.nextafter(edge, 1), 2)):
+            rep = is_utob(scalars(space, 0.0, x), eps=0.5)
+            assert len(rep.witness) == size and rep.verdict
 
     def test_witness_recheck(self):
         rng = np.random.default_rng(10)
@@ -918,6 +932,34 @@ class TestHeineBorel:
         after = _grid_bytes.cache_info()
         assert (after.hits, after.misses) == (before.hits, before.misses)
 
+    def test_nan_parameters_rejected(self):
+        # a NaN eps, delta, radius, tolerance or weight fails every
+        # comparison, so it would pass a `<= 0` check and reach the
+        # computation; each is a ValueError naming the argument
+        space = single_fiber_space(2)
+        M = FiniteSet(space, [np.eye(2, dtype=complex)], 2)
+        U, weights = np.ones((2, 1)), np.ones(1)
+        ext = random_extension(np.random.default_rng(0))
+        for bad in (np.nan, np.float64(np.nan)):
+            calls = [
+                ("eps", "positive", lambda: is_utob(M, bad)),
+                ("r", "nonnegative", lambda: truncate_to_ball(M, bad)),
+                ("eps", "positive", lambda: cp_check(M, M, bad)),
+                ("tol", "positive", lambda: zonotope_report(M, M, tol=bad)),
+                ("delta", "positive", lambda: egoroff_localize(U, weights, bad)),
+                ("delta", "positive", lambda: egoroff_demo(build_counterexample(3), bad)),
+                ("eps", "positive", lambda: theorem_cross_check(ext, eps_values=(bad,))),
+                ("eps", "positive", lambda: cyclic_witness(M, [0.5, bad], 1.0)),
+                ("tol", "nonnegative", lambda: StoneElement(space.base, np.ones(1)).support(bad)),
+                ("weights", "strictly positive", lambda: FiniteProbabilitySpace(["a"], [bad])),
+            ]
+            for name, word, call in calls:
+                with pytest.raises(ValueError, match=f"^{name} must be {word}$"):
+                    call()
+        # an infinite one is still a valid parameter
+        assert is_utob(M, np.inf).verdict
+        assert truncate_to_ball(M, np.inf) is M
+
     def test_infinite_mesh_gives_the_one_ring_grid(self):
         # an infinite mesh or eps is a valid coarse net: the grid [0, radius],
         # and zonotope_net's slack is infinite where a generator is nonzero
@@ -1155,8 +1197,10 @@ class TestGridNet:
                 lam *= rng.random((n, 1)) / np.linalg.norm(lam, axis=1, keepdims=True)
                 basis.append(b)
                 samples.append(lam @ b)
-            net = heine_borel_net(FiniteSet(space, basis, 2), 1.0, eps)
-            cases.append((net, FiniteSet(space, samples, n)))
+            net, M = heine_borel_net(FiniteSet(space, basis, 2), 1.0, eps), FiniteSet(space, samples, n)
+            # as in net_cover, every sample keeps one index per coordinate
+            assert all((net._kept(w, X).sum(axis=2) == 1).all() for w, X in enumerate(M.stacks))
+            cases.append((net, M))
         for net, M in cases:
             assert isinstance(net, GridNet)
             for w, X in enumerate(M.stacks):
@@ -1169,8 +1213,8 @@ class TestGridNet:
 
     def test_blocks_of_samples(self):
         # rows of norm 1e-80 (below _LIVE) keep their whole grid, so at the
-        # second point every sample keeps the whole net and the kept pairs
-        # span several blocks
+        # second point every sample keeps the whole net and is compared with
+        # every row, more pairs in all than the first version's two blocks
         space = FiberSpace(PointSet.of_size(2), (2, 1))
         basis = FiniteSet(space, [np.eye(2, dtype=complex), np.full((2, 1), 1e-80 + 0j)], 2)
         net = heine_borel_net(basis, 1.0, 0.5)
